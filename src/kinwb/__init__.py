@@ -35,8 +35,8 @@ from .kinetic import (
     KineticGrid,
     KineticModel,
     MacroField,
+    StepOperator,
     assemble_cell_matrix,
-    assemble_interfaces,
     cfl_check,
     chemo_drift,
     chemoattractant_update,
@@ -46,6 +46,7 @@ from .kinetic import (
     imex_step,
     interface_grad,
     phi_tanh,
+    step_operator,
     total_mass,
 )
 from .macrolimit import (
@@ -75,13 +76,16 @@ from .runner import (
 )
 from .scattering import (
     ClosureCoefficients,
+    InterfaceStack,
     ScatteringDecomposition,
     chemo_interfaces,
     chemo_smatrix,
     matrix_to_csv,
     rte_closure,
+    rte_interfaces,
     rte_smatrix,
     vfp_closure,
+    vfp_interfaces,
     vfp_smatrix,
 )
 from .spectral import (

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
 from .runner import ap_error_table
-from .spectral import DispersionSpectrum, VfpModeTable, _all_roots, vfp_mu, vfp_psi, vfp_psi0
+from .spectral import DispersionSpectrum, VfpModeTable, _all_roots_multi, vfp_mu, vfp_psi, vfp_psi0
 from .scattering import _vfp_zero_columns
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
@@ -133,7 +133,7 @@ def orthogonality_check(q, spectrum_or_modes, T_values=None) -> np.ndarray:
         lams = list(spectrum.lambdas) + [-l for l in spectrum.lambdas]
     else:
         # uneven rate: the negative roots are not mirror images; recompute
-        lams = list(_all_roots(q.nodes, q.weights, Tp, Tn))
+        lams = list(_all_roots_multi(q.nodes, q.weights, Tp, Tn)[0])
     residuals = []
     for lam in lams:
         residuals.append(
@@ -242,7 +242,7 @@ def _stationary_traces_integral(epsilon, dx, q, Tp, Tn, seed):
     returns (incoming, outgoing) exact traces."""
     v, w = q.nodes, q.weights
     K = q.K
-    roots = _all_roots(v, w, Tp, Tn)
+    roots = _all_roots_multi(v, w, Tp, Tn)[0]
     lam_m, lam0, lam_p = roots[: K - 1][::-1], roots[K - 1], roots[K:]
     rng = np.random.default_rng(seed)
     a_p, a_m = rng.standard_normal(K - 1), rng.standard_normal(K - 1)
@@ -367,7 +367,7 @@ def verify_spectral() -> list[CheckResult]:
     eps_list = (1e-2, 1e-3, 1e-4)
     for eps in eps_list:
         phip = phi_tanh(q4.nodes * 0.7)
-        roots = _all_roots(q4.nodes, q4.weights, 1 + eps * phip, 1 - eps * phip)
+        roots = _all_roots_multi(q4.nodes, q4.weights, 1 + eps * phip, 1 - eps * phip)[0]
         err = np.max(np.abs(roots[4:] - (exp.lambdas + eps * exp.lambda_first_order)))
         errs.append(max(err, abs(roots[3] - eps * exp.lambda0_first_order)))
     slope = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0])
@@ -460,14 +460,12 @@ def verify_lemmas() -> list[CheckResult]:
     q = gauss_symmetric(4)
     spec0 = dispersion_roots(q, np.ones(8))
     cl = rte_closure(q, spec0)
-    S0 = np.eye(4) - cl.zeta @ cl.gamma
-    R0 = assemble_cell_matrix(0.0, dt, dx, q, S0, S0)
+    R0 = assemble_cell_matrix(0.0, dt, dx, q, cl.S0, cl.S0)
     rep = kernel_range_check(R0, q, np.ones(8))
     out.append(_result("rte/chemo kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
     clv = vfp_closure(qv)
-    S0 = np.eye(3) - clv.zeta @ clv.gamma
-    R0 = assemble_cell_matrix(0.0, dt, dx, qv, S0, S0)
+    R0 = assemble_cell_matrix(0.0, dt, dx, qv, clv.S0, clv.S0)
     mw = np.exp(-np.concatenate([qv.nodes, qv.nodes]) ** 2 / 2.0)
     rep = kernel_range_check(R0, qv, mw)
     out.append(_result("vfp kernel/range", rep.passed, f"null_dim {rep.null_dim}"))

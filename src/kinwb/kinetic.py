@@ -7,13 +7,13 @@ One step solves, cell by cell,
     R_eps = eps I + (dt/dx) V [[I, -S0], [-S0, I]],
 
 with the stiff leading scattering block S0 implicit and the eps-correction
-blocks explicit.  S0 is interface-independent for every model here (the
-limit closure does not see the local field), so a single LU factorization
-serves all cells; the B blocks carry the per-interface field dependence.
-State layout per cell: (f(v_1..v_K), f(-v_1..-v_K)).
+blocks explicit.  S0 comes from the limit closure, which does not see the
+field, so :func:`step_operator` factorizes R_eps once per run; the B stack
+carries the per-interface field dependence.  State layout per cell:
+(f(v_1..v_K), f(-v_1..-v_K)).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -21,14 +21,15 @@ import scipy.linalg as sla
 
 from .errors import SolveFailure
 from .scattering import (
-    ScatteringDecomposition,
+    ClosureCoefficients,
+    InterfaceStack,
     chemo_interfaces,
     rte_closure,
-    rte_smatrix,
+    rte_interfaces,
     vfp_closure,
-    vfp_smatrix,
+    vfp_interfaces,
 )
-from .spectral import dispersion_roots
+from .spectral import DispersionSpectrum, dispersion_roots
 
 
 def phi_tanh(u, chi: float = 1.0, delta: float = 1.0):
@@ -46,11 +47,8 @@ class KineticGrid:
     epsilon: float
     q: object
     f: np.ndarray
-    boundary: str = "periodic"
 
     def __post_init__(self):
-        if self.boundary != "periodic":
-            raise ValueError("only periodic boundaries are supported")
         if self.dx <= 0.0 or self.dt <= 0.0 or self.epsilon <= 0.0:
             raise ValueError("dx, dt, epsilon must be positive")
         f = np.array(self.f, dtype=float)
@@ -64,7 +62,7 @@ class KineticGrid:
     def with_f(self, f: np.ndarray) -> "KineticGrid":
         return KineticGrid(
             Nx=self.Nx, dx=self.dx, dt=self.dt, epsilon=self.epsilon,
-            q=self.q, f=f, boundary=self.boundary,
+            q=self.q, f=f,
         )
 
     def cell_centers(self) -> np.ndarray:
@@ -151,76 +149,75 @@ def interface_grad(values: np.ndarray, dx: float) -> np.ndarray:
 def chemo_drift(q, grads, phi) -> np.ndarray:
     """Interface drift E_{j-1/2} = sum_k w_k v_k phi(v_k dS/dx)."""
     v, w = q.nodes, q.weights
-    return np.array([float(np.sum(w * v * phi(v * g))) for g in np.asarray(grads)])
+    return phi(np.outer(np.asarray(grads, dtype=float), v)) @ (w * v)
 
 
-def assemble_interfaces(
-    grid: KineticGrid, model: KineticModel, fields: MacroField | None
-) -> list[ScatteringDecomposition]:
-    """Per-interface scattering decompositions for the current fields.
+@dataclass(frozen=True, eq=False)
+class StepOperator:
+    """Run constants of :func:`imex_step`: the limit spectrum (None for
+    vfp) and closure, the LU of R_eps, and the (Nx, 2K, 2K) B stack of a
+    static field (None when each step assembles its own; rte keeps a stack
+    of one)."""
 
-    Interface i sits at x_{i-1/2}, between cells i-1 and i (periodic).
-    """
+    model: KineticModel
+    base: DispersionSpectrum | None
+    closure: ClosureCoefficients
+    lu: tuple
+    B: np.ndarray | None = None
+
+    def interfaces(self, grid: KineticGrid, fields: MacroField | None) -> InterfaceStack:
+        """Interface decompositions for the given fields; interface i sits
+        at x_{i-1/2}, between cells i-1 and i (periodic)."""
+        q, eps, dx = grid.q, grid.epsilon, grid.dx
+        if self.model.name == "rte":
+            return rte_interfaces(eps, dx, q, self.base, self.closure)
+        if self.model.name == "chemo":
+            if fields is None or fields.S is None:
+                raise ValueError("chemo interfaces need fields.S")
+            grads = interface_grad(fields.S, dx)
+            return chemo_interfaces(eps, dx, q, grads, self.model.phi, self.base, self.closure)
+        if fields is None or fields.E_half is None:
+            raise ValueError("vfp interfaces need fields.E_half")
+        return vfp_interfaces(eps, dx, q, fields.E_half, self.model.kappa, self.closure)
+
+
+def step_operator(
+    grid: KineticGrid, model: KineticModel | str, fields: MacroField | None = None
+) -> StepOperator:
+    """The run constants of the IMEX step on this grid; the B stack is
+    kept for rte, which sees no field, and for static ``fields`` given here."""
+    if isinstance(model, str):
+        model = KineticModel(name=model)
     q = grid.q
-    eps, dx = grid.epsilon, grid.dx
-    if model.name == "rte":
-        spec0 = dispersion_roots(q, np.ones(2 * q.K))
-        dec = rte_smatrix(eps, dx, q, spec0, rte_closure(q, spec0))
-        return [dec] * grid.Nx
-    if model.name == "chemo":
-        if fields is None or fields.S is None:
-            raise ValueError("chemo interfaces need fields.S")
-        return chemo_interfaces(eps, dx, q, interface_grad(fields.S, dx), model.phi)
-    if fields is None or fields.E_half is None:
-        raise ValueError("vfp interfaces need fields.E_half")
-    closure = vfp_closure(q)
-    return [
-        vfp_smatrix(eps, dx, q, float(E), model.kappa, closure=closure)
-        for E in fields.E_half
-    ]
+    base = None if model.name == "vfp" else dispersion_roots(q, np.ones(2 * q.K))
+    closure = vfp_closure(q) if base is None else rte_closure(q, base)
+    S0 = closure.S0
+    R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, q, S0, S0)
+    op = StepOperator(model=model, base=base, closure=closure, lu=sla.lu_factor(R))
+    if model.name == "rte" or fields is not None:
+        op = replace(op, B=op.interfaces(grid, fields).B)
+    return op
 
 
 def imex_step(
-    grid: KineticGrid,
-    model: KineticModel | str,
-    fields: MacroField | None = None,
-    interfaces: list[ScatteringDecomposition] | None = None,
+    grid: KineticGrid, op: StepOperator, fields: MacroField | None = None
 ) -> KineticGrid:
-    """One IMEX step; pure function grid -> grid.
-
-    ``interfaces`` may carry precomputed decompositions (static fields);
-    otherwise they are assembled from ``fields``.  The leading blocks of
-    all interfaces must agree (they do for every model here), so a single
-    LU factorization of R_eps is reused across cells.
-    """
-    if isinstance(model, str):
-        model = KineticModel(name=model)
-    if interfaces is None:
-        interfaces = assemble_interfaces(grid, model, fields)
-    Nx, K = grid.Nx, grid.q.K
+    """One IMEX step; pure function grid -> grid.  The interfaces are
+    assembled from ``fields`` when given, else op's static stack is used."""
+    B = op.B if fields is None and op.B is not None else op.interfaces(grid, fields).B
+    B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])  # rte: one S-matrix for all
+    K = grid.q.K
     f = grid.f
-    S0 = interfaces[0].S0_block
-    R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, grid.q, S0, S0)
-    try:
-        lu = sla.lu_factor(R)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eps > 0 keeps R regular
-        raise SolveFailure(f"cell matrix factorization failed: {exc}") from exc
-
-    B1 = np.stack([dec.B_blocks[0] for dec in interfaces])
-    B2 = np.stack([dec.B_blocks[1] for dec in interfaces])
-    B3 = np.stack([dec.B_blocks[2] for dec in interfaces])
-    B4 = np.stack([dec.B_blocks[3] for dec in interfaces])
-    fp, fm = f[:, :K], f[:, K:]
-    # cell j couples to interfaces j (left) and j+1 (right), periodic wrap
-    bp = np.einsum("jab,jb->ja", B1, np.roll(fp, 1, axis=0)) + np.einsum(
-        "jab,jb->ja", B2, fm
-    )
-    bm = np.einsum("jab,jb->ja", np.roll(B3, -1, axis=0), fp) + np.einsum(
-        "jab,jb->ja", np.roll(B4, -1, axis=0), np.roll(fm, -1, axis=0)
-    )
+    # interface i takes the incoming traces f_{i-1}(+v), f_i(-v) and sends
+    # its outgoing ones into cell i (+v) and cell i-1 (-v)
+    incoming = np.hstack([np.roll(f[:, :K], 1, axis=0), f[:, K:]])
+    out = np.einsum("iab,ib->ia", B, incoming)
+    b = np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
     Vd = np.concatenate([grid.q.nodes, grid.q.nodes])
-    rhs = grid.epsilon * f + (grid.epsilon * grid.dt / grid.dx) * Vd * np.hstack([bp, bm])
-    fnew = sla.lu_solve(lu, rhs.T).T
+    rhs = grid.epsilon * f + (grid.epsilon * grid.dt / grid.dx) * Vd * b
+    fnew = sla.lu_solve(op.lu, rhs.T).T
+    if not np.all(np.isfinite(fnew)):
+        raise SolveFailure("the IMEX step produced a non-finite state")
     return grid.with_f(fnew)
 
 

@@ -10,12 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolveFailure
 from .kinetic import (
     KineticGrid,
     KineticModel,
     MacroField,
-    assemble_interfaces,
     cfl_check,
     chemo_drift,
     chemoattractant_update,
@@ -24,6 +23,7 @@ from .kinetic import (
     imex_step,
     interface_grad,
     phi_tanh,
+    step_operator,
     total_mass,
 )
 from .macrolimit import DriftDiffusionParams, heat_step, sg_chemo_step, sg_step, sg_vfp_step
@@ -244,30 +244,28 @@ def _run_loop(config, out, manifest, snapshots):
             log.warning(
                 "kinetic CFL max(v)*dt <= eps*dx violated (advisory under IMEX)"
             )
-        static_interfaces = None
-        fields = None
-        if config.model == "rte":
-            static_interfaces = assemble_interfaces(grid, model, None)
-        elif config.model == "vfp":
+        static_fields = None
+        if config.model == "vfp":
             xi = np.arange(config.Nx) * config.dx  # interfaces x_{j-1/2}
-            fields = MacroField(rho=rho0, E_half=field_profile(config.E_profile, xi, length))
-            static_interfaces = assemble_interfaces(grid, model, fields)
+            static_fields = MacroField(rho=rho0, E_half=field_profile(config.E_profile, xi, length))
+        op = step_operator(grid, model, static_fields)
+        fields = None  # chemo: rebuilt from the density every step
         mass0 = total_mass(grid)
         prev = mass0
         snap(0, 0.0, density(grid).rho, None)
         for n in range(1, n_steps + 1):
             if config.model == "chemo":
                 rho = density(grid).rho
-                S = chemoattractant_update(rho, config.dx)
-                fields = MacroField(rho=rho, S=S)
-                grid = imex_step(grid, model, fields)
-            else:
-                grid = imex_step(grid, model, fields, interfaces=static_interfaces)
+                fields = MacroField(rho=rho, S=chemoattractant_update(rho, config.dx))
+            try:
+                grid = imex_step(grid, op, fields)
+            except SolveFailure as exc:
+                raise SolveFailure(f"step {n}: {exc}") from exc
             mass = total_mass(grid)
             max_step_drift = max(max_step_drift, abs(mass - prev) / abs(mass0))
             prev = mass
             if n % stride == 0 or n == n_steps:
-                Sout = fields.S if (config.model == "chemo" and fields is not None) else None
+                Sout = None if fields is None else fields.S
                 snap(len(snapshots), n * config.dt, density(grid).rho, Sout)
         final_mass = total_mass(grid)
 
@@ -328,21 +326,20 @@ def ap_gap(
         Nx=Nx, dx=dx, dt=dt, epsilon=epsilon, q=q,
         f=equilibrium_state(model, q, rho0),
     )
+    fields = None
     if model_name == "rte":
-        new = imex_step(grid, model, None)
         ref = heat_step(rho0, q, dt, dx)
     elif model_name == "chemo":
         S = chemoattractant_update(rho0, dx)
         fields = MacroField(rho=rho0, S=S)
-        new = imex_step(grid, model, fields)
         E_half = chemo_drift(q, interface_grad(S, dx), phi)
         ref = sg_chemo_step(rho0, E_half, dt, dx)
     else:
         xi = np.arange(Nx) * dx
         E_half = field_profile(E_profile, xi, length)
         fields = MacroField(rho=rho0, E_half=E_half)
-        new = imex_step(grid, model, fields)
         ref = sg_vfp_step(rho0, E_half, kappa, dt, dx)
+    new = imex_step(grid, step_operator(grid, model, fields))
     rho1 = density(new).rho
     return float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))
 

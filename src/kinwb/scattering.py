@@ -8,22 +8,29 @@ where the columns of N (Ntilde) evaluate each mode at the incoming
 so every exponential factor lies in [0, 1]; underflow of exp(-lambda dx/eps)
 to exact zero is the correct limit and is kept.
 
-The leading decomposition term is the anti-diagonal block I - zeta*gamma.
-Above the switch threshold eps >= 1e-8*dx the correction is computed as
-B^eps = (S^eps - S^0)/eps; below it the analytic limit B^0 is substituted
-to avoid catastrophic cancellation.
+The mode matrices of M interfaces fill one (M, 2K, 2K) stack, guarded by
+one stacked condition number and solved together (:class:`InterfaceStack`);
+the ``*_smatrix`` functions cut a single decomposition from a stack of one.
+
+The leading decomposition term is the anti-diagonal block S0 = I - zeta*gamma
+of the limit closure; it does not see the field, so one S0 serves every
+interface.  Above the switch threshold eps >= 1e-8*dx the correction is
+computed as B^eps = (S^eps - S^0)/eps; below it the analytic limit B^0 is
+substituted to avoid catastrophic cancellation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import IllConditioned, NonPositiveRate
+from .macrolimit import bernoulli
 from .spectral import (
     DispersionSpectrum,
     _all_roots_multi,
     dispersion_roots,
+    first_order_shifts,
     vfp_mu,
     vfp_psi,
     vfp_psi0,
@@ -48,6 +55,19 @@ class ClosureCoefficients:
     gamma: np.ndarray
     beta: np.ndarray
     model_tag: str
+    S0: np.ndarray = field(init=False)  # the leading scattering block I - zeta*gamma
+
+    def __post_init__(self):
+        object.__setattr__(self, "S0", np.eye(self.zeta.shape[0]) - self.zeta @ self.gamma)
+
+
+def _anti_diagonal(S0: np.ndarray) -> np.ndarray:
+    Z = np.zeros_like(S0)
+    return np.block([[Z, S0], [S0, Z]])
+
+
+def _blocks(M: np.ndarray, K: int) -> tuple:
+    return (M[:K, :K], M[:K, K:], M[K:, :K], M[K:, K:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,21 +84,53 @@ class ScatteringDecomposition:
         return self.S0_block.shape[0]
 
     def S0_full(self) -> np.ndarray:
-        K = self.K
-        Z = np.zeros((K, K))
-        return np.block([[Z, self.S0_block], [self.S0_block, Z]])
+        return _anti_diagonal(self.S0_block)
+
+
+@dataclass(frozen=True, eq=False)
+class InterfaceStack:
+    """Decompositions of M interfaces: S, B and B0 have shape (M, 2K, 2K)
+    and share the leading block S0 of shape (K, K)."""
+
+    epsilon: float
+    S0: np.ndarray
+    S: np.ndarray
+    B: np.ndarray
+    B0: np.ndarray
+
+    def decomposition(self, i: int, **params) -> ScatteringDecomposition:
+        """Interface i as a single decomposition; ``params`` describe it."""
+        K = self.S0.shape[0]
+        B, B0 = _blocks(self.B[i], K), _blocks(self.B0[i], K)
+        return ScatteringDecomposition(self.epsilon, self.S[i], self.S0, B, B0, params)
 
 
 def _solve_right(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """B @ A^{-1} with a condition estimate guard."""
+    """B @ A^{-1} for stacks (M, n, n), guarded by the condition number."""
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditioned(f"mode matrix condition estimate {cond:.3e} exceeds 1e12")
-    return np.linalg.solve(A.T, B.T).T
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise IllConditioned(
+            f"interface {i}: mode matrix condition estimate {cond[i]:.3e} exceeds 1e12"
+        )
+    return np.linalg.solve(A.swapaxes(1, 2), B.swapaxes(1, 2)).swapaxes(1, 2)
 
 
-def _blocks(M: np.ndarray, K: int) -> tuple:
-    return (M[:K, :K], M[:K, K:], M[K:, :K], M[K:, K:])
+def _stack(epsilon, dx, closure, S, B0) -> InterfaceStack:
+    S0 = closure.S0
+    B = (S - _anti_diagonal(S0)) / epsilon if epsilon >= EPS_SWITCH_FACTOR * dx else B0
+    return InterfaceStack(epsilon=epsilon, S0=S0, S=S, B=B, B0=B0)
+
+
+def _assemble(M, K, top, bottom) -> np.ndarray:
+    """(M, 2K, 2K) stack from two block rows of column widths K-1, 1, K-1, 1."""
+    out = np.empty((M, 2 * K, 2 * K))
+    cols = (slice(0, K - 1), K - 1, slice(K, 2 * K - 1), 2 * K - 1)
+    for rows, blocks in ((slice(0, K), top), (slice(K, 2 * K), bottom)):
+        for c, block in zip(cols, blocks):
+            out[:, rows, c] = block
+    return out
 
 
 def _expm1_over(u: np.ndarray) -> np.ndarray:
@@ -120,63 +172,46 @@ def rte_closure(q, spectrum: DispersionSpectrum) -> ClosureCoefficients:
     )
 
 
-def _rte_B0(dx, v, closure) -> tuple:
+def _rte_B0(dx, v, closure) -> np.ndarray:
     # (2I - zeta gamma) V beta^T / dx in the +,-,-,+ block pattern
-    K = len(v)
-    W = 2.0 * np.eye(K) - closure.zeta @ closure.gamma
+    W = np.eye(len(v)) + closure.S0
     B1 = np.outer(W @ v, closure.beta) / dx
-    return (B1, -B1, -B1, B1)
+    return np.block([[B1, -B1], [-B1, B1]])
 
 
 def _rte_matrices(epsilon, dx, v, lam):
+    """Mode matrices as a stack of one."""
     K = len(v)
     E = np.exp(-lam * dx / epsilon)
     Fm = 1.0 / (1.0 - np.outer(v, lam))
     Fp = 1.0 / (1.0 + np.outer(v, lam))
-    one = np.ones((K, 1))
-    Mtil = np.block(
-        [
-            [Fm * E, one, Fp, (dx - epsilon * v)[:, None]],
-            [Fp, one, Fm * E, (epsilon * v)[:, None]],
-        ]
-    )
-    M = np.block(
-        [
-            [Fm, one, Fp * E, (-epsilon * v)[:, None]],
-            [Fp * E, one, Fm, (dx + epsilon * v)[:, None]],
-        ]
-    )
+    one = np.ones(K)
+    M = _assemble(1, K, (Fm, one, Fp * E, -epsilon * v), (Fp * E, one, Fm, dx + epsilon * v))
+    Mtil = _assemble(1, K, (Fm * E, one, Fp, dx - epsilon * v), (Fp, one, Fm * E, epsilon * v))
     return M, Mtil
 
 
-def rte_smatrix(
+def rte_interfaces(
     epsilon: float, dx: float, q, spectrum: DispersionSpectrum, closure: ClosureCoefficients
-) -> ScatteringDecomposition:
-    """Radiative-transfer scattering matrix and its eps-decomposition.
+) -> InterfaceStack:
+    """Radiative-transfer decomposition as a stack of one.
 
     The mode basis is the K-1 damped pairs, the constant, and the secular
     mode x - eps*v.  S^eps is interface-independent for this model.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
-    K = q.K
     M, Mtil = _rte_matrices(epsilon, dx, q.nodes, spectrum.lambdas)
-    S = _solve_right(M, Mtil)
-    S0b = np.eye(K) - closure.zeta @ closure.gamma
     B0 = _rte_B0(dx, q.nodes, closure)
-    if epsilon >= EPS_SWITCH_FACTOR * dx:
-        Z = np.zeros((K, K))
-        B = _blocks((S - np.block([[Z, S0b], [S0b, Z]])) / epsilon, K)
-    else:
-        B = B0
-    return ScatteringDecomposition(
-        epsilon=epsilon,
-        S_full=S,
-        S0_block=S0b,
-        B_blocks=B,
-        B0_blocks=B0,
-        interface_params={"model": "rte", "dx": dx},
-    )
+    return _stack(epsilon, dx, closure, _solve_right(M, Mtil), B0[None])
+
+
+def rte_smatrix(
+    epsilon: float, dx: float, q, spectrum: DispersionSpectrum, closure: ClosureCoefficients
+) -> ScatteringDecomposition:
+    """Radiative-transfer scattering matrix and its eps-decomposition."""
+    stack = rte_interfaces(epsilon, dx, q, spectrum, closure)
+    return stack.decomposition(0, model="rte", dx=dx)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +220,19 @@ def rte_smatrix(
 
 
 def _chemo_matrices(epsilon, dx, v, phip, roots):
-    """Finite-eps mode matrices; the middle-root column is scaled by
-    1/lambda0 so the gradS -> 0 limit stays nondegenerate."""
-    K = len(v)
+    """Finite-eps mode matrices of M interfaces, phip (M, K), roots
+    (M, 2K-1); the middle-root column is scaled by 1/lambda0 so the
+    gradS -> 0 limit stays nondegenerate."""
+    M, K = phip.shape
     Tp, Tn = 1.0 + epsilon * phip, 1.0 - epsilon * phip
-    lam_m = roots[: K - 1][::-1]  # entry l pairs with -lam_p[l]
-    lam0 = roots[K - 1]
-    lam_p = roots[K:]
-    Elp = np.exp(-lam_p * dx / epsilon)
-    Elm = np.exp(lam_m * dx / epsilon)
-    Pp = 1.0 / (Tp[:, None] - np.outer(v, lam_p))
-    PpN = 1.0 / (Tn[:, None] + np.outer(v, lam_p))
-    Pm = 1.0 / (Tp[:, None] - np.outer(v, lam_m))
-    PmN = 1.0 / (Tn[:, None] + np.outer(v, lam_m))
+    lam_m = roots[:, : K - 1][:, ::-1]  # entry l pairs with -lam_p[l]
+    lam0 = roots[:, K - 1, None]
+    lam_p = roots[:, K:]
+    Elp = np.exp(-lam_p * dx / epsilon)[:, None, :]
+    Elm = np.exp(lam_m * dx / epsilon)[:, None, :]
+    vlp, vlm = v[:, None] * lam_p[:, None, :], v[:, None] * lam_m[:, None, :]
+    Pp, PpN = 1.0 / (Tp[:, :, None] - vlp), 1.0 / (Tn[:, :, None] + vlp)
+    Pm, PmN = 1.0 / (Tp[:, :, None] - vlm), 1.0 / (Tn[:, :, None] + vlm)
 
     def zero_col(x, vv, T):
         # (1/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at lam0 -> 0
@@ -205,59 +240,50 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
             T * (T - lam0 * vv)
         )
 
-    N = np.block(
-        [
-            [Pp, (1.0 / Tp)[:, None], Pm * Elm, zero_col(0.0, v, Tp)[:, None]],
-            [PpN * Elp, (1.0 / Tn)[:, None], PmN, zero_col(dx, -v, Tn)[:, None]],
-        ]
-    )
-    Nt = np.block(
-        [
-            [Pp * Elp, (1.0 / Tp)[:, None], Pm, zero_col(dx, v, Tp)[:, None]],
-            [PpN, (1.0 / Tn)[:, None], PmN * Elm, zero_col(0.0, -v, Tn)[:, None]],
-        ]
-    )
-    return N, Nt, lam0
+    N = _assemble(M, K, (Pp, 1.0 / Tp, Pm * Elm, zero_col(0.0, v, Tp)),
+                  (PpN * Elp, 1.0 / Tn, PmN, zero_col(dx, -v, Tn)))
+    Nt = _assemble(M, K, (Pp * Elp, 1.0 / Tp, Pm, zero_col(dx, v, Tp)),
+                   (PpN, 1.0 / Tn, PmN * Elm, zero_col(0.0, -v, Tn)))
+    return N, Nt
 
 
-def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> tuple:
+def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> np.ndarray:
     """Analytic limit of (S^eps - S^0)/eps via term-by-term differentiation.
 
     B^0 = A'(0) X - A^0 X N'(0) X with X the block inverse of the limit
     mode matrix; stiff entries differentiate to zero, and the second-order
     middle-eigenvalue coefficient drops because gamma annihilates constants.
+    Interfaces whose middle-eigenvalue factor exp(-lambda0^1 dx) - 1
+    vanishes (|d| < 1e-12) take the radiative-transfer limit.
     """
-    K = len(v)
+    M, K = phip.shape
     zeta0, gamma, beta = closure.zeta, closure.gamma, closure.beta
     q0 = np.exp(-lam01 * dx)
     d = q0 - 1.0
-    if abs(d) < 1e-12:
-        return _rte_B0(dx, v, closure)
+    flat = np.abs(d) < 1e-12
+    d = np.where(flat, 1.0, d)
     Fm2 = 1.0 / (1.0 - np.outer(v, lam0)) ** 2
     Fp2 = 1.0 / (1.0 + np.outer(v, lam0)) ** 2
-    DP = phip[:, None] - np.outer(v, lam1)
-    zcol = np.zeros((K, K - 1))
-    Np_top = np.hstack([-DP * Fm2, (-phip)[:, None], zcol, (lam01 * v)[:, None]])
-    Np_bot = np.hstack(
-        [zcol, phip[:, None], DP * Fm2, (q0 * (phip - lam01 * v) - phip)[:, None]]
-    )
-    Ntp_top = np.hstack(
-        [zcol, (-phip)[:, None], -DP * Fp2, (q0 * (lam01 * v - phip) + phip)[:, None]]
-    )
-    Ntp_bot = np.hstack([DP * Fp2, phip[:, None], zcol, (-lam01 * v)[:, None]])
-    Ap = np.vstack([Ntp_top - Np_bot, Ntp_bot - Np_top])
-    NpF = np.vstack([Np_top, Np_bot])
+    DP = phip[:, :, None] - v[:, None] * lam1[:, None, :]
+    z = np.zeros((M, K, K - 1))
+    q0, lam01 = q0[:, None], lam01[:, None]
+    Np = _assemble(M, K, (-DP * Fm2, -phip, z, lam01 * v),
+                   (z, phip, DP * Fm2, q0 * (phip - lam01 * v) - phip))
+    Ntp = _assemble(M, K, (z, -phip, -DP * Fp2, q0 * (lam01 * v - phip) + phip),
+                    (DP * Fp2, phip, z, -lam01 * v))
+    Ap = Ntp - np.roll(Np, K, axis=1)
     A0 = np.zeros((2 * K, 2 * K))
     A0[K:, : K - 1] = -zeta0
     A0[:K, K : 2 * K - 1] = -zeta0
-    X = np.zeros((2 * K, 2 * K))
-    X[: K - 1, :K] = gamma
-    X[K - 1, :K] = beta
-    X[K : 2 * K - 1, K:] = gamma
-    X[2 * K - 1, :K] = -beta / d
-    X[2 * K - 1, K:] = beta / d
-    B0 = Ap @ X - A0 @ X @ NpF @ X
-    return _blocks(B0, K)
+    X = np.zeros((M, 2 * K, 2 * K))
+    X[:, : K - 1, :K] = gamma
+    X[:, K - 1, :K] = beta
+    X[:, K : 2 * K - 1, K:] = gamma
+    X[:, 2 * K - 1, :K] = -beta / d[:, None]
+    X[:, 2 * K - 1, K:] = beta / d[:, None]
+    B0 = Ap @ X - A0 @ X @ Np @ X
+    B0[flat] = _rte_B0(dx, v, closure)
+    return B0
 
 
 def chemo_interfaces(
@@ -268,20 +294,22 @@ def chemo_interfaces(
     phi_response: Callable,
     base: DispersionSpectrum | None = None,
     closure: ClosureCoefficients | None = None,
-) -> list[ScatteringDecomposition]:
-    """Chemotaxis scattering decompositions for a batch of interface slopes.
+) -> InterfaceStack:
+    """Chemotaxis decompositions for a stack of interface slopes.
 
-    The finite-eps dispersion roots of every interface are bisected in one
-    vectorized sweep; the limit closure (gradS-independent) is shared.  The
-    leading block I - zeta0*gamma coincides with the radiative-transfer
-    one, so interfaces with gradS = 0 reduce to it exactly.
+    The finite-eps dispersion roots of all interfaces are solved together,
+    each seeded from the first-order expansion lambda0 + eps*lambda1 (the
+    negative branch is the mirror image under phi -> -phi); the limit
+    closure (gradS-independent) is shared.  The leading block
+    I - zeta0*gamma coincides with the radiative-transfer one, so
+    interfaces with gradS = 0 reduce to it exactly.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
-    v, w = q.nodes, q.weights
+    v = q.nodes
     K = q.K
     grads = np.atleast_1d(np.asarray(grads, dtype=float))
-    phip = np.array([np.asarray(phi_response(v * g), dtype=float) for g in grads])
+    phip = np.asarray(phi_response(np.outer(grads, v)), dtype=float)
     if np.any(1.0 - epsilon * np.abs(phip) <= 0.0):
         raise NonPositiveRate(
             f"1 + eps*phi(v*gradS) must be positive; min margin "
@@ -292,36 +320,14 @@ def chemo_interfaces(
     if closure is None:
         closure = rte_closure(q, base)
     lam0 = base.lambdas
-    # first-order eigenvalue shifts, vectorized over interfaces
-    lam01 = 3.0 * (phip @ (w * v))
-    Sv = np.array(
-        [np.sum(w * v / (1 - l * v) ** 2) - np.sum(w * v / (1 + l * v) ** 2) for l in lam0]
+    lam01, lam1 = first_order_shifts(q, lam0, phip)
+    guess = np.hstack(
+        [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]
     )
-    Mphi = (w * v) * (1.0 / (1 - np.outer(lam0, v)) ** 2 + 1.0 / (1 + np.outer(lam0, v)) ** 2)
-    lam1 = lam0 * (phip @ Mphi.T) / Sv
-    roots = _all_roots_multi(v, w, 1.0 + epsilon * phip, 1.0 - epsilon * phip)
-    S0b = np.eye(K) - closure.zeta @ closure.gamma
-    S0f = np.block([[np.zeros((K, K)), S0b], [S0b, np.zeros((K, K))]])
-    out = []
-    for i, g in enumerate(grads):
-        N, Nt, _ = _chemo_matrices(epsilon, dx, v, phip[i], roots[i])
-        S = _solve_right(N, Nt)
-        B0 = _chemo_B0(dx, v, phip[i], lam0, lam1[i], lam01[i], closure)
-        if epsilon >= EPS_SWITCH_FACTOR * dx:
-            B = _blocks((S - S0f) / epsilon, K)
-        else:
-            B = B0
-        out.append(
-            ScatteringDecomposition(
-                epsilon=epsilon,
-                S_full=S,
-                S0_block=S0b,
-                B_blocks=B,
-                B0_blocks=B0,
-                interface_params={"model": "chemo", "dx": dx, "gradS": float(g)},
-            )
-        )
-    return out
+    roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
+    N, Nt = _chemo_matrices(epsilon, dx, v, phip, roots)
+    B0 = _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure)
+    return _stack(epsilon, dx, closure, _solve_right(N, Nt), B0)
 
 
 def chemo_smatrix(
@@ -336,15 +342,14 @@ def chemo_smatrix(
     """Chemotaxis scattering matrix at one interface with slope gradS.
 
     The rate T_eps(v) = 1 + eps*phi(v*gradS) must stay positive.  A
-    precomputed limit spectrum/closure may be passed; the interface-batch
+    precomputed limit spectrum/closure may be passed; the interface-stack
     path is :func:`chemo_interfaces`.
     """
     base = None
     if expansion is not None:
         base = DispersionSpectrum(lambdas=expansion.lambdas, model_tag="chemo")
-    return chemo_interfaces(
-        epsilon, dx, q, [gradS], phi_response, base=base, closure=closure
-    )[0]
+    stack = chemo_interfaces(epsilon, dx, q, [gradS], phi_response, base=base, closure=closure)
+    return stack.decomposition(0, model="chemo", dx=dx, gradS=float(gradS))
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +357,13 @@ def chemo_smatrix(
 # ---------------------------------------------------------------------------
 
 
-def vfp_closure(q, modes=None) -> ClosureCoefficients:
+def vfp_closure(q) -> ClosureCoefficients:
     """Closure from the eps = 0 Hermite modes (E-independent).
 
     gamma rows satisfy gamma_l @ psi0_k(V) = delta_kl and annihilate the
     Maxwellian; beta detects the Maxwellian coefficient.  For K = 1 the
     damped families are empty and beta = exp(v_1^2/2kappa).
     """
-    del modes  # the eps = 0 mode values are recomputed from (nodes, kappa)
     v = q.nodes
     K = q.K
     kappa = q.kappa
@@ -382,7 +386,8 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
 
     psi_H is the space-homogeneous shifted Maxwellian; psi_D is the
     regularized drift combination (kappa/E)(psi_H - c*Psi_G) which tends to
-    the secular mode (eps*v - x)*exp(-v^2/2kappa) as E -> 0.
+    the secular mode (eps*v - x)*exp(-v^2/2kappa) as E -> 0.  E broadcasts
+    against v, so a column (M, 1) of fields gives (M, K) values.
     """
     m = np.exp(-(v**2) / (2.0 * kappa))
     psi_H = np.exp(-((v - epsilon * E) ** 2) / (2.0 * kappa))
@@ -397,77 +402,64 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
 
 
 def _vfp_matrices(epsilon, dx, v, E, kappa):
-    """Mode matrices with column groups [psi_+, psi_H, psi_-, psi_D]."""
-    K = len(v)
-    N = np.empty((2 * K, 2 * K))
-    Nt = np.empty((2 * K, 2 * K))
+    """Mode matrices of M interfaces with fields E (M,), column groups
+    [psi_+, psi_H, psi_-, psi_D]."""
+    M, K = len(E), len(v)
+    E = E[:, None]
+    # per damped family: values at +v, at -v, and the decay over the cell
+    fam = {s: np.empty((3, M, K, K - 1)) for s in (1, -1)}
     for l in range(1, K):
-        mu = vfp_mu(l, epsilon, E, kappa, +1)
-        cp = vfp_psi(l, +1, v, epsilon, E, kappa)
-        cn = vfp_psi(l, +1, -v, epsilon, E, kappa)
-        e = np.exp(-mu * dx / epsilon)
-        N[:, l - 1] = np.concatenate([cp, cn * e])
-        Nt[:, l - 1] = np.concatenate([cp * e, cn])
-        mu = vfp_mu(l, epsilon, E, kappa, -1)
-        cp = vfp_psi(l, -1, v, epsilon, E, kappa)
-        cn = vfp_psi(l, -1, -v, epsilon, E, kappa)
-        e = np.exp(mu * dx / epsilon)
-        N[:, K + l - 1] = np.concatenate([cp * e, cn])
-        Nt[:, K + l - 1] = np.concatenate([cp, cn * e])
+        for s, (at_p, at_n, decay) in fam.items():
+            at_p[..., l - 1] = vfp_psi(l, s, v, epsilon, E, kappa)
+            at_n[..., l - 1] = vfp_psi(l, s, -v, epsilon, E, kappa)
+            decay[..., l - 1] = np.exp(-s * vfp_mu(l, epsilon, E, kappa, s) * dx / epsilon)
+    (pp, pn, ep), (mp, mn, em) = fam[1], fam[-1]
     hp, dp = _vfp_zero_columns(0.0, v, epsilon, E, kappa)
     hn, dn = _vfp_zero_columns(dx, -v, epsilon, E, kappa)
-    N[:, K - 1] = np.concatenate([hp, hn])
-    N[:, 2 * K - 1] = np.concatenate([dp, dn])
+    N = _assemble(M, K, (pp, hp, mp * em, dp), (pn * ep, hn, mn, dn))
     hp, dp = _vfp_zero_columns(dx, v, epsilon, E, kappa)
     hn, dn = _vfp_zero_columns(0.0, -v, epsilon, E, kappa)
-    Nt[:, K - 1] = np.concatenate([hp, hn])
-    Nt[:, 2 * K - 1] = np.concatenate([dp, dn])
+    Nt = _assemble(M, K, (pp * ep, hp, mp, dp), (pn, hn, mn * em, dn))
     return N, Nt
 
 
-def _bernoulli_scalar(x: float) -> float:
-    if abs(x) < 1e-4:
-        return 1.0 - x / 2.0 + x * x / 12.0 - x**4 / 720.0
-    return x / np.expm1(x)
-
-
-def _vfp_B0(dx, v, E, kappa, closure) -> tuple:
+def _vfp_B0(dx, v, E, kappa, closure) -> np.ndarray:
     """Closed-form limit blocks with Bernoulli-type prefactors.
 
     The drift factors E/(kappa(1 - exp(-E dx/kappa))) are evaluated through
     the Bernoulli function, so the formula is uniformly valid through E = 0.
     """
     K = len(v)
-    zeta, gamma, beta = closure.zeta, closure.gamma, closure.beta
+    gamma, beta = closure.gamma, closure.beta
     m = np.exp(-(v**2) / (2.0 * kappa))
-    P = np.eye(K) - zeta @ gamma
-    W = 2.0 * np.eye(K) - zeta @ gamma
-    u = E * dx / kappa
-    b_plus = _bernoulli_scalar(-u) / dx
-    b_minus = _bernoulli_scalar(u) / dx
+    P = closure.S0
+    W = np.eye(K) + P
+    u = (E * dx / kappa)[:, None, None]
+    b_plus = bernoulli(-u) / dx
+    b_minus = bernoulli(u) / dx
     core = np.outer(W @ (v * m), beta)
     Y = np.zeros((K, K))
     for l in range(1, K):
         col = v * vfp_psi0(l, -v, kappa) + P @ (v * vfp_psi0(l, v, kappa))
         Y += np.outer(col, gamma[l - 1])
-    G = E / (2.0 * kappa)
-    return (
-        b_plus * core,
-        G * Y - b_minus * core,
-        -G * Y - b_plus * core,
-        b_minus * core,
+    G = (E / (2.0 * kappa))[:, None, None]
+    return np.block(
+        [
+            [b_plus * core, G * Y - b_minus * core],
+            [-G * Y - b_plus * core, b_minus * core],
+        ]
     )
 
 
-def vfp_smatrix(
+def vfp_interfaces(
     epsilon: float,
     dx: float,
     q,
-    E: float,
+    E,
     kappa: float,
     closure: ClosureCoefficients | None = None,
-) -> ScatteringDecomposition:
-    """Fokker-Planck scattering matrix at one interface with field E.
+) -> InterfaceStack:
+    """Fokker-Planck decompositions for a stack of interface fields E.
 
     The zero-mode pair is assembled in the regularized basis of
     :func:`_vfp_zero_columns`, which handles both signs of E and the
@@ -480,21 +472,20 @@ def vfp_smatrix(
         raise ValueError("kappa must match the quadrature construction")
     if closure is None:
         closure = vfp_closure(q)
-    K = q.K
+    E = np.atleast_1d(np.asarray(E, dtype=float))
     N, Nt = _vfp_matrices(epsilon, dx, q.nodes, E, kappa)
-    S = _solve_right(N, Nt)
-    S0b = np.eye(K) - closure.zeta @ closure.gamma
     B0 = _vfp_B0(dx, q.nodes, E, kappa, closure)
-    if epsilon >= EPS_SWITCH_FACTOR * dx:
-        Z = np.zeros((K, K))
-        B = _blocks((S - np.block([[Z, S0b], [S0b, Z]])) / epsilon, K)
-    else:
-        B = B0
-    return ScatteringDecomposition(
-        epsilon=epsilon,
-        S_full=S,
-        S0_block=S0b,
-        B_blocks=B,
-        B0_blocks=B0,
-        interface_params={"model": "vfp", "dx": dx, "E": E, "kappa": kappa},
-    )
+    return _stack(epsilon, dx, closure, _solve_right(N, Nt), B0)
+
+
+def vfp_smatrix(
+    epsilon: float,
+    dx: float,
+    q,
+    E: float,
+    kappa: float,
+    closure: ClosureCoefficients | None = None,
+) -> ScatteringDecomposition:
+    """Fokker-Planck scattering matrix at one interface with field E."""
+    stack = vfp_interfaces(epsilon, dx, q, [E], kappa, closure=closure)
+    return stack.decomposition(0, model="vfp", dx=dx, E=E, kappa=kappa)

@@ -26,8 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .quadrature import VelocityQuadrature
 
 _MAX_HERMITE = 64
-_BISECT_RTOL = 1e-14
-_BISECT_MAXIT = 200
+_ROOT_RTOL = 1e-14
+_ROOT_MAXIT = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,41 +92,55 @@ def case_phi(lam: float, v: float, T_of_v: float) -> float:
     return 1.0 / denom
 
 
-def _all_roots_multi(nodes, weights, T_pos, T_neg):
+def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):
     """All 2K-1 dispersion roots, one per open pole interval, for a batch
     of rate samples.  T_pos, T_neg have shape (M, K); result (M, 2K-1).
 
-    g is strictly increasing between consecutive poles, so every interval
-    brackets exactly one root; all brackets are bisected in lockstep.
+    g' = sum w/(p - lambda)^2 > 0, so each interval brackets one root.  All
+    roots take Newton steps in lockstep from ``guess`` (M, 2K-1), or from
+    the interval midpoint when it is None or outside the bracket; a step
+    that would leave the bracket, or fails to halve the one before it,
+    becomes a bisection step.
     """
     T_pos = np.atleast_2d(np.asarray(T_pos, dtype=float))
     T_neg = np.atleast_2d(np.asarray(T_neg, dtype=float))
-    poles = np.sort(np.concatenate([-T_neg / nodes, T_pos / nodes], axis=1), axis=1)
+    p = np.concatenate([T_pos / nodes, -T_neg / nodes], axis=1)  # paired with w2
+    w2 = np.concatenate([weights, weights])
 
-    def g(lam):  # lam shape (M, 2K-1)
+    def g(lam):  # value and derivative at lam (..., M, 2K-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            right = weights / (T_pos[:, None, :] / nodes - lam[..., None])
-            left = weights / (-T_neg[:, None, :] / nodes - lam[..., None])
-        return right.sum(axis=2) + left.sum(axis=2)
+            r = 1.0 / (p[:, None, :] - lam[..., None])
+        return np.einsum("...k,k", r, w2), np.einsum("...k,k", r * r, w2)
 
+    poles = np.sort(p, axis=1)
     width = np.diff(poles, axis=1)
     lo = poles[:, :-1] + 1e-13 * width
     hi = poles[:, 1:] - 1e-13 * width
-    glo, ghi = g(lo), g(hi)
-    if not (np.all(glo < 0.0) and np.all(ghi > 0.0)):
+    g_lo, g_hi = g(np.stack([lo, hi]))[0]
+    if not (np.all(g_lo < 0.0) and np.all(g_hi > 0.0)):
         raise BracketFailure("no sign change in some pole interval; check T values")
-    for _ in range(_BISECT_MAXIT):
-        mid = 0.5 * (lo + hi)
-        low = g(mid) < 0.0
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-        if np.all(hi - lo <= _BISECT_RTOL * (1.0 + np.abs(mid))):
+    x = 0.5 * (lo + hi)
+    if guess is not None:
+        x = np.where((guess > lo) & (guess < hi), guess, x)
+    step = hi - lo
+    done = np.zeros(x.shape, dtype=bool)  # frozen, so a root does not depend on its batch
+    for _ in range(_ROOT_MAXIT):
+        gx, dg = g(x)
+        low = gx < 0.0
+        lo = np.where(low, x, lo)
+        hi = np.where(low, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - gx / dg
+        size = np.abs(newton - x)
+        tol = _ROOT_RTOL * (1.0 + np.abs(x))
+        # converged roots keep their (rounding-level) Newton steps
+        ok = (newton >= lo) & (newton <= hi) & ((size <= 0.5 * np.abs(step)) | (size <= tol))
+        new = np.where(done, x, np.where(ok, newton, 0.5 * (lo + hi)))
+        step, x = new - x, new
+        done |= np.abs(step) <= tol
+        if np.all(done):
             break
-    return 0.5 * (lo + hi)
-
-
-def _all_roots(nodes, weights, T_pos, T_neg):
-    return _all_roots_multi(nodes, weights, T_pos, T_neg)[0]
+    return x
 
 
 def dispersion_roots(q: "VelocityQuadrature", T_values) -> DispersionSpectrum:
@@ -143,9 +157,9 @@ def dispersion_roots(q: "VelocityQuadrature", T_values) -> DispersionSpectrum:
     -------
     DispersionSpectrum
         The K-1 roots bracketed by consecutive positive poles, each located
-        by bisection to relative tolerance 1e-14.  For uneven T the middle
-        root is reported in ``lambda0``; for even T it is identically zero
-        and omitted.
+        by safeguarded Newton from the interval midpoint to relative
+        tolerance 1e-14.  For uneven T the middle root is reported in
+        ``lambda0``; for even T it is identically zero and omitted.
     """
     T_values = np.asarray(T_values, dtype=float)
     K = q.K
@@ -154,12 +168,25 @@ def dispersion_roots(q: "VelocityQuadrature", T_values) -> DispersionSpectrum:
     if np.any(T_values <= 0.0):
         raise ValueError("T_values must be positive")
     T_pos, T_neg = T_values[:K], T_values[K:]
-    roots = _all_roots(q.nodes, q.weights, T_pos, T_neg)
+    roots = _all_roots_multi(q.nodes, q.weights, T_pos, T_neg)[0]
     even = np.allclose(T_pos, T_neg, rtol=0.0, atol=1e-15)
     lam0 = None if even else float(roots[K - 1])
     return DispersionSpectrum(
         lambdas=roots[K:], model_tag="rte" if even else "chemo", lambda0=lam0
     )
+
+
+def first_order_shifts(q: "VelocityQuadrature", lam0, phip):
+    """lambda0^1 (M,) and lambda_l^1 (M, K-1) of :func:`chemo_eigen_expansion`
+    for rows of response samples phip[i, k] = phi(v_k gradS_i), shape (M, K)."""
+    v, w = q.nodes, q.weights
+    wv = w * v
+    Lm, Lp = 1 - np.outer(lam0, v), 1 + np.outer(lam0, v)
+    # full +-K sums; the k -> -k half folds with phi odd
+    Sv = np.sum(wv / Lm**2, axis=1) - np.sum(wv / Lp**2, axis=1)
+    # einsum, unlike BLAS, gives every row the same result in any batch
+    Sphi = np.einsum("mk,lk->ml", phip, wv * (1.0 / Lm**2 + 1.0 / Lp**2))
+    return 3.0 * np.einsum("mk,k->m", phip, wv), lam0 * Sphi / Sv
 
 
 def chemo_eigen_expansion(
@@ -183,30 +210,12 @@ def chemo_eigen_expansion(
     with S_v, S_phi the +-K sums of w v/(1 -+ lambda^0 v)^2 against 1 and
     phi respectively.
     """
-    v, w = q.nodes, q.weights
     if base is None:
         base = dispersion_roots(q, np.ones(2 * q.K))
-    lam0 = base.lambdas
-    phip = np.asarray(phi_response(v * gradS), dtype=float)
-    lam01 = 3.0 * float(np.sum(w * v * phip))
-    # full +-K sums; the k -> -k half folds with phi odd
-    Sv = np.array(
-        [np.sum(w * v / (1 - l * v) ** 2) - np.sum(w * v / (1 + l * v) ** 2) for l in lam0]
-    )
-    Sph = np.array(
-        [
-            np.sum(w * v * phip / (1 - l * v) ** 2)
-            + np.sum(w * v * phip / (1 + l * v) ** 2)
-            for l in lam0
-        ]
-    )
-    lam1 = lam0 * Sph / Sv
-    return DispersionSpectrum(
-        lambdas=lam0,
-        model_tag="chemo",
-        lambda0_first_order=lam01,
-        lambda_first_order=lam1,
-    )
+    phip = np.asarray(phi_response(q.nodes * gradS), dtype=float)
+    lam01, lam1 = first_order_shifts(q, base.lambdas, phip[None])
+    return DispersionSpectrum(lambdas=base.lambdas, model_tag="chemo",
+                              lambda0_first_order=float(lam01[0]), lambda_first_order=lam1[0])
 
 
 # ---------------------------------------------------------------------------

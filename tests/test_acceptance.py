@@ -11,7 +11,6 @@ from kinwb import (
     KineticModel,
     MacroField,
     assemble_cell_matrix,
-    assemble_interfaces,
     ap_error_table,
     chemo_smatrix,
     chemoattractant_update,
@@ -26,6 +25,7 @@ from kinwb import (
     phi_tanh,
     rte_closure,
     rte_smatrix,
+    step_operator,
     stochasticity_check,
     total_mass,
     ts_mass,
@@ -103,14 +103,14 @@ def test_criterion_4_well_balanced_steady_states():
     for name, model, q, fields in cases:
         f0 = equilibrium_state(model, q, np.full(NX, 1.3))
         grid = KineticGrid(Nx=NX, dx=DX, dt=DT / 4.0, epsilon=1e-3, q=q, f=f0)
-        static = None if fields == "self" else assemble_interfaces(grid, model, fields)
+        op = step_operator(grid, model, None if fields == "self" else fields)
 
         def step(g):
             if fields == "self":
                 rho = density(g).rho
                 flds = MacroField(rho=rho, S=chemoattractant_update(rho, DX))
-                return imex_step(g, model, flds)
-            return imex_step(g, model, fields, interfaces=static)
+                return imex_step(g, op, flds)
+            return imex_step(g, op)
 
         drift = _drift_over_steps(step, grid, lambda g: float(np.max(np.abs(g.f - f0))), 100)
         details.append(f"{name} {drift:.2e}")
@@ -144,7 +144,7 @@ def test_criterion_5_mass_conservation_1000_steps():
             Nx=nx, dx=dx, dt=dt, epsilon=1e-2, q=q,
             f=equilibrium_state(model, q, rho0),
         )
-        static = None if name == "chemo" else assemble_interfaces(grid, model, fields)
+        op = step_operator(grid, model, fields)
         m_prev = total_mass(grid)
         m0 = m_prev
         worst = 0.0
@@ -152,9 +152,9 @@ def test_criterion_5_mass_conservation_1000_steps():
             if name == "chemo":
                 rho = density(grid).rho
                 flds = MacroField(rho=rho, S=chemoattractant_update(rho, dx))
-                grid = imex_step(grid, model, flds)
+                grid = imex_step(grid, op, flds)
             else:
-                grid = imex_step(grid, model, fields, interfaces=static)
+                grid = imex_step(grid, op)
             m = total_mass(grid)
             worst = max(worst, abs(m - m_prev) / m0)
             m_prev = m

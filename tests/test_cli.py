@@ -145,6 +145,17 @@ def test_manifest_written_on_failure(tmp_path):
     assert "InfeasibleNodes" in manifest["error"]
 
 
+def test_blow_up_exits_3_with_step_index(tmp_path):
+    # far past the parabolic bound dt <= dx^2/(2D) of the explicit B term
+    # the state overflows to a non-finite value within a few hundred steps
+    config = write_config(tmp_path, dt=100 * DX**2, t_final=400 * 100 * DX**2)
+    assert main(["run", "--config", str(config)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"].startswith("SolveFailure: step ")
+    assert "non-finite" in manifest["error"]
+
+
 def test_run_vfp_and_twostream(tmp_path):
     config = write_config(
         tmp_path, model="vfp", K=3, kappa=1.0, epsilon=1e-3,

@@ -6,7 +6,6 @@ from kinwb import (
     KineticModel,
     MacroField,
     assemble_cell_matrix,
-    assemble_interfaces,
     cfl_check,
     chemo_drift,
     chemoattractant_update,
@@ -17,6 +16,7 @@ from kinwb import (
     imex_step,
     interface_grad,
     phi_tanh,
+    step_operator,
     total_mass,
     VelocityQuadrature,
 )
@@ -115,14 +115,14 @@ def test_imex_constant_maxwellian_invariant(q4, qv3):
         fields = None
         if model == "vfp":
             fields = MacroField(rho=np.ones(NX), E_half=np.zeros(NX))
-        new = imex_step(grid, km, fields)
+        new = imex_step(grid, step_operator(grid, km, fields))
         assert np.max(np.abs(new.f - grid.f)) < 1e-13
 
 
 def test_imex_rte_matches_heat_step(q4):
     grid = make_grid(q4, 1e-6)
     rho0 = density(grid).rho
-    new = imex_step(grid, "rte", None)
+    new = imex_step(grid, step_operator(grid, "rte"))
     ref = heat_step(rho0, q4, DT, DX)
     gap = np.max(np.abs(density(new).rho - ref)) / np.max(np.abs(ref))
     assert gap < 1e-5
@@ -131,9 +131,9 @@ def test_imex_rte_matches_heat_step(q4):
 def test_imex_mass_conservation(q4):
     grid = make_grid(q4, 1e-2)
     m0 = total_mass(grid)
-    interfaces = assemble_interfaces(grid, KineticModel(name="rte"), None)
+    op = step_operator(grid, "rte")
     for _ in range(50):
-        grid = imex_step(grid, "rte", None, interfaces=interfaces)
+        grid = imex_step(grid, op)
         m1 = total_mass(grid)
         assert abs(m1 - m0) / m0 < 1e-12
         m0 = m1
@@ -144,9 +144,9 @@ def test_imex_nonnegativity_under_cfl(q4):
     dt = eps * DX / q4.nodes[-1]  # kinetic CFL bound
     grid = make_grid(q4, eps, dt=dt)
     assert cfl_check(grid)
-    interfaces = assemble_interfaces(grid, KineticModel(name="rte"), None)
+    op = step_operator(grid, "rte")
     for _ in range(100):
-        grid = imex_step(grid, "rte", None, interfaces=interfaces)
+        grid = imex_step(grid, op)
     assert float(np.min(grid.f)) >= -1e-14
 
 
@@ -156,7 +156,7 @@ def test_imex_hilbert_structure(q4):
     rng = np.random.default_rng(5)
     f = np.asarray(grid.f) * (1.0 + 0.1 * rng.random(grid.f.shape))
     grid = grid.with_f(f)
-    new = imex_step(grid, "rte", None)
+    new = imex_step(grid, step_operator(grid, "rte"))
     rho = density(new).rho
     for j in range(NX):
         maxwellian = np.full(8, rho[j] / 2.0)
@@ -166,9 +166,9 @@ def test_imex_hilbert_structure(q4):
 def test_imex_well_balanced_100_steps(q4):
     grid = make_grid(q4, 1e-3, rho=np.full(NX, 1.3))
     start = grid.f.copy()
-    interfaces = assemble_interfaces(grid, KineticModel(name="rte"), None)
+    op = step_operator(grid, "rte")
     for _ in range(100):
-        grid = imex_step(grid, "rte", None, interfaces=interfaces)
+        grid = imex_step(grid, op)
     assert np.max(np.abs(grid.f - start)) < 1e-11
 
 
@@ -185,7 +185,7 @@ def test_chemo_nontrivial_steady_state_invariant(q4):
     S = chemoattractant_update(1.0 + 0.8 * np.cos(2.0 * np.pi * x), dx)
     fields = MacroField(rho=np.ones(nx), S=S)
     grid0 = make_grid(q4, eps, model, rho=np.ones(nx), nx=nx, dx=dx, dt=dt)
-    interfaces = assemble_interfaces(grid0, model, fields)
+    op = step_operator(grid0, model, fields)
     # one-step map is linear in f: extract it column by column
     n = nx * 2 * q4.K
     A = np.empty((n, n))
@@ -193,7 +193,7 @@ def test_chemo_nontrivial_steady_state_invariant(q4):
         e = np.zeros(n)
         e[i] = 1.0
         gi = grid0.with_f(e.reshape(nx, -1))
-        A[:, i] = imex_step(gi, model, fields, interfaces=interfaces).f.ravel()
+        A[:, i] = imex_step(gi, op).f.ravel()
     eigvals, eigvecs = np.linalg.eig(A)
     k = int(np.argmin(np.abs(eigvals - 1.0)))
     assert abs(eigvals[k] - 1.0) < 1e-12
@@ -202,7 +202,7 @@ def test_chemo_nontrivial_steady_state_invariant(q4):
     assert np.std(density(grid0.with_f(steady)).rho) > 1e-3  # genuinely non-flat
     grid = grid0.with_f(steady)
     for _ in range(100):
-        grid = imex_step(grid, model, fields, interfaces=interfaces)
+        grid = imex_step(grid, op)
     assert np.max(np.abs(grid.f - steady)) / np.max(np.abs(steady)) < 1e-10
 
 
@@ -218,9 +218,9 @@ def test_vfp_mass_drift_law_with_field(qv3):
     for eps in (1e-3, 1e-4):
         grid = make_grid(qv3, eps, model, nx=nx, dx=dx, dt=dx**2)
         fields = MacroField(rho=density(grid).rho, E_half=0.5 * np.sin(2.0 * np.pi * xi))
-        interfaces = assemble_interfaces(grid, model, fields)
+        op = step_operator(grid, model, fields)
         m0 = total_mass(grid)
-        drifts.append(abs(total_mass(imex_step(grid, model, fields, interfaces=interfaces)) - m0) / m0)
+        drifts.append(abs(total_mass(imex_step(grid, op)) - m0) / m0)
     assert drifts[0] == pytest.approx(10.0 * drifts[1], rel=0.2)
 
 

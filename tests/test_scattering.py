@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kinwb import (
     IllConditioned,
     NonPositiveRate,
     chemo_eigen_expansion,
+    chemo_interfaces,
     chemo_smatrix,
     dispersion_roots,
+    gauss_symmetric,
     matrix_to_csv,
     phi_tanh,
     rte_closure,
     rte_smatrix,
     stochasticity_check,
     vfp_closure,
+    vfp_interfaces,
+    vfp_preset_nodes,
     vfp_quadrature,
     vfp_smatrix,
     well_balanced_residual,
 )
+from kinwb.scattering import EPS_SWITCH_FACTOR
 
 DX = 1.0 / 32.0
 
@@ -288,3 +294,52 @@ def test_matrix_csv_round_trip(tmp_path, q4, spec4, closure4):
     matrix_to_csv(dec.S_full, path)
     back = np.loadtxt(path, delimiter=",")
     assert np.array_equal(back, dec.S_full)  # 17 digits round-trips float64
+
+
+# ---------------------------------------------------------------------------
+# interface stacks against single-interface assembly
+# ---------------------------------------------------------------------------
+
+# eps on both sides of the B0 switch at EPS_SWITCH_FACTOR*DX (about 3e-10)
+EPS = st.floats(-12.0, -1.0).map(lambda e: 10.0**e)
+# exact zeros hit the radiative-transfer B0 branch (chemo) and E = 0 (vfp)
+VALUES = st.lists(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), min_size=1, max_size=6)
+
+
+def assert_rows_match(stack, singles):
+    for i, dec in enumerate(singles):
+        for got, want in (
+            (stack.S[i], dec.S_full),
+            (stack.B[i], full(dec.B_blocks)),
+            (stack.B0[i], full(dec.B0_blocks)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([2, 4, 8]), eps=EPS, grads=VALUES)
+@example(K=4, eps=0.1 * EPS_SWITCH_FACTOR * DX, grads=[0.0, 0.8, -1.3])
+@example(K=4, eps=1e-3, grads=[0.0, 0.8, -1.3])
+@example(K=2, eps=1e-6, grads=[-1.23, 3.58])  # roots must not depend on the batch
+def test_chemo_stack_matches_single_interfaces(K, eps, grads):
+    q = gauss_symmetric(K)
+    stack = chemo_interfaces(eps, DX, q, grads, phi_tanh)
+    assert stack.S.shape == (len(grads), 2 * K, 2 * K)
+    assert_rows_match(stack, [chemo_smatrix(eps, DX, q, g, phi_tanh) for g in grads])
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.sampled_from([1, 2, 3]), eps=EPS, fields=VALUES)
+@example(K=3, eps=0.1 * EPS_SWITCH_FACTOR * DX, fields=[0.0, 0.5, -2.0])
+@example(K=3, eps=1e-3, fields=[0.0, 0.5, -2.0])
+def test_vfp_stack_matches_single_interfaces(K, eps, fields):
+    q = vfp_quadrature(K, 1.0, vfp_preset_nodes(K, 1.0))
+    stack = vfp_interfaces(eps, DX, q, fields, 1.0)
+    assert stack.S.shape == (len(fields), 2 * K, 2 * K)
+    assert_rows_match(stack, [vfp_smatrix(eps, DX, q, E, 1.0) for E in fields])
+
+
+def test_ill_conditioned_interface_is_named(qv3):
+    # an extreme field at interface 2 makes its mode matrix singular
+    with pytest.raises(IllConditioned, match="interface 2"):
+        vfp_interfaces(1e-3, DX, qv3, [0.5, -0.5, 1e4, 0.0], 1.0)

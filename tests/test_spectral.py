@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kinwb import (
     BracketFailure,
@@ -14,7 +15,7 @@ from kinwb import (
     vfp_modes,
     vfp_psi0,
 )
-from kinwb.spectral import DispersionSpectrum, _all_roots
+from kinwb.spectral import DispersionSpectrum, _all_roots_multi
 
 
 def test_k2_root_closed_form(q2):
@@ -109,7 +110,7 @@ def test_chemo_expansion_second_order_remainder(q4):
     eps_list = np.array([1e-2, 1e-3, 1e-4])
     errs = []
     for eps in eps_list:
-        roots = _all_roots(q4.nodes, q4.weights, 1 + eps * phip, 1 - eps * phip)
+        roots = _all_roots_multi(q4.nodes, q4.weights, 1 + eps * phip, 1 - eps * phip)[0]
         err = np.max(np.abs(roots[4:] - (exp.lambdas + eps * exp.lambda_first_order)))
         errs.append(max(err, abs(roots[3] - eps * exp.lambda0_first_order)))
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
@@ -166,3 +167,110 @@ def test_spectrum_json_round_trip(q4):
     assert np.allclose(back.lambdas, spectrum.lambdas, atol=0)
     assert back.lambda0_first_order == spectrum.lambda0_first_order
     assert np.allclose(back.lambda_first_order, spectrum.lambda_first_order, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# seeded root solve against plain bisection
+# ---------------------------------------------------------------------------
+
+
+def bisect_roots(nodes, weights, T_pos, T_neg):
+    """Reference: every pole interval bisected to 1e-14 relative width."""
+    T_pos, T_neg = np.atleast_2d(T_pos), np.atleast_2d(T_neg)
+    poles = np.sort(np.concatenate([-T_neg / nodes, T_pos / nodes], axis=1), axis=1)
+
+    def g(lam):
+        right = weights / (T_pos[:, None, :] / nodes - lam[..., None])
+        left = weights / (-T_neg[:, None, :] / nodes - lam[..., None])
+        return right.sum(axis=2) + left.sum(axis=2)
+
+    width = np.diff(poles, axis=1)
+    lo, hi = poles[:, :-1] + 1e-13 * width, poles[:, 1:] - 1e-13 * width
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        low = g(mid) < 0.0
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+        if np.all(hi - lo <= 1e-14 * (1.0 + np.abs(mid))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def assert_roots_close(got, ref):
+    assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    K=st.sampled_from([2, 4, 8, 16]),
+    log_eps=st.floats(-10.0, -1.0),
+    grads=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+)
+def test_seeded_roots_match_bisection(K, log_eps, grads):
+    q = gauss_symmetric(K)
+    eps = 10.0**log_eps
+    phip = phi_tanh(np.outer(grads, q.nodes))
+    Tp, Tn = 1.0 + eps * phip, 1.0 - eps * phip
+    ref = bisect_roots(q.nodes, q.weights, Tp, Tn)
+    # the first-order seed: lambda0 + eps*lambda1, eps*lambda0^1, and the
+    # negative branch as the mirror image under phi -> -phi
+    guess = []
+    for g in grads:
+        exp = chemo_eigen_expansion(q, g, phi_tanh)
+        lam, lam1 = exp.lambdas, exp.lambda_first_order
+        guess.append(np.concatenate(
+            [-(lam - eps * lam1)[::-1], [eps * exp.lambda0_first_order], lam + eps * lam1]
+        ))
+    assert_roots_close(_all_roots_multi(q.nodes, q.weights, Tp, Tn, np.array(guess)), ref)
+    assert_roots_close(_all_roots_multi(q.nodes, q.weights, Tp, Tn), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.sampled_from([2, 3, 4, 8]),
+    data=st.data(),
+)
+def test_roots_pair_weights_with_unsorted_poles(K, data):
+    # poles T/v out of node order and weights that are not palindromic:
+    # each weight must stay with its own pole after the brackets are sorted
+    rates = st.lists(st.floats(0.1, 10.0), min_size=2 * K, max_size=2 * K)
+    T = np.array(data.draw(rates))
+    nodes = np.sort(np.array(data.draw(st.lists(
+        st.floats(0.05, 1.0), min_size=K, max_size=K, unique=True))))
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=K, max_size=K)))
+    weights /= weights.sum()
+    Tp, Tn = T[None, :K], T[None, K:]
+    poles = np.sort(np.concatenate([Tp[0] / nodes, -Tn[0] / nodes]))
+    assume(np.all(np.diff(poles) > 1e-3 * (1.0 + np.abs(poles[1:]))))
+    ref = bisect_roots(nodes, weights, Tp, Tn)
+    assert_roots_close(_all_roots_multi(nodes, weights, Tp, Tn), ref)
+
+
+def test_dispersion_roots_non_monotone_rate(q4):
+    T = np.array([1.0, 1.0, 1.0, 10.0, 1.0, 1.0, 1.0, 1.0])
+    ref = bisect_roots(q4.nodes, q4.weights, T[:4], T[4:])[0]
+    spectrum = dispersion_roots(q4, T)
+    assert_roots_close(spectrum.lambdas, ref[4:])
+    assert_roots_close(np.array([spectrum.lambda0]), ref[3:4])
+
+
+def test_root_guess_off_bracket_falls_back(q4):
+    Tp, Tn = 1.0 + 0.05 * q4.nodes, 1.0 - 0.05 * q4.nodes
+    ref = bisect_roots(q4.nodes, q4.weights, Tp, Tn)[0]
+    poles = np.sort(np.concatenate([-Tn / q4.nodes, Tp / q4.nodes]))
+    width = np.diff(poles)
+    for guess in (
+        poles[:-1],  # on the left pole
+        poles[1:],  # on the right pole
+        poles[:-1] + 1e-12 * width,  # inside, where Newton runs away from the pole
+        np.full(7, 1e6),  # outside every bracket
+        np.full(7, np.nan),
+    ):
+        got = _all_roots_multi(q4.nodes, q4.weights, Tp, Tn, guess[None])[0]
+        assert_roots_close(got, ref)
+
+
+def test_root_bracket_failure_in_batch(q2):
+    good = np.ones(2)
+    bad = q2.nodes.copy()  # T proportional to v: all positive poles coincide
+    with pytest.raises(BracketFailure):
+        _all_roots_multi(q2.nodes, q2.weights, np.stack([good, bad]), np.stack([good, bad]))
