@@ -20,7 +20,6 @@ from .diagnostics import (
 from .errors import (
     BracketFailure,
     ConfigError,
-    DegenerateDenominator,
     IllConditioned,
     InfeasibleNodes,
     KinwbError,
@@ -42,7 +41,6 @@ from .kinetic import (
     chemoattractant_update,
     density,
     equilibrium_state,
-    grid_to_csv,
     imex_step,
     interface_grad,
     phi_tanh,
@@ -53,7 +51,6 @@ from .macrolimit import (
     DriftDiffusionParams,
     bernoulli,
     heat_step,
-    rho_to_csv,
     sg_chemo_step,
     sg_flux,
     sg_step,
@@ -80,7 +77,6 @@ from .scattering import (
     ScatteringDecomposition,
     chemo_interfaces,
     chemo_smatrix,
-    matrix_to_csv,
     rte_closure,
     rte_interfaces,
     rte_smatrix,
@@ -90,14 +86,12 @@ from .scattering import (
 )
 from .spectral import (
     DispersionSpectrum,
-    VfpModeTable,
     case_phi,
     chemo_eigen_expansion,
     dispersion_roots,
     hermite_poly,
-    vfp_modes,
     vfp_psi0,
 )
-from .twostream import TwoStreamState, state_to_csv, ts_mass, ts_smatrix, ts_step
+from .twostream import TwoStreamState, ts_mass, ts_smatrix, ts_step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
-from .runner import ap_error_table
-from .spectral import DispersionSpectrum, VfpModeTable, _all_roots_multi, vfp_mu, vfp_psi, vfp_psi0
+from .runner import ExperimentConfig, ap_error_table
+from .spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi
 from .scattering import _vfp_zero_columns
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
@@ -105,26 +105,15 @@ def kernel_range_check(
     )
 
 
-def orthogonality_check(q, spectrum_or_modes, T_values=None) -> np.ndarray:
-    """All discrete orthogonality residuals for a spectrum or mode table.
-
-    For a :class:`DispersionSpectrum`: the pairwise weighted sums
-    sum_{+-k} w v phi_lam phi_mu T (lambda != mu, including the +-lambda
-    pairs) and the zero-flux sums sum_{k>0} w v (phi_lam(v) - phi_lam(-v)).
-    For a :class:`VfpModeTable`: the discrete zero-flux identities of the
-    eps = 0 Hermite modes.
+def orthogonality_check(q, spectrum: DispersionSpectrum, T_values=None) -> np.ndarray:
+    """All discrete orthogonality residuals of a dispersion spectrum: the
+    pairwise weighted sums sum_{+-k} w v phi_lam phi_mu T (lambda != mu,
+    including the +-lambda pairs) and the zero-flux sums
+    sum_{k>0} w v (phi_lam(v) - phi_lam(-v)).  The zero-flux identities of
+    the vfp Hermite modes are in :func:`moment_report`.
     """
     v, w = q.nodes, q.weights
     K = q.K
-    if isinstance(spectrum_or_modes, VfpModeTable):
-        kappa = spectrum_or_modes.kappa
-        return np.array(
-            [
-                abs(np.sum(w * v * (vfp_psi0(l, v, kappa) - vfp_psi0(l, -v, kappa))))
-                for l in range(1, K)
-            ]
-        )
-    spectrum: DispersionSpectrum = spectrum_or_modes
     if T_values is None:
         T_values = np.ones(2 * K)
     Tp, Tn = np.asarray(T_values[:K], dtype=float), np.asarray(T_values[K:], dtype=float)
@@ -215,13 +204,16 @@ class ApReport:
 
 def ap_consistency(model: str, q, epsilons, grid_params: dict) -> ApReport:
     """One-step density gap against the matching macroscopic scheme for
-    each eps, with the fitted log-log slope."""
-    params = dict(grid_params)
+    each eps, with the fitted log-log slope, on the velocity set q (None
+    for the two-stream model).  ``grid_params`` holds Nx, dx, dt and any
+    other config field."""
+    record = {"model": model, "K": 1, "t_final": grid_params["dt"],
+              "epsilon_list": [float(e) for e in epsilons], **grid_params}
     if q is not None:
-        params.setdefault("K", q.K)
+        record["K"] = q.K
         if q.domain_tag == "real_line":
-            params.setdefault("kappa", q.kappa)
-    rows, slope = ap_error_table(model, epsilons, **params)
+            record.update(kappa=q.kappa, nodes=[float(v) for v in q.nodes])
+    rows, slope = ap_error_table(ExperimentConfig.from_json(record), epsilons)
     return ApReport(rows=rows, slope=slope)
 
 

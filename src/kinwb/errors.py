@@ -37,10 +37,6 @@ class SolveFailure(KinwbError):
     """Cell-local implicit system could not be solved."""
 
 
-class DegenerateDenominator(KinwbError):
-    """Two-stream scattering denominator vanished (cannot occur for eps > 0)."""
-
-
 class ConfigError(KinwbError):
     """Experiment configuration is invalid; message lists the offending fields."""
 

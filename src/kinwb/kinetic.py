@@ -65,9 +65,6 @@ class KineticGrid:
             q=self.q, f=f,
         )
 
-    def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.Nx) + 0.5) * self.dx
-
 
 @dataclass(frozen=True, eq=False)
 class MacroField:
@@ -233,19 +230,3 @@ def equilibrium_state(model: KineticModel | str, q, rho: np.ndarray) -> np.ndarr
     half = rho[:, None] / (2.0 * sigma0) * m[None, :]
     return np.hstack([half, half])
 
-
-def grid_to_csv(grid: KineticGrid, path) -> None:
-    """Columns j, x_j, f(v_1..v_K), f(-v_1..-v_K); 17 significant digits."""
-    K = grid.q.K
-    x = grid.cell_centers()
-    with open(path, "w") as fh:
-        fh.write(
-            "j,x,"
-            + ",".join(f"f_plus_{k+1}" for k in range(K))
-            + ","
-            + ",".join(f"f_minus_{k+1}" for k in range(K))
-            + "\n"
-        )
-        for j in range(grid.Nx):
-            vals = ",".join(f"{val:.17g}" for val in grid.f[j])
-            fh.write(f"{j},{x[j]:.17g},{vals}\n")

@@ -63,14 +63,16 @@ def sg_step(rho: np.ndarray, params: DriftDiffusionParams) -> np.ndarray:
 def heat_step(rho: np.ndarray, q, dt: float, dx: float) -> np.ndarray:
     """Centered finite differences for the heat limit; the diffusion
     coefficient is the quadrature second moment (1/3 for Gauss rules)."""
-    coef = float(np.sum(q.weights * q.nodes**2))
+    coef = q.second_moment
     return rho + dt / dx**2 * coef * (np.roll(rho, 1) - 2.0 * rho + np.roll(rho, -1))
 
 
-def sg_chemo_step(rho: np.ndarray, E_half: np.ndarray, dt: float, dx: float) -> np.ndarray:
-    """Keller-Segel-type limit: D = 1/3 and drift of the opposite
-    orientation (the macroscopic flux is (1/3) d_x rho + E rho)."""
-    return sg_step(rho, DriftDiffusionParams(D=1.0 / 3.0, E_half=-np.asarray(E_half), dt=dt, dx=dx))
+def sg_chemo_step(rho: np.ndarray, q, E_half: np.ndarray, dt: float, dx: float) -> np.ndarray:
+    """Keller-Segel-type limit: D = the quadrature second moment, as in
+    :func:`heat_step`, and drift of the opposite orientation (the
+    macroscopic flux is D d_x rho + E rho)."""
+    params = DriftDiffusionParams(D=q.second_moment, E_half=-np.asarray(E_half), dt=dt, dx=dx)
+    return sg_step(rho, params)
 
 
 def sg_vfp_step(
@@ -78,11 +80,3 @@ def sg_vfp_step(
 ) -> np.ndarray:
     """Fokker-Planck limit: D = kappa, drift E."""
     return sg_step(rho, DriftDiffusionParams(D=kappa, E_half=np.asarray(E_half), dt=dt, dx=dx))
-
-
-def rho_to_csv(rho: np.ndarray, dx: float, path) -> None:
-    """Columns j, x, rho; 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("j,x,rho\n")
-        for j, val in enumerate(np.asarray(rho, dtype=float)):
-            fh.write(f"{j},{(j + 0.5) * dx:.17g},{val:.17g}\n")

@@ -58,6 +58,11 @@ class VelocityQuadrature:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    @property
+    def second_moment(self) -> float:
+        """sum(w v^2): the diffusion coefficient of the rte and chemo limits."""
+        return float(np.sum(self.weights * self.nodes**2))
+
     def to_json(self) -> dict:
         record = {
             "domain": self.domain_tag,
@@ -236,7 +241,7 @@ def moment_report(q: VelocityQuadrature) -> MomentReport:
     """
     v, w = q.nodes, q.weights
     sum_w = float(np.sum(w))
-    second = float(np.sum(w * v**2))
+    second = q.second_moment
     if q.domain_tag == "unit_interval":
         residuals = np.array([abs(sum_w - 1.0), abs(second - 1.0 / 3.0)])
         return MomentReport(

@@ -2,9 +2,7 @@
 
 import json
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,11 +22,10 @@ from .kinetic import (
     interface_grad,
     phi_tanh,
     step_operator,
-    total_mass,
 )
 from .macrolimit import DriftDiffusionParams, heat_step, sg_chemo_step, sg_step, sg_vfp_step
 from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
-from .twostream import TwoStreamState, ts_mass, ts_step
+from .twostream import TwoStreamState, ts_step
 
 log = logging.getLogger("kinwb")
 
@@ -78,6 +75,16 @@ class ExperimentConfig:
                 errs.append("kappa: required (positive) for the vfp model")
             if self.E_profile is None:
                 errs.append("E_profile: required for the vfp model")
+            nodes = self.nodes
+            if nodes is None and isinstance(self.K, int) and self.K > 3:
+                errs.append("nodes: required for the vfp model with K > 3 (presets cover K <= 3)")
+            if nodes is not None and not (
+                isinstance(nodes, list)
+                and len(nodes) == self.K
+                and all(isinstance(v, (int, float)) and v > 0 for v in nodes)
+                and all(a < b for a, b in zip(nodes, nodes[1:]))
+            ):
+                errs.append("nodes: must list K positive velocities in ascending order")
         if self.model == "twostream" and self.K != 1:
             errs.append("K: the two-stream model has K = 1")
         if not isinstance(self.seed, int):
@@ -200,80 +207,84 @@ def _run_loop(config, out, manifest, snapshots):
         raise ConfigError("run requires a scalar epsilon (epsilon_list is for sweep)")
     n_steps = max(1, round(config.t_final / config.dt))
     stride = max(1, n_steps // 10)
-    length = config.Nx * config.dx
     x = (np.arange(config.Nx) + 0.5) * config.dx
-    rho0 = initial_density_profile(config.initial_density, x, length)
-    phi = response_from_params(config.phi_params)
-
-    def snap(index, t, rho, S=None):
-        path = out / f"snapshot_{index:04d}.csv"
-        _write_snapshot(path, t, x, rho, S)
-        snapshots.append(path)
-
+    march = _march(config, config.epsilon)
     max_step_drift = 0.0
-
-    if config.model == "twostream":
-        state = TwoStreamState(
-            Nx=config.Nx, dx=config.dx, dt=config.dt, epsilon=config.epsilon,
-            f_plus=rho0 / 2.0, f_minus=rho0 / 2.0,
-            S=chemoattractant_update(rho0, config.dx),
-        )
-        mass0 = ts_mass(state)
-        snap(0, 0.0, state.rho, state.S)
-        prev = mass0
-        for n in range(1, n_steps + 1):
-            state = ts_step(state, phi)
-            mass = ts_mass(state)
-            max_step_drift = max(max_step_drift, abs(mass - prev) / abs(mass0))
-            prev = mass
-            if n % stride == 0 or n == n_steps:
-                snap(len(snapshots), n * config.dt, state.rho, state.S)
-        final_mass = ts_mass(state)
-    else:
-        q = build_quadrature(config)
-        model = KineticModel(
-            name=config.model,
-            phi=phi if config.model == "chemo" else None,
-            kappa=config.kappa,
-        )
-        grid = KineticGrid(
-            Nx=config.Nx, dx=config.dx, dt=config.dt, epsilon=config.epsilon,
-            q=q, f=equilibrium_state(model, q, rho0),
-        )
-        if not cfl_check(grid):
-            log.warning(
-                "kinetic CFL max(v)*dt <= eps*dx violated (advisory under IMEX)"
-            )
-        static_fields = None
-        if config.model == "vfp":
-            xi = np.arange(config.Nx) * config.dx  # interfaces x_{j-1/2}
-            static_fields = MacroField(rho=rho0, E_half=field_profile(config.E_profile, xi, length))
-        op = step_operator(grid, model, static_fields)
-        fields = None  # chemo: rebuilt from the density every step
-        mass0 = total_mass(grid)
-        prev = mass0
-        snap(0, 0.0, density(grid).rho, None)
-        for n in range(1, n_steps + 1):
-            if config.model == "chemo":
-                rho = density(grid).rho
-                fields = MacroField(rho=rho, S=chemoattractant_update(rho, config.dx))
-            try:
-                grid = imex_step(grid, op, fields)
-            except SolveFailure as exc:
-                raise SolveFailure(f"step {n}: {exc}") from exc
-            mass = total_mass(grid)
-            max_step_drift = max(max_step_drift, abs(mass - prev) / abs(mass0))
-            prev = mass
-            if n % stride == 0 or n == n_steps:
-                Sout = None if fields is None else fields.S
-                snap(len(snapshots), n * config.dt, density(grid).rho, Sout)
-        final_mass = total_mass(grid)
+    for n in range(n_steps + 1):
+        try:
+            rho, S, _ = next(march)
+        except SolveFailure as exc:
+            raise SolveFailure(f"step {n}: {exc}") from exc
+        mass = float(np.sum(rho) * config.dx)
+        if n == 0:
+            mass0 = prev = mass
+        max_step_drift = max(max_step_drift, abs(mass - prev) / abs(mass0))
+        prev = mass
+        if n % stride == 0 or n == n_steps:
+            path = out / f"snapshot_{len(snapshots):04d}.csv"
+            _write_snapshot(path, n * config.dt, x, rho, S)
+            snapshots.append(path)
 
     manifest["n_steps"] = n_steps
     manifest["mass_initial"] = mass0
-    manifest["mass_final"] = final_mass
-    manifest["mass_drift_total"] = abs(final_mass - mass0) / abs(mass0)
+    manifest["mass_final"] = mass
+    manifest["mass_drift_total"] = abs(mass - mass0) / abs(mass0)
     manifest["mass_drift_per_step_max"] = max_step_drift
+
+
+def _march(config: ExperimentConfig, epsilon: float):
+    """Set up ``config`` at ``epsilon`` and yield (rho, S, q) for the initial
+    state and then after every step, forever.
+
+    S is the chemoattractant that drove the step (None for rte and vfp, and
+    for the initial kinetic state); q is the velocity quadrature (None for
+    the two-stream model).  ``kinwb run`` and the AP sweep both march here.
+    """
+    x = (np.arange(config.Nx) + 0.5) * config.dx
+    length = config.Nx * config.dx
+    rho0 = initial_density_profile(config.initial_density, x, length)
+    phi = response_from_params(config.phi_params)
+    if config.model == "twostream":
+        state = TwoStreamState(
+            Nx=config.Nx, dx=config.dx, dt=config.dt, epsilon=epsilon,
+            f_plus=rho0 / 2.0, f_minus=rho0 / 2.0,
+            S=chemoattractant_update(rho0, config.dx),
+        )
+        while True:
+            yield state.rho, state.S, None
+            state = ts_step(state, phi)
+    q = build_quadrature(config)
+    model = KineticModel(
+        name=config.model,
+        phi=phi if config.model == "chemo" else None,
+        kappa=config.kappa,
+    )
+    grid = KineticGrid(
+        Nx=config.Nx, dx=config.dx, dt=config.dt, epsilon=epsilon,
+        q=q, f=equilibrium_state(model, q, rho0),
+    )
+    if not cfl_check(grid):
+        log.warning(
+            "eps=%g: kinetic CFL max(v)*dt <= eps*dx violated (advisory under IMEX)",
+            epsilon,
+        )
+    static_fields = None
+    if config.model == "vfp":
+        static_fields = MacroField(rho=rho0, E_half=_interface_field(config))
+    op = step_operator(grid, model, static_fields)
+    fields = None  # chemo: rebuilt from the density every step
+    while True:
+        rho = density(grid).rho
+        yield rho, None if fields is None else fields.S, q
+        if config.model == "chemo":
+            fields = MacroField(rho=rho, S=chemoattractant_update(rho, config.dx))
+        grid = imex_step(grid, op, fields)
+
+
+def _interface_field(config: ExperimentConfig) -> np.ndarray:
+    """The static vfp field at the interfaces x_{j-1/2}."""
+    xi = np.arange(config.Nx) * config.dx
+    return field_profile(config.E_profile, xi, config.Nx * config.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -281,72 +292,36 @@ def _run_loop(config, out, manifest, snapshots):
 # ---------------------------------------------------------------------------
 
 
-def ap_gap(
-    model_name: str,
-    epsilon: float,
-    Nx: int,
-    dx: float,
-    dt: float,
-    K: int = 4,
-    kappa: float | None = None,
-    E_profile: dict | None = None,
-    phi_params: dict | None = None,
-    initial: str = "cosine_bump",
-) -> float:
-    """Relative L-inf gap between one kinetic step and one macro step.
+def _limit_step(config: ExperimentConfig, q, rho0: np.ndarray, S: np.ndarray | None) -> np.ndarray:
+    """One step of the macroscopic scheme the model relaxes to: heat for
+    rte, exponential fitting for chemo, vfp and the two-stream model.  S is
+    the chemoattractant of rho0 (chemo and two-stream)."""
+    dt, dx = config.dt, config.dx
+    if config.model == "rte":
+        return heat_step(rho0, q, dt, dx)
+    if config.model == "vfp":
+        return sg_vfp_step(rho0, _interface_field(config), config.kappa, dt, dx)
+    phi = response_from_params(config.phi_params)
+    if config.model == "chemo":
+        return sg_chemo_step(rho0, q, chemo_drift(q, interface_grad(S, dx), phi), dt, dx)
+    phi_half = phi(interface_grad(S, dx))
+    return sg_step(rho0, DriftDiffusionParams(D=1.0, E_half=phi_half, dt=dt, dx=dx))
 
-    The kinetic state starts on the model Maxwellian carrying a smooth
-    density; the macroscopic reference is the matching scheme (heat /
-    exponential-fitting with the model's drift).
-    """
-    length = Nx * dx
-    x = (np.arange(Nx) + 0.5) * dx
-    rho0 = initial_density_profile(initial, x, length)
-    phi = response_from_params(phi_params)
-    if model_name == "twostream":
-        state = TwoStreamState(
-            Nx=Nx, dx=dx, dt=dt, epsilon=epsilon,
-            f_plus=rho0 / 2.0, f_minus=rho0 / 2.0,
-            S=chemoattractant_update(rho0, dx),
-        )
-        new = ts_step(state, phi)
-        S = chemoattractant_update(rho0, dx)
-        phi_half = phi(interface_grad(S, dx))
-        ref = sg_step(rho0, DriftDiffusionParams(D=1.0, E_half=phi_half, dt=dt, dx=dx))
-        return float(np.max(np.abs(new.rho - ref)) / np.max(np.abs(ref)))
 
-    if model_name == "vfp":
-        q = vfp_quadrature(K, kappa, vfp_preset_nodes(K, kappa))
-    else:
-        q = gauss_symmetric(K)
-    model = KineticModel(
-        name=model_name, phi=phi if model_name == "chemo" else None, kappa=kappa
-    )
-    grid = KineticGrid(
-        Nx=Nx, dx=dx, dt=dt, epsilon=epsilon, q=q,
-        f=equilibrium_state(model, q, rho0),
-    )
-    fields = None
-    if model_name == "rte":
-        ref = heat_step(rho0, q, dt, dx)
-    elif model_name == "chemo":
-        S = chemoattractant_update(rho0, dx)
-        fields = MacroField(rho=rho0, S=S)
-        E_half = chemo_drift(q, interface_grad(S, dx), phi)
-        ref = sg_chemo_step(rho0, E_half, dt, dx)
-    else:
-        xi = np.arange(Nx) * dx
-        E_half = field_profile(E_profile, xi, length)
-        fields = MacroField(rho=rho0, E_half=E_half)
-        ref = sg_vfp_step(rho0, E_half, kappa, dt, dx)
-    new = imex_step(grid, step_operator(grid, model, fields))
-    rho1 = density(new).rho
+def ap_gap(config: ExperimentConfig, epsilon: float) -> float:
+    """Relative L-inf gap between the first step of ``kinwb run`` on
+    ``config`` at ``epsilon`` and one step of the limit scheme from the same
+    density."""
+    march = _march(config, epsilon)
+    rho0, _, q = next(march)
+    rho1, S, _ = next(march)
+    ref = _limit_step(config, q, rho0, S)
     return float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))
 
 
-def ap_error_table(model_name: str, epsilons, **grid_params):
+def ap_error_table(config: ExperimentConfig, epsilons):
     """(epsilon, gap) rows plus the log-log slope (None for a single row)."""
-    rows = [(float(e), ap_gap(model_name, float(e), **grid_params)) for e in epsilons]
+    rows = [(float(e), ap_gap(config, float(e))) for e in epsilons]
     slope = None
     if len(rows) >= 2:
         le = np.log([r[0] for r in rows])
@@ -361,21 +336,12 @@ def sweep_experiment(config: ExperimentConfig, output_dir=None) -> Path:
         raise ConfigError("sweep requires epsilon_list")
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = max(1, int(os.environ.get("KINWB_THREADS", "4")))
-    kwargs = dict(
-        Nx=config.Nx, dx=config.dx, dt=config.dt, K=config.K,
-        kappa=config.kappa, E_profile=config.E_profile,
-        phi_params=config.phi_params, initial=config.initial_density,
-    )
-    epsilons = [float(e) for e in config.epsilon_list]
-    with ThreadPoolExecutor(max_workers=min(workers, len(epsilons))) as pool:
-        gaps = list(pool.map(lambda e: ap_gap(config.model, e, **kwargs), epsilons))
+    rows, slope = ap_error_table(config, config.epsilon_list)
     path = out / "ap_sweep.csv"
     with open(path, "w") as fh:
         fh.write("epsilon,error\n")
-        for e, g in zip(epsilons, gaps):
+        for e, g in rows:
             fh.write(f"{e:.17g},{g:.17g}\n")
-        if len(epsilons) >= 2:
-            slope = float(np.polyfit(np.log(epsilons), np.log(gaps), 1)[0])
+        if slope is not None:
             fh.write(f"slope,{slope:.17g}\n")
     return path

@@ -143,13 +143,6 @@ def _expm1_over(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_to_csv(M: np.ndarray, path) -> None:
-    """Row-major CSV dump with 17 significant digits (fixture format)."""
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(M):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # radiative transfer
 # ---------------------------------------------------------------------------

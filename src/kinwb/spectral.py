@@ -186,7 +186,7 @@ def first_order_shifts(q: "VelocityQuadrature", lam0, phip):
     Sv = np.sum(wv / Lm**2, axis=1) - np.sum(wv / Lp**2, axis=1)
     # einsum, unlike BLAS, gives every row the same result in any batch
     Sphi = np.einsum("mk,lk->ml", phip, wv * (1.0 / Lm**2 + 1.0 / Lp**2))
-    return 3.0 * np.einsum("mk,k->m", phip, wv), lam0 * Sphi / Sv
+    return np.einsum("mk,k->m", phip, wv) / q.second_moment, lam0 * Sphi / Sv
 
 
 def chemo_eigen_expansion(
@@ -201,7 +201,7 @@ def chemo_eigen_expansion(
     The zeroth-order roots solve the even (T=1) dispersion relation.  The
     double zero eigenvalue splits at first order with
 
-        lambda0^1 = 3 * sum_{k>0} w_k v_k phi(v_k gradS),
+        lambda0^1 = sum_{k>0} w_k v_k phi(v_k gradS) / D,   D = sum_{k>0} w_k v_k^2
 
     and the nonzero branches shift by the quotient
 
@@ -252,60 +252,4 @@ def vfp_psi0(ell: int, v, kappa: float):
     root = np.sqrt(ell / kappa)
     return hermite_poly(ell, (v - 2.0 * np.sqrt(ell * kappa)) / np.sqrt(2.0 * kappa)) * np.exp(
         -(v**2) / (2.0 * kappa) + v * root - 2.0 * ell
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class VfpModeTable:
-    """Tabulated mu_{+-ell} and psi_{+-ell}(+-nodes) for ell = 0..K-1.
-
-    ``psi_plus``/``psi_minus`` are (2K, K) matrices whose column ell stacks
-    the mode values at (+nodes, -nodes); column 0 holds the two
-    zero-eigenvalue diffusion modes with the E-sign branch:
-    for E >= 0 the +0 mode is the shifted Maxwellian exp(-(v-eps E)^2/2kappa)
-    and the -0 mode is the pure Maxwellian, and conversely for E < 0.
-    """
-
-    max_ell: int
-    epsilon: float
-    E: float
-    kappa: float
-    mu_plus: np.ndarray
-    mu_minus: np.ndarray
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-
-
-def vfp_modes(epsilon: float, E: float, kappa: float, q: "VelocityQuadrature") -> VfpModeTable:
-    """Tabulate the 2K truncated Fokker-Planck modes on the quadrature nodes."""
-    if q.domain_tag != "real_line":
-        raise ValueError("vfp_modes requires a real_line quadrature")
-    v = q.nodes
-    K = q.K
-    pm = np.concatenate([v, -v])
-    if E >= 0.0:
-        mu0, mum0 = 0.0, -epsilon * E / kappa
-        psi0 = np.exp(-((pm - epsilon * E) ** 2) / (2.0 * kappa))
-        psim0 = np.exp(-(pm**2) / (2.0 * kappa))
-    else:
-        mu0, mum0 = -epsilon * E / kappa, 0.0
-        psi0 = np.exp(-(pm**2) / (2.0 * kappa))
-        psim0 = np.exp(-((pm - epsilon * E) ** 2) / (2.0 * kappa))
-    mu_plus = np.array([mu0] + [vfp_mu(l, epsilon, E, kappa, +1) for l in range(1, K)])
-    mu_minus = np.array([mum0] + [vfp_mu(l, epsilon, E, kappa, -1) for l in range(1, K)])
-    psi_plus = np.column_stack(
-        [psi0] + [vfp_psi(l, +1, pm, epsilon, E, kappa) for l in range(1, K)]
-    )
-    psi_minus = np.column_stack(
-        [psim0] + [vfp_psi(l, -1, pm, epsilon, E, kappa) for l in range(1, K)]
-    )
-    return VfpModeTable(
-        max_ell=K - 1,
-        epsilon=epsilon,
-        E=E,
-        kappa=kappa,
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
-        psi_plus=psi_plus,
-        psi_minus=psi_minus,
     )

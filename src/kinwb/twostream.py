@@ -11,8 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDenominator
 from .kinetic import chemoattractant_update, phi_tanh
+from .macrolimit import bernoulli
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,44 +37,36 @@ class TwoStreamState:
     def rho(self) -> np.ndarray:
         return self.f_plus + self.f_minus
 
-    def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.Nx) + 0.5) * self.dx
+
+def _denominator(epsilon, dx, phi_half):
+    """(d, EE): EE = exp(-phi dx) and d = (EE - 1 - eps*phi*(1 + EE))/phi,
+    written as -dx/B(-phi dx) - eps*(1 + EE) through the Bernoulli function
+    B, so d is nonzero for eps > 0 and continuous through phi = 0, where it
+    is -(dx + 2 eps)."""
+    EE = np.exp(-phi_half * dx)
+    return -dx / bernoulli(-phi_half * dx) - epsilon * (1.0 + EE), EE
 
 
 def ts_smatrix(epsilon: float, dx: float, phi_half: float) -> np.ndarray:
     """Interface map (f+_{j-1}, f-_j) -> (fbar+, fbar-).
 
-    With EE = exp(-phi dx) and D = EE - 1 - eps*phi*(1 + EE):
+    With EE = exp(-phi dx) and d = (EE - 1 - eps*phi*(1 + EE))/phi:
 
-        [[-2 eps phi/D,      1 + 2 eps phi EE/D],
-         [1 + 2 eps phi/D,   -2 eps phi EE/D   ]]
+        [[-2 eps/d,      1 + 2 eps EE/d],
+         [1 + 2 eps/d,   -2 eps EE/d   ]]
 
-    which is left-stochastic by construction; phi = 0 gives the exact
-    swap matrix.
+    which is left-stochastic by construction; phi = 0 gives the diagonal
+    2 eps/(dx + 2 eps), the swap matrix only as eps -> 0.
     """
-    if phi_half == 0.0:
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
-    EE = np.exp(-phi_half * dx)
-    denom = EE - 1.0 - epsilon * phi_half * (1.0 + EE)
-    if denom == 0.0:
-        raise DegenerateDenominator(
-            f"EE - 1 - eps*phi*(1+EE) = 0 at phi={phi_half}, eps={epsilon}"
-        )
-    r = 2.0 * epsilon * phi_half / denom
+    d, EE = _denominator(epsilon, dx, phi_half)
+    r = 2.0 * epsilon / d
     return np.array([[-r, 1.0 + r * EE], [1.0 + r, -r * EE]])
 
 
 def _currents(f_plus, f_minus, phi_half, epsilon, dx):
-    """Jbar_{j-1/2} = -2 phi (f+_{j-1} - EE f-_j) / (EE - 1 - eps phi (1+EE))."""
-    EE = np.exp(-phi_half * dx)
-    denom = EE - 1.0 - epsilon * phi_half * (1.0 + EE)
-    num = -2.0 * phi_half * (np.roll(f_plus, 1) - EE * f_minus)
-    out = np.zeros_like(f_plus)
-    nz = phi_half != 0.0
-    out[nz] = num[nz] / denom[nz]
-    # phi -> 0 limit: denominator ~ -phi*(dx + 2 eps), current -> 2(f+_{j-1} - f-_j)/(dx + 2 eps)
-    out[~nz] = 2.0 * (np.roll(f_plus, 1)[~nz] - f_minus[~nz]) / (dx + 2.0 * epsilon)
-    return out
+    """Jbar_{j-1/2} = -2 (f+_{j-1} - EE f-_j) / d, d as in :func:`ts_smatrix`."""
+    d, EE = _denominator(epsilon, dx, phi_half)
+    return -2.0 * (np.roll(f_plus, 1) - EE * f_minus) / d
 
 
 def ts_step(state: TwoStreamState, phi_response: Callable = phi_tanh) -> TwoStreamState:
@@ -106,14 +98,3 @@ def ts_step(state: TwoStreamState, phi_response: Callable = phi_tanh) -> TwoStre
 def ts_mass(state: TwoStreamState) -> float:
     return float(np.sum(state.rho) * state.dx)
 
-
-def state_to_csv(state: TwoStreamState, path) -> None:
-    """Columns j, x, f+, f-, rho, S; 17 significant digits."""
-    x = state.cell_centers()
-    with open(path, "w") as fh:
-        fh.write("j,x,f_plus,f_minus,rho,S\n")
-        for j in range(state.Nx):
-            fh.write(
-                f"{j},{x[j]:.17g},{state.f_plus[j]:.17g},{state.f_minus[j]:.17g},"
-                f"{state.rho[j]:.17g},{state.S[j]:.17g}\n"
-            )

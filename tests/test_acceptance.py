@@ -6,6 +6,7 @@ import json
 import numpy as np
 
 from kinwb import (
+    ExperimentConfig,
     ExpPolyTerm,
     KineticGrid,
     KineticModel,
@@ -33,7 +34,6 @@ from kinwb import (
     ts_step,
     TwoStreamState,
     vfp_closure,
-    vfp_modes,
     vfp_preset_nodes,
     vfp_quadrature,
     vfp_smatrix,
@@ -48,21 +48,26 @@ GRID = dict(Nx=NX, dx=DX, dt=DT)
 EPS_SWEEP = [1e-3, 3e-4, 1e-4, 3e-5]
 
 
+def ap_config(model, K, **fields):
+    """A sweep config on the acceptance grid; ap_error_table reads all but epsilon_list."""
+    return ExperimentConfig(model=model, K=K, t_final=DT, epsilon_list=EPS_SWEEP, **GRID, **fields)
+
+
 def report(criterion, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {criterion}: {detail}")
     assert passed, f"criterion {criterion}: {detail}"
 
 
 def test_criterion_1_ap_limit_rte():
-    rows, _ = ap_error_table("rte", [1e-6], K=4, **GRID)
+    rows, _ = ap_error_table(ap_config("rte", 4), [1e-6])
     gap = rows[0][1]
-    _, slope = ap_error_table("rte", EPS_SWEEP, K=4, **GRID)
+    _, slope = ap_error_table(ap_config("rte", 4), EPS_SWEEP)
     ok = gap < 1e-5 and 0.9 <= slope <= 1.1
     report(1, ok, f"rte one-step gap {gap:.2e} (< 1e-5), slope {slope:.3f} in [0.9, 1.1]")
 
 
 def test_criterion_2_ap_limit_chemo():
-    rows, _ = ap_error_table("chemo", [1e-6], K=4, **GRID)
+    rows, _ = ap_error_table(ap_config("chemo", 4), [1e-6])
     gap = rows[0][1]
     report(2, gap < 1e-4, f"chemo one-step gap vs SG drift scheme {gap:.2e} (< 1e-4)")
 
@@ -71,10 +76,8 @@ def test_criterion_3_ap_limit_vfp():
     q = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
     rep = moment_report(q)
     sigma_ok = abs(rep.sigma2 - 1.0 * rep.sigma0) < 1e-10  # holds by construction
-    rows, _ = ap_error_table(
-        "vfp", [1e-6], K=3, kappa=1.0,
-        E_profile={"kind": "sinusoidal", "amplitude": 0.5}, **GRID,
-    )
+    config = ap_config("vfp", 3, kappa=1.0, E_profile={"kind": "sinusoidal", "amplitude": 0.5})
+    rows, _ = ap_error_table(config, [1e-6])
     gap = rows[0][1]
     ok = sigma_ok and gap < 1e-4
     report(3, ok, f"vfp one-step gap {gap:.2e} (< 1e-4), sigma2 = kappa*sigma0 by construction")
@@ -304,7 +307,7 @@ def test_criterion_9_orthogonality():
     details.append(f"chemo: {res:.1e}")
     for K in (2, 3):
         qv = vfp_quadrature(K, 1.0, vfp_preset_nodes(K, 1.0))
-        res = np.max(orthogonality_check(qv, vfp_modes(0.0, 0.0, 1.0, qv)))
+        res = np.max(moment_report(qv).orthogonality_residuals[:-1])
         ok = ok and res < 1e-10
         details.append(f"vfp K={K}: {res:.1e}")
     report(9, ok, "max residuals " + ", ".join(details) + " (< 1e-10)")

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinwb import ConfigError, ExperimentConfig
+from kinwb import ConfigError, ExperimentConfig, ap_gap, gauss_symmetric, heat_step, sg_vfp_step
 from kinwb.cli import main
+from kinwb.quadrature import _preset_root
+from kinwb.runner import _march
 
 NX = 32
 DX = 1.0 / NX
@@ -56,6 +58,64 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ExperimentConfig.from_json({"model": "rte"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(write_config(tmp_path, name="u.json", unknown_field=1))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "fields",
+    [{"K": 4}, {"K": 2, "nodes": [0.7]}, {"K": 2, "nodes": [2.5, 0.8]}],
+    ids=["no-preset-for-K4", "nodes-length", "nodes-order"],
+)
+def test_vfp_node_config_errors_exit_2(tmp_path, capsys, command, fields):
+    config = write_config(
+        tmp_path, model="vfp", kappa=1.0, E_profile={"kind": "zero"},
+        epsilon=1e-3, epsilon_list=[1e-3, 1e-4], **fields,
+    )
+    assert main([command, "--config", str(config)]) == 2
+    assert "nodes" in capsys.readouterr().err
+
+
+def read_rho(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
+
+
+def test_sweep_uses_vfp_nodes(tmp_path):
+    base = dict(
+        model="vfp", K=2, kappa=1.0, E_profile={"kind": "constant", "value": 0.5},
+        dt=DX**2 / 4.0, epsilon=None, epsilon_list=[1e-3, 1e-4],
+    )
+    preset = write_config(tmp_path, name="p.json", output_dir=str(tmp_path / "p"), **base)
+    nodes = [0.8, _preset_root([0.8], (2.0, 3.0))]
+    other = write_config(tmp_path, name="n.json", output_dir=str(tmp_path / "n"), nodes=nodes, **base)
+    assert main(["sweep", "--config", str(preset)]) == 0
+    assert main(["sweep", "--config", str(other)]) == 0
+    a = (tmp_path / "p" / "ap_sweep.csv").read_bytes()
+    b = (tmp_path / "n" / "ap_sweep.csv").read_bytes()
+    assert a.split(b"\n")[0] == b.split(b"\n")[0] == b"epsilon,error"
+    assert a != b
+
+
+@pytest.mark.parametrize("model", ["rte", "vfp"])
+def test_ap_gap_steps_like_run(tmp_path, model):
+    # the sweep's kinetic step is the first step of `kinwb run`, bitwise
+    eps, dt = 1e-4, DX**2 / 4.0
+    fields = {}
+    if model == "vfp":
+        fields = dict(K=2, kappa=1.0, E_profile={"kind": "constant", "value": 0.5},
+                      nodes=[0.8, _preset_root([0.8], (2.0, 3.0))])
+    path = write_config(tmp_path, model=model, epsilon=eps, dt=dt, t_final=dt, **fields)
+    assert main(["run", "--config", str(path)]) == 0
+    rho0 = read_rho(tmp_path / "out" / "snapshot_0000.csv")
+    rho1 = read_rho(tmp_path / "out" / "snapshot_0001.csv")
+    config = ExperimentConfig.from_json(path)
+    march = _march(config, eps)
+    assert np.array_equal(next(march)[0], rho0)
+    assert np.array_equal(next(march)[0], rho1)
+    if model == "rte":
+        ref = heat_step(rho0, gauss_symmetric(4), dt, DX)
+    else:
+        ref = sg_vfp_step(rho0, np.full(NX, 0.5), 1.0, dt, DX)
+    assert ap_gap(config, eps) == np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref))
 
 
 def test_uniform_initial_snapshots_identical(tmp_path):

@@ -8,13 +8,18 @@ from kinwb import (
     assemble_cell_matrix,
     exp_poly_roots,
     haar_det,
+    gauss_symmetric,
     kernel_range_check,
+    moment_report,
     orthogonality_check,
     run_verification,
     stochasticity_check,
     ts_smatrix,
     vfp_closure,
+    vfp_preset_nodes,
+    vfp_quadrature,
 )
+from kinwb.quadrature import _preset_root
 
 
 def test_stochasticity_examples(q4, spec4, closure4):
@@ -50,10 +55,8 @@ def test_kernel_range_all_models(q4, closure4, qv3):
 
 def test_orthogonality_check_residuals(q4, spec4, qv3):
     assert np.max(orthogonality_check(q4, spec4)) < 1e-10
-    from kinwb import vfp_modes
-
-    table = vfp_modes(0.0, 1.0, 1.0, qv3)
-    assert np.max(orthogonality_check(qv3, table)) < 1e-10
+    # the vfp zero-flux identities of the eps = 0 Hermite modes
+    assert np.max(moment_report(qv3).orthogonality_residuals[:-1]) < 1e-10
 
 
 def test_haar_det_values():
@@ -158,9 +161,22 @@ def test_checks_deterministic_and_idempotent(q4, closure4):
 
 
 def test_ap_consistency_vfp_uses_quadrature(qv3):
-    report = ap_consistency(
-        "vfp", qv3, [1e-4],
-        {"Nx": 32, "dx": 1.0 / 32.0, "dt": (1.0 / 32.0) ** 2,
-         "E_profile": {"kind": "sinusoidal", "amplitude": 0.5}},
-    )
+    grid = {"Nx": 32, "dx": 1.0 / 32.0, "dt": (1.0 / 32.0) ** 2,
+            "E_profile": {"kind": "sinusoidal", "amplitude": 0.5}}
+    report = ap_consistency("vfp", qv3, [1e-4], grid)
     assert report.rows[0][1] < 1e-2
+    # a feasible node set other than the preset gives another gap
+    preset = vfp_quadrature(2, 1.0, vfp_preset_nodes(2, 1.0))
+    other = vfp_quadrature(2, 1.0, [0.8, _preset_root([0.8], (2.0, 3.0))])
+    gaps = [ap_consistency("vfp", q, [1e-4], grid).rows[0][1] for q in (preset, other)]
+    assert gaps[0] != gaps[1]
+
+
+def test_ap_consistency_chemo_k1_first_order():
+    # the limit step's D is the quadrature's sum w v^2 = 1/4 at K = 1;
+    # with the Gauss value 1/3 the gap plateaus near 1e-3 (slope ~0.01)
+    report = ap_consistency(
+        "chemo", gauss_symmetric(1), [1e-3, 1e-4, 1e-5, 1e-6],
+        {"Nx": 32, "dx": 1.0 / 32.0, "dt": (1.0 / 32.0) ** 2},
+    )
+    assert 0.9 <= report.slope <= 1.1

@@ -11,7 +11,6 @@ from kinwb import (
     chemoattractant_update,
     density,
     equilibrium_state,
-    grid_to_csv,
     heat_step,
     imex_step,
     interface_grad,
@@ -222,19 +221,6 @@ def test_vfp_mass_drift_law_with_field(qv3):
         m0 = total_mass(grid)
         drifts.append(abs(total_mass(imex_step(grid, op)) - m0) / m0)
     assert drifts[0] == pytest.approx(10.0 * drifts[1], rel=0.2)
-
-
-def test_grid_csv_format(tmp_path, q4):
-    grid = make_grid(q4, 1e-2, nx=4)
-    path = tmp_path / "grid.csv"
-    grid_to_csv(grid, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "j,x," + ",".join(
-        [f"f_plus_{k}" for k in (1, 2, 3, 4)] + [f"f_minus_{k}" for k in (1, 2, 3, 4)]
-    )
-    assert len(lines) == 5
-    back = np.array([[float(t) for t in line.split(",")[2:]] for line in lines[1:]])
-    assert np.array_equal(back, grid.f)
 
 
 def test_interface_helpers(q4):

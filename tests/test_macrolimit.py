@@ -80,7 +80,7 @@ def test_sg_step_constant_state_and_mass():
     rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
     for step in (
         lambda r: sg_step(r, params),
-        lambda r: sg_chemo_step(r, np.full(NX, 0.2), DT, DX),
+        lambda r: sg_chemo_step(r, gauss_symmetric(4), np.full(NX, 0.2), DT, DX),
         lambda r: sg_vfp_step(r, np.full(NX, 0.2), 1.0, DT, DX),
     ):
         new = step(rho)

@@ -10,7 +10,6 @@ from kinwb import (
     chemo_smatrix,
     dispersion_roots,
     gauss_symmetric,
-    matrix_to_csv,
     phi_tanh,
     rte_closure,
     rte_smatrix,
@@ -286,14 +285,6 @@ def test_vfp_flux_defect_scales_with_eps_and_E(qv3):
 def test_vfp_kappa_mismatch_rejected(qv3):
     with pytest.raises(ValueError):
         vfp_smatrix(1e-3, DX, qv3, 0.5, 2.0)
-
-
-def test_matrix_csv_round_trip(tmp_path, q4, spec4, closure4):
-    dec = rte_smatrix(1e-3, DX, q4, spec4, closure4)
-    path = tmp_path / "s.csv"
-    matrix_to_csv(dec.S_full, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, dec.S_full)  # 17 digits round-trips float64
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ from kinwb import (
     dispersion_roots,
     gauss_symmetric,
     hermite_poly,
+    moment_report,
     orthogonality_check,
     phi_tanh,
-    vfp_modes,
     vfp_psi0,
 )
-from kinwb.spectral import DispersionSpectrum, _all_roots_multi
+from kinwb.scattering import _vfp_zero_columns
+from kinwb.spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi
 
 
 def test_k2_root_closed_form(q2):
@@ -93,9 +94,20 @@ def test_chemo_expansion_odd_symmetry(q4):
 
 
 def test_chemo_expansion_linear_response(q2):
-    # phi(u) = u with gradS = 1 gives lambda0^1 = 3 sum w v^2 = 1
+    # phi(u) = u with gradS = 1 gives lambda0^1 = sum w v^2 / D = 1
     spectrum = chemo_eigen_expansion(q2, 1.0, lambda u: u)
     assert spectrum.lambda0_first_order == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4])
+def test_chemo_zero_root_first_order_matches_root_solve(K):
+    # lambda0^1 divides by the quadrature's D = sum w v^2 (1/4 at K = 1, not 1/3)
+    q = gauss_symmetric(K)
+    exp = chemo_eigen_expansion(q, 0.7, phi_tanh)
+    phip = phi_tanh(q.nodes * 0.7)
+    eps = 1e-6
+    root = _all_roots_multi(q.nodes, q.weights, 1 + eps * phip, 1 - eps * phip)[0][K - 1]
+    assert root / eps == pytest.approx(exp.lambda0_first_order, rel=1e-4)
 
 
 def test_chemo_expansion_matches_rte_roots(q4, spec4):
@@ -129,35 +141,32 @@ def test_orthogonality_residuals(q2, q4, spec4):
 
 
 def test_vfp_modes_table(qv3):
-    t = vfp_modes(0.0, 3.0, 1.0, qv3)
-    assert t.mu_plus[1] == pytest.approx(1.0)  # sqrt(l/kappa) at l=1
-    assert t.mu_minus[1] == pytest.approx(-1.0)
-    m = np.exp(-np.concatenate([qv3.nodes, qv3.nodes]) ** 2 / 2.0)
-    assert np.allclose(t.psi_plus[:, 0], m, atol=1e-14)
-    assert np.allclose(t.psi_minus[:, 0], m, atol=1e-14)
+    assert vfp_mu(1, 0.0, 3.0, 1.0, +1) == pytest.approx(1.0)  # sqrt(l/kappa) at l=1
+    assert vfp_mu(1, 0.0, 3.0, 1.0, -1) == pytest.approx(-1.0)
+    pm = np.concatenate([qv3.nodes, -qv3.nodes])
+    m = np.exp(-pm**2 / 2.0)
+    # at eps = 0 the shifted Maxwellian zero mode is the Maxwellian
+    assert np.allclose(_vfp_zero_columns(0.0, pm, 0.0, 3.0, 1.0)[0], m, atol=1e-14)
+    assert np.allclose(vfp_psi0(0, pm, 1.0), m, atol=1e-14)
     # same limit for the other field sign
-    t2 = vfp_modes(0.0, -3.0, 1.0, qv3)
-    assert np.allclose(t2.psi_plus[:, 0], m, atol=1e-14)
+    assert np.allclose(_vfp_zero_columns(0.0, pm, 0.0, -3.0, 1.0)[0], m, atol=1e-14)
 
 
 def test_vfp_psi0_parity(qv3):
-    from kinwb.spectral import vfp_psi
-
     v = qv3.nodes
     # psi0_{-l}(-v) = (-1)^l psi0_l(v), with the minus family from vfp_psi at eps = 0
     for ell in (1, 2):
         minus_at_neg = vfp_psi(ell, -1, -v, 0.0, 0.3, 1.0)
         assert np.allclose(minus_at_neg, (-1.0) ** ell * vfp_psi0(ell, v, 1.0), atol=1e-13)
     # the eps = 0 plus family agrees with the closed-form limit and ignores E
-    t = vfp_modes(0.0, 0.7, 1.0, qv3)
+    pm = np.concatenate([v, -v])
     for ell in (1, 2):
         stacked = np.concatenate([vfp_psi0(ell, v, 1.0), vfp_psi0(ell, -v, 1.0)])
-        assert np.allclose(t.psi_plus[:, ell], stacked, atol=1e-13)
+        assert np.allclose(vfp_psi(ell, +1, pm, 0.0, 0.7, 1.0), stacked, atol=1e-13)
 
 
 def test_vfp_ortho_residuals(qv3):
-    t = vfp_modes(0.0, 0.0, 1.0, qv3)
-    res = orthogonality_check(qv3, t)
+    res = moment_report(qv3).orthogonality_residuals[:-1]
     assert np.max(res) < 1e-10
 
 
