@@ -26,7 +26,8 @@ class PoleHit(KinwbError):
 
 
 class IllConditioned(KinwbError):
-    """Condition estimate of a dense solve exceeded the safety threshold."""
+    """A mode matrix is singular, or its 1-norm condition number (read off
+    its inverse) exceeds the safety threshold; the message names it."""
 
 
 class NonPositiveRate(KinwbError):

@@ -2,8 +2,10 @@
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,6 @@ from .kinetic import (
     KineticGrid,
     KineticModel,
     MacroField,
-    cfl_check,
     chemo_drift,
     chemoattractant_update,
     density,
@@ -31,6 +32,18 @@ log = logging.getLogger("kinwb")
 
 _MODELS = ("twostream", "rte", "chemo", "vfp")
 _DENSITIES = ("uniform", "cosine_bump", "gaussian")
+_FIELDS = ("zero", "constant", "sinusoidal")
+
+
+def _number(value) -> bool:
+    """A finite int or float from the config, not a bool."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
+def _positive(value) -> bool:
+    return _number(value) and value > 0
 
 
 @dataclass
@@ -59,21 +72,36 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
                 errs.append(f"{name}: must be a positive integer")
         for name in ("dx", "dt", "t_final"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or val <= 0:
+            if not _positive(getattr(self, name)):
                 errs.append(f"{name}: must be positive")
         if self.initial_density not in _DENSITIES:
             errs.append(f"initial_density: must be one of {_DENSITIES}")
         if self.epsilon is None and not self.epsilon_list:
             errs.append("epsilon: either epsilon or epsilon_list is required")
-        if self.epsilon is not None and self.epsilon <= 0:
-            errs.append("epsilon: must be positive")
-        if self.epsilon_list is not None and any(e <= 0 for e in self.epsilon_list):
-            errs.append("epsilon_list: entries must be positive")
+        if self.epsilon is not None and not _positive(self.epsilon):
+            errs.append("epsilon: must be a positive number")
+        if self.epsilon_list is not None and not (
+            isinstance(self.epsilon_list, list) and all(map(_positive, self.epsilon_list))
+        ):
+            errs.append("epsilon_list: must list positive numbers")
+        params = self.phi_params
+        if params is not None and not (
+            isinstance(params, dict) and all(map(_number, params.values()))
+        ):
+            errs.append("phi_params: must map names to numbers")
+        if self.kappa is not None and not _positive(self.kappa):
+            errs.append("kappa: must be a positive number")
+        profile = self.E_profile
+        if profile is not None and not (
+            isinstance(profile, dict)
+            and profile.get("kind", "zero") in _FIELDS
+            and all(_number(v) for k, v in profile.items() if k != "kind")
+        ):
+            errs.append(f"E_profile: kind must be one of {_FIELDS}, other entries numbers")
         if self.model == "vfp":
-            if self.kappa is None or self.kappa <= 0:
+            if self.kappa is None:
                 errs.append("kappa: required (positive) for the vfp model")
-            if self.E_profile is None:
+            if profile is None:
                 errs.append("E_profile: required for the vfp model")
             nodes = self.nodes
             if nodes is None and isinstance(self.K, int) and self.K > 3:
@@ -81,7 +109,7 @@ class ExperimentConfig:
             if nodes is not None and not (
                 isinstance(nodes, list)
                 and len(nodes) == self.K
-                and all(isinstance(v, (int, float)) and v > 0 for v in nodes)
+                and all(map(_positive, nodes))
                 and all(a < b for a, b in zip(nodes, nodes[1:]))
             ):
                 errs.append("nodes: must list K positive velocities in ascending order")
@@ -161,14 +189,15 @@ def build_quadrature(config: ExperimentConfig):
     return gauss_symmetric(config.K)
 
 
-def _write_snapshot(path, t, x, rho, S=None):
+def _write_snapshot(path, t, x_text, rho, S=None):
+    """One CSV ``t,x,rho[,S]`` with 17 significant digits; ``x_text`` holds
+    the cell centres already formatted, since they are the same every
+    snapshot of a run."""
+    columns = [x_text, rho.tolist()] + ([] if S is None else [S.tolist()])
+    row = f"{t:.17g},%s" + ",%.17g" * (len(columns) - 1) + "\n"
+    header = "t,x,rho" + (",S" if S is not None else "") + "\n"
     with open(path, "w") as fh:
-        fh.write("t,x,rho" + (",S" if S is not None else "") + "\n")
-        for j in range(len(x)):
-            row = f"{t:.17g},{x[j]:.17g},{rho[j]:.17g}"
-            if S is not None:
-                row += f",{S[j]:.17g}"
-            fh.write(row + "\n")
+        fh.write(header + (row * len(x_text)) % tuple(chain.from_iterable(zip(*columns))))
 
 
 @dataclass
@@ -208,6 +237,7 @@ def _run_loop(config, out, manifest, snapshots):
     n_steps = max(1, round(config.t_final / config.dt))
     stride = max(1, n_steps // 10)
     x = (np.arange(config.Nx) + 0.5) * config.dx
+    x_text = ["%.17g" % v for v in x.tolist()]
     march = _march(config, config.epsilon)
     max_step_drift = 0.0
     for n in range(n_steps + 1):
@@ -222,7 +252,7 @@ def _run_loop(config, out, manifest, snapshots):
         prev = mass
         if n % stride == 0 or n == n_steps:
             path = out / f"snapshot_{len(snapshots):04d}.csv"
-            _write_snapshot(path, n * config.dt, x, rho, S)
+            _write_snapshot(path, n * config.dt, x_text, rho, S)
             snapshots.append(path)
 
     manifest["n_steps"] = n_steps
@@ -263,10 +293,12 @@ def _march(config: ExperimentConfig, epsilon: float):
         Nx=config.Nx, dx=config.dx, dt=config.dt, epsilon=epsilon,
         q=q, f=equilibrium_state(model, q, rho0),
     )
-    if not cfl_check(grid):
+    D = config.kappa if config.model == "vfp" else q.second_moment
+    bound = config.dx**2 / (2.0 * D)
+    if config.dt > bound:
         log.warning(
-            "eps=%g: kinetic CFL max(v)*dt <= eps*dx violated (advisory under IMEX)",
-            epsilon,
+            "eps=%g: dt=%g exceeds dx^2/(2D)=%g, the stability bound of the explicit "
+            "B term; the march may blow up", epsilon, config.dt, bound,
         )
     static_fields = None
     if config.model == "vfp":

@@ -8,18 +8,22 @@ where the columns of N (Ntilde) evaluate each mode at the incoming
 so every exponential factor lies in [0, 1]; underflow of exp(-lambda dx/eps)
 to exact zero is the correct limit and is kept.
 
-The mode matrices of M interfaces fill one (M, 2K, 2K) stack, guarded by
-one stacked condition number and solved together (:class:`InterfaceStack`);
-the ``*_smatrix`` functions cut a single decomposition from a stack of one.
+The mode matrices of M interfaces fill one (M, 2K, 2K) stack that is
+inverted in one call (:class:`InterfaceStack`); the same inverse gives
+S^eps = Ntilde N^{-1} and the guard, the exact 1-norm condition number
+||N||_1 ||N^{-1}||_1 of every interface.  The ``*_smatrix`` functions cut a
+single decomposition from a stack of one.
 
 The leading decomposition term is the anti-diagonal block S0 = I - zeta*gamma
 of the limit closure; it does not see the field, so one S0 serves every
 interface.  Above the switch threshold eps >= 1e-8*dx the correction is
 computed as B^eps = (S^eps - S^0)/eps; below it the analytic limit B^0 is
-substituted to avoid catastrophic cancellation.
+substituted to avoid catastrophic cancellation.  B^0 is built only when it
+is read: below the switch, or through :meth:`InterfaceStack.decomposition`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -90,13 +94,18 @@ class ScatteringDecomposition:
 @dataclass(frozen=True, eq=False)
 class InterfaceStack:
     """Decompositions of M interfaces: S, B and B0 have shape (M, 2K, 2K)
-    and share the leading block S0 of shape (K, K)."""
+    and share the leading block S0 of shape (K, K).  B0 is built by
+    ``build_B0`` on first read; above the switch a step never reads it."""
 
     epsilon: float
     S0: np.ndarray
     S: np.ndarray
     B: np.ndarray
-    B0: np.ndarray
+    build_B0: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def B0(self) -> np.ndarray:
+        return self.build_B0()
 
     def decomposition(self, i: int, **params) -> ScatteringDecomposition:
         """Interface i as a single decomposition; ``params`` describe it."""
@@ -105,22 +114,43 @@ class InterfaceStack:
         return ScatteringDecomposition(self.epsilon, self.S[i], self.S0, B, B0, params)
 
 
-def _solve_right(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """B @ A^{-1} for stacks (M, n, n), guarded by the condition number."""
-    cond = np.linalg.cond(A)
+def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndarray:
+    """Inverses of a stack (M, n, n), guarded by the exact 1-norm condition
+    number ||A||_1 ||A^{-1}||_1 of each member; ``what`` names member i in
+    the :class:`IllConditioned` message.
+
+    The columns are scaled to unit 1-norm before inverting, which undoes the
+    arbitrary scale of each mode: A^{-1} = D (A D)^{-1}, D = diag(1/d)."""
+    d = np.abs(A).sum(axis=-2)  # column 1-norms; a zero column stays zero
+    d = np.where(d > 0.0, d, 1.0)
+    scaled = A / d[..., None, :]
+    try:
+        X = np.linalg.inv(scaled) / d[..., :, None]
+    except np.linalg.LinAlgError:
+        for i, a in enumerate(scaled):
+            try:
+                np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                raise IllConditioned(f"{what.format(i=i)} is singular") from None
+        raise
+    cond = d.max(axis=-1) * np.abs(X).sum(axis=-2).max(axis=-1)
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise IllConditioned(
-            f"interface {i}: mode matrix condition estimate {cond[i]:.3e} exceeds 1e12"
+            f"{what.format(i=i)} 1-norm condition number {cond[i]:.3e} exceeds 1e12"
         )
-    return np.linalg.solve(A.swapaxes(1, 2), B.swapaxes(1, 2)).swapaxes(1, 2)
+    return X
 
 
-def _stack(epsilon, dx, closure, S, B0) -> InterfaceStack:
+def _stack(epsilon, dx, closure, N, Nt, build_B0) -> InterfaceStack:
+    """The stack with S = Nt N^{-1}; B0 is built here only below the switch."""
     S0 = closure.S0
-    B = (S - _anti_diagonal(S0)) / epsilon if epsilon >= EPS_SWITCH_FACTOR * dx else B0
-    return InterfaceStack(epsilon=epsilon, S0=S0, S=S, B=B, B0=B0)
+    S = Nt @ _inverse(N)
+    if epsilon >= EPS_SWITCH_FACTOR * dx:
+        return InterfaceStack(epsilon, S0, S, (S - _anti_diagonal(S0)) / epsilon, build_B0)
+    B0 = build_B0()
+    return InterfaceStack(epsilon, S0, S, B0, lambda: B0)
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:
@@ -156,10 +186,7 @@ def rte_closure(q, spectrum: DispersionSpectrum) -> ClosureCoefficients:
     Fm = 1.0 / (1.0 - np.outer(v, lam))
     Fp = 1.0 / (1.0 + np.outer(v, lam))
     M01 = np.column_stack([Fm, np.ones(K)])
-    cond = np.linalg.cond(M01)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditioned(f"eigenbasis condition estimate {cond:.3e} exceeds 1e12")
-    X = np.linalg.inv(M01)
+    X = _inverse(M01[None], "eigenbasis")[0]
     return ClosureCoefficients(
         zeta=Fm - Fp, gamma=X[:-1, :], beta=X[-1, :], model_tag=spectrum.model_tag
     )
@@ -195,8 +222,7 @@ def rte_interfaces(
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
     M, Mtil = _rte_matrices(epsilon, dx, q.nodes, spectrum.lambdas)
-    B0 = _rte_B0(dx, q.nodes, closure)
-    return _stack(epsilon, dx, closure, _solve_right(M, Mtil), B0[None])
+    return _stack(epsilon, dx, closure, M, Mtil, lambda: _rte_B0(dx, q.nodes, closure)[None])
 
 
 def rte_smatrix(
@@ -319,8 +345,10 @@ def chemo_interfaces(
     )
     roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
     N, Nt = _chemo_matrices(epsilon, dx, v, phip, roots)
-    B0 = _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure)
-    return _stack(epsilon, dx, closure, _solve_right(N, Nt), B0)
+    return _stack(
+        epsilon, dx, closure, N, Nt,
+        lambda: _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure),
+    )
 
 
 def chemo_smatrix(
@@ -362,10 +390,7 @@ def vfp_closure(q) -> ClosureCoefficients:
     kappa = q.kappa
     m = np.exp(-(v**2) / (2.0 * kappa))
     basis = np.column_stack([vfp_psi0(l, v, kappa) for l in range(1, K)] + [m])
-    cond = np.linalg.cond(basis)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditioned(f"mode basis condition estimate {cond:.3e} exceeds 1e12")
-    X = np.linalg.inv(basis)
+    X = _inverse(basis[None], "mode basis")[0]
     zeta = np.empty((K, K - 1))
     for l in range(1, K):
         zeta[:, l - 1] = vfp_psi0(l, v, kappa) - vfp_psi0(l, -v, kappa)
@@ -467,8 +492,7 @@ def vfp_interfaces(
         closure = vfp_closure(q)
     E = np.atleast_1d(np.asarray(E, dtype=float))
     N, Nt = _vfp_matrices(epsilon, dx, q.nodes, E, kappa)
-    B0 = _vfp_B0(dx, q.nodes, E, kappa, closure)
-    return _stack(epsilon, dx, closure, _solve_right(N, Nt), B0)
+    return _stack(epsilon, dx, closure, N, Nt, lambda: _vfp_B0(dx, q.nodes, E, kappa, closure))
 
 
 def vfp_smatrix(

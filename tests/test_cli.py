@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from kinwb import ConfigError, ExperimentConfig, ap_gap, gauss_symmetric, heat_step, sg_vfp_step
 from kinwb.cli import main
 from kinwb.quadrature import _preset_root
-from kinwb.runner import _march
+from kinwb.runner import _march, _write_snapshot
 
 NX = 32
 DX = 1.0 / NX
@@ -230,3 +231,70 @@ def test_run_vfp_and_twostream(tmp_path):
     assert main(["run", "--config", str(config)]) == 0
     first = (tmp_path / "ts" / "snapshot_0000.csv").read_text().split("\n")[0]
     assert first == "t,x,rho,S"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"phi_params": {"chi": "a"}}, "phi_params"),
+        ({"epsilon": "x"}, "epsilon"),
+        ({"epsilon_list": [1e-3, "y"]}, "epsilon_list"),
+        ({"kappa": "k"}, "kappa"),
+        ({"model": "vfp", "K": 3, "kappa": 1.0, "E_profile": {"kind": "square"}}, "E_profile"),
+    ],
+    ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind"],
+)
+def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
+    config = write_config(tmp_path, **{"epsilon_list": [1e-3, 1e-4], **fields})
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["rte", "chemo", "vfp", "twostream", "sweep_rte"])
+def test_shipped_configs_log_no_warning(tmp_path, caplog, name):
+    command = "sweep" if name.startswith("sweep") else "run"
+    with caplog.at_level(logging.WARNING):
+        assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_step_past_parabolic_bound_warns_once(tmp_path, caplog):
+    # vfp at dt = dx^2 > dx^2/(2 kappa): the explicit B term is unstable
+    config = write_config(
+        tmp_path, model="vfp", K=3, kappa=1.0, epsilon=1e-3,
+        E_profile={"kind": "sinusoidal", "amplitude": 0.5}, dt=DX**2, t_final=5 * DX**2,
+    )
+    with caplog.at_level(logging.WARNING):
+        main(["run", "--config", str(config)])
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert "dx^2/(2D)" in warnings[0].getMessage()
+
+
+def write_snapshot_rows(path, t, x, rho, S=None):
+    """The row-by-row writer the snapshot format is defined by."""
+    with open(path, "w") as fh:
+        fh.write("t,x,rho" + (",S" if S is not None else "") + "\n")
+        for j in range(len(x)):
+            row = f"{t:.17g},{x[j]:.17g},{rho[j]:.17g}"
+            if S is not None:
+                row += f",{S[j]:.17g}"
+            fh.write(row + "\n")
+
+
+@pytest.mark.parametrize("with_S", [False, True])
+@pytest.mark.parametrize("t", [0.0, 0.1, 1e-300, 3.0517578125e-05])
+def test_snapshot_bytes_match_row_writer(tmp_path, with_S, t):
+    values = np.array([-0.0, 1e-300, 1.0, 0.1, -2.5e-17, 1 / 3, 5e-324, 12345.678, np.pi])
+    x = (np.arange(len(values)) + 0.5) / len(values)
+    x[0] = -0.0
+    S = values[::-1].copy() if with_S else None
+    _write_snapshot(tmp_path / "a.csv", t, ["%.17g" % v for v in x.tolist()], values, S)
+    write_snapshot_rows(tmp_path / "b.csv", t, x, values, S)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -4,15 +4,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from kinwb import (
     IllConditioned,
+    KineticGrid,
+    KineticModel,
+    MacroField,
     NonPositiveRate,
     chemo_eigen_expansion,
     chemo_interfaces,
     chemo_smatrix,
+    chemoattractant_update,
+    density,
     dispersion_roots,
+    equilibrium_state,
     gauss_symmetric,
+    imex_step,
     phi_tanh,
     rte_closure,
     rte_smatrix,
+    step_operator,
     stochasticity_check,
     vfp_closure,
     vfp_interfaces,
@@ -21,7 +29,8 @@ from kinwb import (
     vfp_smatrix,
     well_balanced_residual,
 )
-from kinwb.scattering import EPS_SWITCH_FACTOR
+from kinwb import scattering
+from kinwb.scattering import EPS_SWITCH_FACTOR, _inverse
 
 DX = 1.0 / 32.0
 
@@ -334,3 +343,89 @@ def test_ill_conditioned_interface_is_named(qv3):
     # an extreme field at interface 2 makes its mode matrix singular
     with pytest.raises(IllConditioned, match="interface 2"):
         vfp_interfaces(1e-3, DX, qv3, [0.5, -0.5, 1e4, 0.0], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the guarded inverse and B0 built on demand
+# ---------------------------------------------------------------------------
+
+
+def test_exactly_singular_member_is_named():
+    A = np.stack([np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 4.0]], np.eye(2)])
+    with pytest.raises(IllConditioned, match="interface 2: mode matrix is singular"):
+        _inverse(A)
+
+
+def test_condition_number_past_limit_is_named():
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    assert np.linalg.cond(near, 1) == pytest.approx(4e14, rel=0.1)
+    with pytest.raises(IllConditioned, match="interface 1: mode matrix 1-norm condition"):
+        _inverse(np.stack([np.eye(2), near, np.eye(2)]))
+
+
+@pytest.mark.parametrize("scale, passes", [(0.99, True), (1.01, False)])
+def test_guard_is_the_exact_one_norm_condition_number(scale, passes):
+    rng = np.random.default_rng(3)
+    U, _, Vt = np.linalg.svd(rng.standard_normal((4, 4)))
+
+    def basis(t):
+        return U @ np.diag([1.0, 1e-3, 1e-6, t]) @ Vt
+
+    # ||A^{-1}||_1 is dominated by 1/t: rescale t to put cond_1 at scale*1e12
+    A = basis(1e-12 * np.linalg.cond(basis(1e-12), 1) / (scale * 1e12))
+    assert np.linalg.cond(A, 1) == pytest.approx(scale * 1e12, rel=1e-3)
+    if passes:
+        assert np.allclose(_inverse(A[None])[0] @ A, np.eye(4), atol=1e-3)
+    else:
+        with pytest.raises(IllConditioned, match="interface 0"):
+            _inverse(A[None])
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(scattering, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(scattering, name, counted)
+    return calls
+
+
+def test_chemo_b0_built_only_when_read(monkeypatch, q4):
+    calls = counting(monkeypatch, "_chemo_B0")
+    grads = [0.0, 0.8, -1.3]
+    above = chemo_interfaces(1e-3, DX, q4, grads, phi_tanh)
+    assert calls == []
+    x = (np.arange(16) + 0.5) / 16
+    grid = KineticGrid(Nx=16, dx=1 / 16, dt=1 / 256, epsilon=1e-4, q=q4,
+                       f=equilibrium_state("chemo", q4, 1 + 0.5 * np.cos(2 * np.pi * x)))
+    op = step_operator(grid, KineticModel(name="chemo"))
+    for _ in range(3):
+        rho = density(grid).rho
+        grid = imex_step(grid, op, MacroField(rho=rho, S=chemoattractant_update(rho, grid.dx)))
+    assert calls == []
+    below = chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, q4, grads, phi_tanh)
+    assert len(calls) == 1
+    # B0 does not depend on eps: read on demand it is the stack built below the switch
+    assert np.array_equal(above.B0, below.B)
+    assert below.B0 is below.B
+    dec = above.decomposition(1)
+    assert np.array_equal(full(dec.B0_blocks), below.B[1])
+    assert len(calls) == 2  # once for `below`, once for the first read of above.B0
+
+
+def test_vfp_b0_built_only_when_read(monkeypatch, qv3):
+    calls = counting(monkeypatch, "_vfp_B0")
+    fields = [0.0, 0.5, -2.0]
+    above = vfp_interfaces(1e-3, DX, qv3, fields, 1.0)
+    assert calls == []
+    eager = scattering._vfp_B0(DX, qv3.nodes, np.asarray(fields), 1.0, vfp_closure(qv3))
+    assert np.array_equal(above.B0, eager)
+    below = vfp_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, qv3, fields, 1.0)
+    assert np.array_equal(below.B, eager) and below.B0 is below.B
+    assert len(calls) == 3  # the eager reference, above.B0, and `below`
+    dec = vfp_smatrix(1e-3, DX, qv3, 0.5, 1.0)
+    assert np.array_equal(full(dec.B0_blocks), eager[1])
+
