@@ -32,15 +32,12 @@ from .errors import (
 )
 from .kinetic import (
     KineticGrid,
-    KineticModel,
-    MacroField,
     StepOperator,
     assemble_cell_matrix,
     cfl_check,
     chemo_drift,
     chemoattractant_update,
     density,
-    equilibrium_state,
     imex_step,
     interface_grad,
     phi_tanh,
@@ -50,12 +47,10 @@ from .kinetic import (
 from .macrolimit import (
     DriftDiffusionParams,
     bernoulli,
-    heat_step,
-    sg_chemo_step,
     sg_flux,
     sg_step,
-    sg_vfp_step,
 )
+from .models import Chemo, Rte, TwoStream, Vfp
 from .quadrature import (
     MomentReport,
     VelocityQuadrature,

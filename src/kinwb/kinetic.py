@@ -13,23 +13,12 @@ carries the per-interface field dependence.  State layout per cell:
 (f(v_1..v_K), f(-v_1..-v_K)).
 """
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import SolveFailure
-from .scattering import (
-    ClosureCoefficients,
-    InterfaceStack,
-    chemo_interfaces,
-    rte_closure,
-    rte_interfaces,
-    vfp_closure,
-    vfp_interfaces,
-)
-from .spectral import DispersionSpectrum, dispersion_roots
 
 
 def phi_tanh(u, chi: float = 1.0, delta: float = 1.0):
@@ -66,30 +55,6 @@ class KineticGrid:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class MacroField:
-    rho: np.ndarray
-    S: np.ndarray | None = None
-    E_half: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class KineticModel:
-    """Which collision model drives the step, plus its parameters."""
-
-    name: str  # rte | chemo | vfp
-    phi: Callable | None = None
-    kappa: float | None = None
-
-    def __post_init__(self):
-        if self.name not in ("rte", "chemo", "vfp"):
-            raise ValueError(f"unknown model {self.name!r}")
-        if self.name == "chemo" and self.phi is None:
-            object.__setattr__(self, "phi", phi_tanh)
-        if self.name == "vfp" and (self.kappa is None or self.kappa <= 0.0):
-            raise ValueError("vfp model requires kappa > 0")
-
-
 def cfl_check(grid: KineticGrid) -> bool:
     """Advisory kinetic CFL max(v) dt <= eps dx (the positivity-proof bound;
     the IMEX stiff solve permits larger steps)."""
@@ -97,16 +62,15 @@ def cfl_check(grid: KineticGrid) -> bool:
     return vmax * grid.dt <= grid.epsilon * grid.dx * (1.0 + 1e-12)
 
 
-def density(grid: KineticGrid) -> MacroField:
+def density(grid: KineticGrid) -> np.ndarray:
     """Macroscopic density rho_j = sum_k w_k (f_j(v_k) + f_j(-v_k))."""
     K = grid.q.K
     w = grid.q.weights
-    rho = grid.f[:, :K] @ w + grid.f[:, K:] @ w
-    return MacroField(rho=rho)
+    return grid.f[:, :K] @ w + grid.f[:, K:] @ w
 
 
 def total_mass(grid: KineticGrid) -> float:
-    return float(np.sum(density(grid).rho) * grid.dx)
+    return float(np.sum(density(grid)) * grid.dx)
 
 
 def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:
@@ -151,57 +115,32 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StepOperator:
-    """Run constants of :func:`imex_step`: the limit spectrum (None for
-    vfp) and closure, the LU of R_eps, and the (Nx, 2K, 2K) B stack of a
-    static field (None when each step assembles its own; rte keeps a stack
-    of one)."""
+    """Run constants of :func:`imex_step`: the model (see :mod:`models`),
+    the LU of R_eps, and the (Nx, 2K, 2K) B stack of a static field (None
+    when each step assembles its own; rte keeps a stack of one)."""
 
-    model: KineticModel
-    base: DispersionSpectrum | None
-    closure: ClosureCoefficients
+    model: object
     lu: tuple
     B: np.ndarray | None = None
 
-    def interfaces(self, grid: KineticGrid, fields: MacroField | None) -> InterfaceStack:
-        """Interface decompositions for the given fields; interface i sits
-        at x_{i-1/2}, between cells i-1 and i (periodic)."""
-        q, eps, dx = grid.q, grid.epsilon, grid.dx
-        if self.model.name == "rte":
-            return rte_interfaces(eps, dx, q, self.base, self.closure)
-        if self.model.name == "chemo":
-            if fields is None or fields.S is None:
-                raise ValueError("chemo interfaces need fields.S")
-            grads = interface_grad(fields.S, dx)
-            return chemo_interfaces(eps, dx, q, grads, self.model.phi, self.base, self.closure)
-        if fields is None or fields.E_half is None:
-            raise ValueError("vfp interfaces need fields.E_half")
-        return vfp_interfaces(eps, dx, q, fields.E_half, self.model.kappa, self.closure)
+
+def step_operator(grid: KineticGrid, model, S: np.ndarray | None = None) -> StepOperator:
+    """The run constants of the IMEX step on this grid.  R_eps takes S0 from
+    the model's closure, which does not see the field; the B stack is kept
+    for a model whose interfaces stay the same, and for a frozen field S
+    given here."""
+    S0 = model.closure.S0
+    R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, grid.q, S0, S0)
+    B = None
+    if model.static or S is not None:
+        B = model.interfaces(grid.epsilon, grid.dx, S).B
+    return StepOperator(model=model, lu=sla.lu_factor(R), B=B)
 
 
-def step_operator(
-    grid: KineticGrid, model: KineticModel | str, fields: MacroField | None = None
-) -> StepOperator:
-    """The run constants of the IMEX step on this grid; the B stack is
-    kept for rte, which sees no field, and for static ``fields`` given here."""
-    if isinstance(model, str):
-        model = KineticModel(name=model)
-    q = grid.q
-    base = None if model.name == "vfp" else dispersion_roots(q, np.ones(2 * q.K))
-    closure = vfp_closure(q) if base is None else rte_closure(q, base)
-    S0 = closure.S0
-    R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, q, S0, S0)
-    op = StepOperator(model=model, base=base, closure=closure, lu=sla.lu_factor(R))
-    if model.name == "rte" or fields is not None:
-        op = replace(op, B=op.interfaces(grid, fields).B)
-    return op
-
-
-def imex_step(
-    grid: KineticGrid, op: StepOperator, fields: MacroField | None = None
-) -> KineticGrid:
+def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
     """One IMEX step; pure function grid -> grid.  The interfaces are
-    assembled from ``fields`` when given, else op's static stack is used."""
-    B = op.B if fields is None and op.B is not None else op.interfaces(grid, fields).B
+    assembled from the field S when given, else op's static stack is used."""
+    B = op.B if S is None else op.model.interfaces(grid.epsilon, grid.dx, S).B
     B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])  # rte: one S-matrix for all
     K = grid.q.K
     f = grid.f
@@ -216,17 +155,3 @@ def imex_step(
     if not np.all(np.isfinite(fnew)):
         raise SolveFailure("the IMEX step produced a non-finite state")
     return grid.with_f(fnew)
-
-
-def equilibrium_state(model: KineticModel | str, q, rho: np.ndarray) -> np.ndarray:
-    """Kinetic data at the model Maxwellian carrying the given density."""
-    name = model if isinstance(model, str) else model.name
-    K = len(q.nodes)
-    if name in ("rte", "chemo"):
-        half = np.repeat(rho[:, None] / 2.0, K, axis=1)
-        return np.hstack([half, half])
-    m = np.exp(-(q.nodes**2) / (2.0 * q.kappa))
-    sigma0 = float(np.sum(q.weights * m))
-    half = rho[:, None] / (2.0 * sigma0) * m[None, :]
-    return np.hstack([half, half])
-

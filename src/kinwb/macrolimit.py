@@ -1,4 +1,5 @@
-"""Reference drift-diffusion discretizations the kinetic schemes must reach.
+"""The exponential-fitting (Il'in/Scharfetter-Gummel) scheme that every
+kinetic model relaxes to; the models differ only in D and the drift E.
 
 The exponential-fitting flux for d_t rho - d_x(D d_x rho - E rho) = 0 is
 
@@ -6,9 +7,9 @@ The exponential-fitting flux for d_t rho - d_x(D d_x rho - E rho) = 0 is
 
 written here through the Bernoulli function B(x) = x/(exp(x) - 1) as
 F = (D/dx) (B(-u) rho_L - B(u) rho_R), u = E dx/D, which is finite and
-smooth through u = 0 (pure diffusion).  Updates are conservative:
-rho_j += (dt/dx)(F_{j-1/2} - F_{j+1/2}) on a periodic grid, with E_half[j]
-the drift at interface x_{j-1/2}.
+smooth through u = 0, where the step is the centred heat step.  Updates
+are conservative: rho_j += (dt/dx)(F_{j-1/2} - F_{j+1/2}) on a periodic
+grid, with E_half[j] the drift at interface x_{j-1/2}.
 """
 
 from dataclasses import dataclass
@@ -58,25 +59,3 @@ def sg_step(rho: np.ndarray, params: DriftDiffusionParams) -> np.ndarray:
     """One conservative step on a periodic grid; F[j] sits at x_{j-1/2}."""
     F = sg_flux(params.E_half, params.D, params.dx, np.roll(rho, 1), rho)
     return rho + params.dt / params.dx * (F - np.roll(F, -1))
-
-
-def heat_step(rho: np.ndarray, q, dt: float, dx: float) -> np.ndarray:
-    """Centered finite differences for the heat limit; the diffusion
-    coefficient is the quadrature second moment (1/3 for Gauss rules)."""
-    coef = q.second_moment
-    return rho + dt / dx**2 * coef * (np.roll(rho, 1) - 2.0 * rho + np.roll(rho, -1))
-
-
-def sg_chemo_step(rho: np.ndarray, q, E_half: np.ndarray, dt: float, dx: float) -> np.ndarray:
-    """Keller-Segel-type limit: D = the quadrature second moment, as in
-    :func:`heat_step`, and drift of the opposite orientation (the
-    macroscopic flux is D d_x rho + E rho)."""
-    params = DriftDiffusionParams(D=q.second_moment, E_half=-np.asarray(E_half), dt=dt, dx=dx)
-    return sg_step(rho, params)
-
-
-def sg_vfp_step(
-    rho: np.ndarray, E_half: np.ndarray, kappa: float, dt: float, dx: float
-) -> np.ndarray:
-    """Fokker-Planck limit: D = kappa, drift E."""
-    return sg_step(rho, DriftDiffusionParams(D=kappa, E_half=np.asarray(E_half), dt=dt, dx=dx))

@@ -1,7 +1,6 @@
 """Batch experiment driver: configs, time loops, snapshots, AP sweeps."""
 
 import json
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -11,26 +10,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolveFailure
-from .kinetic import (
-    KineticGrid,
-    KineticModel,
-    MacroField,
-    chemo_drift,
-    chemoattractant_update,
-    density,
-    equilibrium_state,
-    imex_step,
-    interface_grad,
-    phi_tanh,
-    step_operator,
-)
-from .macrolimit import DriftDiffusionParams, heat_step, sg_chemo_step, sg_step, sg_vfp_step
+from .kinetic import phi_tanh
+from .macrolimit import DriftDiffusionParams, sg_step
+from .models import Chemo, Rte, TwoStream, Vfp
 from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
-from .twostream import TwoStreamState, ts_step
 
-log = logging.getLogger("kinwb")
-
-_MODELS = ("twostream", "rte", "chemo", "vfp")
 _DENSITIES = ("uniform", "cosine_bump", "gaussian")
 _FIELDS = ("zero", "constant", "sinusoidal")
 
@@ -66,8 +50,8 @@ class ExperimentConfig:
 
     def validation_errors(self) -> list[str]:
         errs = []
-        if self.model not in _MODELS:
-            errs.append(f"model: must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in MODELS:
+            errs.append(f"model: must be one of {tuple(MODELS)}, got {self.model!r}")
         for name in ("K", "Nx"):
             if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
                 errs.append(f"{name}: must be a positive integer")
@@ -176,17 +160,26 @@ def response_from_params(params: dict | None):
     return lambda u: phi_tanh(u, chi=chi, delta=delta)
 
 
-def build_quadrature(config: ExperimentConfig):
-    if config.model == "twostream":
-        return None
-    if config.model == "vfp":
-        nodes = (
-            np.asarray(config.nodes, dtype=float)
-            if config.nodes is not None
-            else vfp_preset_nodes(config.K, config.kappa)
-        )
-        return vfp_quadrature(config.K, config.kappa, nodes)
-    return gauss_symmetric(config.K)
+def _vfp(config: ExperimentConfig) -> Vfp:
+    """The vfp model on the config's nodes (else the preset), with its
+    static field at the interfaces x_{j-1/2}."""
+    nodes = (
+        np.asarray(config.nodes, dtype=float)
+        if config.nodes is not None
+        else vfp_preset_nodes(config.K, config.kappa)
+    )
+    xi = np.arange(config.Nx) * config.dx
+    E_half = field_profile(config.E_profile, xi, config.Nx * config.dx)
+    return Vfp(vfp_quadrature(config.K, config.kappa, nodes), E_half)
+
+
+# model name -> the model of a validated config
+MODELS = {
+    "twostream": lambda c: TwoStream(response_from_params(c.phi_params)),
+    "rte": lambda c: Rte(gauss_symmetric(c.K)),
+    "chemo": lambda c: Chemo(gauss_symmetric(c.K), response_from_params(c.phi_params)),
+    "vfp": _vfp,
+}
 
 
 def _write_snapshot(path, t, x_text, rho, S=None):
@@ -238,11 +231,11 @@ def _run_loop(config, out, manifest, snapshots):
     stride = max(1, n_steps // 10)
     x = (np.arange(config.Nx) + 0.5) * config.dx
     x_text = ["%.17g" % v for v in x.tolist()]
-    march = _march(config, config.epsilon)
+    _, march = _march(config, config.epsilon)
     max_step_drift = 0.0
     for n in range(n_steps + 1):
         try:
-            rho, S, _ = next(march)
+            rho, S = next(march)
         except SolveFailure as exc:
             raise SolveFailure(f"step {n}: {exc}") from exc
         mass = float(np.sum(rho) * config.dx)
@@ -263,91 +256,31 @@ def _run_loop(config, out, manifest, snapshots):
 
 
 def _march(config: ExperimentConfig, epsilon: float):
-    """Set up ``config`` at ``epsilon`` and yield (rho, S, q) for the initial
-    state and then after every step, forever.
-
-    S is the chemoattractant that drove the step (None for rte and vfp, and
-    for the initial kinetic state); q is the velocity quadrature (None for
-    the two-stream model).  ``kinwb run`` and the AP sweep both march here.
-    """
+    """Set up ``config`` at ``epsilon``: the model and its march, which
+    yields (rho, S) for the initial state and then after every step,
+    forever (see :mod:`models`).  ``kinwb run`` and the AP sweep both
+    march here."""
+    model = MODELS[config.model](config)
     x = (np.arange(config.Nx) + 0.5) * config.dx
-    length = config.Nx * config.dx
-    rho0 = initial_density_profile(config.initial_density, x, length)
-    phi = response_from_params(config.phi_params)
-    if config.model == "twostream":
-        state = TwoStreamState(
-            Nx=config.Nx, dx=config.dx, dt=config.dt, epsilon=epsilon,
-            f_plus=rho0 / 2.0, f_minus=rho0 / 2.0,
-            S=chemoattractant_update(rho0, config.dx),
-        )
-        while True:
-            yield state.rho, state.S, None
-            state = ts_step(state, phi)
-    q = build_quadrature(config)
-    model = KineticModel(
-        name=config.model,
-        phi=phi if config.model == "chemo" else None,
-        kappa=config.kappa,
-    )
-    grid = KineticGrid(
-        Nx=config.Nx, dx=config.dx, dt=config.dt, epsilon=epsilon,
-        q=q, f=equilibrium_state(model, q, rho0),
-    )
-    D = config.kappa if config.model == "vfp" else q.second_moment
-    bound = config.dx**2 / (2.0 * D)
-    if config.dt > bound:
-        log.warning(
-            "eps=%g: dt=%g exceeds dx^2/(2D)=%g, the stability bound of the explicit "
-            "B term; the march may blow up", epsilon, config.dt, bound,
-        )
-    static_fields = None
-    if config.model == "vfp":
-        static_fields = MacroField(rho=rho0, E_half=_interface_field(config))
-    op = step_operator(grid, model, static_fields)
-    fields = None  # chemo: rebuilt from the density every step
-    while True:
-        rho = density(grid).rho
-        yield rho, None if fields is None else fields.S, q
-        if config.model == "chemo":
-            fields = MacroField(rho=rho, S=chemoattractant_update(rho, config.dx))
-        grid = imex_step(grid, op, fields)
-
-
-def _interface_field(config: ExperimentConfig) -> np.ndarray:
-    """The static vfp field at the interfaces x_{j-1/2}."""
-    xi = np.arange(config.Nx) * config.dx
-    return field_profile(config.E_profile, xi, config.Nx * config.dx)
+    rho0 = initial_density_profile(config.initial_density, x, config.Nx * config.dx)
+    return model, model.march(epsilon, config.dt, config.dx, rho0)
 
 
 # ---------------------------------------------------------------------------
-# one-step AP gap against the matching macroscopic scheme
+# one-step AP gap against the exponential-fitting limit scheme
 # ---------------------------------------------------------------------------
-
-
-def _limit_step(config: ExperimentConfig, q, rho0: np.ndarray, S: np.ndarray | None) -> np.ndarray:
-    """One step of the macroscopic scheme the model relaxes to: heat for
-    rte, exponential fitting for chemo, vfp and the two-stream model.  S is
-    the chemoattractant of rho0 (chemo and two-stream)."""
-    dt, dx = config.dt, config.dx
-    if config.model == "rte":
-        return heat_step(rho0, q, dt, dx)
-    if config.model == "vfp":
-        return sg_vfp_step(rho0, _interface_field(config), config.kappa, dt, dx)
-    phi = response_from_params(config.phi_params)
-    if config.model == "chemo":
-        return sg_chemo_step(rho0, q, chemo_drift(q, interface_grad(S, dx), phi), dt, dx)
-    phi_half = phi(interface_grad(S, dx))
-    return sg_step(rho0, DriftDiffusionParams(D=1.0, E_half=phi_half, dt=dt, dx=dx))
 
 
 def ap_gap(config: ExperimentConfig, epsilon: float) -> float:
     """Relative L-inf gap between the first step of ``kinwb run`` on
     ``config`` at ``epsilon`` and one step of the limit scheme from the same
-    density."""
-    march = _march(config, epsilon)
-    rho0, _, q = next(march)
-    rho1, S, _ = next(march)
-    ref = _limit_step(config, q, rho0, S)
+    density: exponential fitting with the model's D and drift, S being the
+    chemoattractant that drove the step."""
+    model, march = _march(config, epsilon)
+    rho0, _ = next(march)
+    rho1, S = next(march)
+    drift = model.drift(S, config.dx)
+    ref = sg_step(rho0, DriftDiffusionParams(model.D, drift, config.dt, config.dx))
     return float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))
 
 

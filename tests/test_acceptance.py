@@ -6,17 +6,17 @@ import json
 import numpy as np
 
 from kinwb import (
+    Chemo,
     ExperimentConfig,
     ExpPolyTerm,
     KineticGrid,
-    KineticModel,
-    MacroField,
+    Rte,
+    Vfp,
     assemble_cell_matrix,
     ap_error_table,
     chemo_smatrix,
     chemoattractant_update,
     density,
-    equilibrium_state,
     exp_poly_roots,
     gauss_symmetric,
     imex_step,
@@ -99,21 +99,18 @@ def test_criterion_4_well_balanced_steady_states():
     q4 = gauss_symmetric(4)
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
     cases = [
-        ("rte", KineticModel(name="rte"), q4, None),
-        ("chemo", KineticModel(name="chemo"), q4, "self"),
-        ("vfp", KineticModel(name="vfp", kappa=1.0), qv, MacroField(rho=np.ones(NX), E_half=np.zeros(NX))),
+        ("rte", Rte(q4)),
+        ("chemo", Chemo(q4, phi_tanh)),
+        ("vfp", Vfp(qv, np.zeros(NX))),
     ]
-    for name, model, q, fields in cases:
-        f0 = equilibrium_state(model, q, np.full(NX, 1.3))
-        grid = KineticGrid(Nx=NX, dx=DX, dt=DT / 4.0, epsilon=1e-3, q=q, f=f0)
-        op = step_operator(grid, model, None if fields == "self" else fields)
+    for name, model in cases:
+        f0 = model.equilibrium(np.full(NX, 1.3))
+        grid = KineticGrid(Nx=NX, dx=DX, dt=DT / 4.0, epsilon=1e-3, q=model.q, f=f0)
+        op = step_operator(grid, model)
 
         def step(g):
-            if fields == "self":
-                rho = density(g).rho
-                flds = MacroField(rho=rho, S=chemoattractant_update(rho, DX))
-                return imex_step(g, op, flds)
-            return imex_step(g, op)
+            # chemo re-solves its field every step; rte and vfp have none
+            return imex_step(g, op, model.field(density(g), DX))
 
         drift = _drift_over_steps(step, grid, lambda g: float(np.max(np.abs(g.f - f0))), 100)
         details.append(f"{name} {drift:.2e}")
@@ -142,22 +139,16 @@ def test_criterion_5_mass_conservation_1000_steps():
     details = []
     ok = True
 
-    def kinetic_case(name, model, q, fields, dt):
+    def kinetic_case(model, dt):
         grid = KineticGrid(
-            Nx=nx, dx=dx, dt=dt, epsilon=1e-2, q=q,
-            f=equilibrium_state(model, q, rho0),
+            Nx=nx, dx=dx, dt=dt, epsilon=1e-2, q=model.q, f=model.equilibrium(rho0),
         )
-        op = step_operator(grid, model, fields)
+        op = step_operator(grid, model)
         m_prev = total_mass(grid)
         m0 = m_prev
         worst = 0.0
         for _ in range(1000):
-            if name == "chemo":
-                rho = density(grid).rho
-                flds = MacroField(rho=rho, S=chemoattractant_update(rho, dx))
-                grid = imex_step(grid, op, flds)
-            else:
-                grid = imex_step(grid, op)
+            grid = imex_step(grid, op, model.field(density(grid), dx))
             m = total_mass(grid)
             worst = max(worst, abs(m - m_prev) / m0)
             m_prev = m
@@ -165,15 +156,14 @@ def test_criterion_5_mass_conservation_1000_steps():
 
     q4 = gauss_symmetric(4)
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
-    for name, model, q, fields, dt in [
-        ("rte", KineticModel(name="rte"), q4, None, dx**2),
-        ("chemo", KineticModel(name="chemo"), q4, None, dx**2),
+    for name, model, dt in [
+        ("rte", Rte(q4), dx**2),
+        ("chemo", Chemo(q4, phi_tanh), dx**2),
         # E = 0: the regime where the discrete zero-flux identities cover
         # every mode (with E != 0 conservation is O(eps) per step)
-        ("vfp", KineticModel(name="vfp", kappa=1.0), qv,
-         MacroField(rho=rho0, E_half=np.zeros(nx)), dx**2 / 4.0),
+        ("vfp", Vfp(qv, np.zeros(nx)), dx**2 / 4.0),
     ]:
-        worst = kinetic_case(name, model, q, fields, dt)
+        worst = kinetic_case(model, dt)
         details.append(f"{name} {worst:.2e}")
         ok = ok and worst < 1e-12
 

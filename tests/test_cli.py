@@ -5,7 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinwb import ConfigError, ExperimentConfig, ap_gap, gauss_symmetric, heat_step, sg_vfp_step
+from kinwb import (
+    ConfigError,
+    DriftDiffusionParams,
+    ExperimentConfig,
+    ap_gap,
+    chemo_drift,
+    gauss_symmetric,
+    interface_grad,
+    phi_tanh,
+    sg_step,
+)
 from kinwb.cli import main
 from kinwb.quadrature import _preset_root
 from kinwb.runner import _march, _write_snapshot
@@ -96,11 +106,12 @@ def test_sweep_uses_vfp_nodes(tmp_path):
     assert a != b
 
 
-@pytest.mark.parametrize("model", ["rte", "vfp"])
+@pytest.mark.parametrize("model", ["rte", "vfp", "chemo", "twostream"])
 def test_ap_gap_steps_like_run(tmp_path, model):
-    # the sweep's kinetic step is the first step of `kinwb run`, bitwise
+    # the sweep's kinetic step is the first step of `kinwb run`, bitwise, and
+    # its reference is one exponential-fitting step with the model's D and drift
     eps, dt = 1e-4, DX**2 / 4.0
-    fields = {}
+    fields = {"K": 1} if model == "twostream" else {}
     if model == "vfp":
         fields = dict(K=2, kappa=1.0, E_profile={"kind": "constant", "value": 0.5},
                       nodes=[0.8, _preset_root([0.8], (2.0, 3.0))])
@@ -109,13 +120,23 @@ def test_ap_gap_steps_like_run(tmp_path, model):
     rho0 = read_rho(tmp_path / "out" / "snapshot_0000.csv")
     rho1 = read_rho(tmp_path / "out" / "snapshot_0001.csv")
     config = ExperimentConfig.from_json(path)
-    march = _march(config, eps)
+    _, march = _march(config, eps)
     assert np.array_equal(next(march)[0], rho0)
     assert np.array_equal(next(march)[0], rho1)
+    q = gauss_symmetric(4)
     if model == "rte":
-        ref = heat_step(rho0, gauss_symmetric(4), dt, DX)
+        D, drift = q.second_moment, 0.0
+    elif model == "vfp":
+        D, drift = 1.0, np.full(NX, 0.5)
     else:
-        ref = sg_vfp_step(rho0, np.full(NX, 0.5), 1.0, dt, DX)
+        # the chemoattractant that drove the step
+        S = np.loadtxt(tmp_path / "out" / "snapshot_0001.csv", delimiter=",", skiprows=1, usecols=3)
+        grads = interface_grad(S, DX)
+        if model == "chemo":
+            D, drift = q.second_moment, -chemo_drift(q, grads, phi_tanh)
+        else:
+            D, drift = 1.0, phi_tanh(grads)
+    ref = sg_step(rho0, DriftDiffusionParams(D=D, E_half=drift, dt=dt, dx=DX))
     assert ap_gap(config, eps) == np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref))
 
 
@@ -270,8 +291,14 @@ def test_step_past_parabolic_bound_warns_once(tmp_path, caplog):
         tmp_path, model="vfp", K=3, kappa=1.0, epsilon=1e-3,
         E_profile={"kind": "sinusoidal", "amplitude": 0.5}, dt=DX**2, t_final=5 * DX**2,
     )
+    # the closed-form two-stream step has no explicit B term and no such bound
+    twostream = write_config(
+        tmp_path, name="ts.json", model="twostream", K=1, epsilon=1e-3,
+        dt=DX**2, t_final=5 * DX**2, output_dir=str(tmp_path / "ts"),
+    )
     with caplog.at_level(logging.WARNING):
         main(["run", "--config", str(config)])
+        assert main(["run", "--config", str(twostream)]) == 0
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1
     assert "dx^2/(2D)" in warnings[0].getMessage()

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from kinwb import (
+    Chemo,
+    DriftDiffusionParams,
     KineticGrid,
-    KineticModel,
-    MacroField,
+    Rte,
+    Vfp,
     assemble_cell_matrix,
     cfl_check,
     chemo_drift,
     chemoattractant_update,
     density,
-    equilibrium_state,
-    heat_step,
     imex_step,
     interface_grad,
     phi_tanh,
+    sg_step,
     step_operator,
     total_mass,
     VelocityQuadrature,
@@ -25,12 +26,12 @@ DX = 1.0 / NX
 DT = DX**2
 
 
-def make_grid(q, eps, model="rte", rho=None, nx=NX, dx=DX, dt=DT):
+def make_grid(model, eps, rho=None, nx=NX, dx=DX, dt=DT):
     x = (np.arange(nx) + 0.5) * dx
     if rho is None:
         rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
-    f = equilibrium_state(model, q, rho)
-    return KineticGrid(Nx=nx, dx=dx, dt=dt, epsilon=eps, q=q, f=f)
+    f = model.equilibrium(rho)
+    return KineticGrid(Nx=nx, dx=dx, dt=dt, epsilon=eps, q=model.q, f=f)
 
 
 def test_cfl_check_examples():
@@ -82,15 +83,15 @@ def test_density_oracle(q4):
     rng = np.random.default_rng(11)
     f = rng.random((NX, 8))
     grid = KineticGrid(Nx=NX, dx=DX, dt=DT, epsilon=0.1, q=q4, f=f)
-    rho = density(grid).rho
+    rho = density(grid)
     naive = np.array(
         [sum(q4.weights[k] * (f[j, k] + f[j, 4 + k]) for k in range(4)) for j in range(NX)]
     )
     assert np.max(np.abs(rho - naive)) < 1e-15
     zero = KineticGrid(Nx=NX, dx=DX, dt=DT, epsilon=0.1, q=q4, f=np.zeros((NX, 8)))
-    assert np.all(density(zero).rho == 0.0)
+    assert np.all(density(zero) == 0.0)
     halves = KineticGrid(Nx=NX, dx=DX, dt=DT, epsilon=0.1, q=q4, f=0.5 * np.ones((NX, 8)))
-    assert np.allclose(density(halves).rho, 1.0, atol=1e-15)
+    assert np.allclose(density(halves), 1.0, atol=1e-15)
 
 
 def test_chemoattractant_constants_and_residual():
@@ -108,29 +109,27 @@ def test_chemoattractant_constants_and_residual():
 
 
 def test_imex_constant_maxwellian_invariant(q4, qv3):
-    for model, q in (("rte", q4), ("vfp", qv3)):
-        km = KineticModel(name=model, kappa=1.0 if model == "vfp" else None)
-        grid = make_grid(q, 1e-2, km, rho=np.ones(NX))
-        fields = None
-        if model == "vfp":
-            fields = MacroField(rho=np.ones(NX), E_half=np.zeros(NX))
-        new = imex_step(grid, step_operator(grid, km, fields))
+    for model in (Rte(q4), Vfp(qv3, np.zeros(NX))):
+        grid = make_grid(model, 1e-2, rho=np.ones(NX))
+        new = imex_step(grid, step_operator(grid, model))
         assert np.max(np.abs(new.f - grid.f)) < 1e-13
 
 
 def test_imex_rte_matches_heat_step(q4):
-    grid = make_grid(q4, 1e-6)
-    rho0 = density(grid).rho
-    new = imex_step(grid, step_operator(grid, "rte"))
-    ref = heat_step(rho0, q4, DT, DX)
-    gap = np.max(np.abs(density(new).rho - ref)) / np.max(np.abs(ref))
+    model = Rte(q4)
+    grid = make_grid(model, 1e-6)
+    rho0 = density(grid)
+    new = imex_step(grid, step_operator(grid, model))
+    ref = sg_step(rho0, DriftDiffusionParams(D=q4.second_moment, E_half=0.0, dt=DT, dx=DX))
+    gap = np.max(np.abs(density(new) - ref)) / np.max(np.abs(ref))
     assert gap < 1e-5
 
 
 def test_imex_mass_conservation(q4):
-    grid = make_grid(q4, 1e-2)
+    model = Rte(q4)
+    grid = make_grid(model, 1e-2)
     m0 = total_mass(grid)
-    op = step_operator(grid, "rte")
+    op = step_operator(grid, model)
     for _ in range(50):
         grid = imex_step(grid, op)
         m1 = total_mass(grid)
@@ -141,9 +140,10 @@ def test_imex_mass_conservation(q4):
 def test_imex_nonnegativity_under_cfl(q4):
     eps = 1e-1
     dt = eps * DX / q4.nodes[-1]  # kinetic CFL bound
-    grid = make_grid(q4, eps, dt=dt)
+    model = Rte(q4)
+    grid = make_grid(model, eps, dt=dt)
     assert cfl_check(grid)
-    op = step_operator(grid, "rte")
+    op = step_operator(grid, model)
     for _ in range(100):
         grid = imex_step(grid, op)
     assert float(np.min(grid.f)) >= -1e-14
@@ -151,21 +151,23 @@ def test_imex_nonnegativity_under_cfl(q4):
 
 def test_imex_hilbert_structure(q4):
     # at eps = 1e-8 the solved state is a scalar multiple of the Maxwellian per cell
-    grid = make_grid(q4, 1e-8)
+    model = Rte(q4)
+    grid = make_grid(model, 1e-8)
     rng = np.random.default_rng(5)
     f = np.asarray(grid.f) * (1.0 + 0.1 * rng.random(grid.f.shape))
     grid = grid.with_f(f)
-    new = imex_step(grid, step_operator(grid, "rte"))
-    rho = density(new).rho
+    new = imex_step(grid, step_operator(grid, model))
+    rho = density(new)
     for j in range(NX):
         maxwellian = np.full(8, rho[j] / 2.0)
         assert np.max(np.abs(new.f[j] - maxwellian)) / np.max(np.abs(maxwellian)) < 1e-6
 
 
 def test_imex_well_balanced_100_steps(q4):
-    grid = make_grid(q4, 1e-3, rho=np.full(NX, 1.3))
+    model = Rte(q4)
+    grid = make_grid(model, 1e-3, rho=np.full(NX, 1.3))
     start = grid.f.copy()
-    op = step_operator(grid, "rte")
+    op = step_operator(grid, model)
     for _ in range(100):
         grid = imex_step(grid, op)
     assert np.max(np.abs(grid.f - start)) < 1e-11
@@ -180,11 +182,10 @@ def test_chemo_nontrivial_steady_state_invariant(q4):
     dt = dx**2
     eps = 1e-2
     x = (np.arange(nx) + 0.5) * dx
-    model = KineticModel(name="chemo")
+    model = Chemo(q4, phi_tanh)
     S = chemoattractant_update(1.0 + 0.8 * np.cos(2.0 * np.pi * x), dx)
-    fields = MacroField(rho=np.ones(nx), S=S)
-    grid0 = make_grid(q4, eps, model, rho=np.ones(nx), nx=nx, dx=dx, dt=dt)
-    op = step_operator(grid0, model, fields)
+    grid0 = make_grid(model, eps, rho=np.ones(nx), nx=nx, dx=dx, dt=dt)
+    op = step_operator(grid0, model, S)
     # one-step map is linear in f: extract it column by column
     n = nx * 2 * q4.K
     A = np.empty((n, n))
@@ -198,7 +199,7 @@ def test_chemo_nontrivial_steady_state_invariant(q4):
     assert abs(eigvals[k] - 1.0) < 1e-12
     steady = np.real(eigvecs[:, k]).reshape(nx, -1)
     steady *= np.sign(steady.sum())
-    assert np.std(density(grid0.with_f(steady)).rho) > 1e-3  # genuinely non-flat
+    assert np.std(density(grid0.with_f(steady))) > 1e-3  # genuinely non-flat
     grid = grid0.with_f(steady)
     for _ in range(100):
         grid = imex_step(grid, op)
@@ -212,12 +213,11 @@ def test_vfp_mass_drift_law_with_field(qv3):
     nx = 32
     dx = 1.0 / nx
     xi = np.arange(nx) * dx
-    model = KineticModel(name="vfp", kappa=1.0)
+    model = Vfp(qv3, 0.5 * np.sin(2.0 * np.pi * xi))
     drifts = []
     for eps in (1e-3, 1e-4):
-        grid = make_grid(qv3, eps, model, nx=nx, dx=dx, dt=dx**2)
-        fields = MacroField(rho=density(grid).rho, E_half=0.5 * np.sin(2.0 * np.pi * xi))
-        op = step_operator(grid, model, fields)
+        grid = make_grid(model, eps, nx=nx, dx=dx, dt=dx**2)
+        op = step_operator(grid, model)
         m0 = total_mass(grid)
         drifts.append(abs(total_mass(imex_step(grid, op)) - m0) / m0)
     assert drifts[0] == pytest.approx(10.0 * drifts[1], rel=0.2)

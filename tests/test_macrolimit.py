@@ -6,11 +6,8 @@ from kinwb import (
     DriftDiffusionParams,
     bernoulli,
     gauss_symmetric,
-    heat_step,
-    sg_chemo_step,
     sg_flux,
     sg_step,
-    sg_vfp_step,
 )
 
 NX = 64
@@ -63,12 +60,13 @@ def test_sg_flux_monotone():
         assert dFr <= 0.0
 
 
-def test_sg_step_degenerates_to_heat():
+def test_sg_step_matches_heat_at_zero_drift():
     x = (np.arange(NX) + 0.5) * DX
     rho = 1.0 + 0.4 * np.sin(2.0 * np.pi * x)
-    q = gauss_symmetric(4)
-    a = sg_step(rho, DriftDiffusionParams(D=1.0 / 3.0, E_half=np.zeros(NX), dt=DT, dx=DX))
-    b = heat_step(rho, q, DT, DX)
+    D = gauss_symmetric(4).second_moment
+    a = sg_step(rho, DriftDiffusionParams(D=D, E_half=np.zeros(NX), dt=DT, dx=DX))
+    # the centred heat step
+    b = rho + DT / DX**2 * D * (np.roll(rho, 1) - 2.0 * rho + np.roll(rho, -1))
     assert np.max(np.abs(a - b)) < 1e-14
 
 
@@ -80,8 +78,10 @@ def test_sg_step_constant_state_and_mass():
     rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
     for step in (
         lambda r: sg_step(r, params),
-        lambda r: sg_chemo_step(r, gauss_symmetric(4), np.full(NX, 0.2), DT, DX),
-        lambda r: sg_vfp_step(r, np.full(NX, 0.2), 1.0, DT, DX),
+        # the chemo limit (D the Gauss second moment, drift -E) and the vfp one (D = kappa)
+        lambda r: sg_step(r, DriftDiffusionParams(
+            D=gauss_symmetric(4).second_moment, E_half=np.full(NX, -0.2), dt=DT, dx=DX)),
+        lambda r: sg_step(r, DriftDiffusionParams(D=1.0, E_half=np.full(NX, 0.2), dt=DT, dx=DX)),
     ):
         new = step(rho)
         assert abs(np.sum(new) - np.sum(rho)) / np.sum(rho) < 1e-14
@@ -105,12 +105,13 @@ def test_heat_step_coefficient_and_decay():
     assert np.sum(q.weights * q.nodes**2) == pytest.approx(1.0 / 3.0, abs=1e-14)
     x = (np.arange(NX) + 0.5) * DX
     rho = np.cos(2.0 * np.pi * x)
-    new = heat_step(rho, q, DT, DX)
+    heat = DriftDiffusionParams(D=q.second_moment, E_half=0.0, dt=DT, dx=DX)
+    new = sg_step(rho, heat)
     # discrete symbol: one mode decays by 1 - 4 (dt/dx^2) (1/3) sin^2(pi dx / L)
     factor = 1.0 - 4.0 * DT / DX**2 * (1.0 / 3.0) * np.sin(np.pi * DX) ** 2
     assert np.max(np.abs(new - factor * rho)) < 1e-13
     const = np.full(NX, 0.4)
-    assert np.array_equal(heat_step(const, q, DT, DX), const)
+    assert np.array_equal(sg_step(const, heat), const)
 
 
 def test_params_validation():

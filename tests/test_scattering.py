@@ -3,18 +3,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kinwb import (
+    Chemo,
     IllConditioned,
     KineticGrid,
-    KineticModel,
-    MacroField,
     NonPositiveRate,
     chemo_eigen_expansion,
     chemo_interfaces,
     chemo_smatrix,
-    chemoattractant_update,
     density,
     dispersion_roots,
-    equilibrium_state,
     gauss_symmetric,
     imex_step,
     phi_tanh,
@@ -399,12 +396,12 @@ def test_chemo_b0_built_only_when_read(monkeypatch, q4):
     above = chemo_interfaces(1e-3, DX, q4, grads, phi_tanh)
     assert calls == []
     x = (np.arange(16) + 0.5) / 16
+    model = Chemo(q4, phi_tanh)
     grid = KineticGrid(Nx=16, dx=1 / 16, dt=1 / 256, epsilon=1e-4, q=q4,
-                       f=equilibrium_state("chemo", q4, 1 + 0.5 * np.cos(2 * np.pi * x)))
-    op = step_operator(grid, KineticModel(name="chemo"))
+                       f=model.equilibrium(1 + 0.5 * np.cos(2 * np.pi * x)))
+    op = step_operator(grid, model)
     for _ in range(3):
-        rho = density(grid).rho
-        grid = imex_step(grid, op, MacroField(rho=rho, S=chemoattractant_update(rho, grid.dx)))
+        grid = imex_step(grid, op, model.field(density(grid), grid.dx))
     assert calls == []
     below = chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, q4, grads, phi_tanh)
     assert len(calls) == 1
