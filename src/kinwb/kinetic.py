@@ -76,15 +76,13 @@ def total_mass(grid: KineticGrid) -> float:
 def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:
     """Solve -(S_{j+1} - 2 S_j + S_{j-1})/dx^2 + S_j = rho_j, periodic.
 
-    The operator is circulant symmetric positive definite; constants map
-    to themselves.
+    The operator is circulant with the exact symbol 1 + (2 sin(pi k/Nx)/dx)^2
+    >= 1, so one FFT pair solves it for every Nx and dx; constants map to
+    themselves.
     """
     Nx = len(rho)
-    first_col = np.zeros(Nx)
-    first_col[0] = 1.0 + 2.0 / dx**2
-    first_col[1] = -1.0 / dx**2
-    first_col[-1] = -1.0 / dx**2
-    return sla.solve_circulant(first_col, rho)
+    symbol = 1.0 + (2.0 * np.sin(np.pi * np.arange(Nx // 2 + 1) / Nx) / dx) ** 2
+    return np.fft.irfft(np.fft.rfft(rho) / symbol, n=Nx)
 
 
 def assemble_cell_matrix(

@@ -26,6 +26,11 @@ def _number(value) -> bool:
     )
 
 
+def _integer(value) -> bool:
+    """An int from the config, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive(value) -> bool:
     return _number(value) and value > 0
 
@@ -50,10 +55,10 @@ class ExperimentConfig:
 
     def validation_errors(self) -> list[str]:
         errs = []
-        if self.model not in MODELS:
+        if not isinstance(self.model, str) or self.model not in MODELS:
             errs.append(f"model: must be one of {tuple(MODELS)}, got {self.model!r}")
         for name in ("K", "Nx"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
+            if not _integer(getattr(self, name)) or getattr(self, name) < 1:
                 errs.append(f"{name}: must be a positive integer")
         for name in ("dx", "dt", "t_final"):
             if not _positive(getattr(self, name)):
@@ -99,7 +104,7 @@ class ExperimentConfig:
                 errs.append("nodes: must list K positive velocities in ascending order")
         if self.model == "twostream" and self.K != 1:
             errs.append("K: the two-stream model has K = 1")
-        if not isinstance(self.seed, int):
+        if not _integer(self.seed):
             errs.append("seed: must be an integer")
         return errs
 
@@ -281,14 +286,17 @@ def ap_gap(config: ExperimentConfig, epsilon: float) -> float:
     rho1, S = next(march)
     drift = model.drift(S, config.dx)
     ref = sg_step(rho0, DriftDiffusionParams(model.D, drift, config.dt, config.dx))
+    if not np.all(np.isfinite(ref)):
+        raise SolveFailure(f"eps={epsilon:g}: the limit scheme produced a non-finite state")
     return float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))
 
 
 def ap_error_table(config: ExperimentConfig, epsilons):
-    """(epsilon, gap) rows plus the log-log slope (None for a single row)."""
+    """(epsilon, gap) rows plus the log-log slope (None below two distinct
+    epsilons)."""
     rows = [(float(e), ap_gap(config, float(e))) for e in epsilons]
     slope = None
-    if len(rows) >= 2:
+    if len({e for e, _ in rows}) >= 2:
         le = np.log([r[0] for r in rows])
         lg = np.log([max(r[1], 1e-300) for r in rows])
         slope = float(np.polyfit(le, lg, 1)[0])

@@ -58,7 +58,6 @@ class ClosureCoefficients:
     zeta: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    model_tag: str
     S0: np.ndarray = field(init=False)  # the leading scattering block I - zeta*gamma
 
     def __post_init__(self):
@@ -187,9 +186,7 @@ def rte_closure(q, spectrum: DispersionSpectrum) -> ClosureCoefficients:
     Fp = 1.0 / (1.0 + np.outer(v, lam))
     M01 = np.column_stack([Fm, np.ones(K)])
     X = _inverse(M01[None], "eigenbasis")[0]
-    return ClosureCoefficients(
-        zeta=Fm - Fp, gamma=X[:-1, :], beta=X[-1, :], model_tag=spectrum.model_tag
-    )
+    return ClosureCoefficients(zeta=Fm - Fp, gamma=X[:-1, :], beta=X[-1, :])
 
 
 def _rte_B0(dx, v, closure) -> np.ndarray:
@@ -394,9 +391,7 @@ def vfp_closure(q) -> ClosureCoefficients:
     zeta = np.empty((K, K - 1))
     for l in range(1, K):
         zeta[:, l - 1] = vfp_psi0(l, v, kappa) - vfp_psi0(l, -v, kappa)
-    return ClosureCoefficients(
-        zeta=zeta, gamma=X[:-1, :], beta=X[-1, :], model_tag="vfp"
-    )
+    return ClosureCoefficients(zeta=zeta, gamma=X[:-1, :], beta=X[-1, :])
 
 
 def _vfp_zero_columns(x, v, epsilon, E, kappa):

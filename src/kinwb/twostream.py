@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SolveFailure
 from .kinetic import chemoattractant_update, phi_tanh
 from .macrolimit import bernoulli
 
@@ -89,6 +90,8 @@ def ts_step(state: TwoStreamState, phi_response: Callable = phi_tanh) -> TwoStre
     det = 1.0 + 2.0 * a
     f_plus = ((1.0 + a) * rp + a * rm) / det
     f_minus = (a * rp + (1.0 + a) * rm) / det
+    if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+        raise SolveFailure("the two-stream step produced a non-finite state")
     return TwoStreamState(
         Nx=state.Nx, dx=state.dx, dt=state.dt, epsilon=state.epsilon,
         f_plus=f_plus, f_minus=f_minus, S=S,

@@ -1,9 +1,11 @@
 import json
 import logging
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kinwb import (
     ConfigError,
@@ -263,8 +265,13 @@ def test_run_vfp_and_twostream(tmp_path):
         ({"epsilon_list": [1e-3, "y"]}, "epsilon_list"),
         ({"kappa": "k"}, "kappa"),
         ({"model": "vfp", "K": 3, "kappa": 1.0, "E_profile": {"kind": "square"}}, "E_profile"),
+        ({"K": True}, "K"),
+        ({"Nx": True}, "Nx"),
+        ({"seed": True}, "seed"),
+        ({"model": ["rte"]}, "model"),
     ],
-    ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind"],
+    ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind",
+         "K-bool", "Nx-bool", "seed-bool", "model-list"],
 )
 def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
     config = write_config(tmp_path, **{"epsilon_list": [1e-3, 1e-4], **fields})
@@ -272,6 +279,63 @@ def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
     assert not (tmp_path / "out").exists()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Configs of every model over wide ranges, valid or not; one step each."""
+    K = draw(st.integers(1, 4))
+    dt = draw(_log_uniform(-20, 2))
+    config = {
+        "model": draw(st.sampled_from(["rte", "chemo", "vfp", "twostream"])),
+        "K": K, "Nx": draw(st.integers(1, 8)), "dx": draw(_log_uniform(-170, 2)),
+        "dt": dt, "t_final": dt, "epsilon": draw(_log_uniform(-20, 2)),
+        "epsilon_list": draw(st.lists(_log_uniform(-20, 2), min_size=1, max_size=3)),
+        "initial_density": draw(st.sampled_from(["uniform", "cosine_bump", "gaussian"])),
+    }
+    optional = {
+        "phi_params": st.fixed_dictionaries(
+            {"chi": st.floats(-5.0, 5.0), "delta": _log_uniform(-3, 3)}),
+        "kappa": _log_uniform(-3, 3),
+        "E_profile": st.one_of(
+            st.just({"kind": "zero"}),
+            st.builds(lambda v: {"kind": "constant", "value": v}, st.floats(-5.0, 5.0)),
+            st.builds(lambda a: {"kind": "sinusoidal", "amplitude": a}, st.floats(-5.0, 5.0)),
+        ),
+        "nodes": st.lists(_log_uniform(-1, 1), min_size=K, max_size=K, unique=True).map(sorted),
+    }
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            config[name] = draw(values)
+    return config
+
+
+_FUZZ_BASE = {"K": 1, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e-3, "epsilon": 1e-3,
+              "epsilon_list": [1e-3], "initial_density": "cosine_bump"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=fuzz_configs(), command=st.sampled_from(["run", "sweep"]))
+@example(config={**_FUZZ_BASE, "model": "chemo", "K": 2, "Nx": 1}, command="run")
+@example(config={**_FUZZ_BASE, "model": "twostream", "dx": 2.4e-8}, command="run")
+@example(config={**_FUZZ_BASE, "model": "twostream", "dx": 1e-160}, command="run")
+@example(config={**_FUZZ_BASE, "model": "rte", "K": 2, "dx": 1e-170}, command="sweep")
+@example(config={**_FUZZ_BASE, "model": "rte", "epsilon_list": [1.0, 1.0]}, command="sweep")
+def test_config_fuzz_exits_0_2_or_3(config, command):
+    # every config runs to finite outputs, or ends in a config error (2) or
+    # a numerical one (3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        if code == 0:
+            text = "".join(p.read_text() for p in (Path(tmp) / "out").glob("*.csv"))
+            assert "nan" not in text and "inf" not in text
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -108,6 +108,22 @@ def test_chemoattractant_constants_and_residual():
     assert np.max(np.abs(-lap + S - rho)) < 1e-12
 
 
+@pytest.mark.parametrize("nx", [1, 2, 3, 8])
+def test_chemoattractant_matches_dense_periodic_solve(nx):
+    # one or two cells make both neighbours of a cell the same index
+    dx = 0.1
+    eye = np.eye(nx)
+    A = (1.0 + 2.0 / dx**2) * eye - (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1)) / dx**2
+    rho = 1.0 + np.arange(nx) ** 2 / nx
+    S = chemoattractant_update(rho, dx)
+    assert np.allclose(S, np.linalg.solve(A, rho), rtol=1e-12, atol=0.0)
+    for h in (dx, 1e-9):
+        assert np.allclose(chemoattractant_update(np.full(nx, 2.7), h), 2.7, rtol=1e-14, atol=0.0)
+    # below dx ~ 2e-8 the symbol 1 of k = 0 is lost against 2/dx^2 in a
+    # matrix solve; the exact symbol keeps S the mean up to O(dx^2)
+    assert np.allclose(chemoattractant_update(rho, 1e-9), rho.mean(), rtol=1e-14, atol=0.0)
+
+
 def test_imex_constant_maxwellian_invariant(q4, qv3):
     for model in (Rte(q4), Vfp(qv3, np.zeros(NX))):
         grid = make_grid(model, 1e-2, rho=np.ones(NX))
