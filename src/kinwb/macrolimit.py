@@ -20,7 +20,7 @@ import numpy as np
 @dataclass(frozen=True, eq=False)
 class DriftDiffusionParams:
     D: float
-    E_half: np.ndarray
+    E_half: np.ndarray | float  # drift at x_{j-1/2}; a scalar for a uniform one
     dt: float
     dx: float
 

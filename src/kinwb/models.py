@@ -74,7 +74,7 @@ class Rte(_Kinetic):
     def drift(self, S, dx: float):
         return 0.0
 
-    def interfaces(self, eps: float, dx: float, S=None):
+    def interfaces(self, eps: float, dx: float, S):
         return rte_interfaces(eps, dx, self.q, self.base, self.closure)
 
 
@@ -121,7 +121,7 @@ class Vfp(_Kinetic):
     def drift(self, S, dx: float) -> np.ndarray:
         return self.E_half
 
-    def interfaces(self, eps: float, dx: float, S=None):
+    def interfaces(self, eps: float, dx: float, S):
         return vfp_interfaces(eps, dx, self.q, self.E_half, self.q.kappa, self.closure)
 
 
