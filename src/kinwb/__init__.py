@@ -3,12 +3,10 @@ matrices, with the exponential-fitting drift-diffusion schemes they relax to.
 """
 
 from .diagnostics import (
-    ApReport,
     CheckResult,
     ExpPolyTerm,
     KernelRangeReport,
     StochasticityReport,
-    ap_consistency,
     exp_poly_roots,
     haar_det,
     kernel_range_check,
@@ -69,15 +67,11 @@ from .runner import (
 from .scattering import (
     ClosureCoefficients,
     InterfaceStack,
-    ScatteringDecomposition,
     chemo_interfaces,
-    chemo_smatrix,
     rte_closure,
     rte_interfaces,
-    rte_smatrix,
     vfp_closure,
     vfp_interfaces,
-    vfp_smatrix,
 )
 from .spectral import (
     DispersionSpectrum,

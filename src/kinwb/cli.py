@@ -5,7 +5,7 @@ import json
 import logging
 import sys
 
-from .diagnostics import run_verification
+from .diagnostics import SCOPES, run_verification
 from .errors import ConfigError, KinwbError
 from .runner import ExperimentConfig, run_experiment, sweep_experiment
 
@@ -71,11 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
     p_verify = sub.add_parser("verify", help="run the built-in verification suites")
-    p_verify.add_argument(
-        "--scope",
-        default="all",
-        choices=["all", "quadrature", "spectral", "scattering", "lemmas", "roots"],
-    )
+    p_verify.add_argument("--scope", default="all", choices=["all", *SCOPES])
     p_verify.add_argument("--out", default=None, help="also write a JSON report")
     p_verify.set_defaults(func=_cmd_verify)
     return parser

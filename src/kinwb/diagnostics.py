@@ -1,8 +1,8 @@
 """Executable checks for the structural properties behind the schemes:
 stochasticity, kernel/range of the relaxation matrix, discrete
 orthogonality, Haar determinants, exponential-polynomial root counts, and
-AP-consistency sweeps.  Every check is deterministic (seeded) and
-idempotent.
+the well-balanced fixed point of an interface S-matrix.  Every check is
+deterministic (seeded) and idempotent.
 """
 
 import warnings
@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
-from .runner import ExperimentConfig, ap_error_table
 from .spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi
-from .scattering import _vfp_zero_columns
+from .scattering import _anti_diagonal, _vfp_zero_columns
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
 
@@ -196,27 +195,6 @@ def exp_poly_roots(terms, interval, samples: int = 100_000):
     return np.asarray(roots), bound
 
 
-@dataclass(frozen=True, eq=False)
-class ApReport:
-    rows: list
-    slope: float | None
-
-
-def ap_consistency(model: str, q, epsilons, grid_params: dict) -> ApReport:
-    """One-step density gap against the matching macroscopic scheme for
-    each eps, with the fitted log-log slope, on the velocity set q (None
-    for the two-stream model).  ``grid_params`` holds Nx, dx, dt and any
-    other config field."""
-    record = {"model": model, "K": 1, "t_final": grid_params["dt"],
-              "epsilon_list": [float(e) for e in epsilons], **grid_params}
-    if q is not None:
-        record["K"] = q.K
-        if q.domain_tag == "real_line":
-            record.update(kappa=q.kappa, nodes=[float(v) for v in q.nodes])
-    rows, slope = ap_error_table(ExperimentConfig.from_json(record), epsilons)
-    return ApReport(rows=rows, slope=slope)
-
-
 # ---------------------------------------------------------------------------
 # verification suites (drive `kinwb verify`)
 # ---------------------------------------------------------------------------
@@ -283,25 +261,17 @@ def _stationary_traces_vfp(epsilon, dx, q, E, kappa, seed):
     return inc, out
 
 
-def well_balanced_residual(decomposition, q, seed: int = 0) -> float:
+def well_balanced_residual(S, epsilon, dx, q, *, rates=None, E=None, seed: int = 0) -> float:
     """Residual of S * (incoming traces) - (exact outgoing traces) for a
-    random stationary eigen-expansion at the decomposition's interface."""
-    p = decomposition.interface_params
-    eps, dx = decomposition.epsilon, p["dx"]
-    if p["model"] == "vfp":
-        inc, out = _stationary_traces_vfp(eps, dx, q, p["E"], p["kappa"], seed)
-    elif p["model"] == "chemo":
-        from .kinetic import phi_tanh
-
-        phip = phi_tanh(q.nodes * p["gradS"])
-        inc, out = _stationary_traces_integral(
-            eps, dx, q, 1.0 + eps * phip, 1.0 - eps * phip, seed
-        )
+    random stationary eigen-expansion on (0, dx).  The stationary problem is
+    the integral-collision one with rates (T(+v), T(-v)) = ``rates``, or the
+    Fokker-Planck one in the field ``E`` with the quadrature's kappa."""
+    if E is None:
+        inc, out = _stationary_traces_integral(epsilon, dx, q, *rates, seed)
     else:
-        ones = np.ones(q.K)
-        inc, out = _stationary_traces_integral(eps, dx, q, ones, ones, seed)
+        inc, out = _stationary_traces_vfp(epsilon, dx, q, E, q.kappa, seed)
     scale = np.max(np.abs(out)) + 1e-300
-    return float(np.max(np.abs(decomposition.S_full @ inc - out)) / scale)
+    return float(np.max(np.abs(S @ inc - out)) / scale)
 
 
 def _result(name, passed, detail) -> CheckResult:
@@ -370,7 +340,7 @@ def verify_spectral() -> list[CheckResult]:
 def verify_scattering() -> list[CheckResult]:
     from .kinetic import phi_tanh
     from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
-    from .scattering import chemo_smatrix, rte_closure, rte_smatrix, vfp_smatrix
+    from .scattering import chemo_interfaces, rte_closure, rte_interfaces, vfp_interfaces
     from .spectral import dispersion_roots
 
     out = []
@@ -379,34 +349,26 @@ def verify_scattering() -> list[CheckResult]:
     spec0 = dispersion_roots(q, np.ones(8))
     closure = rte_closure(q, spec0)
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    ones, phip = np.ones(4), phi_tanh(q.nodes * 0.8)
 
     def build(model, eps):
+        """The interface, its velocity set and its stationary problem."""
         if model == "rte":
-            return rte_smatrix(eps, dx, q, spec0, closure), q
+            return rte_interfaces(eps, dx, q, spec0, closure), q, {"rates": (ones, ones)}
         if model == "chemo":
-            return chemo_smatrix(eps, dx, q, 0.8, phi_tanh), q
-        return vfp_smatrix(eps, dx, qv, 0.5, 1.0), qv
+            rates = (1.0 + eps * phip, 1.0 - eps * phip)
+            return chemo_interfaces(eps, dx, q, [0.8], phi_tanh), q, {"rates": rates}
+        return vfp_interfaces(eps, dx, qv, [0.5]), qv, {"E": 0.5}
 
     for model in ("rte", "chemo", "vfp"):
-        dec, qq = build(model, 1e-3)
-        K = qq.K
-        Z = np.zeros((K, K))
-        S0f = np.block([[Z, dec.S0_block], [dec.S0_block, Z]])
-        Bf = np.block(
-            [[dec.B_blocks[0], dec.B_blocks[1]], [dec.B_blocks[2], dec.B_blocks[3]]]
-        )
-        rec = np.max(np.abs(dec.S_full - S0f - dec.epsilon * Bf)) / np.max(np.abs(dec.S_full))
+        stack, qq, problem = build(model, 1e-3)
+        S = stack.S[0]
+        rec = np.max(np.abs(S - _anti_diagonal(stack.S0) - 1e-3 * stack.B[0])) / np.max(np.abs(S))
         out.append(_result(f"{model} reconstruction identity", rec < 1e-12, f"residual {rec:.2e}"))
         norms = []
         for eps in (1e-2, 1e-3, 1e-4):
-            d, _ = build(model, eps)
-            B0f = np.block(
-                [[d.B0_blocks[0], d.B0_blocks[1]], [d.B0_blocks[2], d.B0_blocks[3]]]
-            )
-            Bef = np.block(
-                [[d.B_blocks[0], d.B_blocks[1]], [d.B_blocks[2], d.B_blocks[3]]]
-            )
-            norms.append(float(np.max(np.abs(Bef - B0f))))
+            d = build(model, eps)[0]
+            norms.append(float(np.max(np.abs(d.B[0] - d.B0[0]))))
         out.append(
             _result(
                 f"{model} first-order B-limit",
@@ -414,9 +376,9 @@ def verify_scattering() -> list[CheckResult]:
                 f"norms {norms[0]:.2e} > {norms[1]:.2e} > {norms[2]:.2e}",
             )
         )
-        wb = well_balanced_residual(dec, qq, seed=1)
+        wb = well_balanced_residual(S, 1e-3, dx, qq, seed=1, **problem)
         out.append(_result(f"{model} stationary fixed point", wb < 1e-10, f"residual {wb:.2e}"))
-        st = stochasticity_check(dec.S_full, qq)
+        st = stochasticity_check(S, qq)
         if model == "vfp":
             # not asserted: the finite-eps Hermite modes are only O(eps)-flux-free
             out.append(
@@ -452,12 +414,12 @@ def verify_lemmas() -> list[CheckResult]:
     q = gauss_symmetric(4)
     spec0 = dispersion_roots(q, np.ones(8))
     cl = rte_closure(q, spec0)
-    R0 = assemble_cell_matrix(0.0, dt, dx, q, cl.S0, cl.S0)
+    R0 = assemble_cell_matrix(0.0, dt, dx, q, cl.S0)
     rep = kernel_range_check(R0, q, np.ones(8))
     out.append(_result("rte/chemo kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
     clv = vfp_closure(qv)
-    R0 = assemble_cell_matrix(0.0, dt, dx, qv, clv.S0, clv.S0)
+    R0 = assemble_cell_matrix(0.0, dt, dx, qv, clv.S0)
     mw = np.exp(-np.concatenate([qv.nodes, qv.nodes]) ** 2 / 2.0)
     rep = kernel_range_check(R0, qv, mw)
     out.append(_result("vfp kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
@@ -505,7 +467,8 @@ def verify_roots() -> list[CheckResult]:
     return out
 
 
-_SCOPES = {
+# scope name -> the suite `kinwb verify --scope` runs
+SCOPES = {
     "quadrature": verify_quadrature,
     "spectral": verify_spectral,
     "scattering": verify_scattering,
@@ -517,9 +480,9 @@ _SCOPES = {
 def run_verification(scope: str = "all") -> list[CheckResult]:
     if scope == "all":
         results = []
-        for fn in _SCOPES.values():
+        for fn in SCOPES.values():
             results.extend(fn())
         return results
-    if scope not in _SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; choose from {sorted(_SCOPES)} or 'all'")
-    return _SCOPES[scope]()
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}; choose from {sorted(SCOPES)} or 'all'")
+    return SCOPES[scope]()

@@ -85,10 +85,8 @@ def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(rho) / symbol, n=Nx)
 
 
-def assemble_cell_matrix(
-    epsilon: float, dt: float, dx: float, q, S0_left: np.ndarray, S0_right: np.ndarray
-) -> np.ndarray:
-    """R_eps = eps I + (dt/dx) V [[I, -S0_left], [-S0_right, I]].
+def assemble_cell_matrix(epsilon: float, dt: float, dx: float, q, S0: np.ndarray) -> np.ndarray:
+    """R_eps = eps I + (dt/dx) V [[I, -S0], [-S0, I]].
 
     The anti-diagonal placement of the leading scattering block makes the
     implicit solve strictly cell-local; at eps = 0 the matrix is singular
@@ -96,7 +94,7 @@ def assemble_cell_matrix(
     """
     K = q.K
     Vd = np.concatenate([q.nodes, q.nodes])
-    H = np.block([[np.eye(K), -S0_left], [-S0_right, np.eye(K)]])
+    H = np.block([[np.eye(K), -S0], [-S0, np.eye(K)]])
     return epsilon * np.eye(2 * K) + dt / dx * (Vd[:, None] * H)
 
 
@@ -127,8 +125,7 @@ def step_operator(grid: KineticGrid, model, S: np.ndarray | None = None) -> Step
     the model's closure, which does not see the field; the B stack is kept
     for a model whose interfaces stay the same, and for a frozen field S
     given here."""
-    S0 = model.closure.S0
-    R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, grid.q, S0, S0)
+    R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, grid.q, model.closure.S0)
     B = None
     if model.static or S is not None:
         B = model.interfaces(grid.epsilon, grid.dx, S).B

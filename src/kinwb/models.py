@@ -122,7 +122,7 @@ class Vfp(_Kinetic):
         return self.E_half
 
     def interfaces(self, eps: float, dx: float, S):
-        return vfp_interfaces(eps, dx, self.q, self.E_half, self.q.kappa, self.closure)
+        return vfp_interfaces(eps, dx, self.q, self.E_half, self.closure)
 
 
 class TwoStream:

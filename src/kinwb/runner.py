@@ -78,6 +78,12 @@ class ExperimentConfig:
             isinstance(params, dict) and all(map(_number, params.values()))
         ):
             errs.append("phi_params: must map names to numbers")
+        elif params:
+            unknown = set(params) - {"chi", "delta"}
+            if unknown:
+                errs.append(f"phi_params: unknown keys {sorted(unknown)}; known: chi, delta")
+            if not _positive(params.get("delta", 1.0)):
+                errs.append("phi_params: delta must be positive")
         if self.kappa is not None and not _positive(self.kappa):
             errs.append("kappa: must be a positive number")
         profile = self.E_profile

@@ -11,15 +11,15 @@ to exact zero is the correct limit and is kept.
 The mode matrices of M interfaces fill one (M, 2K, 2K) stack that is
 inverted in one call (:class:`InterfaceStack`); the same inverse gives
 S^eps = Ntilde N^{-1} and the guard, the exact 1-norm condition number
-||N||_1 ||N^{-1}||_1 of every interface.  The ``*_smatrix`` functions cut a
-single decomposition from a stack of one.
+||N||_1 ||N^{-1}||_1 of every interface.  A single interface is a stack
+of one: its S-matrix is ``S[0]``.
 
 The leading decomposition term is the anti-diagonal block S0 = I - zeta*gamma
 of the limit closure; it does not see the field, so one S0 serves every
 interface.  Above the switch threshold eps >= 1e-8*dx the correction is
 computed as B^eps = (S^eps - S^0)/eps; below it the analytic limit B^0 is
 substituted to avoid catastrophic cancellation.  B^0 is built only when it
-is read: below the switch, or through :meth:`InterfaceStack.decomposition`.
+is read: below the switch, or through :attr:`InterfaceStack.B0`.
 """
 
 from dataclasses import dataclass, field
@@ -69,34 +69,14 @@ def _anti_diagonal(S0: np.ndarray) -> np.ndarray:
     return np.block([[Z, S0], [S0, Z]])
 
 
-def _blocks(M: np.ndarray, K: int) -> tuple:
-    return (M[:K, :K], M[:K, K:], M[K:, :K], M[K:, K:])
-
-
-@dataclass(frozen=True, eq=False)
-class ScatteringDecomposition:
-    epsilon: float
-    S_full: np.ndarray
-    S0_block: np.ndarray
-    B_blocks: tuple
-    B0_blocks: tuple
-    interface_params: dict
-
-    @property
-    def K(self) -> int:
-        return self.S0_block.shape[0]
-
-    def S0_full(self) -> np.ndarray:
-        return _anti_diagonal(self.S0_block)
-
-
 @dataclass(frozen=True, eq=False)
 class InterfaceStack:
-    """Decompositions of M interfaces: S, B and B0 have shape (M, 2K, 2K)
-    and share the leading block S0 of shape (K, K).  B0 is built by
-    ``build_B0`` on first read; above the switch a step never reads it."""
+    """S-matrices S = [[0, S0], [S0, 0]] + eps*B of M interfaces: S, B and
+    B0 have shape (M, 2K, 2K) and share the leading block S0 of shape
+    (K, K).  B0 is the eps -> 0 limit of B, and B itself below the switch;
+    it is built by ``build_B0`` on first read, so above the switch a step
+    never builds it."""
 
-    epsilon: float
     S0: np.ndarray
     S: np.ndarray
     B: np.ndarray
@@ -105,12 +85,6 @@ class InterfaceStack:
     @cached_property
     def B0(self) -> np.ndarray:
         return self.build_B0()
-
-    def decomposition(self, i: int, **params) -> ScatteringDecomposition:
-        """Interface i as a single decomposition; ``params`` describe it."""
-        K = self.S0.shape[0]
-        B, B0 = _blocks(self.B[i], K), _blocks(self.B0[i], K)
-        return ScatteringDecomposition(self.epsilon, self.S[i], self.S0, B, B0, params)
 
 
 def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndarray:
@@ -147,9 +121,9 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0) -> InterfaceStack:
     S0 = closure.S0
     S = Nt @ _inverse(N)
     if epsilon >= EPS_SWITCH_FACTOR * dx:
-        return InterfaceStack(epsilon, S0, S, (S - _anti_diagonal(S0)) / epsilon, build_B0)
+        return InterfaceStack(S0, S, (S - _anti_diagonal(S0)) / epsilon, build_B0)
     B0 = build_B0()
-    return InterfaceStack(epsilon, S0, S, B0, lambda: B0)
+    return InterfaceStack(S0, S, B0, lambda: B0)
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:
@@ -220,14 +194,6 @@ def rte_interfaces(
         raise ValueError("epsilon and dx must be positive")
     M, Mtil = _rte_matrices(epsilon, dx, q.nodes, spectrum.lambdas)
     return _stack(epsilon, dx, closure, M, Mtil, lambda: _rte_B0(dx, q.nodes, closure)[None])
-
-
-def rte_smatrix(
-    epsilon: float, dx: float, q, spectrum: DispersionSpectrum, closure: ClosureCoefficients
-) -> ScatteringDecomposition:
-    """Radiative-transfer scattering matrix and its eps-decomposition."""
-    stack = rte_interfaces(epsilon, dx, q, spectrum, closure)
-    return stack.decomposition(0, model="rte", dx=dx)
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +314,6 @@ def chemo_interfaces(
     )
 
 
-def chemo_smatrix(
-    epsilon: float,
-    dx: float,
-    q,
-    gradS: float,
-    phi_response: Callable,
-    expansion: DispersionSpectrum | None = None,
-    closure: ClosureCoefficients | None = None,
-) -> ScatteringDecomposition:
-    """Chemotaxis scattering matrix at one interface with slope gradS.
-
-    The rate T_eps(v) = 1 + eps*phi(v*gradS) must stay positive.  A
-    precomputed limit spectrum/closure may be passed; the interface-stack
-    path is :func:`chemo_interfaces`.
-    """
-    base = None
-    if expansion is not None:
-        base = DispersionSpectrum(lambdas=expansion.lambdas, model_tag="chemo")
-    stack = chemo_interfaces(epsilon, dx, q, [gradS], phi_response, base=base, closure=closure)
-    return stack.decomposition(0, model="chemo", dx=dx, gradS=float(gradS))
-
-
 # ---------------------------------------------------------------------------
 # Vlasov-Fokker-Planck
 # ---------------------------------------------------------------------------
@@ -469,7 +413,6 @@ def vfp_interfaces(
     dx: float,
     q,
     E,
-    kappa: float,
     closure: ClosureCoefficients | None = None,
 ) -> InterfaceStack:
     """Fokker-Planck decompositions for a stack of interface fields E.
@@ -477,27 +420,14 @@ def vfp_interfaces(
     The zero-mode pair is assembled in the regularized basis of
     :func:`_vfp_zero_columns`, which handles both signs of E and the
     degenerate E = 0 case in one formula; the leading block I - zeta*gamma
-    is independent of E.
+    is independent of E.  kappa is the quadrature's.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
-    if kappa != q.kappa:
-        raise ValueError("kappa must match the quadrature construction")
     if closure is None:
         closure = vfp_closure(q)
     E = np.atleast_1d(np.asarray(E, dtype=float))
+    kappa = q.kappa
     N, Nt = _vfp_matrices(epsilon, dx, q.nodes, E, kappa)
     return _stack(epsilon, dx, closure, N, Nt, lambda: _vfp_B0(dx, q.nodes, E, kappa, closure))
 
-
-def vfp_smatrix(
-    epsilon: float,
-    dx: float,
-    q,
-    E: float,
-    kappa: float,
-    closure: ClosureCoefficients | None = None,
-) -> ScatteringDecomposition:
-    """Fokker-Planck scattering matrix at one interface with field E."""
-    stack = vfp_interfaces(epsilon, dx, q, [E], kappa, closure=closure)
-    return stack.decomposition(0, model="vfp", dx=dx, E=E, kappa=kappa)

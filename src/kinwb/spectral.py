@@ -42,14 +42,12 @@ class DispersionSpectrum:
     """
 
     lambdas: np.ndarray
-    model_tag: str
     lambda0: float | None = None
     lambda0_first_order: float | None = None
     lambda_first_order: np.ndarray | None = None
 
     def to_json(self) -> dict:
         return {
-            "model": self.model_tag,
             "lambdas": [float(x) for x in self.lambdas],
             "lambda0": self.lambda0,
             "lambda0_first_order": self.lambda0_first_order,
@@ -63,7 +61,6 @@ class DispersionSpectrum:
         lam1 = record.get("lambda_first_order")
         return cls(
             lambdas=np.asarray(record["lambdas"], dtype=float),
-            model_tag=record["model"],
             lambda0=record.get("lambda0"),
             lambda0_first_order=record.get("lambda0_first_order"),
             lambda_first_order=None if lam1 is None else np.asarray(lam1, dtype=float),
@@ -171,9 +168,7 @@ def dispersion_roots(q: "VelocityQuadrature", T_values) -> DispersionSpectrum:
     roots = _all_roots_multi(q.nodes, q.weights, T_pos, T_neg)[0]
     even = np.allclose(T_pos, T_neg, rtol=0.0, atol=1e-15)
     lam0 = None if even else float(roots[K - 1])
-    return DispersionSpectrum(
-        lambdas=roots[K:], model_tag="rte" if even else "chemo", lambda0=lam0
-    )
+    return DispersionSpectrum(lambdas=roots[K:], lambda0=lam0)
 
 
 def first_order_shifts(q: "VelocityQuadrature", lam0, phip):
@@ -214,8 +209,8 @@ def chemo_eigen_expansion(
         base = dispersion_roots(q, np.ones(2 * q.K))
     phip = np.asarray(phi_response(q.nodes * gradS), dtype=float)
     lam01, lam1 = first_order_shifts(q, base.lambdas, phip[None])
-    return DispersionSpectrum(lambdas=base.lambdas, model_tag="chemo",
-                              lambda0_first_order=float(lam01[0]), lambda_first_order=lam1[0])
+    return DispersionSpectrum(lambdas=base.lambdas, lambda0_first_order=float(lam01[0]),
+                              lambda_first_order=lam1[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from kinwb import (
     Vfp,
     assemble_cell_matrix,
     ap_error_table,
-    chemo_smatrix,
+    chemo_interfaces,
     chemoattractant_update,
     density,
     exp_poly_roots,
@@ -25,7 +25,7 @@ from kinwb import (
     orthogonality_check,
     phi_tanh,
     rte_closure,
-    rte_smatrix,
+    rte_interfaces,
     step_operator,
     stochasticity_check,
     total_mass,
@@ -36,7 +36,7 @@ from kinwb import (
     vfp_closure,
     vfp_preset_nodes,
     vfp_quadrature,
-    vfp_smatrix,
+    vfp_interfaces,
     dispersion_roots,
 )
 from kinwb.cli import main as cli_main
@@ -193,22 +193,22 @@ def test_criterion_6_lemma_suite():
     cl = rte_closure(q4, dispersion_roots(q4, np.ones(8)))
     S0 = np.eye(4) - cl.zeta @ cl.gamma
     checks.append(
-        ("rte/chemo", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q4, S0, S0), q4, np.ones(8)).passed)
+        ("rte/chemo", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q4, S0), q4, np.ones(8)).passed)
     )
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
     clv = vfp_closure(qv)
     S0v = np.eye(3) - clv.zeta @ clv.gamma
     mw = np.exp(-np.concatenate([qv.nodes, qv.nodes]) ** 2 / 2.0)
     checks.append(
-        ("vfp", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, qv, S0v, S0v), qv, mw).passed)
+        ("vfp", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, qv, S0v), qv, mw).passed)
     )
     devs = [stochasticity_check(ts_smatrix(1e-3, dx, 0.7)).col_sum_deviation]
     spectrum = dispersion_roots(q4, np.ones(8))
     devs.append(
-        stochasticity_check(rte_smatrix(1e-3, dx, q4, spectrum, cl).S_full, q4).col_sum_deviation
+        stochasticity_check(rte_interfaces(1e-3, dx, q4, spectrum, cl).S[0], q4).col_sum_deviation
     )
     devs.append(
-        stochasticity_check(chemo_smatrix(1e-3, dx, q4, 0.8, phi_tanh).S_full, q4).col_sum_deviation
+        stochasticity_check(chemo_interfaces(1e-3, dx, q4, [0.8], phi_tanh).S[0], q4).col_sum_deviation
     )
     ok = all(p for _, p in checks) and max(devs) < 1e-10
     report(
@@ -253,26 +253,22 @@ def test_criterion_8_decomposition():
 
     def build(model, eps):
         if model == "rte":
-            return rte_smatrix(eps, DX, q4, spectrum, cl)
+            return rte_interfaces(eps, DX, q4, spectrum, cl)
         if model == "chemo":
-            return chemo_smatrix(eps, DX, q4, 0.8, phi_tanh)
-        return vfp_smatrix(eps, DX, qv, 0.5, 1.0)
+            return chemo_interfaces(eps, DX, q4, [0.8], phi_tanh)
+        return vfp_interfaces(eps, DX, qv, [0.5])
 
     details = []
     ok = True
     for model in ("rte", "chemo", "vfp"):
         norms = []
         for eps in (1e-2, 1e-3, 1e-4):
-            dec = build(model, eps)
-            K = dec.K
-            Sf = dec.S0_full() + eps * np.block(
-                [[dec.B_blocks[0], dec.B_blocks[1]], [dec.B_blocks[2], dec.B_blocks[3]]]
-            )
-            rec = np.max(np.abs(dec.S_full - Sf)) / np.max(np.abs(dec.S_full))
+            stack = build(model, eps)
+            Z = np.zeros_like(stack.S0)
+            Sf = np.block([[Z, stack.S0], [stack.S0, Z]]) + eps * stack.B[0]
+            rec = np.max(np.abs(stack.S[0] - Sf)) / np.max(np.abs(stack.S[0]))
             ok = ok and rec < 1e-12
-            B = np.block([[dec.B_blocks[0], dec.B_blocks[1]], [dec.B_blocks[2], dec.B_blocks[3]]])
-            B0 = np.block([[dec.B0_blocks[0], dec.B0_blocks[1]], [dec.B0_blocks[2], dec.B0_blocks[3]]])
-            norms.append(np.max(np.abs(B - B0)))
+            norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
         decay = norms[0] / norms[1], norms[1] / norms[2]
         ok = ok and norms[0] > norms[1] > norms[2]
         ok = ok and abs(decay[0] - 10.0) < 3.5 and abs(decay[1] - 10.0) < 3.5

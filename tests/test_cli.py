@@ -269,9 +269,11 @@ def test_run_vfp_and_twostream(tmp_path):
         ({"Nx": True}, "Nx"),
         ({"seed": True}, "seed"),
         ({"model": ["rte"]}, "model"),
+        ({"model": "chemo", "phi_params": {"chi": 1.0, "delta": 0}}, "delta must be positive"),
+        ({"model": "chemo", "phi_params": {"chi": 1.0, "delat": 0.25}}, "unknown keys ['delat']"),
     ],
     ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind",
-         "K-bool", "Nx-bool", "seed-bool", "model-list"],
+         "K-bool", "Nx-bool", "seed-bool", "model-list", "delta-zero", "phi-unknown-key"],
 )
 def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
     config = write_config(tmp_path, **{"epsilon_list": [1e-3, 1e-4], **fields})
@@ -299,7 +301,8 @@ def fuzz_configs(draw):
     }
     optional = {
         "phi_params": st.fixed_dictionaries(
-            {"chi": st.floats(-5.0, 5.0), "delta": _log_uniform(-3, 3)}),
+            {"chi": st.floats(-5.0, 5.0),
+             "delta": st.one_of(_log_uniform(-3, 3), st.floats(-5.0, 0.0))}),
         "kappa": _log_uniform(-3, 3),
         "E_profile": st.one_of(
             st.just({"kind": "zero"}),
@@ -325,6 +328,7 @@ _FUZZ_BASE = {"K": 1, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e-3, "epsilon
 @example(config={**_FUZZ_BASE, "model": "twostream", "dx": 1e-160}, command="run")
 @example(config={**_FUZZ_BASE, "model": "rte", "K": 2, "dx": 1e-170}, command="sweep")
 @example(config={**_FUZZ_BASE, "model": "rte", "epsilon_list": [1.0, 1.0]}, command="sweep")
+@example(config={**_FUZZ_BASE, "model": "chemo", "phi_params": {"delta": 0.0}}, command="run")
 def test_config_fuzz_exits_0_2_or_3(config, command):
     # every config runs to finite outputs, or ends in a config error (2) or
     # a numerical one (3)

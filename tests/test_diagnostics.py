@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from kinwb import (
+    ExperimentConfig,
     ExpPolyTerm,
     TangentRootWarning,
-    ap_consistency,
+    ap_error_table,
     assemble_cell_matrix,
     exp_poly_roots,
     haar_det,
-    gauss_symmetric,
     kernel_range_check,
     moment_report,
     orthogonality_check,
@@ -29,10 +29,10 @@ def test_stochasticity_examples(q4, spec4, closure4):
     rep = stochasticity_check(np.eye(8), q4)
     assert rep.col_sum_deviation == 0.0
     assert rep.row_sum_deviation == 0.0
-    from kinwb import rte_smatrix
+    from kinwb import rte_interfaces
 
-    dec = rte_smatrix(1e-2, 1.0 / 32.0, q4, spec4, closure4)
-    assert stochasticity_check(dec.S_full, q4).col_sum_deviation < 1e-10
+    S = rte_interfaces(1e-2, 1.0 / 32.0, q4, spec4, closure4).S[0]
+    assert stochasticity_check(S, q4).col_sum_deviation < 1e-10
 
 
 def test_kernel_range_all_models(q4, closure4, qv3):
@@ -41,12 +41,12 @@ def test_kernel_range_all_models(q4, closure4, qv3):
     rep = kernel_range_check(R0, None, np.ones(2))
     assert rep.passed and rep.null_dim == 1
     S0 = np.eye(4) - closure4.zeta @ closure4.gamma
-    rep = kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q4, S0, S0), q4, np.ones(8))
+    rep = kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q4, S0), q4, np.ones(8))
     assert rep.passed
     clv = vfp_closure(qv3)
     S0v = np.eye(3) - clv.zeta @ clv.gamma
     mw = np.exp(-np.concatenate([qv3.nodes, qv3.nodes]) ** 2 / 2.0)
-    rep = kernel_range_check(assemble_cell_matrix(0.0, dt, dx, qv3, S0v, S0v), qv3, mw)
+    rep = kernel_range_check(assemble_cell_matrix(0.0, dt, dx, qv3, S0v), qv3, mw)
     assert rep.passed
     # a full-rank matrix must fail
     rep = kernel_range_check(np.eye(8), q4, np.ones(8))
@@ -121,21 +121,23 @@ def test_exp_poly_tangent_warning():
     assert roots.size == 0
 
 
-def test_ap_consistency_rte(q4):
-    report = ap_consistency(
-        "rte", q4, [1e-3, 3e-4, 1e-4, 3e-5],
-        {"Nx": 64, "dx": 1.0 / 64.0, "dt": (1.0 / 64.0) ** 2},
-    )
-    assert 0.9 <= report.slope <= 1.1
-    gaps = dict(report.rows)
+def ap_table(model, K, epsilons, **fields):
+    """One-step AP gaps and slope of a config with t_final = dt."""
+    record = {"model": model, "K": K, "t_final": fields["dt"], "epsilon_list": epsilons, **fields}
+    return ap_error_table(ExperimentConfig.from_json(record), epsilons)
+
+
+def test_ap_error_table_rte():
+    grid = {"Nx": 64, "dx": 1.0 / 64.0, "dt": (1.0 / 64.0) ** 2}
+    rows, slope = ap_table("rte", 4, [1e-3, 3e-4, 1e-4, 3e-5], **grid)
+    assert 0.9 <= slope <= 1.1
+    gaps = dict(rows)
     assert gaps[1e-3] < 1e-4
     # at eps = 1 no AP claim: the gap saturates at the one-step update size
     # (a sizeable fraction of it), far above the limit-regime errors
-    big = ap_consistency(
-        "rte", q4, [1.0], {"Nx": 64, "dx": 1.0 / 64.0, "dt": (1.0 / 64.0) ** 2}
-    )
-    assert big.slope is None
-    assert big.rows[0][1] > 5.0 * gaps[1e-3]
+    big_rows, big_slope = ap_table("rte", 4, [1.0], **grid)
+    assert big_slope is None
+    assert big_rows[0][1] > 5.0 * gaps[1e-3]
 
 
 def test_run_verification_all_green():
@@ -148,7 +150,7 @@ def test_run_verification_all_green():
 
 def test_checks_deterministic_and_idempotent(q4, closure4):
     S0 = np.eye(4) - closure4.zeta @ closure4.gamma
-    R0 = assemble_cell_matrix(0.0, 1e-3, 1.0 / 16.0, q4, S0, S0)
+    R0 = assemble_cell_matrix(0.0, 1e-3, 1.0 / 16.0, q4, S0)
     a = kernel_range_check(R0, q4, np.ones(8))
     b = kernel_range_check(R0, q4, np.ones(8))
     assert a.passed == b.passed
@@ -160,23 +162,23 @@ def test_checks_deterministic_and_idempotent(q4, closure4):
     assert np.array_equal(r1, r2)
 
 
-def test_ap_consistency_vfp_uses_quadrature(qv3):
-    grid = {"Nx": 32, "dx": 1.0 / 32.0, "dt": (1.0 / 32.0) ** 2,
+def test_ap_error_table_vfp_uses_quadrature(qv3):
+    grid = {"Nx": 32, "dx": 1.0 / 32.0, "dt": (1.0 / 32.0) ** 2, "kappa": 1.0,
             "E_profile": {"kind": "sinusoidal", "amplitude": 0.5}}
-    report = ap_consistency("vfp", qv3, [1e-4], grid)
-    assert report.rows[0][1] < 1e-2
+    rows, _ = ap_table("vfp", 3, [1e-4], nodes=qv3.nodes.tolist(), **grid)
+    assert rows[0][1] < 1e-2
     # a feasible node set other than the preset gives another gap
     preset = vfp_quadrature(2, 1.0, vfp_preset_nodes(2, 1.0))
     other = vfp_quadrature(2, 1.0, [0.8, _preset_root([0.8], (2.0, 3.0))])
-    gaps = [ap_consistency("vfp", q, [1e-4], grid).rows[0][1] for q in (preset, other)]
+    gaps = [ap_table("vfp", 2, [1e-4], nodes=q.nodes.tolist(), **grid)[0][0][1]
+            for q in (preset, other)]
     assert gaps[0] != gaps[1]
 
 
-def test_ap_consistency_chemo_k1_first_order():
+def test_ap_error_table_chemo_k1_first_order():
     # the limit step's D is the quadrature's sum w v^2 = 1/4 at K = 1;
     # with the Gauss value 1/3 the gap plateaus near 1e-3 (slope ~0.01)
-    report = ap_consistency(
-        "chemo", gauss_symmetric(1), [1e-3, 1e-4, 1e-5, 1e-6],
-        {"Nx": 32, "dx": 1.0 / 32.0, "dt": (1.0 / 32.0) ** 2},
+    _, slope = ap_table(
+        "chemo", 1, [1e-3, 1e-4, 1e-5, 1e-6], Nx=32, dx=1.0 / 32.0, dt=(1.0 / 32.0) ** 2
     )
-    assert 0.9 <= report.slope <= 1.1
+    assert 0.9 <= slope <= 1.1

@@ -49,7 +49,7 @@ def test_cell_matrix_two_stream_form():
     q = VelocityQuadrature(1, np.array([1.0]), np.array([1.0]), "unit_interval")
     eps, dt, dx = 0.3, 0.01, 0.1
     swap = np.array([[1.0]])
-    R = assemble_cell_matrix(eps, dt, dx, q, swap, swap)
+    R = assemble_cell_matrix(eps, dt, dx, q, swap)
     c = dt / dx
     assert np.allclose(R, [[eps + c, -c], [-c, eps + c]], atol=1e-15)
 
@@ -58,7 +58,7 @@ def test_cell_matrix_kernel_structures(q4, closure4, qv3):
     from kinwb import vfp_closure
 
     S0 = np.eye(4) - closure4.zeta @ closure4.gamma
-    R0 = assemble_cell_matrix(0.0, DT, DX, q4, S0, S0)
+    R0 = assemble_cell_matrix(0.0, DT, DX, q4, S0)
     s = np.linalg.svd(R0, compute_uv=False)
     assert s[-1] < 1e-12 * s[0]
     null = np.linalg.svd(R0)[2][-1]
@@ -66,7 +66,7 @@ def test_cell_matrix_kernel_structures(q4, closure4, qv3):
     assert abs(null @ ones) > 1.0 - 1e-10
     clv = vfp_closure(qv3)
     S0v = np.eye(3) - clv.zeta @ clv.gamma
-    R0v = assemble_cell_matrix(0.0, DT, DX, qv3, S0v, S0v)
+    R0v = assemble_cell_matrix(0.0, DT, DX, qv3, S0v)
     nullv = np.linalg.svd(R0v)[2][-1]
     mw = np.exp(-np.concatenate([qv3.nodes, qv3.nodes]) ** 2 / 2.0)
     cos = abs(nullv @ mw) / (np.linalg.norm(nullv) * np.linalg.norm(mw))
@@ -75,7 +75,7 @@ def test_cell_matrix_kernel_structures(q4, closure4, qv3):
 
 def test_cell_matrix_explicit_dominance(q4):
     S0 = np.eye(4)
-    R = assemble_cell_matrix(1e6, DT, DX, q4, S0, S0)
+    R = assemble_cell_matrix(1e6, DT, DX, q4, S0)
     assert np.max(np.abs(R - 1e6 * np.eye(8))) / 1e6 < 1e-6
 
 

@@ -9,21 +9,19 @@ from kinwb import (
     NonPositiveRate,
     chemo_eigen_expansion,
     chemo_interfaces,
-    chemo_smatrix,
     density,
     dispersion_roots,
     gauss_symmetric,
     imex_step,
     phi_tanh,
     rte_closure,
-    rte_smatrix,
+    rte_interfaces,
     step_operator,
     stochasticity_check,
     vfp_closure,
     vfp_interfaces,
     vfp_preset_nodes,
     vfp_quadrature,
-    vfp_smatrix,
     well_balanced_residual,
 )
 from kinwb import scattering
@@ -32,13 +30,20 @@ from kinwb.scattering import EPS_SWITCH_FACTOR, _inverse
 DX = 1.0 / 32.0
 
 
-def full(blocks):
-    return np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
-
-
 def s0_full(S0):
     Z = np.zeros_like(S0)
     return np.block([[Z, S0], [S0, Z]])
+
+
+def quarters(M):
+    """The four K x K blocks of a 2K x 2K matrix, row by row."""
+    K = M.shape[0] // 2
+    return M[:K, :K], M[:K, K:], M[K:, :K], M[K:, K:]
+
+
+def rates(eps, phip):
+    """The chemotaxis rates (T(+v), T(-v)) of response samples phi(v*gradS)."""
+    return 1.0 + eps * phip, 1.0 - eps * phip
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +81,7 @@ def test_closure_column_sum_kill(q4, spec4, closure4):
 def test_rte_closure_ill_conditioned(q4):
     from kinwb.spectral import DispersionSpectrum
 
-    clustered = DispersionSpectrum(
-        lambdas=np.array([2.0, 2.0 + 1e-14, 3.0]), model_tag="rte"
-    )
+    clustered = DispersionSpectrum(lambdas=np.array([2.0, 2.0 + 1e-14, 3.0]))
     with pytest.raises(IllConditioned):
         rte_closure(q4, clustered)
 
@@ -89,42 +92,41 @@ def test_rte_closure_ill_conditioned(q4):
 
 
 def test_rte_smatrix_deep_limit(q4, spec4, closure4):
-    dec = rte_smatrix(1e-11, DX, q4, spec4, closure4)
-    assert np.max(np.abs(dec.S_full - s0_full(dec.S0_block))) < 1e-8
+    eps = 1e-11
+    stack = rte_interfaces(eps, DX, q4, spec4, closure4)
+    assert np.max(np.abs(stack.S[0] - s0_full(stack.S0))) < 1e-8
     # below the switch threshold the explicit blocks are the analytic limit
-    assert dec.epsilon < 1e-8 * DX
-    for B, B0 in zip(dec.B_blocks, dec.B0_blocks):
-        assert B is B0 or np.array_equal(B, B0)
+    assert eps < 1e-8 * DX
+    assert stack.B is stack.B0 or np.array_equal(stack.B, stack.B0)
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
 def test_rte_smatrix_maxwellian_and_stochasticity(q4, spec4, closure4, eps):
-    dec = rte_smatrix(eps, DX, q4, spec4, closure4)
+    S = rte_interfaces(eps, DX, q4, spec4, closure4).S[0]
     ones = np.ones(8)
-    assert np.max(np.abs(dec.S_full @ ones - ones)) < 1e-12
+    assert np.max(np.abs(S @ ones - ones)) < 1e-12
     # direct column-summation oracle for Gamma S Gamma^{-1}
     wv = np.concatenate([q4.weights * q4.nodes] * 2)
-    cols = (wv[:, None] * dec.S_full / wv[None, :]).sum(axis=0)
+    cols = (wv[:, None] * S / wv[None, :]).sum(axis=0)
     assert np.max(np.abs(cols - 1.0)) < 1e-10
-    rep = stochasticity_check(dec.S_full, q4)
+    rep = stochasticity_check(S, q4)
     assert rep.col_sum_deviation < 1e-10
 
 
 def test_rte_reconstruction_and_b_limit(q4, spec4, closure4):
     norms = []
     for eps in (1e-2, 1e-3, 1e-4):
-        dec = rte_smatrix(eps, DX, q4, spec4, closure4)
-        rec = np.max(np.abs(dec.S_full - s0_full(dec.S0_block) - eps * full(dec.B_blocks)))
-        assert rec < 1e-12 * np.max(np.abs(dec.S_full))
-        norms.append(np.max(np.abs(full(dec.B_blocks) - full(dec.B0_blocks))))
+        stack = rte_interfaces(eps, DX, q4, spec4, closure4)
+        rec = np.max(np.abs(stack.S[0] - s0_full(stack.S0) - eps * stack.B[0]))
+        assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
+        norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
     assert norms[0] > norms[1] > norms[2]
     # first order: one decade in eps is one decade in the gap
     assert norms[0] / norms[1] == pytest.approx(10.0, rel=0.3)
 
 
 def test_rte_b0_block_pattern(q4, spec4, closure4):
-    dec = rte_smatrix(1e-3, DX, q4, spec4, closure4)
-    B1, B2, B3, B4 = dec.B0_blocks
+    B1, B2, B3, B4 = quarters(rte_interfaces(1e-3, DX, q4, spec4, closure4).B0[0])
     W = 2.0 * np.eye(4) - closure4.zeta @ closure4.gamma
     oracle = np.outer(W @ q4.nodes, closure4.beta) / DX
     assert np.allclose(B1, oracle, atol=1e-12)
@@ -135,8 +137,9 @@ def test_rte_b0_block_pattern(q4, spec4, closure4):
 
 def test_rte_well_balanced_fixed_point(q4, spec4, closure4):
     for eps in (1e-1, 1e-3):
-        dec = rte_smatrix(eps, DX, q4, spec4, closure4)
-        assert well_balanced_residual(dec, q4, seed=2) < 1e-10
+        S = rte_interfaces(eps, DX, q4, spec4, closure4).S[0]
+        ones = np.ones(4)
+        assert well_balanced_residual(S, eps, DX, q4, rates=(ones, ones), seed=2) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -146,32 +149,44 @@ def test_rte_well_balanced_fixed_point(q4, spec4, closure4):
 
 def test_chemo_reduces_to_rte_at_zero_grad(q4, spec4, closure4):
     for eps in (1e-2, 1e-5):
-        a = chemo_smatrix(eps, DX, q4, 0.0, phi_tanh)
-        b = rte_smatrix(eps, DX, q4, spec4, closure4)
-        assert np.max(np.abs(a.S_full - b.S_full)) < 1e-12
-        assert np.max(np.abs(full(a.B0_blocks) - full(b.B0_blocks))) < 1e-12
+        a = chemo_interfaces(eps, DX, q4, [0.0], phi_tanh)
+        b = rte_interfaces(eps, DX, q4, spec4, closure4)
+        assert np.max(np.abs(a.S[0] - b.S[0])) < 1e-12
+        assert np.max(np.abs(a.B0[0] - b.B0[0])) < 1e-12
 
 
 def test_chemo_rate_positivity_guard(q4):
     with pytest.raises(NonPositiveRate):
-        chemo_smatrix(1.5, DX, q4, 8.0, phi_tanh)
+        chemo_interfaces(1.5, DX, q4, [8.0], phi_tanh)
 
 
 def test_chemo_stochasticity_and_wb(q4):
     for eps, gradS in ((1e-2, 0.8), (1e-4, -1.3)):
-        dec = chemo_smatrix(eps, DX, q4, gradS, phi_tanh)
-        rep = stochasticity_check(dec.S_full, q4)
+        S = chemo_interfaces(eps, DX, q4, [gradS], phi_tanh).S[0]
+        rep = stochasticity_check(S, q4)
         assert rep.col_sum_deviation < 1e-10
-        assert well_balanced_residual(dec, q4, seed=3) < 1e-10
+        T = rates(eps, phi_tanh(q4.nodes * gradS))
+        assert well_balanced_residual(S, eps, DX, q4, rates=T, seed=3) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_chemo_wb_with_non_default_response(q4, eps):
+    # the fixed point of the interface's own response, not of phi_tanh's defaults
+    def phi(u):
+        return phi_tanh(u, chi=2.0, delta=0.5)
+
+    S = chemo_interfaces(eps, DX, q4, [0.8], phi).S[0]
+    T = rates(eps, phi(q4.nodes * 0.8))
+    assert well_balanced_residual(S, eps, DX, q4, rates=T, seed=3) <= 1e-10
 
 
 def test_chemo_reconstruction_and_b_limit(q4):
     norms = []
     for eps in (1e-2, 1e-3, 1e-4):
-        dec = chemo_smatrix(eps, DX, q4, 0.8, phi_tanh)
-        rec = np.max(np.abs(dec.S_full - s0_full(dec.S0_block) - eps * full(dec.B_blocks)))
-        assert rec < 1e-12 * np.max(np.abs(dec.S_full))
-        norms.append(np.max(np.abs(full(dec.B_blocks) - full(dec.B0_blocks))))
+        stack = chemo_interfaces(eps, DX, q4, [0.8], phi_tanh)
+        rec = np.max(np.abs(stack.S[0] - s0_full(stack.S0) - eps * stack.B[0]))
+        assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
+        norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
     assert norms[0] > norms[1] > norms[2]
     assert norms[0] / norms[1] == pytest.approx(10.0, rel=0.35)
 
@@ -180,7 +195,7 @@ def test_chemo_b0_flux_contractions(q4):
     """The four weighted contractions of B^{i0} 1 that build the limiting
     exponential-fitting flux (drift E = lambda0^1/3)."""
     gradS = 0.8
-    dec = chemo_smatrix(1e-3, DX, q4, gradS, phi_tanh)
+    stack = chemo_interfaces(1e-3, DX, q4, [gradS], phi_tanh)
     exp = chemo_eigen_expansion(q4, gradS, phi_tanh)
     lam01 = exp.lambda0_first_order
     E = lam01 / 3.0
@@ -188,7 +203,7 @@ def test_chemo_b0_flux_contractions(q4):
     d = q0 - 1.0
     wv = q4.weights * q4.nodes
     ones = np.ones(4)
-    B1, B2, B3, B4 = dec.B0_blocks
+    B1, B2, B3, B4 = quarters(stack.B0[0])
     assert wv @ (B1 @ ones) == pytest.approx(-2.0 * E * q0 / d, rel=1e-10)
     assert wv @ (B2 @ ones) == pytest.approx(2.0 * E / d, rel=1e-10)
     assert wv @ (B3 @ ones) == pytest.approx(2.0 * E + 2.0 * E / d, rel=1e-10)
@@ -234,17 +249,17 @@ def test_vfp_closure_single_node():
 
 
 def test_vfp_s0_independent_of_field(qv3):
-    a = vfp_smatrix(1e-3, DX, qv3, +2.0, 1.0)
-    b = vfp_smatrix(1e-3, DX, qv3, -2.0, 1.0)
-    assert np.array_equal(a.S0_block, b.S0_block)
+    a = vfp_interfaces(1e-3, DX, qv3, [+2.0])
+    b = vfp_interfaces(1e-3, DX, qv3, [-2.0])
+    assert np.array_equal(a.S0, b.S0)
 
 
 def test_vfp_maxwellian_fixed_at_zero_field(qv3):
     m = np.exp(-qv3.nodes**2 / 2.0)
     mm = np.concatenate([m, m])
     for eps in (1e-1, 1e-3, 1e-6):
-        dec = vfp_smatrix(eps, DX, qv3, 0.0, 1.0)
-        assert np.max(np.abs(dec.S_full @ mm - mm)) < 1e-12
+        S = vfp_interfaces(eps, DX, qv3, [0.0]).S[0]
+        assert np.max(np.abs(S @ mm - mm)) < 1e-12
 
 
 def test_vfp_b10_contraction_reference_value(qv3):
@@ -254,8 +269,8 @@ def test_vfp_b10_contraction_reference_value(qv3):
     wv = qv3.weights * qv3.nodes
     sigma2 = np.sum(qv3.weights * qv3.nodes**2 * m)
     for E in (2.0, 0.5, -1.0):
-        dec = vfp_smatrix(1e-4, DX, qv3, E, kappa)
-        got = wv @ (dec.B0_blocks[0] @ m)
+        B1 = quarters(vfp_interfaces(1e-4, DX, qv3, [E]).B0[0])[0]
+        got = wv @ (B1 @ m)
         expect = (2.0 * E / kappa) * sigma2 / (1.0 - np.exp(-E * DX / kappa))
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -264,11 +279,11 @@ def test_vfp_b10_contraction_reference_value(qv3):
 def test_vfp_reconstruction_b_limit_and_wb(qv3, E):
     norms = []
     for eps in (1e-2, 1e-3, 1e-4):
-        dec = vfp_smatrix(eps, DX, qv3, E, 1.0)
-        rec = np.max(np.abs(dec.S_full - s0_full(dec.S0_block) - eps * full(dec.B_blocks)))
-        assert rec < 1e-12 * np.max(np.abs(dec.S_full))
-        norms.append(np.max(np.abs(full(dec.B_blocks) - full(dec.B0_blocks))))
-        assert well_balanced_residual(dec, qv3, seed=4) < 1e-10
+        stack = vfp_interfaces(eps, DX, qv3, [E])
+        rec = np.max(np.abs(stack.S[0] - s0_full(stack.S0) - eps * stack.B[0]))
+        assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
+        norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
+        assert well_balanced_residual(stack.S[0], eps, DX, qv3, E=E, seed=4) < 1e-10
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -279,22 +294,17 @@ def test_vfp_flux_defect_scales_with_eps_and_E(qv3):
     devs = {}
     for eps in (1e-3, 1e-4):
         for E in (0.5, 2.0):
-            dec = vfp_smatrix(eps, DX, qv3, E, 1.0)
-            devs[(eps, E)] = stochasticity_check(dec.S_full, qv3).col_sum_deviation
+            S = vfp_interfaces(eps, DX, qv3, [E]).S[0]
+            devs[(eps, E)] = stochasticity_check(S, qv3).col_sum_deviation
     assert devs[(1e-4, 0.5)] == pytest.approx(devs[(1e-3, 0.5)] / 10.0, rel=0.15)
     assert devs[(1e-3, 2.0)] == pytest.approx(4.0 * devs[(1e-3, 0.5)], rel=0.15)
     # and exactly conserving at E = 0
-    dec = vfp_smatrix(1e-2, DX, qv3, 0.0, 1.0)
-    assert stochasticity_check(dec.S_full, qv3).col_sum_deviation < 1e-12
-
-
-def test_vfp_kappa_mismatch_rejected(qv3):
-    with pytest.raises(ValueError):
-        vfp_smatrix(1e-3, DX, qv3, 0.5, 2.0)
+    S = vfp_interfaces(1e-2, DX, qv3, [0.0]).S[0]
+    assert stochasticity_check(S, qv3).col_sum_deviation < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# interface stacks against single-interface assembly
+# interface stacks against stacks of one
 # ---------------------------------------------------------------------------
 
 # eps on both sides of the B0 switch at EPS_SWITCH_FACTOR*DX (about 3e-10)
@@ -304,11 +314,11 @@ VALUES = st.lists(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), min_size=1, max
 
 
 def assert_rows_match(stack, singles):
-    for i, dec in enumerate(singles):
+    for i, single in enumerate(singles):
         for got, want in (
-            (stack.S[i], dec.S_full),
-            (stack.B[i], full(dec.B_blocks)),
-            (stack.B0[i], full(dec.B0_blocks)),
+            (stack.S[i], single.S[0]),
+            (stack.B[i], single.B[0]),
+            (stack.B0[i], single.B0[0]),
         ):
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -322,7 +332,7 @@ def test_chemo_stack_matches_single_interfaces(K, eps, grads):
     q = gauss_symmetric(K)
     stack = chemo_interfaces(eps, DX, q, grads, phi_tanh)
     assert stack.S.shape == (len(grads), 2 * K, 2 * K)
-    assert_rows_match(stack, [chemo_smatrix(eps, DX, q, g, phi_tanh) for g in grads])
+    assert_rows_match(stack, [chemo_interfaces(eps, DX, q, [g], phi_tanh) for g in grads])
 
 
 @settings(max_examples=40, deadline=None)
@@ -331,15 +341,15 @@ def test_chemo_stack_matches_single_interfaces(K, eps, grads):
 @example(K=3, eps=1e-3, fields=[0.0, 0.5, -2.0])
 def test_vfp_stack_matches_single_interfaces(K, eps, fields):
     q = vfp_quadrature(K, 1.0, vfp_preset_nodes(K, 1.0))
-    stack = vfp_interfaces(eps, DX, q, fields, 1.0)
+    stack = vfp_interfaces(eps, DX, q, fields)
     assert stack.S.shape == (len(fields), 2 * K, 2 * K)
-    assert_rows_match(stack, [vfp_smatrix(eps, DX, q, E, 1.0) for E in fields])
+    assert_rows_match(stack, [vfp_interfaces(eps, DX, q, [E]) for E in fields])
 
 
 def test_ill_conditioned_interface_is_named(qv3):
     # an extreme field at interface 2 makes its mode matrix singular
     with pytest.raises(IllConditioned, match="interface 2"):
-        vfp_interfaces(1e-3, DX, qv3, [0.5, -0.5, 1e4, 0.0], 1.0)
+        vfp_interfaces(1e-3, DX, qv3, [0.5, -0.5, 1e4, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,21 +418,20 @@ def test_chemo_b0_built_only_when_read(monkeypatch, q4):
     # B0 does not depend on eps: read on demand it is the stack built below the switch
     assert np.array_equal(above.B0, below.B)
     assert below.B0 is below.B
-    dec = above.decomposition(1)
-    assert np.array_equal(full(dec.B0_blocks), below.B[1])
+    assert np.array_equal(above.B0[1], below.B[1])
     assert len(calls) == 2  # once for `below`, once for the first read of above.B0
 
 
 def test_vfp_b0_built_only_when_read(monkeypatch, qv3):
     calls = counting(monkeypatch, "_vfp_B0")
     fields = [0.0, 0.5, -2.0]
-    above = vfp_interfaces(1e-3, DX, qv3, fields, 1.0)
+    above = vfp_interfaces(1e-3, DX, qv3, fields)
     assert calls == []
     eager = scattering._vfp_B0(DX, qv3.nodes, np.asarray(fields), 1.0, vfp_closure(qv3))
     assert np.array_equal(above.B0, eager)
-    below = vfp_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, qv3, fields, 1.0)
+    below = vfp_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, qv3, fields)
     assert np.array_equal(below.B, eager) and below.B0 is below.B
     assert len(calls) == 3  # the eager reference, above.B0, and `below`
-    dec = vfp_smatrix(1e-3, DX, qv3, 0.5, 1.0)
-    assert np.array_equal(full(dec.B0_blocks), eager[1])
+    single = vfp_interfaces(1e-3, DX, qv3, [0.5])
+    assert np.array_equal(single.B0[0], eager[1])
 

@@ -57,7 +57,6 @@ def test_uneven_rate_has_middle_root(q4):
     T = np.concatenate([1.0 + 0.1 * q4.nodes, 1.0 - 0.1 * q4.nodes])
     spectrum = dispersion_roots(q4, T)
     assert spectrum.lambda0 is not None
-    assert spectrum.model_tag == "chemo"
     assert len(spectrum.lambdas) == 3
 
 
