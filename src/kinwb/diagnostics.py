@@ -13,7 +13,7 @@ import numpy as np
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
 from .spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi
-from .scattering import _anti_diagonal, _vfp_zero_columns
+from .scattering import _vfp_zero_columns
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
 
@@ -340,7 +340,7 @@ def verify_spectral() -> list[CheckResult]:
 def verify_scattering() -> list[CheckResult]:
     from .kinetic import phi_tanh
     from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
-    from .scattering import chemo_interfaces, rte_closure, rte_interfaces, vfp_interfaces
+    from .scattering import chemo_interfaces, rte_closure, rte_interfaces, vfp_closure, vfp_interfaces
     from .spectral import dispersion_roots
 
     out = []
@@ -349,21 +349,23 @@ def verify_scattering() -> list[CheckResult]:
     spec0 = dispersion_roots(q, np.ones(8))
     closure = rte_closure(q, spec0)
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    closure_v = vfp_closure(qv)
     ones, phip = np.ones(4), phi_tanh(q.nodes * 0.8)
 
     def build(model, eps):
-        """The interface, its velocity set and its stationary problem."""
+        """The interface, its velocity set and closure, and its stationary problem."""
         if model == "rte":
-            return rte_interfaces(eps, dx, q, spec0, closure), q, {"rates": (ones, ones)}
+            return rte_interfaces(eps, dx, q, spec0, closure), q, closure, {"rates": (ones, ones)}
         if model == "chemo":
             rates = (1.0 + eps * phip, 1.0 - eps * phip)
-            return chemo_interfaces(eps, dx, q, [0.8], phi_tanh), q, {"rates": rates}
-        return vfp_interfaces(eps, dx, qv, [0.5]), qv, {"E": 0.5}
+            stack = chemo_interfaces(eps, dx, q, [0.8], phi_tanh, spec0, closure)
+            return stack, q, closure, {"rates": rates}
+        return vfp_interfaces(eps, dx, qv, [0.5], closure_v), qv, closure_v, {"E": 0.5}
 
     for model in ("rte", "chemo", "vfp"):
-        stack, qq, problem = build(model, 1e-3)
+        stack, qq, cl, problem = build(model, 1e-3)
         S = stack.S[0]
-        rec = np.max(np.abs(S - _anti_diagonal(stack.S0) - 1e-3 * stack.B[0])) / np.max(np.abs(S))
+        rec = np.max(np.abs(S - cl.anti_S0 - 1e-3 * stack.B[0])) / np.max(np.abs(S))
         out.append(_result(f"{model} reconstruction identity", rec < 1e-12, f"residual {rec:.2e}"))
         norms = []
         for eps in (1e-2, 1e-3, 1e-4):

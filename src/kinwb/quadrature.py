@@ -9,7 +9,8 @@ Two families are supported:
   caller-supplied; the weights are the kernel of the K homogeneous
   constraints (K-1 discrete zero-flux identities for the limit modes plus
   sigma2 = kappa*sigma0), which pins the nodes to a codimension-one
-  manifold.  ``vfp_preset_nodes`` returns tuned sets for K <= 3.
+  manifold.  ``vfp_preset_nodes`` returns feasible sets for K <= 3 as
+  constants, found by bisection on that manifold (``_preset_root``).
 """
 
 from dataclasses import dataclass
@@ -214,22 +215,18 @@ def _preset_root(v_fixed, bracket):
     return 0.5 * (lo + hi)
 
 
-def vfp_preset_nodes(K: int, kappa: float) -> np.ndarray:
-    """Feasible real-line node sets for K <= 3.
+# kappa = 1 node sets; each last node is _preset_root([0.7], (1.5, 2.5)) or
+# _preset_root([0.6, 1.4], (2.5, 3.0)) to the bit, which a test pins.
+_PRESETS = {1: [1.0], 2: [0.7, 2.2851747584523503], 3: [0.6, 1.4, 2.9032796546282373]}
 
-    Found by fixing the leading nodes at kappa = 1 and bisecting the last
-    one onto the feasibility manifold; general kappa follows from the
-    exact scaling v -> sqrt(kappa) v of the limit modes.
-    """
-    if K == 1:
-        base = np.array([1.0])
-    elif K == 2:
-        base = np.array([0.7, _preset_root([0.7], (1.5, 2.5))])
-    elif K == 3:
-        base = np.array([0.6, 1.4, _preset_root([0.6, 1.4], (2.5, 3.0))])
-    else:
+
+def vfp_preset_nodes(K: int, kappa: float) -> np.ndarray:
+    """Feasible real-line node sets for K <= 3: the constants ``_PRESETS``
+    at kappa = 1, scaled to general kappa by the exact scaling
+    v -> sqrt(kappa) v of the limit modes."""
+    if K not in _PRESETS:
         raise ValueError("presets are available for K in {1, 2, 3}")
-    return np.sqrt(kappa) * base
+    return np.sqrt(kappa) * np.array(_PRESETS[K])
 
 
 def moment_report(q: VelocityQuadrature) -> MomentReport:

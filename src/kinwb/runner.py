@@ -63,6 +63,8 @@ class ExperimentConfig:
         for name in ("dx", "dt", "t_final"):
             if not _positive(getattr(self, name)):
                 errs.append(f"{name}: must be positive")
+        if _positive(self.dt) and _positive(self.t_final) and math.isinf(self.t_final / self.dt):
+            errs.append("t_final: t_final/dt must be a finite number of steps")
         if self.initial_density not in _DENSITIES:
             errs.append(f"initial_density: must be one of {_DENSITIES}")
         if self.epsilon is None and not self.epsilon_list:
@@ -242,7 +244,8 @@ def _run_loop(config, out, manifest, snapshots):
     stride = max(1, n_steps // 10)
     x = (np.arange(config.Nx) + 0.5) * config.dx
     x_text = ["%.17g" % v for v in x.tolist()]
-    _, march = _march(config, config.epsilon)
+    model, rho0 = _setup(config)
+    march = model.march(config.epsilon, config.dt, config.dx, rho0)
     max_step_drift = 0.0
     for n in range(n_steps + 1):
         try:
@@ -266,15 +269,15 @@ def _run_loop(config, out, manifest, snapshots):
     manifest["mass_drift_per_step_max"] = max_step_drift
 
 
-def _march(config: ExperimentConfig, epsilon: float):
-    """Set up ``config`` at ``epsilon``: the model and its march, which
-    yields (rho, S) for the initial state and then after every step,
-    forever (see :mod:`models`).  ``kinwb run`` and the AP sweep both
-    march here."""
+def _setup(config: ExperimentConfig):
+    """The eps-independent set-up of ``config``: its model and initial
+    density.  ``model.march(eps, dt, dx, rho0)`` then yields (rho, S) for
+    the initial state and after every step, forever (see :mod:`models`).
+    Models are immutable, so ``kinwb run`` marches the set-up once and the
+    AP sweep marches one set-up at every epsilon."""
     model = MODELS[config.model](config)
     x = (np.arange(config.Nx) + 0.5) * config.dx
-    rho0 = initial_density_profile(config.initial_density, x, config.Nx * config.dx)
-    return model, model.march(epsilon, config.dt, config.dx, rho0)
+    return model, initial_density_profile(config.initial_density, x, config.Nx * config.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +289,14 @@ def ap_gap(config: ExperimentConfig, epsilon: float) -> float:
     """Relative L-inf gap between the first step of ``kinwb run`` on
     ``config`` at ``epsilon`` and one step of the limit scheme from the same
     density: exponential fitting with the model's D and drift, S being the
-    chemoattractant that drove the step."""
-    model, march = _march(config, epsilon)
+    chemoattractant that drove the step.  Builds the set-up for this one
+    epsilon; :func:`ap_error_table` builds it once for a whole sweep."""
+    return _gap(config, *_setup(config), epsilon)
+
+
+def _gap(config, model, rho_init, epsilon) -> float:
+    """:func:`ap_gap` on the set-up ``(model, rho_init)`` of ``config``."""
+    march = model.march(epsilon, config.dt, config.dx, rho_init)
     rho0, _ = next(march)
     rho1, S = next(march)
     drift = model.drift(S, config.dx)
@@ -298,9 +307,11 @@ def ap_gap(config: ExperimentConfig, epsilon: float) -> float:
 
 
 def ap_error_table(config: ExperimentConfig, epsilons):
-    """(epsilon, gap) rows plus the log-log slope (None below two distinct
-    epsilons)."""
-    rows = [(float(e), ap_gap(config, float(e))) for e in epsilons]
+    """(epsilon, gap) rows, each gap :func:`ap_gap` bit for bit, plus the
+    log-log slope (None below two distinct epsilons).  The set-up is built
+    once and marched at every epsilon."""
+    model, rho_init = _setup(config)
+    rows = [(float(e), _gap(config, model, rho_init, float(e))) for e in epsilons]
     slope = None
     if len({e for e, _ in rows}) >= 2:
         le = np.log([r[0] for r in rows])

@@ -59,14 +59,13 @@ class ClosureCoefficients:
     gamma: np.ndarray
     beta: np.ndarray
     S0: np.ndarray = field(init=False)  # the leading scattering block I - zeta*gamma
+    anti_S0: np.ndarray = field(init=False)  # [[0, S0], [S0, 0]], every S at eps = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "S0", np.eye(self.zeta.shape[0]) - self.zeta @ self.gamma)
-
-
-def _anti_diagonal(S0: np.ndarray) -> np.ndarray:
-    Z = np.zeros_like(S0)
-    return np.block([[Z, S0], [S0, Z]])
+        S0 = np.eye(self.zeta.shape[0]) - self.zeta @ self.gamma
+        Z = np.zeros_like(S0)
+        object.__setattr__(self, "S0", S0)
+        object.__setattr__(self, "anti_S0", np.block([[Z, S0], [S0, Z]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +120,7 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0) -> InterfaceStack:
     S0 = closure.S0
     S = Nt @ _inverse(N)
     if epsilon >= EPS_SWITCH_FACTOR * dx:
-        return InterfaceStack(S0, S, (S - _anti_diagonal(S0)) / epsilon, build_B0)
+        return InterfaceStack(S0, S, (S - closure.anti_S0) / epsilon, build_B0)
     B0 = build_B0()
     return InterfaceStack(S0, S, B0, lambda: B0)
 

@@ -11,6 +11,7 @@ from kinwb import (
     ConfigError,
     DriftDiffusionParams,
     ExperimentConfig,
+    ap_error_table,
     ap_gap,
     chemo_drift,
     gauss_symmetric,
@@ -18,9 +19,10 @@ from kinwb import (
     phi_tanh,
     sg_step,
 )
+from kinwb import runner
 from kinwb.cli import main
 from kinwb.quadrature import _preset_root
-from kinwb.runner import _march, _write_snapshot
+from kinwb.runner import _setup, _write_snapshot
 
 NX = 32
 DX = 1.0 / NX
@@ -122,7 +124,8 @@ def test_ap_gap_steps_like_run(tmp_path, model):
     rho0 = read_rho(tmp_path / "out" / "snapshot_0000.csv")
     rho1 = read_rho(tmp_path / "out" / "snapshot_0001.csv")
     config = ExperimentConfig.from_json(path)
-    _, march = _march(config, eps)
+    built, rho_init = _setup(config)
+    march = built.march(eps, config.dt, config.dx, rho_init)
     assert np.array_equal(next(march)[0], rho0)
     assert np.array_equal(next(march)[0], rho1)
     q = gauss_symmetric(4)
@@ -140,6 +143,35 @@ def test_ap_gap_steps_like_run(tmp_path, model):
             D, drift = 1.0, phi_tanh(grads)
     ref = sg_step(rho0, DriftDiffusionParams(D=D, E_half=drift, dt=dt, dx=DX))
     assert ap_gap(config, eps) == np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"model": "rte", "K": 4},
+        {"model": "chemo", "K": 4, "phi_params": {"chi": 1.3, "delta": 0.7}},
+        {"model": "vfp", "K": 2, "kappa": 1.0, "E_profile": {"kind": "constant", "value": 0.5},
+         "nodes": [0.8, _preset_root([0.8], (2.0, 3.0))]},
+        {"model": "vfp", "K": 3, "kappa": 1.0,
+         "E_profile": {"kind": "sinusoidal", "amplitude": 0.5}},
+        {"model": "twostream", "K": 1},
+    ],
+    ids=["rte", "chemo", "vfp-nodes", "vfp-preset", "twostream"],
+)
+def test_sweep_builds_model_once(monkeypatch, fields):
+    # a sweep marches one model at every eps; its rows are ap_gap's, bitwise
+    eps_list = [10.0**-d for d in range(1, 11)]
+    config = ExperimentConfig.from_json(
+        {"Nx": 64, "dx": 1.0 / 64.0, "dt": (1.0 / 64.0) ** 2 / 4.0,
+         "t_final": (1.0 / 64.0) ** 2 / 4.0, "epsilon_list": eps_list, **fields}
+    )
+    expected = [(e, ap_gap(config, e)) for e in eps_list]
+    calls = []
+    build = runner.MODELS[config.model]
+    monkeypatch.setitem(runner.MODELS, config.model, lambda c: calls.append(c) or build(c))
+    rows, _ = ap_error_table(config, eps_list)
+    assert len(calls) == 1
+    assert [(e, g.hex()) for e, g in rows] == [(e, g.hex()) for e, g in expected]
 
 
 def test_uniform_initial_snapshots_identical(tmp_path):
@@ -271,9 +303,11 @@ def test_run_vfp_and_twostream(tmp_path):
         ({"model": ["rte"]}, "model"),
         ({"model": "chemo", "phi_params": {"chi": 1.0, "delta": 0}}, "delta must be positive"),
         ({"model": "chemo", "phi_params": {"chi": 1.0, "delat": 0.25}}, "unknown keys ['delat']"),
+        ({"K": 2, "Nx": 4, "dt": 1e-300, "t_final": 1e300}, "t_final/dt"),
     ],
     ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind",
-         "K-bool", "Nx-bool", "seed-bool", "model-list", "delta-zero", "phi-unknown-key"],
+         "K-bool", "Nx-bool", "seed-bool", "model-list", "delta-zero", "phi-unknown-key",
+         "steps-overflow"],
 )
 def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
     config = write_config(tmp_path, **{"epsilon_list": [1e-3, 1e-4], **fields})
@@ -329,6 +363,8 @@ _FUZZ_BASE = {"K": 1, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e-3, "epsilon
 @example(config={**_FUZZ_BASE, "model": "rte", "K": 2, "dx": 1e-170}, command="sweep")
 @example(config={**_FUZZ_BASE, "model": "rte", "epsilon_list": [1.0, 1.0]}, command="sweep")
 @example(config={**_FUZZ_BASE, "model": "chemo", "phi_params": {"delta": 0.0}}, command="run")
+@example(config={**_FUZZ_BASE, "model": "rte", "K": 2, "dt": 1e-300, "t_final": 1e300},
+         command="run")
 def test_config_fuzz_exits_0_2_or_3(config, command):
     # every config runs to finite outputs, or ends in a config error (2) or
     # a numerical one (3)

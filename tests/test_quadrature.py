@@ -11,6 +11,7 @@ from kinwb import (
     vfp_preset_nodes,
     vfp_quadrature,
 )
+from kinwb.quadrature import _preset_root
 
 
 def legendre_newton_nodes(K, iters=100):
@@ -115,6 +116,13 @@ def test_vfp_presets_feasible(K, kappa):
     rep = moment_report(q)
     assert rep.passed
     assert abs(rep.sigma2 - kappa * rep.sigma0) < 1e-10
+
+
+@pytest.mark.parametrize("K, fixed, bracket", [(2, [0.7], (1.5, 2.5)), (3, [0.6, 1.4], (2.5, 3.0))])
+def test_vfp_presets_are_the_bisected_roots(K, fixed, bracket):
+    # the shipped constants are what the bisection returns, to the bit
+    bisected = fixed + [_preset_root(fixed, bracket)]
+    assert [v.hex() for v in vfp_preset_nodes(K, 1.0).tolist()] == [v.hex() for v in bisected]
 
 
 def test_vfp_generic_nodes_infeasible():
