@@ -112,12 +112,19 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
-    the LU of R_eps, and the (Nx, 2K, 2K) B stack of a static field (None
-    when each step assembles its own; rte keeps a stack of one)."""
+    the LU of R_eps, the (Nx, 2K, 2K) B stack of a static field (None when
+    each step assembles its own; rte keeps a stack of one), the velocities
+    scaled by eps dt/dx, and two (Nx, 2K) flat indices: ``f.take(incoming)`` gives
+    interface i its incoming traces (f_{i-1}(+v), f_i(-v)), and
+    ``out.take(to_cells)`` puts each outgoing trace into the cell it enters
+    (cell i for +v, cell i-1 for -v)."""
 
     model: object
     lu: tuple
-    B: np.ndarray | None = None
+    B: np.ndarray | None
+    scaled_v: np.ndarray
+    incoming: np.ndarray
+    to_cells: np.ndarray
 
 
 def step_operator(grid: KineticGrid, model, S: np.ndarray | None = None) -> StepOperator:
@@ -129,7 +136,15 @@ def step_operator(grid: KineticGrid, model, S: np.ndarray | None = None) -> Step
     B = None
     if model.static or S is not None:
         B = model.interfaces(grid.epsilon, grid.dx, S).B
-    return StepOperator(model=model, lu=sla.lu_factor(R), B=B)
+    K = grid.q.K
+    cell = np.arange(grid.Nx)[:, None]
+    plus, minus = np.arange(K), np.arange(K, 2 * K)
+    return StepOperator(
+        model=model, lu=sla.lu_factor(R), B=B,
+        scaled_v=(grid.epsilon * grid.dt / grid.dx) * np.concatenate([grid.q.nodes, grid.q.nodes]),
+        incoming=np.hstack([(cell - 1) % grid.Nx * 2 * K + plus, cell * 2 * K + minus]),
+        to_cells=np.hstack([cell * 2 * K + plus, (cell + 1) % grid.Nx * 2 * K + minus]),
+    )
 
 
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
@@ -137,16 +152,11 @@ def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) 
     assembled from the field S when given, else op's static stack is used."""
     B = op.B if S is None else op.model.interfaces(grid.epsilon, grid.dx, S).B
     B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])  # rte: one S-matrix for all
-    K = grid.q.K
-    f = grid.f
-    # interface i takes the incoming traces f_{i-1}(+v), f_i(-v) and sends
-    # its outgoing ones into cell i (+v) and cell i-1 (-v)
-    incoming = np.hstack([np.roll(f[:, :K], 1, axis=0), f[:, K:]])
-    out = np.einsum("iab,ib->ia", B, incoming)
-    b = np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
-    Vd = np.concatenate([grid.q.nodes, grid.q.nodes])
-    rhs = grid.epsilon * f + (grid.epsilon * grid.dt / grid.dx) * Vd * b
-    fnew = sla.lu_solve(op.lu, rhs.T).T
+    out = np.einsum("iab,ib->ia", B, grid.f.take(op.incoming))
+    rhs = grid.epsilon * grid.f + op.scaled_v * out.take(op.to_cells)
+    # no finite-check on the way in: a non-finite rhs gives a non-finite
+    # solution, which the check below turns into SolveFailure
+    fnew = sla.lu_solve(op.lu, rhs.T, check_finite=False, overwrite_b=True).T
     if not np.all(np.isfinite(fnew)):
         raise SolveFailure("the IMEX step produced a non-finite state")
     return grid.with_f(fnew)

@@ -42,16 +42,20 @@ class _Kinetic:
     def field(self, rho: np.ndarray, dx: float):
         return None
 
+    def check_step(self, dt: float, dx: float) -> None:
+        """Warn when dt exceeds dx^2/(2D), the stability bound of the explicit
+        B term; the bound does not see eps, so the set-up checks it once."""
+        bound = dx**2 / (2.0 * self.D)
+        if dt > bound:
+            log.warning(
+                "dt=%g exceeds dx^2/(2D)=%g, the stability bound of the explicit "
+                "B term; the march may blow up", dt, bound,
+            )
+
     def march(self, eps: float, dt: float, dx: float, rho0: np.ndarray):
         grid = KineticGrid(
             Nx=len(rho0), dx=dx, dt=dt, epsilon=eps, q=self.q, f=self.equilibrium(rho0)
         )
-        bound = dx**2 / (2.0 * self.D)
-        if dt > bound:
-            log.warning(
-                "eps=%g: dt=%g exceeds dx^2/(2D)=%g, the stability bound of the explicit "
-                "B term; the march may blow up", eps, dt, bound,
-            )
         op = step_operator(grid, self)
         S = None
         while True:
@@ -142,6 +146,9 @@ class TwoStream:
 
     def drift(self, S: np.ndarray, dx: float) -> np.ndarray:
         return self.phi(interface_grad(S, dx))
+
+    def check_step(self, dt: float, dx: float) -> None:
+        """The closed-form step has no explicit B term and no step bound."""
 
     def march(self, eps: float, dt: float, dx: float, rho0: np.ndarray):
         f = self.equilibrium(rho0)

@@ -17,6 +17,8 @@ from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
 
 _DENSITIES = ("uniform", "cosine_bump", "gaussian")
 _FIELDS = ("zero", "constant", "sinusoidal")
+# the most time steps a config may ask for (at 0.1 ms a step, about a day)
+MAX_STEPS = 10**9
 
 
 def _number(value) -> bool:
@@ -63,8 +65,8 @@ class ExperimentConfig:
         for name in ("dx", "dt", "t_final"):
             if not _positive(getattr(self, name)):
                 errs.append(f"{name}: must be positive")
-        if _positive(self.dt) and _positive(self.t_final) and math.isinf(self.t_final / self.dt):
-            errs.append("t_final: t_final/dt must be a finite number of steps")
+        if _positive(self.dt) and _positive(self.t_final) and self.t_final / self.dt > MAX_STEPS:
+            errs.append(f"t_final: t_final/dt must be at most {MAX_STEPS:,} steps")
         if self.initial_density not in _DENSITIES:
             errs.append(f"initial_density: must be one of {_DENSITIES}")
         if self.epsilon is None and not self.epsilon_list:
@@ -274,8 +276,10 @@ def _setup(config: ExperimentConfig):
     density.  ``model.march(eps, dt, dx, rho0)`` then yields (rho, S) for
     the initial state and after every step, forever (see :mod:`models`).
     Models are immutable, so ``kinwb run`` marches the set-up once and the
-    AP sweep marches one set-up at every epsilon."""
+    AP sweep marches one set-up at every epsilon; the step-size warning of
+    ``model.check_step`` comes once per set-up."""
     model = MODELS[config.model](config)
+    model.check_step(config.dt, config.dx)
     x = (np.arange(config.Nx) + 0.5) * config.dx
     return model, initial_density_profile(config.initial_density, x, config.Nx * config.dx)
 

@@ -304,10 +304,12 @@ def test_run_vfp_and_twostream(tmp_path):
         ({"model": "chemo", "phi_params": {"chi": 1.0, "delta": 0}}, "delta must be positive"),
         ({"model": "chemo", "phi_params": {"chi": 1.0, "delat": 0.25}}, "unknown keys ['delat']"),
         ({"K": 2, "Nx": 4, "dt": 1e-300, "t_final": 1e300}, "t_final/dt"),
+        # finite but about 1e203 steps: rejected before any step is taken
+        ({"K": 2, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e200}, "t_final/dt"),
     ],
     ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind",
          "K-bool", "Nx-bool", "seed-bool", "model-list", "delta-zero", "phi-unknown-key",
-         "steps-overflow"],
+         "steps-overflow", "steps-huge"],
 )
 def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
     config = write_config(tmp_path, **{"epsilon_list": [1e-3, 1e-4], **fields})
@@ -406,6 +408,34 @@ def test_step_past_parabolic_bound_warns_once(tmp_path, caplog):
     warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1
     assert "dx^2/(2D)" in warnings[0].getMessage()
+
+
+def test_step_cap_is_the_documented_constant():
+    def errors(t_final):
+        config = ExperimentConfig(model="rte", K=2, Nx=4, dx=0.25, dt=1.0, t_final=t_final,
+                                  epsilon=1e-3)
+        return [e for e in config.validation_errors() if "t_final/dt" in e]
+
+    assert runner.MAX_STEPS == 10**9
+    assert errors(float(runner.MAX_STEPS)) == []
+    assert errors(float(runner.MAX_STEPS) * (1.0 + 1e-15)) != []
+
+
+def test_parabolic_bound_warns_once_per_sweep_and_run(tmp_path, caplog):
+    # the bound dt <= dx^2/(2D) does not depend on eps: a ten-point sweep
+    # checks it once, like a run
+    config = write_config(
+        tmp_path, model="vfp", K=3, kappa=1.0, epsilon=1e-3,
+        epsilon_list=[10.0**-d for d in range(1, 11)],
+        E_profile={"kind": "sinusoidal", "amplitude": 0.5}, dt=DX**2, t_final=DX**2,
+    )
+    for command in ("sweep", "run"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main([command, "--config", str(config)]) == 0
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1, command
+        assert "dx^2/(2D)" in warnings[0].getMessage()
 
 
 def write_snapshot_rows(path, t, x, rho, S=None):

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from kinwb import (
     Chemo,
@@ -19,7 +22,11 @@ from kinwb import (
     step_operator,
     total_mass,
     VelocityQuadrature,
+    gauss_symmetric,
+    vfp_preset_nodes,
+    vfp_quadrature,
 )
+from kinwb.errors import SolveFailure
 
 NX = 64
 DX = 1.0 / NX
@@ -245,3 +252,59 @@ def test_interface_helpers(q4):
     assert np.allclose(g, [(1.0 - 7.0) / 0.5, 2.0, 4.0, 6.0], atol=1e-15)
     E = chemo_drift(q4, [0.0], phi_tanh)
     assert E[0] == 0.0
+
+
+def imex_step_roll(grid, op, S=None):
+    """The step as written with np.roll/np.hstack before the gather indices:
+    the reference of the bitwise test below."""
+    B = op.B if S is None else op.model.interfaces(grid.epsilon, grid.dx, S).B
+    B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])
+    K = grid.q.K
+    f = grid.f
+    incoming = np.hstack([np.roll(f[:, :K], 1, axis=0), f[:, K:]])
+    out = np.einsum("iab,ib->ia", B, incoming)
+    b = np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
+    Vd = np.concatenate([grid.q.nodes, grid.q.nodes])
+    rhs = grid.epsilon * f + (grid.epsilon * grid.dt / grid.dx) * Vd * b
+    return sla.lu_solve(op.lu, rhs.T).T
+
+
+def _model(name, K, nx):
+    if name == "rte":
+        return Rte(gauss_symmetric(K))
+    if name == "chemo":
+        return Chemo(gauss_symmetric(K), lambda u: phi_tanh(u, chi=1.5, delta=0.5))
+    xi = np.arange(nx) / nx
+    return Vfp(vfp_quadrature(K, 1.0, vfp_preset_nodes(K, 1.0)), 0.5 * np.sin(2.0 * np.pi * xi))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-9])  # above and below the B0 switch
+@pytest.mark.parametrize("nx", [1, 2, 3, 17])  # 1 and 2: the periodic wrap of the indices
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("name", ["rte", "chemo", "vfp"])
+def test_imex_step_bitwise_equals_roll_formula(name, K, nx, eps):
+    model = _model(name, K, nx)
+    dx = 1.0 / nx
+    rng = np.random.default_rng([K, nx])
+    f = rng.uniform(0.5, 1.5, (nx, 2 * K))  # no symmetry for the B term to hide
+    grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
+    op = step_operator(grid, model)
+    for _ in range(3):
+        S = model.field(density(grid), dx)  # chemo: a field S each step
+        new = imex_step(grid, op, S)
+        assert np.array_equal(new.f, imex_step_roll(grid, op, S))
+        grid = new
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["rte", "vfp"])
+def test_non_finite_b_stack_is_a_solve_failure(name, bad):
+    # the solve skips the input finite-check; the check on the solution
+    # still turns a non-finite right-hand side into SolveFailure
+    model = _model(name, 2, 8)
+    grid = make_grid(model, 1e-2, nx=8, dx=1.0 / 8, dt=1.0 / 256)
+    op = step_operator(grid, model)
+    B = op.B.copy()
+    B[0, 1, 2] = bad
+    with pytest.raises(SolveFailure):
+        imex_step(grid, dataclasses.replace(op, B=B))
