@@ -1,6 +1,7 @@
 """Command-line front end: kinwb run | sweep | verify."""
 
 import argparse
+import ctypes
 import json
 import logging
 import sys
@@ -11,6 +12,20 @@ from .runner import ExperimentConfig, run_experiment, sweep_experiment
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+def _reuse_freed_memory() -> None:
+    """Keep freed heap memory for reuse: under glibc's default thresholds a
+    chemo step's (Nx, 2K, 2K) temporaries, 128 KB and up from Nx = 256 at
+    K = 4, go back to the kernel at every free and are page-faulted in again
+    the next step.  A no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MB come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB freed for reuse
 
 
 def _load_config(path):
@@ -80,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    _reuse_freed_memory()
     try:
         return args.func(args)
     except ConfigError as exc:

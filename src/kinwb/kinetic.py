@@ -8,15 +8,14 @@ One step solves, cell by cell,
 
 with the stiff leading scattering block S0 implicit and the eps-correction
 blocks explicit.  S0 comes from the limit closure, which does not see the
-field, so :func:`step_operator` factorizes R_eps once per run; the B stack
-carries the per-interface field dependence.  State layout per cell:
-(f(v_1..v_K), f(-v_1..-v_K)).
+field, so :func:`step_operator` inverts R_eps once per run and a step is one
+product with the inverse; the B stack carries the per-interface field
+dependence.  State layout per cell: (f(v_1..v_K), f(-v_1..-v_K)).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import SolveFailure
 
@@ -47,12 +46,6 @@ class KineticGrid:
             raise ValueError("densities must be finite")
         f.flags.writeable = False
         object.__setattr__(self, "f", f)
-
-    def with_f(self, f: np.ndarray) -> "KineticGrid":
-        return KineticGrid(
-            Nx=self.Nx, dx=self.dx, dt=self.dt, epsilon=self.epsilon,
-            q=self.q, f=f,
-        )
 
 
 def cfl_check(grid: KineticGrid) -> bool:
@@ -112,15 +105,15 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
-    the LU of R_eps, the (Nx, 2K, 2K) B stack of a static field (None when
-    each step assembles its own; rte keeps a stack of one), the velocities
-    scaled by eps dt/dx, and two (Nx, 2K) flat indices: ``f.take(incoming)`` gives
-    interface i its incoming traces (f_{i-1}(+v), f_i(-v)), and
+    R_eps^{-1}, the read-only (Nx, 2K, 2K) B stack of a static field (None
+    when each step assembles its own; rte's one S-matrix is broadcast), the
+    velocities scaled by eps dt/dx, and two (Nx, 2K) flat indices: ``f.take(incoming)``
+    gives interface i its incoming traces (f_{i-1}(+v), f_i(-v)), and
     ``out.take(to_cells)`` puts each outgoing trace into the cell it enters
     (cell i for +v, cell i-1 for -v)."""
 
     model: object
-    lu: tuple
+    R_inv: np.ndarray
     B: np.ndarray | None
     scaled_v: np.ndarray
     incoming: np.ndarray
@@ -131,16 +124,21 @@ def step_operator(grid: KineticGrid, model, S: np.ndarray | None = None) -> Step
     """The run constants of the IMEX step on this grid.  R_eps takes S0 from
     the model's closure, which does not see the field; the B stack is kept
     for a model whose interfaces stay the same, and for a frozen field S
-    given here."""
+    given here.  An exactly singular R_eps raises :class:`SolveFailure`."""
     R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, grid.q, model.closure.S0)
+    try:
+        R_inv = np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        raise SolveFailure(f"R_eps is singular at eps={grid.epsilon:g}") from None
     B = None
     if model.static or S is not None:
         B = model.interfaces(grid.epsilon, grid.dx, S).B
+        B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])
     K = grid.q.K
     cell = np.arange(grid.Nx)[:, None]
     plus, minus = np.arange(K), np.arange(K, 2 * K)
     return StepOperator(
-        model=model, lu=sla.lu_factor(R), B=B,
+        model=model, R_inv=R_inv, B=B,
         scaled_v=(grid.epsilon * grid.dt / grid.dx) * np.concatenate([grid.q.nodes, grid.q.nodes]),
         incoming=np.hstack([(cell - 1) % grid.Nx * 2 * K + plus, cell * 2 * K + minus]),
         to_cells=np.hstack([cell * 2 * K + plus, (cell + 1) % grid.Nx * 2 * K + minus]),
@@ -151,12 +149,12 @@ def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) 
     """One IMEX step; pure function grid -> grid.  The interfaces are
     assembled from the field S when given, else op's static stack is used."""
     B = op.B if S is None else op.model.interfaces(grid.epsilon, grid.dx, S).B
-    B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])  # rte: one S-matrix for all
     out = np.einsum("iab,ib->ia", B, grid.f.take(op.incoming))
     rhs = grid.epsilon * grid.f + op.scaled_v * out.take(op.to_cells)
-    # no finite-check on the way in: a non-finite rhs gives a non-finite
-    # solution, which the check below turns into SolveFailure
-    fnew = sla.lu_solve(op.lu, rhs.T, check_finite=False, overwrite_b=True).T
+    fnew = rhs @ op.R_inv.T  # a non-finite rhs gives a non-finite fnew
     if not np.all(np.isfinite(fnew)):
         raise SolveFailure("the IMEX step produced a non-finite state")
-    return grid.with_f(fnew)
+    fnew.flags.writeable = False  # fresh and checked: skip __post_init__'s copy and check
+    new = object.__new__(KineticGrid)
+    new.__dict__.update(grid.__dict__, f=fnew)
+    return new

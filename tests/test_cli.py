@@ -1,5 +1,9 @@
 import json
 import logging
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from kinwb import (
     phi_tanh,
     sg_step,
 )
+import kinwb
 from kinwb import runner
 from kinwb.cli import main
 from kinwb.quadrature import _preset_root
@@ -272,6 +277,54 @@ def test_blow_up_exits_3_with_step_index(tmp_path):
     assert "non-finite" in manifest["error"]
 
 
+def test_singular_cell_matrix_exits_3(tmp_path):
+    # eps = 1e-17 is lost next to (dt/dx) v = 1/sqrt(3), so
+    # R_eps = (dt/dx) V [[1, -1], [-1, 1]] is exactly singular
+    config = write_config(tmp_path, K=1, Nx=1, dx=1.0, dt=1.0, t_final=1.0, epsilon=1e-17)
+    assert main(["run", "--config", str(config)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"].startswith("SolveFailure") and "R_eps" in manifest["error"]
+
+
+def test_run_imports_no_scipy(tmp_path):
+    # scipy is a test and bench dependency only; a run must not load it
+    src = Path(kinwb.__file__).resolve().parents[1]
+    code = ("import sys; from kinwb.cli import main; "
+            f"code = main(['run', '--config', {str(CONFIGS / 'rte.json')!r}, "
+            f"'--out', {str(tmp_path)!r}]); print(code, 'scipy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.splitlines()[-1].split() == ["0", "False"], result.stderr
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc parameters")
+def test_chemo_steps_reuse_freed_memory(tmp_path):
+    # at Nx = 256, K = 8 a chemo step's (Nx, 2K, 2K) temporaries are 512 KB;
+    # once the CLI has run, the steps reuse freed heap memory rather than
+    # page-faulting in ~900 fresh pages each
+    src = Path(kinwb.__file__).resolve().parents[1]
+    code = f"""
+import resource
+import numpy as np
+from kinwb import Chemo, gauss_symmetric, phi_tanh
+from kinwb.cli import main
+main(['run', '--config', {str(CONFIGS / 'rte.json')!r}, '--out', {str(tmp_path)!r}])
+nx = 256
+march = Chemo(gauss_symmetric(8), phi_tanh).march(
+    1e-3, 0.25 / nx**2, 1.0 / nx, 1.0 + 0.5 * np.cos(2 * np.pi * (np.arange(nx) + 0.5) / nx))
+for _ in range(10):
+    next(march)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    next(march)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert float(result.stdout.splitlines()[-1]) < 10.0, result.stderr
+
+
 def test_run_vfp_and_twostream(tmp_path):
     config = write_config(
         tmp_path, model="vfp", K=3, kappa=1.0, epsilon=1e-3,
@@ -367,6 +420,8 @@ _FUZZ_BASE = {"K": 1, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e-3, "epsilon
 @example(config={**_FUZZ_BASE, "model": "chemo", "phi_params": {"delta": 0.0}}, command="run")
 @example(config={**_FUZZ_BASE, "model": "rte", "K": 2, "dt": 1e-300, "t_final": 1e300},
          command="run")
+@example(config={**_FUZZ_BASE, "model": "rte", "Nx": 1, "dx": 1.0, "dt": 1.0, "t_final": 1.0,
+                 "epsilon": 1e-17}, command="run")
 def test_config_fuzz_exits_0_2_or_3(config, command):
     # every config runs to finite outputs, or ends in a config error (2) or
     # a numerical one (3)
