@@ -23,7 +23,6 @@ from .errors import (
     KinwbError,
     NegativeWeight,
     NonPositiveRate,
-    PoleHit,
     SingularBasis,
     SolveFailure,
     TangentRootWarning,
@@ -40,7 +39,6 @@ from .kinetic import (
     interface_grad,
     phi_tanh,
     step_operator,
-    total_mass,
 )
 from .macrolimit import (
     DriftDiffusionParams,
@@ -75,12 +73,11 @@ from .scattering import (
 )
 from .spectral import (
     DispersionSpectrum,
-    case_phi,
     chemo_eigen_expansion,
     dispersion_roots,
     hermite_poly,
     vfp_psi0,
 )
-from .twostream import TwoStreamState, ts_mass, ts_smatrix, ts_step
+from .twostream import TwoStreamState, ts_smatrix, ts_step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
-from .spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi
+from .spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi, vfp_psi0
 from .scattering import _vfp_zero_columns
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
@@ -422,7 +422,7 @@ def verify_lemmas() -> list[CheckResult]:
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
     clv = vfp_closure(qv)
     R0 = assemble_cell_matrix(0.0, dt, dx, qv, clv.S0)
-    mw = np.exp(-np.concatenate([qv.nodes, qv.nodes]) ** 2 / 2.0)
+    mw = vfp_psi0(0, np.concatenate([qv.nodes, qv.nodes]), qv.kappa)
     rep = kernel_range_check(R0, qv, mw)
     out.append(_result("vfp kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
     st = stochasticity_check(ts_smatrix(1e-2, 0.1, 0.6))

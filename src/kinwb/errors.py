@@ -21,10 +21,6 @@ class BracketFailure(KinwbError):
     """Dispersion-relation root bracket has no sign change."""
 
 
-class PoleHit(KinwbError):
-    """Eigenfunction evaluated at (or too close to) a pole of 1/(T - lambda v)."""
-
-
 class IllConditioned(KinwbError):
     """A mode matrix is singular, or its 1-norm condition number (read off
     its inverse) exceeds the safety threshold; the message names it."""

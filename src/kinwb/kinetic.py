@@ -62,10 +62,6 @@ def density(grid: KineticGrid) -> np.ndarray:
     return grid.f[:, :K] @ w + grid.f[:, K:] @ w
 
 
-def total_mass(grid: KineticGrid) -> float:
-    return float(np.sum(density(grid)) * grid.dx)
-
-
 def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:
     """Solve -(S_{j+1} - 2 S_j + S_{j-1})/dx^2 + S_j = rho_j, periodic.
 

@@ -23,7 +23,7 @@ from .kinetic import (
     step_operator,
 )
 from .scattering import chemo_interfaces, rte_closure, rte_interfaces, vfp_closure, vfp_interfaces
-from .spectral import dispersion_roots
+from .spectral import dispersion_roots, vfp_psi0
 from .twostream import TwoStreamState, ts_step
 
 log = logging.getLogger("kinwb")
@@ -117,7 +117,7 @@ class Vfp(_Kinetic):
     def equilibrium(self, rho: np.ndarray) -> np.ndarray:
         """Kinetic data at the Maxwellian exp(-v^2/2 kappa) carrying the density."""
         q = self.q
-        m = np.exp(-(q.nodes**2) / (2.0 * q.kappa))
+        m = vfp_psi0(0, q.nodes, q.kappa)
         sigma0 = float(np.sum(q.weights * m))
         half = rho[:, None] / (2.0 * sigma0) * m[None, :]
         return np.hstack([half, half])

@@ -64,27 +64,6 @@ class VelocityQuadrature:
         """sum(w v^2): the diffusion coefficient of the rte and chemo limits."""
         return float(np.sum(self.weights * self.nodes**2))
 
-    def to_json(self) -> dict:
-        record = {
-            "domain": self.domain_tag,
-            "K": self.K,
-            "nodes": [float(x) for x in self.nodes],
-            "weights": [float(x) for x in self.weights],
-        }
-        if self.kappa is not None:
-            record["kappa"] = float(self.kappa)
-        return record
-
-    @classmethod
-    def from_json(cls, record: dict) -> "VelocityQuadrature":
-        return cls(
-            K=int(record["K"]),
-            nodes=np.asarray(record["nodes"], dtype=float),
-            weights=np.asarray(record["weights"], dtype=float),
-            domain_tag=record["domain"],
-            kappa=record.get("kappa"),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class MomentReport:
@@ -117,7 +96,7 @@ def _vfp_constraint_matrix(nodes: np.ndarray, kappa: float) -> np.ndarray:
         nodes * (vfp_psi0(l, nodes, kappa) - vfp_psi0(l, -nodes, kappa))
         for l in range(1, K)
     ]
-    rows.append((nodes**2 - kappa) * np.exp(-(nodes**2) / (2.0 * kappa)))
+    rows.append((nodes**2 - kappa) * vfp_psi0(0, nodes, kappa))
     return np.asarray(rows)
 
 
@@ -248,7 +227,7 @@ def moment_report(q: VelocityQuadrature) -> MomentReport:
             passed=bool(np.all(residuals < 1e-12)),
         )
     kappa = q.kappa
-    m = np.exp(-(v**2) / (2.0 * kappa))
+    m = vfp_psi0(0, v, kappa)
     sigma0 = float(np.sum(w * m))
     sigma2 = float(np.sum(w * v**2 * m))
     residuals = np.array(

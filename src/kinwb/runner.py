@@ -16,7 +16,8 @@ from .models import Chemo, Rte, TwoStream, Vfp
 from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
 
 _DENSITIES = ("uniform", "cosine_bump", "gaussian")
-_FIELDS = ("zero", "constant", "sinusoidal")
+# E_profile kinds and the keys each one reads
+_FIELDS = {"zero": {"kind"}, "constant": {"kind", "value"}, "sinusoidal": {"kind", "amplitude"}}
 # the most time steps a config may ask for (at 0.1 ms a step, about a day)
 MAX_STEPS = 10**9
 
@@ -46,7 +47,6 @@ class ExperimentConfig:
     dt: float
     t_final: float
     initial_density: str = "cosine_bump"
-    seed: int = 0
     output_dir: str = "out"
     epsilon: float | None = None
     epsilon_list: list | None = None
@@ -91,12 +91,19 @@ class ExperimentConfig:
         if self.kappa is not None and not _positive(self.kappa):
             errs.append("kappa: must be a positive number")
         profile = self.E_profile
+        kind = profile.get("kind", "zero") if isinstance(profile, dict) else None
+        # a tuple, not the dict: a kind read from the config may be unhashable
         if profile is not None and not (
-            isinstance(profile, dict)
-            and profile.get("kind", "zero") in _FIELDS
-            and all(_number(v) for k, v in profile.items() if k != "kind")
+            kind in tuple(_FIELDS) and all(_number(v) for k, v in profile.items() if k != "kind")
         ):
-            errs.append(f"E_profile: kind must be one of {_FIELDS}, other entries numbers")
+            errs.append(f"E_profile: kind must be one of {tuple(_FIELDS)}, other entries numbers")
+        elif profile is not None:
+            unknown = set(profile) - _FIELDS[kind]
+            if unknown:
+                errs.append(
+                    f"E_profile: unknown keys {sorted(unknown)} for kind {kind!r};"
+                    f" known: {', '.join(sorted(_FIELDS[kind]))}"
+                )
         if self.model == "vfp":
             if self.kappa is None:
                 errs.append("kappa: required (positive) for the vfp model")
@@ -114,8 +121,6 @@ class ExperimentConfig:
                 errs.append("nodes: must list K positive velocities in ascending order")
         if self.model == "twostream" and self.K != 1:
             errs.append("K: the two-stream model has K = 1")
-        if not _integer(self.seed):
-            errs.append("seed: must be an integer")
         return errs
 
     @classmethod

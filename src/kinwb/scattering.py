@@ -328,7 +328,7 @@ def vfp_closure(q) -> ClosureCoefficients:
     v = q.nodes
     K = q.K
     kappa = q.kappa
-    m = np.exp(-(v**2) / (2.0 * kappa))
+    m = vfp_psi0(0, v, kappa)
     basis = np.column_stack([vfp_psi0(l, v, kappa) for l in range(1, K)] + [m])
     X = _inverse(basis[None], "mode basis")[0]
     zeta = np.empty((K, K - 1))
@@ -345,7 +345,7 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
     the secular mode (eps*v - x)*exp(-v^2/2kappa) as E -> 0.  E broadcasts
     against v, so a column (M, 1) of fields gives (M, K) values.
     """
-    m = np.exp(-(v**2) / (2.0 * kappa))
+    m = vfp_psi0(0, v, kappa)
     psi_H = np.exp(-((v - epsilon * E) ** 2) / (2.0 * kappa))
     z = epsilon * v - x
     psi_D = (
@@ -387,7 +387,7 @@ def _vfp_B0(dx, v, E, kappa, closure) -> np.ndarray:
     """
     K = len(v)
     gamma, beta = closure.gamma, closure.beta
-    m = np.exp(-(v**2) / (2.0 * kappa))
+    m = vfp_psi0(0, v, kappa)
     P = closure.S0
     W = np.eye(K) + P
     u = (E * dx / kappa)[:, None, None]

@@ -20,7 +20,7 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BracketFailure, PoleHit
+from .errors import BracketFailure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quadrature import VelocityQuadrature
@@ -46,26 +46,6 @@ class DispersionSpectrum:
     lambda0_first_order: float | None = None
     lambda_first_order: np.ndarray | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "lambdas": [float(x) for x in self.lambdas],
-            "lambda0": self.lambda0,
-            "lambda0_first_order": self.lambda0_first_order,
-            "lambda_first_order": None
-            if self.lambda_first_order is None
-            else [float(x) for x in self.lambda_first_order],
-        }
-
-    @classmethod
-    def from_json(cls, record: dict) -> "DispersionSpectrum":
-        lam1 = record.get("lambda_first_order")
-        return cls(
-            lambdas=np.asarray(record["lambdas"], dtype=float),
-            lambda0=record.get("lambda0"),
-            lambda0_first_order=record.get("lambda0_first_order"),
-            lambda_first_order=None if lam1 is None else np.asarray(lam1, dtype=float),
-        )
-
 
 def hermite_poly(ell: int, x):
     """Physicists' Hermite polynomial H_ell via H_{l+1} = 2x H_l - 2l H_{l-1}."""
@@ -79,14 +59,6 @@ def hermite_poly(ell: int, x):
     for n in range(1, ell):
         hm, h = h, 2.0 * x * h - 2.0 * n * hm
     return h if h.ndim else float(h)
-
-
-def case_phi(lam: float, v: float, T_of_v: float) -> float:
-    """Case eigenfunction value 1/(T(v) - lambda*v)."""
-    denom = T_of_v - lam * v
-    if abs(denom) < 1e-300:
-        raise PoleHit(f"T(v) - lambda*v = {denom} at v={v}, lambda={lam}")
-    return 1.0 / denom
 
 
 def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):

@@ -97,7 +97,3 @@ def ts_step(state: TwoStreamState, phi_response: Callable = phi_tanh) -> TwoStre
         f_plus=f_plus, f_minus=f_minus, S=S,
     )
 
-
-def ts_mass(state: TwoStreamState) -> float:
-    return float(np.sum(state.rho) * state.dx)
-

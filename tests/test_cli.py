@@ -43,7 +43,6 @@ def write_config(tmp_path, name="c.json", **overrides):
         "t_final": 100 * DX**2,
         "epsilon": 1e-6,
         "initial_density": "cosine_bump",
-        "seed": 0,
         "output_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
@@ -350,9 +349,15 @@ def test_run_vfp_and_twostream(tmp_path):
         ({"epsilon_list": [1e-3, "y"]}, "epsilon_list"),
         ({"kappa": "k"}, "kappa"),
         ({"model": "vfp", "K": 3, "kappa": 1.0, "E_profile": {"kind": "square"}}, "E_profile"),
+        ({"model": "vfp", "K": 3, "kappa": 1.0,
+          "E_profile": {"kind": "sinusoidal", "amplitud": 3.0}},
+         "E_profile: unknown keys ['amplitud'] for kind 'sinusoidal'; known: amplitude, kind"),
+        # a missing kind means zero, which reads no amplitude
+        ({"model": "vfp", "K": 3, "kappa": 1.0, "E_profile": {"amplitude": 3.0}},
+         "E_profile: unknown keys ['amplitude'] for kind 'zero'; known: kind"),
         ({"K": True}, "K"),
         ({"Nx": True}, "Nx"),
-        ({"seed": True}, "seed"),
+        ({"seed": 0}, "unknown config fields: ['seed']"),
         ({"model": ["rte"]}, "model"),
         ({"model": "chemo", "phi_params": {"chi": 1.0, "delta": 0}}, "delta must be positive"),
         ({"model": "chemo", "phi_params": {"chi": 1.0, "delat": 0.25}}, "unknown keys ['delat']"),
@@ -361,8 +366,8 @@ def test_run_vfp_and_twostream(tmp_path):
         ({"K": 2, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e200}, "t_final/dt"),
     ],
     ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind",
-         "K-bool", "Nx-bool", "seed-bool", "model-list", "delta-zero", "phi-unknown-key",
-         "steps-overflow", "steps-huge"],
+         "E-unknown-key", "E-key-of-zero", "K-bool", "Nx-bool", "seed-unknown", "model-list",
+         "delta-zero", "phi-unknown-key", "steps-overflow", "steps-huge"],
 )
 def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
     config = write_config(tmp_path, **{"epsilon_list": [1e-3, 1e-4], **fields})

@@ -156,15 +156,6 @@ def test_vfp_feasible_but_negative_weights():
         vfp_quadrature(3, 1.0, np.array([0.2, 0.5, 0.5 * (lo + hi)]))
 
 
-def test_json_round_trip(q4, qv3):
-    for q in (q4, qv3):
-        back = VelocityQuadrature.from_json(q.to_json())
-        assert back.domain_tag == q.domain_tag
-        assert back.kappa == q.kappa
-        assert np.array_equal(back.nodes, q.nodes)
-        assert np.array_equal(back.weights, q.weights)
-
-
 @settings(max_examples=25, deadline=None)
 @given(K=st.integers(min_value=2, max_value=24))
 def test_gauss_moments_property(K):

@@ -4,8 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kinwb import (
     BracketFailure,
-    PoleHit,
-    case_phi,
     chemo_eigen_expansion,
     dispersion_roots,
     gauss_symmetric,
@@ -16,7 +14,7 @@ from kinwb import (
     vfp_psi0,
 )
 from kinwb.scattering import _vfp_zero_columns
-from kinwb.spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi
+from kinwb.spectral import _all_roots_multi, vfp_mu, vfp_psi
 
 
 def test_k2_root_closed_form(q2):
@@ -58,16 +56,6 @@ def test_uneven_rate_has_middle_root(q4):
     spectrum = dispersion_roots(q4, T)
     assert spectrum.lambda0 is not None
     assert len(spectrum.lambdas) == 3
-
-
-def test_case_phi_values(q2):
-    lam = 2.0 * np.sqrt(3.0)
-    assert case_phi(0.0, 0.3, 1.0) == 1.0
-    # exact values 2 + sqrt(3) and -1/sqrt(3) at the two Gauss nodes
-    assert case_phi(lam, q2.nodes[0], 1.0) == pytest.approx(2.0 + np.sqrt(3.0), rel=1e-12)
-    assert case_phi(lam, q2.nodes[1], 1.0) == pytest.approx(-1.0 / np.sqrt(3.0), rel=1e-12)
-    with pytest.raises(PoleHit):
-        case_phi(2.0, 0.5, 1.0)
 
 
 def test_hermite_small_orders():
@@ -167,14 +155,6 @@ def test_vfp_psi0_parity(qv3):
 def test_vfp_ortho_residuals(qv3):
     res = moment_report(qv3).orthogonality_residuals[:-1]
     assert np.max(res) < 1e-10
-
-
-def test_spectrum_json_round_trip(q4):
-    spectrum = chemo_eigen_expansion(q4, 0.4, phi_tanh)
-    back = DispersionSpectrum.from_json(spectrum.to_json())
-    assert np.allclose(back.lambdas, spectrum.lambdas, atol=0)
-    assert back.lambda0_first_order == spectrum.lambda0_first_order
-    assert np.allclose(back.lambda_first_order, spectrum.lambda_first_order, atol=0)
 
 
 # ---------------------------------------------------------------------------
