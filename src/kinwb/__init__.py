@@ -8,7 +8,6 @@ from .diagnostics import (
     KernelRangeReport,
     StochasticityReport,
     exp_poly_roots,
-    haar_det,
     kernel_range_check,
     orthogonality_check,
     run_verification,
@@ -72,8 +71,6 @@ from .scattering import (
     vfp_interfaces,
 )
 from .spectral import (
-    DispersionSpectrum,
-    chemo_eigen_expansion,
     dispersion_roots,
     hermite_poly,
     vfp_psi0,

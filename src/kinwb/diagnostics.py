@@ -1,8 +1,8 @@
 """Executable checks for the structural properties behind the schemes:
 stochasticity, kernel/range of the relaxation matrix, discrete
-orthogonality, Haar determinants, exponential-polynomial root counts, and
-the well-balanced fixed point of an interface S-matrix.  Every check is
-deterministic (seeded) and idempotent.
+orthogonality, exponential-polynomial root counts, and the well-balanced
+fixed point of an interface S-matrix.  Every check is deterministic
+(seeded) and idempotent.
 """
 
 import warnings
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
-from .spectral import DispersionSpectrum, _all_roots_multi, vfp_mu, vfp_psi, vfp_psi0
+from .spectral import _all_roots_multi, vfp_mu, vfp_psi, vfp_psi0
 from .scattering import _vfp_zero_columns
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
@@ -104,24 +104,23 @@ def kernel_range_check(
     )
 
 
-def orthogonality_check(q, spectrum: DispersionSpectrum, T_values=None) -> np.ndarray:
-    """All discrete orthogonality residuals of a dispersion spectrum: the
-    pairwise weighted sums sum_{+-k} w v phi_lam phi_mu T (lambda != mu,
-    including the +-lambda pairs) and the zero-flux sums
-    sum_{k>0} w v (phi_lam(v) - phi_lam(-v)).  The zero-flux identities of
-    the vfp Hermite modes are in :func:`moment_report`.
+def orthogonality_check(q, T_values=None) -> np.ndarray:
+    """All discrete orthogonality residuals of the dispersion roots for the
+    rate samples T_values = (T(v_1..v_K), T(-v_1..-v_K)), default T = 1:
+    the pairwise weighted sums sum_{+-k} w v phi_lam phi_mu T (lambda != mu)
+    and the zero-flux sums sum_{k>0} w v (phi_lam(v) - phi_lam(-v)).  An
+    even rate's middle root is identically zero and is left out.  The
+    zero-flux identities of the vfp Hermite modes are in
+    :func:`moment_report`.
     """
     v, w = q.nodes, q.weights
     K = q.K
     if T_values is None:
         T_values = np.ones(2 * K)
     Tp, Tn = np.asarray(T_values[:K], dtype=float), np.asarray(T_values[K:], dtype=float)
-    if spectrum.lambda0 is None:
-        # even rate: the spectrum is symmetric about the excluded zero root
-        lams = list(spectrum.lambdas) + [-l for l in spectrum.lambdas]
-    else:
-        # uneven rate: the negative roots are not mirror images; recompute
-        lams = list(_all_roots_multi(q.nodes, q.weights, Tp, Tn)[0])
+    lams = list(_all_roots_multi(v, w, Tp, Tn)[0])
+    if np.allclose(Tp, Tn, rtol=0.0, atol=1e-15):
+        del lams[K - 1]
     residuals = []
     for lam in lams:
         residuals.append(
@@ -135,17 +134,6 @@ def orthogonality_check(q, spectrum: DispersionSpectrum, T_values=None) -> np.nd
             minus = w * v / ((Tn + lam * v) * (Tn + mu * v)) * Tn
             residuals.append(abs(np.sum(plus) - np.sum(minus)))
     return np.asarray(residuals)
-
-
-def haar_det(x, y, z) -> float:
-    """Generalized Vandermonde determinant det(exp(y_j x_i) x_i^{z_j})."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not (len(x) == len(y) == len(z)):
-        raise ValueError("x, y, z must have equal lengths")
-    M = np.exp(np.outer(x, y)) * np.power.outer(x, z)
-    return float(np.linalg.det(M))
 
 
 def exp_poly_roots(terms, interval, samples: int = 100_000):
@@ -299,12 +287,12 @@ def verify_quadrature() -> list[CheckResult]:
 
 def verify_spectral() -> list[CheckResult]:
     from .quadrature import gauss_symmetric
-    from .spectral import chemo_eigen_expansion, dispersion_roots
+    from .spectral import dispersion_roots, first_order_shifts
     from .kinetic import phi_tanh
 
     out = []
     q = gauss_symmetric(2)
-    lam = dispersion_roots(q, np.ones(4)).lambdas
+    lam = dispersion_roots(q)
     out.append(
         _result(
             "K=2 dispersion root equals 2*sqrt(3)",
@@ -315,23 +303,24 @@ def verify_spectral() -> list[CheckResult]:
     ok = True
     for K in (2, 3, 4, 5, 6):
         qK = gauss_symmetric(K)
-        lams = dispersion_roots(qK, np.ones(2 * K)).lambdas
+        lams = dispersion_roots(qK)
         inv = np.sort(1.0 / qK.nodes)
         ok = ok and np.all(lams > inv[:-1]) and np.all(lams < inv[1:])
     out.append(_result("interlacing with 1/v poles K<=6", ok, "strict for all K"))
     q4 = gauss_symmetric(4)
-    res = orthogonality_check(q4, dispersion_roots(q4, np.ones(8)))
+    res = orthogonality_check(q4)
     out.append(
         _result("discrete orthogonality residuals", float(np.max(res)) < 1e-10, f"max {np.max(res):.2e}")
     )
-    exp = chemo_eigen_expansion(q4, 0.7, phi_tanh)
+    lam0 = dispersion_roots(q4)
+    phip = phi_tanh(q4.nodes * 0.7)
+    lam01, lam1 = first_order_shifts(q4, lam0, phip[None])
     errs = []
     eps_list = (1e-2, 1e-3, 1e-4)
     for eps in eps_list:
-        phip = phi_tanh(q4.nodes * 0.7)
         roots = _all_roots_multi(q4.nodes, q4.weights, 1 + eps * phip, 1 - eps * phip)[0]
-        err = np.max(np.abs(roots[4:] - (exp.lambdas + eps * exp.lambda_first_order)))
-        errs.append(max(err, abs(roots[3] - eps * exp.lambda0_first_order)))
+        err = np.max(np.abs(roots[4:] - (lam0 + eps * lam1[0])))
+        errs.append(max(err, abs(roots[3] - eps * lam01[0])))
     slope = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0])
     out.append(_result("eigenvalue expansion remainder o(eps)", slope >= 1.9, f"slope {slope:.3f}"))
     return out
@@ -346,8 +335,8 @@ def verify_scattering() -> list[CheckResult]:
     out = []
     dx = 1.0 / 32.0
     q = gauss_symmetric(4)
-    spec0 = dispersion_roots(q, np.ones(8))
-    closure = rte_closure(q, spec0)
+    lam0 = dispersion_roots(q)
+    closure = rte_closure(q, lam0)
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
     closure_v = vfp_closure(qv)
     ones, phip = np.ones(4), phi_tanh(q.nodes * 0.8)
@@ -355,10 +344,10 @@ def verify_scattering() -> list[CheckResult]:
     def build(model, eps):
         """The interface, its velocity set and closure, and its stationary problem."""
         if model == "rte":
-            return rte_interfaces(eps, dx, q, spec0, closure), q, closure, {"rates": (ones, ones)}
+            return rte_interfaces(eps, dx, q, lam0, closure), q, closure, {"rates": (ones, ones)}
         if model == "chemo":
             rates = (1.0 + eps * phip, 1.0 - eps * phip)
-            stack = chemo_interfaces(eps, dx, q, [0.8], phi_tanh, spec0, closure)
+            stack = chemo_interfaces(eps, dx, q, [0.8], phi_tanh, lam0, closure)
             return stack, q, closure, {"rates": rates}
         return vfp_interfaces(eps, dx, qv, [0.5], closure_v), qv, closure_v, {"E": 0.5}
 
@@ -414,8 +403,8 @@ def verify_lemmas() -> list[CheckResult]:
     rep = kernel_range_check(R0, None, np.ones(2))
     out.append(_result("two-stream kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
     q = gauss_symmetric(4)
-    spec0 = dispersion_roots(q, np.ones(8))
-    cl = rte_closure(q, spec0)
+    lam0 = dispersion_roots(q)
+    cl = rte_closure(q, lam0)
     R0 = assemble_cell_matrix(0.0, dt, dx, q, cl.S0)
     rep = kernel_range_check(R0, q, np.ones(8))
     out.append(_result("rte/chemo kernel/range", rep.passed, f"null_dim {rep.null_dim}"))

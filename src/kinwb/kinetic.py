@@ -101,7 +101,7 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
-    R_eps^{-1}, the read-only (Nx, 2K, 2K) B stack of a static field (None
+    R_eps^{-1}, the read-only (Nx, 2K, 2K) B stack of a static model (None
     when each step assembles its own; rte's one S-matrix is broadcast), the
     velocities scaled by eps dt/dx, and two (Nx, 2K) flat indices: ``f.take(incoming)``
     gives interface i its incoming traces (f_{i-1}(+v), f_i(-v)), and
@@ -116,19 +116,19 @@ class StepOperator:
     to_cells: np.ndarray
 
 
-def step_operator(grid: KineticGrid, model, S: np.ndarray | None = None) -> StepOperator:
+def step_operator(grid: KineticGrid, model) -> StepOperator:
     """The run constants of the IMEX step on this grid.  R_eps takes S0 from
     the model's closure, which does not see the field; the B stack is kept
-    for a model whose interfaces stay the same, and for a frozen field S
-    given here.  An exactly singular R_eps raises :class:`SolveFailure`."""
+    for a model whose interfaces stay the same.  An exactly singular R_eps
+    raises :class:`SolveFailure`."""
     R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, grid.q, model.closure.S0)
     try:
         R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
         raise SolveFailure(f"R_eps is singular at eps={grid.epsilon:g}") from None
     B = None
-    if model.static or S is not None:
-        B = model.interfaces(grid.epsilon, grid.dx, S).B
+    if model.static:
+        B = model.interfaces(grid.epsilon, grid.dx, None).B
         B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])
     K = grid.q.K
     cell = np.arange(grid.Nx)[:, None]

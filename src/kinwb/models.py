@@ -72,7 +72,7 @@ class Rte(_Kinetic):
     def __init__(self, q):
         self.q = q
         self.D = q.second_moment
-        self.base = dispersion_roots(q, np.ones(2 * q.K))
+        self.base = dispersion_roots(q)
         self.closure = rte_closure(q, self.base)
 
     def drift(self, S, dx: float):

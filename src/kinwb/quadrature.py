@@ -1,16 +1,17 @@
 """Discrete-ordinates velocity sets (weights, nodes) for all models.
 
-Two families are supported:
+Two families are supported, told apart by ``kappa``:
 
-* ``unit_interval``: symmetric rules on (-1, 1) stored through their
-  positive half; the moment constraints are sum(w) = 1 and
+* unit interval (``kappa is None``): symmetric rules on (-1, 1) stored
+  through their positive half; the moment constraints are sum(w) = 1 and
   sum(w v^2) = 1/3.  Gauss-Legendre satisfies both exactly for K >= 2.
-* ``real_line``: node sets for the Fokker-Planck model.  Nodes are
-  caller-supplied; the weights are the kernel of the K homogeneous
-  constraints (K-1 discrete zero-flux identities for the limit modes plus
-  sigma2 = kappa*sigma0), which pins the nodes to a codimension-one
-  manifold.  ``vfp_preset_nodes`` returns feasible sets for K <= 3 as
-  constants, found by bisection on that manifold (``_preset_root``).
+* real line (``kappa > 0``): node sets for the Fokker-Planck model with
+  Maxwellian exp(-v^2/2kappa).  Nodes are caller-supplied; the weights
+  are the kernel of the K homogeneous constraints (K-1 discrete zero-flux
+  identities for the limit modes plus sigma2 = kappa*sigma0), which pins
+  the nodes to a codimension-one manifold.  ``vfp_preset_nodes`` returns
+  feasible sets for K <= 3 as constants, found by bisection on that
+  manifold (``_preset_root``).
 """
 
 from dataclasses import dataclass
@@ -31,33 +32,34 @@ class VelocityQuadrature:
     and identical inputs produce bitwise-identical instances.  Moment
     constraints are *reported* (see :func:`moment_report`), not enforced,
     so deliberately defective rules (e.g. the K=1 midpoint) can be built
-    and diagnosed.
+    and diagnosed.  ``kappa`` is None for a unit-interval rule and the
+    Maxwellian's variance for a real-line one.
     """
 
-    K: int
     nodes: np.ndarray
     weights: np.ndarray
-    domain_tag: str
     kappa: float | None = None
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
         weights = np.array(self.weights, dtype=float)
-        if self.domain_tag not in ("unit_interval", "real_line"):
-            raise ValueError(f"unknown domain_tag {self.domain_tag!r}")
-        if nodes.shape != (self.K,) or weights.shape != (self.K,):
-            raise ValueError("nodes and weights must have shape (K,)")
+        if nodes.ndim != 1 or weights.shape != nodes.shape:
+            raise ValueError("nodes and weights must have the same shape (K,)")
         if np.any(nodes <= 0.0) or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly positive and ascending")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be strictly positive")
-        if self.domain_tag == "real_line":
-            if self.kappa is None or self.kappa <= 0.0:
-                raise ValueError("real_line quadratures require kappa > 0")
+        if self.kappa is not None and not self.kappa > 0.0:
+            raise ValueError("real-line quadratures require kappa > 0")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def K(self) -> int:
+        """The number of positive velocities."""
+        return len(self.nodes)
 
     @property
     def second_moment(self) -> float:
@@ -85,9 +87,7 @@ def gauss_symmetric(K: int) -> VelocityQuadrature:
     if K < 1:
         raise ValueError("K must be >= 1")
     x, w = np.polynomial.legendre.leggauss(K)
-    return VelocityQuadrature(
-        K=K, nodes=(x + 1.0) / 2.0, weights=w / 2.0, domain_tag="unit_interval"
-    )
+    return VelocityQuadrature(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
 def _vfp_constraint_matrix(nodes: np.ndarray, kappa: float) -> np.ndarray:
@@ -166,9 +166,7 @@ def vfp_quadrature(K: int, kappa: float, candidate_nodes) -> VelocityQuadrature:
     if np.any(w <= 0.0):
         raise NegativeWeight(f"kernel weights {w} are not all positive")
     w = w / np.sum(w)
-    return VelocityQuadrature(
-        K=K, nodes=nodes, weights=w, domain_tag="real_line", kappa=kappa
-    )
+    return VelocityQuadrature(nodes=nodes, weights=w, kappa=kappa)
 
 
 def _preset_root(v_fixed, bracket):
@@ -211,14 +209,15 @@ def vfp_preset_nodes(K: int, kappa: float) -> np.ndarray:
 def moment_report(q: VelocityQuadrature) -> MomentReport:
     """Constraint residuals for q's domain; never mutates q.
 
-    unit_interval: |sum w - 1| and |sum w v^2 - 1/3| below 1e-12.
-    real_line: the K-1 zero-flux residuals and |sigma2 - kappa*sigma0|
-    below 1e-10.
+    Unit interval (kappa None): |sum w - 1| and |sum w v^2 - 1/3| below
+    1e-12.  Real line: the K-1 zero-flux residuals and
+    |sigma2 - kappa*sigma0| below 1e-10.
     """
     v, w = q.nodes, q.weights
     sum_w = float(np.sum(w))
     second = q.second_moment
-    if q.domain_tag == "unit_interval":
+    kappa = q.kappa
+    if kappa is None:
         residuals = np.array([abs(sum_w - 1.0), abs(second - 1.0 / 3.0)])
         return MomentReport(
             sum_weights=sum_w,
@@ -226,7 +225,6 @@ def moment_report(q: VelocityQuadrature) -> MomentReport:
             orthogonality_residuals=residuals,
             passed=bool(np.all(residuals < 1e-12)),
         )
-    kappa = q.kappa
     m = vfp_psi0(0, v, kappa)
     sigma0 = float(np.sum(w * m))
     sigma2 = float(np.sum(w * v**2 * m))

@@ -121,6 +121,14 @@ class ExperimentConfig:
                 errs.append("nodes: must list K positive velocities in ascending order")
         if self.model == "twostream" and self.K != 1:
             errs.append("K: the two-stream model has K = 1")
+        if isinstance(self.model, str) and self.model in MODELS:
+            # a field the model does not read would be silently ignored
+            unread = [] if self.model == "vfp" else [
+                name for name in ("kappa", "E_profile", "nodes") if getattr(self, name) is not None
+            ]
+            if self.model in ("rte", "vfp") and self.phi_params:
+                unread.append("phi_params")
+            errs.extend(f"{name}: not read by the {self.model} model" for name in unread)
         return errs
 
     @classmethod

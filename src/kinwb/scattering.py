@@ -31,7 +31,6 @@ import numpy as np
 from .errors import IllConditioned, NonPositiveRate
 from .macrolimit import bernoulli
 from .spectral import (
-    DispersionSpectrum,
     _all_roots_multi,
     dispersion_roots,
     first_order_shifts,
@@ -150,9 +149,9 @@ def _expm1_over(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rte_closure(q, spectrum: DispersionSpectrum) -> ClosureCoefficients:
-    """gamma, beta from inverting [1/(1 - V (x) lambda) | 1]; zeta = odd part."""
-    lam = spectrum.lambdas
+def rte_closure(q, lam: np.ndarray) -> ClosureCoefficients:
+    """gamma, beta from inverting [1/(1 - V (x) lambda) | 1] at the positive
+    roots ``lam`` of :func:`dispersion_roots`; zeta = odd part."""
     v = q.nodes
     K = q.K
     Fm = 1.0 / (1.0 - np.outer(v, lam))
@@ -182,7 +181,7 @@ def _rte_matrices(epsilon, dx, v, lam):
 
 
 def rte_interfaces(
-    epsilon: float, dx: float, q, spectrum: DispersionSpectrum, closure: ClosureCoefficients
+    epsilon: float, dx: float, q, lam: np.ndarray, closure: ClosureCoefficients
 ) -> InterfaceStack:
     """Radiative-transfer decomposition as a stack of one.
 
@@ -191,7 +190,7 @@ def rte_interfaces(
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
-    M, Mtil = _rte_matrices(epsilon, dx, q.nodes, spectrum.lambdas)
+    M, Mtil = _rte_matrices(epsilon, dx, q.nodes, lam)
     return _stack(epsilon, dx, closure, M, Mtil, lambda: _rte_B0(dx, q.nodes, closure)[None])
 
 
@@ -273,7 +272,7 @@ def chemo_interfaces(
     q,
     grads,
     phi_response: Callable,
-    base: DispersionSpectrum | None = None,
+    base: np.ndarray | None = None,
     closure: ClosureCoefficients | None = None,
 ) -> InterfaceStack:
     """Chemotaxis decompositions for a stack of interface slopes.
@@ -281,14 +280,14 @@ def chemo_interfaces(
     The finite-eps dispersion roots of all interfaces are solved together,
     each seeded from the first-order expansion lambda0 + eps*lambda1 (the
     negative branch is the mirror image under phi -> -phi); the limit
-    closure (gradS-independent) is shared.  The leading block
-    I - zeta0*gamma coincides with the radiative-transfer one, so
+    closure (gradS-independent) is shared.  ``base`` holds the even-rate
+    roots of :func:`dispersion_roots`, solved here when None.  The leading
+    block I - zeta0*gamma coincides with the radiative-transfer one, so
     interfaces with gradS = 0 reduce to it exactly.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
     v = q.nodes
-    K = q.K
     grads = np.atleast_1d(np.asarray(grads, dtype=float))
     phip = np.asarray(phi_response(np.outer(grads, v)), dtype=float)
     if np.any(1.0 - epsilon * np.abs(phip) <= 0.0):
@@ -296,11 +295,9 @@ def chemo_interfaces(
             f"1 + eps*phi(v*gradS) must be positive; min margin "
             f"{np.min(1.0 - epsilon*np.abs(phip)):.3e}"
         )
-    if base is None:
-        base = dispersion_roots(q, np.ones(2 * K))
+    lam0 = dispersion_roots(q) if base is None else base
     if closure is None:
-        closure = rte_closure(q, base)
-    lam0 = base.lambdas
+        closure = rte_closure(q, lam0)
     lam01, lam1 = first_order_shifts(q, lam0, phip)
     guess = np.hstack(
         [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]

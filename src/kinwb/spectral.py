@@ -5,8 +5,12 @@ eigenvalues given by the poles-and-roots structure of
 
     g(lambda) = sum_{k=-K..K} w_k / (T(v_k)/v_k - lambda) = 0,
 
-with one root strictly between consecutive poles T(v_k)/v_k.  The
-Fokker-Planck model instead uses Hermite-type modes
+with one root strictly between consecutive poles T(v_k)/v_k.  Roots are
+plain arrays: :func:`_all_roots_multi` solves all 2K-1 of them for a batch
+of rates, :func:`dispersion_roots` keeps the K-1 positive ones of the even
+rate T = 1, and :func:`first_order_shifts` gives their O(eps) shifts under
+the chemotaxis rate 1 + eps*phi.  The Fokker-Planck model instead uses
+Hermite-type modes
 
     psi_{+-l}(v) = exp(-mu v) H_l(vt) exp(-vt^2),
     mu_{+-l} = (-eps*E +- sqrt((eps*E)^2 + 4*kappa*l)) / (2*kappa),
@@ -15,8 +19,7 @@ Fokker-Planck model instead uses Hermite-type modes
 Everything here is a pure function of its inputs.
 """
 
-from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,23 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _MAX_HERMITE = 64
 _ROOT_RTOL = 1e-14
 _ROOT_MAXIT = 200
-
-
-@dataclass(frozen=True, eq=False)
-class DispersionSpectrum:
-    """Positive eigenvalues of a discrete dispersion relation.
-
-    ``lambdas`` holds the K-1 positive roots in ascending order.  For an
-    uneven rate T the simple root in the middle pole interval is kept in
-    ``lambda0`` (it collapses onto 0 when T is even and is then omitted).
-    ``lambda_first_order``/``lambda0_first_order`` carry the O(eps)
-    expansion coefficients when produced by :func:`chemo_eigen_expansion`.
-    """
-
-    lambdas: np.ndarray
-    lambda0: float | None = None
-    lambda0_first_order: float | None = None
-    lambda_first_order: np.ndarray | None = None
 
 
 def hermite_poly(ell: int, x):
@@ -112,61 +98,21 @@ def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):
     return x
 
 
-def dispersion_roots(q: "VelocityQuadrature", T_values) -> DispersionSpectrum:
-    """Positive eigenvalues of the dispersion relation for rate T at +-nodes.
-
-    Parameters
-    ----------
-    q : VelocityQuadrature
-        Unit-interval quadrature carrying (nodes, weights).
-    T_values : array, length 2K
-        Rate samples ordered (T(v_1..v_K), T(-v_1..-v_K)); all positive.
-
-    Returns
-    -------
-    DispersionSpectrum
-        The K-1 roots bracketed by consecutive positive poles, each located
-        by safeguarded Newton from the interval midpoint to relative
-        tolerance 1e-14.  For uneven T the middle root is reported in
-        ``lambda0``; for even T it is identically zero and omitted.
-    """
-    T_values = np.asarray(T_values, dtype=float)
-    K = q.K
-    if T_values.shape != (2 * K,):
-        raise ValueError(f"T_values must have length {2*K}")
-    if np.any(T_values <= 0.0):
-        raise ValueError("T_values must be positive")
-    T_pos, T_neg = T_values[:K], T_values[K:]
-    roots = _all_roots_multi(q.nodes, q.weights, T_pos, T_neg)[0]
-    even = np.allclose(T_pos, T_neg, rtol=0.0, atol=1e-15)
-    lam0 = None if even else float(roots[K - 1])
-    return DispersionSpectrum(lambdas=roots[K:], lambda0=lam0)
+def dispersion_roots(q: "VelocityQuadrature") -> np.ndarray:
+    """The K-1 positive roots of the even-rate (T = 1) dispersion relation
+    on q's nodes, ascending; root l lies between the poles 1/v_{K-l+1} and
+    1/v_{K-l}.  The middle root is identically zero and omitted."""
+    ones = np.ones(q.K)
+    return _all_roots_multi(q.nodes, q.weights, ones, ones)[0, q.K :]
 
 
 def first_order_shifts(q: "VelocityQuadrature", lam0, phip):
-    """lambda0^1 (M,) and lambda_l^1 (M, K-1) of :func:`chemo_eigen_expansion`
-    for rows of response samples phip[i, k] = phi(v_k gradS_i), shape (M, K)."""
-    v, w = q.nodes, q.weights
-    wv = w * v
-    Lm, Lp = 1 - np.outer(lam0, v), 1 + np.outer(lam0, v)
-    # full +-K sums; the k -> -k half folds with phi odd
-    Sv = np.sum(wv / Lm**2, axis=1) - np.sum(wv / Lp**2, axis=1)
-    # einsum, unlike BLAS, gives every row the same result in any batch
-    Sphi = np.einsum("mk,lk->ml", phip, wv * (1.0 / Lm**2 + 1.0 / Lp**2))
-    return np.einsum("mk,k->m", phip, wv) / q.second_moment, lam0 * Sphi / Sv
+    """First-order eigenvalue shifts for the tumbling rate
+    T_eps = 1 + eps*phi(v*gradS), one row per slope.
 
-
-def chemo_eigen_expansion(
-    q: "VelocityQuadrature",
-    gradS: float,
-    phi_response: Callable[[np.ndarray], np.ndarray],
-    base: DispersionSpectrum | None = None,
-) -> DispersionSpectrum:
-    """Leading and first-order eigenvalue expansion for the tumbling rate
-    T_eps = 1 + eps*phi(v*gradS).
-
-    The zeroth-order roots solve the even (T=1) dispersion relation.  The
-    double zero eigenvalue splits at first order with
+    ``lam0`` holds the even-rate roots of :func:`dispersion_roots` and
+    phip[i, k] = phi(v_k gradS_i), shape (M, K).  The double zero
+    eigenvalue splits at first order with
 
         lambda0^1 = sum_{k>0} w_k v_k phi(v_k gradS) / D,   D = sum_{k>0} w_k v_k^2
 
@@ -175,14 +121,16 @@ def chemo_eigen_expansion(
         lambda_l^1 = lambda_l^0 * S_phi(l) / S_v(l),
 
     with S_v, S_phi the +-K sums of w v/(1 -+ lambda^0 v)^2 against 1 and
-    phi respectively.
+    phi respectively.  Returns lambda0^1 (M,) and lambda_l^1 (M, K-1).
     """
-    if base is None:
-        base = dispersion_roots(q, np.ones(2 * q.K))
-    phip = np.asarray(phi_response(q.nodes * gradS), dtype=float)
-    lam01, lam1 = first_order_shifts(q, base.lambdas, phip[None])
-    return DispersionSpectrum(lambdas=base.lambdas, lambda0_first_order=float(lam01[0]),
-                              lambda_first_order=lam1[0])
+    v, w = q.nodes, q.weights
+    wv = w * v
+    Lm, Lp = 1 - np.outer(lam0, v), 1 + np.outer(lam0, v)
+    # full +-K sums; the k -> -k half folds with phi odd
+    Sv = np.sum(wv / Lm**2, axis=1) - np.sum(wv / Lp**2, axis=1)
+    # einsum, unlike BLAS, gives every row the same result in any batch
+    Sphi = np.einsum("mk,lk->ml", phip, wv * (1.0 / Lm**2 + 1.0 / Lp**2))
+    return np.einsum("mk,k->m", phip, wv) / q.second_moment, lam0 * Sphi / Sv
 
 
 # ---------------------------------------------------------------------------

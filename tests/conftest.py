@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from kinwb import (
@@ -22,7 +21,7 @@ def q4():
 
 @pytest.fixture(scope="session")
 def spec4(q4):
-    return dispersion_roots(q4, np.ones(8))
+    return dispersion_roots(q4)
 
 
 @pytest.fixture(scope="session")

@@ -188,7 +188,7 @@ def test_criterion_6_lemma_suite():
     R0 = np.array([[1.0, -1.0], [-1.0, 1.0]]) * dt / dx
     checks.append(("twostream", kernel_range_check(R0, None, np.ones(2)).passed))
     q4 = gauss_symmetric(4)
-    cl = rte_closure(q4, dispersion_roots(q4, np.ones(8)))
+    cl = rte_closure(q4, dispersion_roots(q4))
     S0 = np.eye(4) - cl.zeta @ cl.gamma
     checks.append(
         ("rte/chemo", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q4, S0), q4, np.ones(8)).passed)
@@ -201,9 +201,9 @@ def test_criterion_6_lemma_suite():
         ("vfp", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, qv, S0v), qv, mw).passed)
     )
     devs = [stochasticity_check(ts_smatrix(1e-3, dx, 0.7)).col_sum_deviation]
-    spectrum = dispersion_roots(q4, np.ones(8))
+    lam = dispersion_roots(q4)
     devs.append(
-        stochasticity_check(rte_interfaces(1e-3, dx, q4, spectrum, cl).S[0], q4).col_sum_deviation
+        stochasticity_check(rte_interfaces(1e-3, dx, q4, lam, cl).S[0], q4).col_sum_deviation
     )
     devs.append(
         stochasticity_check(chemo_interfaces(1e-3, dx, q4, [0.8], phi_tanh).S[0], q4).col_sum_deviation
@@ -245,13 +245,13 @@ def test_criterion_7_reference_root_values():
 
 def test_criterion_8_decomposition():
     q4 = gauss_symmetric(4)
-    spectrum = dispersion_roots(q4, np.ones(8))
-    cl = rte_closure(q4, spectrum)
+    lam = dispersion_roots(q4)
+    cl = rte_closure(q4, lam)
     qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
 
     def build(model, eps):
         if model == "rte":
-            return rte_interfaces(eps, DX, q4, spectrum, cl)
+            return rte_interfaces(eps, DX, q4, lam, cl)
         if model == "chemo":
             return chemo_interfaces(eps, DX, q4, [0.8], phi_tanh)
         return vfp_interfaces(eps, DX, qv, [0.5])
@@ -279,14 +279,13 @@ def test_criterion_9_orthogonality():
     ok = True
     for K in (2, 3, 4, 6):
         q = gauss_symmetric(K)
-        res = np.max(orthogonality_check(q, dispersion_roots(q, np.ones(2 * K))))
+        res = np.max(orthogonality_check(q))
         ok = ok and res < 1e-10
         details.append(f"rte K={K}: {res:.1e}")
     q4 = gauss_symmetric(4)
     phip = phi_tanh(q4.nodes * 0.8)
     T = np.concatenate([1.0 + 1e-3 * phip, 1.0 - 1e-3 * phip])
-    spectrum = dispersion_roots(q4, T)
-    res = np.max(orthogonality_check(q4, spectrum, T_values=T))
+    res = np.max(orthogonality_check(q4, T_values=T))
     ok = ok and res < 1e-10
     details.append(f"chemo: {res:.1e}")
     for K in (2, 3):

@@ -364,10 +364,21 @@ def test_run_vfp_and_twostream(tmp_path):
         ({"K": 2, "Nx": 4, "dt": 1e-300, "t_final": 1e300}, "t_final/dt"),
         # finite but about 1e203 steps: rejected before any step is taken
         ({"K": 2, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e200}, "t_final/dt"),
+        # fields the model does not read: rte runs Gauss nodes, no field, no response
+        ({"nodes": [0.1, 0.2, 0.3, 0.4]}, "nodes: not read by the rte model"),
+        ({"kappa": 5}, "kappa: not read by the rte model"),
+        ({"phi_params": {"chi": 9}}, "phi_params: not read by the rte model"),
+        ({"E_profile": {"kind": "constant", "value": 1.0}}, "E_profile: not read by the rte model"),
+        ({"model": "chemo", "kappa": 5}, "kappa: not read by the chemo model"),
+        ({"model": "twostream", "K": 1, "E_profile": {"kind": "zero"}},
+         "E_profile: not read by the twostream model"),
+        ({"model": "vfp", "K": 3, "kappa": 1.0, "E_profile": {"kind": "zero"},
+          "phi_params": {"chi": 2.0}}, "phi_params: not read by the vfp model"),
     ],
     ids=["phi-string", "epsilon-string", "epsilon-list-string", "kappa-string", "E-kind",
          "E-unknown-key", "E-key-of-zero", "K-bool", "Nx-bool", "seed-unknown", "model-list",
-         "delta-zero", "phi-unknown-key", "steps-overflow", "steps-huge"],
+         "delta-zero", "phi-unknown-key", "steps-overflow", "steps-huge", "rte-nodes",
+         "rte-kappa", "rte-phi", "rte-E", "chemo-kappa", "twostream-E", "vfp-phi"],
 )
 def test_config_value_errors_exit_2(tmp_path, capsys, command, fields, named):
     config = write_config(tmp_path, **{"epsilon_list": [1e-3, 1e-4], **fields})

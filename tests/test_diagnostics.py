@@ -8,7 +8,6 @@ from kinwb import (
     ap_error_table,
     assemble_cell_matrix,
     exp_poly_roots,
-    haar_det,
     kernel_range_check,
     moment_report,
     orthogonality_check,
@@ -53,37 +52,10 @@ def test_kernel_range_all_models(q4, closure4, qv3):
     assert not rep.passed and rep.null_dim == 0
 
 
-def test_orthogonality_check_residuals(q4, spec4, qv3):
-    assert np.max(orthogonality_check(q4, spec4)) < 1e-10
+def test_orthogonality_check_residuals(q4, qv3):
+    assert np.max(orthogonality_check(q4)) < 1e-10
     # the vfp zero-flux identities of the eps = 0 Hermite modes
     assert np.max(moment_report(qv3).orthogonality_residuals[:-1]) < 1e-10
-
-
-def test_haar_det_values():
-    # n = 1: a single positive entry
-    assert haar_det([2.0], [0.5], [1]) == pytest.approx(2.0 * np.exp(1.0), rel=1e-14)
-    # duplicated abscissae: two equal rows
-    assert abs(haar_det([1.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0, 1, 2])) < 1e-12
-    # n = 2 by hand: det [[1, 0], [e^2, 2 e^2... ]] for x=(1,2), y=(0,1), z=(0,1)
-    val = haar_det([1.0, 2.0], [0.0, 1.0], [0, 1])
-    assert val == pytest.approx(2.0 * np.exp(2.0) - np.exp(1.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        haar_det([1.0], [0.0, 1.0], [0])
-
-
-def test_haar_det_sign_constant_along_homotopy():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        x = np.sort(rng.uniform(0.1, 3.0, n))
-        y = np.sort(rng.uniform(0.0, 2.0, n))
-        z = np.sort(rng.choice(np.arange(6), size=n, replace=False))
-        s0 = np.sign(haar_det(x, y, z))
-        assert s0 != 0.0
-        for t in np.linspace(0.0, 1.0, 11):
-            # strictly monotone perturbation that preserves the ordering
-            xt = x * (1.0 + 0.4 * t) + 0.2 * t
-            assert np.sign(haar_det(xt, y, z)) == s0
 
 
 def test_exp_poly_reference_root_sets():

@@ -78,11 +78,11 @@ def test_gauss_is_value_object():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        VelocityQuadrature(2, np.array([0.5, 0.2]), np.array([0.5, 0.5]), "unit_interval")
+        VelocityQuadrature(np.array([0.5, 0.2]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        VelocityQuadrature(2, np.array([0.2, 0.5]), np.array([0.5, -0.5]), "unit_interval")
+        VelocityQuadrature(np.array([0.2, 0.5]), np.array([0.5, -0.5]))
     with pytest.raises(ValueError):
-        VelocityQuadrature(1, np.array([1.0]), np.array([1.0]), "real_line")  # no kappa
+        VelocityQuadrature(np.array([1.0]), np.array([1.0]), kappa=0.0)  # real line needs kappa > 0
 
 
 def test_vfp_single_node_requires_sqrt_kappa():

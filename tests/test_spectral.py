@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kinwb import (
     BracketFailure,
-    chemo_eigen_expansion,
     dispersion_roots,
     gauss_symmetric,
     hermite_poly,
@@ -14,7 +13,7 @@ from kinwb import (
     vfp_psi0,
 )
 from kinwb.scattering import _vfp_zero_columns
-from kinwb.spectral import _all_roots_multi, vfp_mu, vfp_psi
+from kinwb.spectral import _all_roots_multi, first_order_shifts, vfp_mu, vfp_psi
 
 
 def test_k2_root_closed_form(q2):
@@ -22,40 +21,30 @@ def test_k2_root_closed_form(q2):
     # with equal weights 1/2 the quadratic gives u = (v1^2+v2^2)/(2 v1^2 v2^2)
     v1, v2 = q2.nodes
     u = (v1**2 + v2**2) / (2.0 * v1**2 * v2**2)
-    spectrum = dispersion_roots(q2, np.ones(4))
-    assert len(spectrum.lambdas) == 1
-    assert spectrum.lambdas[0] == pytest.approx(np.sqrt(u), rel=1e-14)
-    assert spectrum.lambdas[0] == pytest.approx(2.0 * np.sqrt(3.0), rel=1e-13)
+    lams = dispersion_roots(q2)
+    assert len(lams) == 1
+    assert lams[0] == pytest.approx(np.sqrt(u), rel=1e-14)
+    assert lams[0] == pytest.approx(2.0 * np.sqrt(3.0), rel=1e-13)
     # interlacing bracket
-    assert 1.0 / v2 < spectrum.lambdas[0] < 1.0 / v1
-    assert spectrum.lambda0 is None  # even rate: zero root excluded
+    assert 1.0 / v2 < lams[0] < 1.0 / v1
+    assert np.all(lams > 0.0)  # even rate: zero root excluded
 
 
 def test_k1_empty_spectrum():
     q1 = gauss_symmetric(1)
-    spectrum = dispersion_roots(q1, np.ones(2))
-    assert spectrum.lambdas.size == 0
-
-
-def test_dispersion_rejects_bad_rate(q4):
-    with pytest.raises(ValueError):
-        dispersion_roots(q4, -np.ones(8))
-    with pytest.raises(ValueError):
-        dispersion_roots(q4, np.ones(6))
+    assert dispersion_roots(q1).size == 0
 
 
 def test_bracket_failure_on_coincident_poles(q2):
     # T proportional to v collapses all positive poles onto one point
-    T = np.concatenate([q2.nodes, q2.nodes])
     with pytest.raises(BracketFailure):
-        dispersion_roots(q2, T)
+        _all_roots_multi(q2.nodes, q2.weights, q2.nodes, q2.nodes)
 
 
 def test_uneven_rate_has_middle_root(q4):
-    T = np.concatenate([1.0 + 0.1 * q4.nodes, 1.0 - 0.1 * q4.nodes])
-    spectrum = dispersion_roots(q4, T)
-    assert spectrum.lambda0 is not None
-    assert len(spectrum.lambdas) == 3
+    roots = _all_roots_multi(q4.nodes, q4.weights, 1.0 + 0.1 * q4.nodes, 1.0 - 0.1 * q4.nodes)[0]
+    assert roots[3] != 0.0
+    assert len(roots[4:]) == 3
 
 
 def test_hermite_small_orders():
@@ -71,57 +60,59 @@ def test_hermite_small_orders():
 
 
 def test_chemo_expansion_odd_symmetry(q4):
-    spectrum = chemo_eigen_expansion(q4, 0.0, phi_tanh)
-    assert spectrum.lambda0_first_order == 0.0
-    assert np.allclose(spectrum.lambda_first_order, 0.0, atol=1e-15)
+    # rows: gradS = 0, 0.9, -0.9
+    phip = phi_tanh(np.outer([0.0, 0.9, -0.9], q4.nodes))
+    lam01, lam1 = first_order_shifts(q4, dispersion_roots(q4), phip)
+    assert lam01[0] == 0.0
+    assert np.allclose(lam1[0], 0.0, atol=1e-15)
     # odd response makes the double-zero split odd in gradS
-    plus = chemo_eigen_expansion(q4, 0.9, phi_tanh)
-    minus = chemo_eigen_expansion(q4, -0.9, phi_tanh)
-    assert plus.lambda0_first_order == pytest.approx(-minus.lambda0_first_order, rel=1e-14)
+    assert lam01[1] == pytest.approx(-lam01[2], rel=1e-14)
 
 
 def test_chemo_expansion_linear_response(q2):
     # phi(u) = u with gradS = 1 gives lambda0^1 = sum w v^2 / D = 1
-    spectrum = chemo_eigen_expansion(q2, 1.0, lambda u: u)
-    assert spectrum.lambda0_first_order == pytest.approx(1.0, rel=1e-14)
+    lam01, _ = first_order_shifts(q2, dispersion_roots(q2), q2.nodes[None])
+    assert lam01[0] == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("K", [1, 2, 4])
 def test_chemo_zero_root_first_order_matches_root_solve(K):
     # lambda0^1 divides by the quadrature's D = sum w v^2 (1/4 at K = 1, not 1/3)
     q = gauss_symmetric(K)
-    exp = chemo_eigen_expansion(q, 0.7, phi_tanh)
     phip = phi_tanh(q.nodes * 0.7)
+    lam01, _ = first_order_shifts(q, dispersion_roots(q), phip[None])
     eps = 1e-6
     root = _all_roots_multi(q.nodes, q.weights, 1 + eps * phip, 1 - eps * phip)[0][K - 1]
-    assert root / eps == pytest.approx(exp.lambda0_first_order, rel=1e-4)
+    assert root / eps == pytest.approx(lam01[0], rel=1e-4)
 
 
 def test_chemo_expansion_matches_rte_roots(q4, spec4):
-    spectrum = chemo_eigen_expansion(q4, 0.7, phi_tanh)
-    assert np.allclose(spectrum.lambdas, spec4.lambdas, atol=1e-14)
+    # the zeroth-order chemo roots: the rate 1 + eps*phi at eps = 0
+    phip = phi_tanh(q4.nodes * 0.7)
+    roots = _all_roots_multi(q4.nodes, q4.weights, 1 + 0.0 * phip, 1 - 0.0 * phip)[0]
+    assert np.allclose(roots[4:], spec4, atol=1e-14)
 
 
 def test_chemo_expansion_second_order_remainder(q4):
     gradS = 0.7
-    exp = chemo_eigen_expansion(q4, gradS, phi_tanh)
     phip = phi_tanh(q4.nodes * gradS)
+    lam0 = dispersion_roots(q4)
+    lam01, lam1 = first_order_shifts(q4, lam0, phip[None])
     eps_list = np.array([1e-2, 1e-3, 1e-4])
     errs = []
     for eps in eps_list:
         roots = _all_roots_multi(q4.nodes, q4.weights, 1 + eps * phip, 1 - eps * phip)[0]
-        err = np.max(np.abs(roots[4:] - (exp.lambdas + eps * exp.lambda_first_order)))
-        errs.append(max(err, abs(roots[3] - eps * exp.lambda0_first_order)))
+        err = np.max(np.abs(roots[4:] - (lam0 + eps * lam1[0])))
+        errs.append(max(err, abs(roots[3] - eps * lam01[0])))
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert slope >= 1.9
 
 
-def test_orthogonality_residuals(q2, q4, spec4):
-    res = orthogonality_check(q4, spec4)
+def test_orthogonality_residuals(q2, q4):
+    res = orthogonality_check(q4)
     assert np.max(res) < 1e-10
     # zero-flux sum at the K=2 root, evaluated directly
-    spec2 = dispersion_roots(q2, np.ones(4))
-    lam = spec2.lambdas[0]
+    lam = dispersion_roots(q2)[0]
     v, w = q2.nodes, q2.weights
     zero_flux = np.sum(w * v * (1 / (1 - lam * v) - 1 / (1 + lam * v)))
     assert abs(zero_flux) < 1e-12
@@ -201,14 +192,10 @@ def test_seeded_roots_match_bisection(K, log_eps, grads):
     ref = bisect_roots(q.nodes, q.weights, Tp, Tn)
     # the first-order seed: lambda0 + eps*lambda1, eps*lambda0^1, and the
     # negative branch as the mirror image under phi -> -phi
-    guess = []
-    for g in grads:
-        exp = chemo_eigen_expansion(q, g, phi_tanh)
-        lam, lam1 = exp.lambdas, exp.lambda_first_order
-        guess.append(np.concatenate(
-            [-(lam - eps * lam1)[::-1], [eps * exp.lambda0_first_order], lam + eps * lam1]
-        ))
-    assert_roots_close(_all_roots_multi(q.nodes, q.weights, Tp, Tn, np.array(guess)), ref)
+    lam = dispersion_roots(q)
+    lam01, lam1 = first_order_shifts(q, lam, phip)
+    guess = np.hstack([-(lam - eps * lam1)[:, ::-1], eps * lam01[:, None], lam + eps * lam1])
+    assert_roots_close(_all_roots_multi(q.nodes, q.weights, Tp, Tn, guess), ref)
     assert_roots_close(_all_roots_multi(q.nodes, q.weights, Tp, Tn), ref)
 
 
@@ -236,9 +223,9 @@ def test_roots_pair_weights_with_unsorted_poles(K, data):
 def test_dispersion_roots_non_monotone_rate(q4):
     T = np.array([1.0, 1.0, 1.0, 10.0, 1.0, 1.0, 1.0, 1.0])
     ref = bisect_roots(q4.nodes, q4.weights, T[:4], T[4:])[0]
-    spectrum = dispersion_roots(q4, T)
-    assert_roots_close(spectrum.lambdas, ref[4:])
-    assert_roots_close(np.array([spectrum.lambda0]), ref[3:4])
+    roots = _all_roots_multi(q4.nodes, q4.weights, T[:4], T[4:])[0]
+    assert_roots_close(roots[4:], ref[4:])
+    assert_roots_close(roots[3:4], ref[3:4])
 
 
 def test_root_guess_off_bracket_falls_back(q4):
