@@ -1,0 +1,134 @@
+"""Output parity of the working tree against a git revision.
+
+    python3 scripts/output_parity.py --parent REV
+
+Run from inside a kinwb git checkout.  REV (anything ``git archive`` takes)
+is extracted into a temporary directory.  In that tree and in the working
+tree, each with its own ``src`` and ``configs``, the script runs
+
+    kinwb run --config configs/{rte,chemo,vfp,twostream}.json
+    kinwb sweep --config configs/sweep_rte.json
+    kinwb verify --scope all
+
+as ``python3 -m kinwb.cli`` subprocesses, one at a time.  For each config it
+prints how many CSVs the run wrote, how many are byte-identical between the
+trees, and the largest relative move of every column:
+max|change - parent| / max|parent| over the config's CSVs (the absolute move
+where the parent's column is all zeros).  A row whose first cell is a label,
+such as the sweep's ``slope`` row, is its own column.  For verify it says
+whether the two outputs are identical and prints the lines that differ.
+
+Exit status: 0 when every config wrote the same CSV names with the same
+headers and text cells on both sides, 1 otherwise.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import extract, git  # noqa: E402
+
+RUNS = (("run", "rte"), ("run", "chemo"), ("run", "vfp"), ("run", "twostream"),
+        ("sweep", "sweep_rte"))
+
+
+def kinwb(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run([sys.executable, "-m", "kinwb.cli", *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare_dirs(parent: Path, change: Path) -> dict:
+    """CSV count, byte-identical count, per-column relative moves, and the
+    structural differences (names, headers, row counts, text cells)."""
+    names = sorted(p.name for p in parent.glob("*.csv"))
+    other = sorted(p.name for p in change.glob("*.csv"))
+    problems = []
+    if names != other:
+        problems.append(f"CSV sets differ: only parent {sorted(set(names) - set(other))}, "
+                        f"only change {sorted(set(other) - set(names))}")
+    shared = [n for n in names if n in set(other)]
+    identical = 0
+    diff, scale = {}, {}  # column -> max |change - parent|, max |parent|
+    for name in shared:
+        a, b = (d / name for d in (parent, change))
+        if a.read_bytes() == b.read_bytes():
+            identical += 1
+        rows_a = [line.split(",") for line in a.read_text().splitlines()]
+        rows_b = [line.split(",") for line in b.read_text().splitlines()]
+        if rows_a[:1] != rows_b[:1]:
+            problems.append(f"{name}: headers differ")
+            continue
+        if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+            problems.append(f"{name}: row counts or widths differ")
+            continue
+        header = rows_a[0] if rows_a else []
+        for ra, rb in zip(rows_a[1:], rows_b[1:]):
+            label = None if _number(ra[0]) is not None else ra[0]
+            for j, (ca, cb) in enumerate(zip(ra, rb)):
+                xa, xb = _number(ca), _number(cb)
+                if xa is None or xb is None:
+                    if ca != cb:
+                        problems.append(f"{name}: text cell {ca!r} became {cb!r}")
+                    continue
+                col = label or (header[j] if j < len(header) else str(j))
+                diff[col] = max(diff.get(col, 0.0), abs(xb - xa))
+                scale[col] = max(scale.get(col, 0.0), abs(xa))
+    moves = {c: diff[c] / scale[c] if scale[c] > 0.0 else diff[c] for c in diff}
+    return {"count": len(names), "identical": identical, "moves": moves, "problems": problems}
+
+
+def report_line(label: str, result: dict) -> str:
+    moves = ", ".join(f"{c} {m:.2g}" for c, m in result["moves"].items())
+    return (f"{label}: {result['count']} CSVs, {result['identical']} byte-identical; "
+            f"max relative move: {moves or 'none'}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    root = Path(git("rev-parse", "--show-toplevel"))
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        trees = {"parent": extract(root, args.parent, tmp / "parent"), "change": root}
+        for command, name in RUNS:
+            out = {}
+            for side, tree in trees.items():
+                out[side] = tmp / "out" / side / name
+                done = kinwb(tree, command, "--config", f"configs/{name}.json",
+                             "--out", str(out[side]))
+                if done.returncode:
+                    print(f"{name}: {side} exited {done.returncode}: "
+                          f"{done.stderr.strip()[-300:]}")
+            result = compare_dirs(out["parent"], out["change"])
+            print(report_line(name, result))
+            for problem in result["problems"]:
+                print(f"  {problem}")
+            status |= bool(result["problems"])
+        verify = {side: kinwb(tree, "verify", "--scope", "all").stdout.splitlines()
+                  for side, tree in trees.items()}
+        same = verify["parent"] == verify["change"]
+        print(f"verify: {'identical' if same else 'differs'}")
+        for a, b in zip(verify["parent"], verify["change"]):
+            if a != b:
+                print(f"  - {a}\n  + {b}")
+        if len(verify["parent"]) != len(verify["change"]):
+            print(f"  line counts {len(verify['parent'])} / {len(verify['change'])}")
+    return int(status)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

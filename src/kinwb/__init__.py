@@ -66,7 +66,6 @@ from .scattering import (
     InterfaceStack,
     chemo_interfaces,
     rte_closure,
-    rte_interfaces,
     vfp_closure,
     vfp_interfaces,
 )

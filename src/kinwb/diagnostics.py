@@ -278,7 +278,7 @@ def verify_quadrature() -> list[CheckResult]:
     worst = 0.0
     ok = True
     for K in (1, 2, 3):
-        rep = moment_report(vfp_quadrature(K, 1.0, vfp_preset_nodes(K, 1.0)))
+        rep = moment_report(vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0)))
         ok = ok and rep.passed
         worst = max(worst, float(np.max(rep.orthogonality_residuals)))
     out.append(_result("vfp preset quadratures K<=3", ok and worst < 1e-10, f"max residual {worst:.2e}"))
@@ -329,22 +329,22 @@ def verify_spectral() -> list[CheckResult]:
 def verify_scattering() -> list[CheckResult]:
     from .kinetic import phi_tanh
     from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
-    from .scattering import chemo_interfaces, rte_closure, rte_interfaces, vfp_closure, vfp_interfaces
-    from .spectral import dispersion_roots
+    from .models import Rte
+    from .scattering import chemo_interfaces, vfp_closure, vfp_interfaces
 
     out = []
     dx = 1.0 / 32.0
     q = gauss_symmetric(4)
-    lam0 = dispersion_roots(q)
-    closure = rte_closure(q, lam0)
-    qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    rte = Rte(q)
+    lam0, closure = rte.base, rte.closure
+    qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
     closure_v = vfp_closure(qv)
     ones, phip = np.ones(4), phi_tanh(q.nodes * 0.8)
 
     def build(model, eps):
         """The interface, its velocity set and closure, and its stationary problem."""
         if model == "rte":
-            return rte_interfaces(eps, dx, q, lam0, closure), q, closure, {"rates": (ones, ones)}
+            return rte.interfaces(eps, dx, None), q, closure, {"rates": (ones, ones)}
         if model == "chemo":
             rates = (1.0 + eps * phip, 1.0 - eps * phip)
             stack = chemo_interfaces(eps, dx, q, [0.8], phi_tanh, lam0, closure)
@@ -408,7 +408,7 @@ def verify_lemmas() -> list[CheckResult]:
     R0 = assemble_cell_matrix(0.0, dt, dx, q, cl.S0)
     rep = kernel_range_check(R0, q, np.ones(8))
     out.append(_result("rte/chemo kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
-    qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
     clv = vfp_closure(qv)
     R0 = assemble_cell_matrix(0.0, dt, dx, qv, clv.S0)
     mw = vfp_psi0(0, np.concatenate([qv.nodes, qv.nodes]), qv.kappa)

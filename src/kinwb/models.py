@@ -4,7 +4,8 @@ A model knows its velocity set and limit closure (the kinetic ones), its
 equilibrium, the field it reads from the density, and how it relaxes as
 eps -> 0.  All four limits are one exponential-fitting scheme,
 :func:`macrolimit.sg_step`; only the diffusion coefficient ``D`` and the
-interface drift ``drift(S, dx)`` depend on the model.  ``march`` yields
+interface drift ``drift(S, dx)`` depend on the model.  Radiative transfer
+assembles its interface as chemotaxis at zero slope.  ``march`` yields
 (rho, S) for the initial state and then after every step, forever; S is
 the chemoattractant that drove the step (None without one).
 """
@@ -22,7 +23,7 @@ from .kinetic import (
     interface_grad,
     step_operator,
 )
-from .scattering import chemo_interfaces, rte_closure, rte_interfaces, vfp_closure, vfp_interfaces
+from .scattering import chemo_interfaces, rte_closure, vfp_closure, vfp_interfaces
 from .spectral import dispersion_roots, vfp_psi0
 from .twostream import TwoStreamState, ts_step
 
@@ -67,7 +68,7 @@ class _Kinetic:
 
 class Rte(_Kinetic):
     """Radiative transfer; its limit is the heat equation with D the
-    quadrature's second moment."""
+    quadrature's second moment.  One interface serves the whole grid."""
 
     def __init__(self, q):
         self.q = q
@@ -79,7 +80,7 @@ class Rte(_Kinetic):
         return 0.0
 
     def interfaces(self, eps: float, dx: float, S):
-        return rte_interfaces(eps, dx, self.q, self.base, self.closure)
+        return chemo_interfaces(eps, dx, self.q, [0.0], np.zeros_like, self.base, self.closure)
 
 
 class Chemo(Rte):

@@ -125,7 +125,7 @@ def _check_haar(nodes: np.ndarray, kappa: float) -> None:
         )
 
 
-def vfp_quadrature(K: int, kappa: float, candidate_nodes) -> VelocityQuadrature:
+def vfp_quadrature(kappa: float, candidate_nodes) -> VelocityQuadrature:
     """Solve for real-line weights at the given nodes.
 
     The weights are the one-dimensional kernel of the K homogeneous
@@ -144,7 +144,7 @@ def vfp_quadrature(K: int, kappa: float, candidate_nodes) -> VelocityQuadrature:
         The kernel weights are not all positive.
     """
     nodes = np.asarray(candidate_nodes, dtype=float)
-    if K < 1 or nodes.shape != (K,):
+    if nodes.ndim != 1 or nodes.size < 1:
         raise ValueError("candidate_nodes must have shape (K,) with K >= 1")
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")

@@ -198,7 +198,7 @@ def _vfp(config: ExperimentConfig) -> Vfp:
     )
     xi = np.arange(config.Nx) * config.dx
     E_half = field_profile(config.E_profile, xi, config.Nx * config.dx)
-    return Vfp(vfp_quadrature(config.K, config.kappa, nodes), E_half)
+    return Vfp(vfp_quadrature(config.kappa, nodes), E_half)
 
 
 # model name -> the model of a validated config

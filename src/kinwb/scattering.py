@@ -8,6 +8,14 @@ where the columns of N (Ntilde) evaluate each mode at the incoming
 so every exponential factor lies in [0, 1]; underflow of exp(-lambda dx/eps)
 to exact zero is the correct limit and is kept.
 
+There are two assemblies.  The integral-collision one
+(:func:`chemo_interfaces`) serves chemotaxis and radiative transfer, which
+is chemotaxis at zero slope: its middle root is then zero and its zero mode,
+normalised by -eps/lambda0, is the secular mode x - eps*v.  That
+normalisation keeps the mode matrix and the limit B^0 finite through zero
+slope, so no interface needs a separate flat-slope formula.  Fokker-Planck
+(:func:`vfp_interfaces`) has Hermite modes of its own.
+
 The mode matrices of M interfaces fill one (M, 2K, 2K) stack that is
 inverted in one call (:class:`InterfaceStack`); the same inverse gives
 S^eps = Ntilde N^{-1} and the guard, the exact 1-norm condition number
@@ -69,13 +77,11 @@ class ClosureCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class InterfaceStack:
-    """S-matrices S = [[0, S0], [S0, 0]] + eps*B of M interfaces: S, B and
-    B0 have shape (M, 2K, 2K) and share the leading block S0 of shape
-    (K, K).  B0 is the eps -> 0 limit of B, and B itself below the switch;
-    it is built by ``build_B0`` on first read, so above the switch a step
-    never builds it."""
+    """S-matrices S = [[0, S0], [S0, 0]] + eps*B of M interfaces, with S0
+    the closure's leading block: S, B and B0 have shape (M, 2K, 2K).  B0 is
+    the eps -> 0 limit of B, and B itself below the switch; it is built by
+    ``build_B0`` on first read, so above the switch a step never builds it."""
 
-    S0: np.ndarray
     S: np.ndarray
     B: np.ndarray
     build_B0: Callable[[], np.ndarray] = field(repr=False)
@@ -116,12 +122,11 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
 
 def _stack(epsilon, dx, closure, N, Nt, build_B0) -> InterfaceStack:
     """The stack with S = Nt N^{-1}; B0 is built here only below the switch."""
-    S0 = closure.S0
     S = Nt @ _inverse(N)
     if epsilon >= EPS_SWITCH_FACTOR * dx:
-        return InterfaceStack(S0, S, (S - closure.anti_S0) / epsilon, build_B0)
+        return InterfaceStack(S, (S - closure.anti_S0) / epsilon, build_B0)
     B0 = build_B0()
-    return InterfaceStack(S0, S, B0, lambda: B0)
+    return InterfaceStack(S, B0, lambda: B0)
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:
@@ -145,7 +150,7 @@ def _expm1_over(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radiative transfer
+# radiative transfer and chemotaxis (Othmer-Alt, rate 1 + eps*phi(v dS/dx))
 # ---------------------------------------------------------------------------
 
 
@@ -161,48 +166,10 @@ def rte_closure(q, lam: np.ndarray) -> ClosureCoefficients:
     return ClosureCoefficients(zeta=Fm - Fp, gamma=X[:-1, :], beta=X[-1, :])
 
 
-def _rte_B0(dx, v, closure) -> np.ndarray:
-    # (2I - zeta gamma) V beta^T / dx in the +,-,-,+ block pattern
-    W = np.eye(len(v)) + closure.S0
-    B1 = np.outer(W @ v, closure.beta) / dx
-    return np.block([[B1, -B1], [-B1, B1]])
-
-
-def _rte_matrices(epsilon, dx, v, lam):
-    """Mode matrices as a stack of one."""
-    K = len(v)
-    E = np.exp(-lam * dx / epsilon)
-    Fm = 1.0 / (1.0 - np.outer(v, lam))
-    Fp = 1.0 / (1.0 + np.outer(v, lam))
-    one = np.ones(K)
-    M = _assemble(1, K, (Fm, one, Fp * E, -epsilon * v), (Fp * E, one, Fm, dx + epsilon * v))
-    Mtil = _assemble(1, K, (Fm * E, one, Fp, dx - epsilon * v), (Fp, one, Fm * E, epsilon * v))
-    return M, Mtil
-
-
-def rte_interfaces(
-    epsilon: float, dx: float, q, lam: np.ndarray, closure: ClosureCoefficients
-) -> InterfaceStack:
-    """Radiative-transfer decomposition as a stack of one.
-
-    The mode basis is the K-1 damped pairs, the constant, and the secular
-    mode x - eps*v.  S^eps is interface-independent for this model.
-    """
-    if epsilon <= 0.0 or dx <= 0.0:
-        raise ValueError("epsilon and dx must be positive")
-    M, Mtil = _rte_matrices(epsilon, dx, q.nodes, lam)
-    return _stack(epsilon, dx, closure, M, Mtil, lambda: _rte_B0(dx, q.nodes, closure)[None])
-
-
-# ---------------------------------------------------------------------------
-# chemotaxis (Othmer-Alt with rate 1 + eps*phi(v dS/dx))
-# ---------------------------------------------------------------------------
-
-
 def _chemo_matrices(epsilon, dx, v, phip, roots):
     """Finite-eps mode matrices of M interfaces, phip (M, K), roots
-    (M, 2K-1); the middle-root column is scaled by 1/lambda0 so the
-    gradS -> 0 limit stays nondegenerate."""
+    (M, 2K-1); the middle-root column is scaled by -eps/lambda0, which
+    makes it the secular mode x - eps*v at zero slope."""
     M, K = phip.shape
     Tp, Tn = 1.0 + epsilon * phip, 1.0 - epsilon * phip
     lam_m = roots[:, : K - 1][:, ::-1]  # entry l pairs with -lam_p[l]
@@ -215,8 +182,8 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
     Pm, PmN = 1.0 / (Tp[:, :, None] - vlm), 1.0 / (Tn[:, :, None] + vlm)
 
     def zero_col(x, vv, T):
-        # (1/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at lam0 -> 0
-        return (vv - T * (x / epsilon) * _expm1_over(-lam0 * x / epsilon)) / (
+        # (-eps/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at lam0 -> 0
+        return (T * x * _expm1_over(-lam0 * x / epsilon) - epsilon * vv) / (
             T * (T - lam0 * vv)
         )
 
@@ -233,24 +200,21 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> np.ndarray:
     B^0 = A'(0) X - A^0 X N'(0) X with X the block inverse of the limit
     mode matrix; stiff entries differentiate to zero, and the second-order
     middle-eigenvalue coefficient drops because gamma annihilates constants.
-    Interfaces whose middle-eigenvalue factor exp(-lambda0^1 dx) - 1
-    vanishes (|d| < 1e-12) take the radiative-transfer limit.
+    The zero-mode column is normalised by 1/lambda0^1, so its limit carries
+    r = (exp(-lambda0^1 dx) - 1)/lambda0^1 = -dx/B(-lambda0^1 dx), B the
+    Bernoulli function: the formula holds through zero slope, where it is
+    the radiative-transfer limit.
     """
     M, K = phip.shape
     zeta0, gamma, beta = closure.zeta, closure.gamma, closure.beta
-    q0 = np.exp(-lam01 * dx)
-    d = q0 - 1.0
-    flat = np.abs(d) < 1e-12
-    d = np.where(flat, 1.0, d)
+    q0 = np.exp(-lam01 * dx)[:, None]
+    r = -dx * _expm1_over(-lam01 * dx)[:, None]
     Fm2 = 1.0 / (1.0 - np.outer(v, lam0)) ** 2
     Fp2 = 1.0 / (1.0 + np.outer(v, lam0)) ** 2
     DP = phip[:, :, None] - v[:, None] * lam1[:, None, :]
     z = np.zeros((M, K, K - 1))
-    q0, lam01 = q0[:, None], lam01[:, None]
-    Np = _assemble(M, K, (-DP * Fm2, -phip, z, lam01 * v),
-                   (z, phip, DP * Fm2, q0 * (phip - lam01 * v) - phip))
-    Ntp = _assemble(M, K, (z, -phip, -DP * Fp2, q0 * (lam01 * v - phip) + phip),
-                    (DP * Fp2, phip, z, -lam01 * v))
+    Np = _assemble(M, K, (-DP * Fm2, -phip, z, v), (z, phip, DP * Fm2, r * phip - q0 * v))
+    Ntp = _assemble(M, K, (z, -phip, -DP * Fp2, q0 * v - r * phip), (DP * Fp2, phip, z, -v))
     Ap = Ntp - np.roll(Np, K, axis=1)
     A0 = np.zeros((2 * K, 2 * K))
     A0[K:, : K - 1] = -zeta0
@@ -259,11 +223,9 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> np.ndarray:
     X[:, : K - 1, :K] = gamma
     X[:, K - 1, :K] = beta
     X[:, K : 2 * K - 1, K:] = gamma
-    X[:, 2 * K - 1, :K] = -beta / d[:, None]
-    X[:, 2 * K - 1, K:] = beta / d[:, None]
-    B0 = Ap @ X - A0 @ X @ Np @ X
-    B0[flat] = _rte_B0(dx, v, closure)
-    return B0
+    X[:, 2 * K - 1, :K] = -beta / r
+    X[:, 2 * K - 1, K:] = beta / r
+    return Ap @ X - A0 @ X @ Np @ X
 
 
 def chemo_interfaces(
@@ -281,9 +243,8 @@ def chemo_interfaces(
     each seeded from the first-order expansion lambda0 + eps*lambda1 (the
     negative branch is the mirror image under phi -> -phi); the limit
     closure (gradS-independent) is shared.  ``base`` holds the even-rate
-    roots of :func:`dispersion_roots`, solved here when None.  The leading
-    block I - zeta0*gamma coincides with the radiative-transfer one, so
-    interfaces with gradS = 0 reduce to it exactly.
+    roots of :func:`dispersion_roots`, solved here when None.  Radiative
+    transfer is this assembly at slope 0 with phi = 0.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")

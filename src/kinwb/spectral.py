@@ -71,9 +71,10 @@ def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):
     width = np.diff(poles, axis=1)
     lo = poles[:, :-1] + 1e-13 * width
     hi = poles[:, 1:] - 1e-13 * width
-    g_lo, g_hi = g(np.stack([lo, hi]))[0]
-    if not (np.all(g_lo < 0.0) and np.all(g_hi > 0.0)):
-        raise BracketFailure("no sign change in some pole interval; check T values")
+    # g runs from -inf to +inf across each interval; offsets lost to
+    # rounding mean near-coincident poles
+    if not (np.all(lo > poles[:, :-1]) and np.all(hi < poles[:, 1:]) and np.all(lo < hi)):
+        raise BracketFailure("poles too close to bracket every root; check T values")
     x = 0.5 * (lo + hi)
     if guess is not None:
         x = np.where((guess > lo) & (guess < hi), guess, x)

@@ -31,4 +31,4 @@ def closure4(q4, spec4):
 
 @pytest.fixture(scope="session")
 def qv3():
-    return vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    return vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))

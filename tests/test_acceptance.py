@@ -24,8 +24,8 @@ from kinwb import (
     moment_report,
     orthogonality_check,
     phi_tanh,
+    Rte,
     rte_closure,
-    rte_interfaces,
     step_operator,
     stochasticity_check,
     ts_smatrix,
@@ -71,7 +71,7 @@ def test_criterion_2_ap_limit_chemo():
 
 
 def test_criterion_3_ap_limit_vfp():
-    q = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    q = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
     rep = moment_report(q)
     sigma_ok = abs(rep.sigma2 - 1.0 * rep.sigma0) < 1e-10  # holds by construction
     config = ap_config("vfp", 3, kappa=1.0, E_profile={"kind": "sinusoidal", "amplitude": 0.5})
@@ -95,7 +95,7 @@ def test_criterion_4_well_balanced_steady_states():
     ok = True
     # rte / chemo / vfp: the zero-eigenvalue (Maxwellian) expansion state
     q4 = gauss_symmetric(4)
-    qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
     cases = [
         ("rte", Rte(q4)),
         ("chemo", Chemo(q4, phi_tanh)),
@@ -153,7 +153,7 @@ def test_criterion_5_mass_conservation_1000_steps():
         return worst
 
     q4 = gauss_symmetric(4)
-    qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
     for name, model, dt in [
         ("rte", Rte(q4), dx**2),
         ("chemo", Chemo(q4, phi_tanh), dx**2),
@@ -193,7 +193,7 @@ def test_criterion_6_lemma_suite():
     checks.append(
         ("rte/chemo", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q4, S0), q4, np.ones(8)).passed)
     )
-    qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
     clv = vfp_closure(qv)
     S0v = np.eye(3) - clv.zeta @ clv.gamma
     mw = np.exp(-np.concatenate([qv.nodes, qv.nodes]) ** 2 / 2.0)
@@ -201,9 +201,8 @@ def test_criterion_6_lemma_suite():
         ("vfp", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, qv, S0v), qv, mw).passed)
     )
     devs = [stochasticity_check(ts_smatrix(1e-3, dx, 0.7)).col_sum_deviation]
-    lam = dispersion_roots(q4)
     devs.append(
-        stochasticity_check(rte_interfaces(1e-3, dx, q4, lam, cl).S[0], q4).col_sum_deviation
+        stochasticity_check(Rte(q4).interfaces(1e-3, dx, None).S[0], q4).col_sum_deviation
     )
     devs.append(
         stochasticity_check(chemo_interfaces(1e-3, dx, q4, [0.8], phi_tanh).S[0], q4).col_sum_deviation
@@ -247,11 +246,12 @@ def test_criterion_8_decomposition():
     q4 = gauss_symmetric(4)
     lam = dispersion_roots(q4)
     cl = rte_closure(q4, lam)
-    qv = vfp_quadrature(3, 1.0, vfp_preset_nodes(3, 1.0))
+    qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
+    leading = {"rte": cl.S0, "chemo": cl.S0, "vfp": vfp_closure(qv).S0}
 
     def build(model, eps):
         if model == "rte":
-            return rte_interfaces(eps, DX, q4, lam, cl)
+            return Rte(q4).interfaces(eps, DX, None)
         if model == "chemo":
             return chemo_interfaces(eps, DX, q4, [0.8], phi_tanh)
         return vfp_interfaces(eps, DX, qv, [0.5])
@@ -261,9 +261,9 @@ def test_criterion_8_decomposition():
     for model in ("rte", "chemo", "vfp"):
         norms = []
         for eps in (1e-2, 1e-3, 1e-4):
-            stack = build(model, eps)
-            Z = np.zeros_like(stack.S0)
-            Sf = np.block([[Z, stack.S0], [stack.S0, Z]]) + eps * stack.B[0]
+            stack, S0 = build(model, eps), leading[model]
+            Z = np.zeros_like(S0)
+            Sf = np.block([[Z, S0], [S0, Z]]) + eps * stack.B[0]
             rec = np.max(np.abs(stack.S[0] - Sf)) / np.max(np.abs(stack.S[0]))
             ok = ok and rec < 1e-12
             norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
@@ -289,7 +289,7 @@ def test_criterion_9_orthogonality():
     ok = ok and res < 1e-10
     details.append(f"chemo: {res:.1e}")
     for K in (2, 3):
-        qv = vfp_quadrature(K, 1.0, vfp_preset_nodes(K, 1.0))
+        qv = vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0))
         res = np.max(moment_report(qv).orthogonality_residuals[:-1])
         ok = ok and res < 1e-10
         details.append(f"vfp K={K}: {res:.1e}")

@@ -286,6 +286,16 @@ def test_singular_cell_matrix_exits_3(tmp_path):
     assert manifest["error"].startswith("SolveFailure") and "R_eps" in manifest["error"]
 
 
+def test_deep_eps_chemo_on_coarse_cells_exits_0(tmp_path):
+    # below the B0 switch a step reads only B0, and the mode matrices it
+    # still assembles stay well conditioned at dx = 1/2 and eps = 1e-12
+    config = write_config(tmp_path, model="chemo", K=2, Nx=2, dx=0.5, dt=0.0625,
+                          t_final=0.25, epsilon=1e-12)
+    assert main(["run", "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+
+
 def test_run_imports_no_scipy(tmp_path):
     # scipy is a test and bench dependency only; a run must not load it
     src = Path(kinwb.__file__).resolve().parents[1]

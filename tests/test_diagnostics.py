@@ -4,6 +4,7 @@ import pytest
 from kinwb import (
     ExperimentConfig,
     ExpPolyTerm,
+    Rte,
     TangentRootWarning,
     ap_error_table,
     assemble_cell_matrix,
@@ -21,16 +22,14 @@ from kinwb import (
 from kinwb.quadrature import _preset_root
 
 
-def test_stochasticity_examples(q4, spec4, closure4):
+def test_stochasticity_examples(q4):
     S = ts_smatrix(1e-2, 0.1, 0.7)
     rep = stochasticity_check(S)
     assert rep.col_sum_deviation < 1e-14
     rep = stochasticity_check(np.eye(8), q4)
     assert rep.col_sum_deviation == 0.0
     assert rep.row_sum_deviation == 0.0
-    from kinwb import rte_interfaces
-
-    S = rte_interfaces(1e-2, 1.0 / 32.0, q4, spec4, closure4).S[0]
+    S = Rte(q4).interfaces(1e-2, 1.0 / 32.0, None).S[0]
     assert stochasticity_check(S, q4).col_sum_deviation < 1e-10
 
 
@@ -140,8 +139,8 @@ def test_ap_error_table_vfp_uses_quadrature(qv3):
     rows, _ = ap_table("vfp", 3, [1e-4], nodes=qv3.nodes.tolist(), **grid)
     assert rows[0][1] < 1e-2
     # a feasible node set other than the preset gives another gap
-    preset = vfp_quadrature(2, 1.0, vfp_preset_nodes(2, 1.0))
-    other = vfp_quadrature(2, 1.0, [0.8, _preset_root([0.8], (2.0, 3.0))])
+    preset = vfp_quadrature(1.0, vfp_preset_nodes(2, 1.0))
+    other = vfp_quadrature(1.0, [0.8, _preset_root([0.8], (2.0, 3.0))])
     gaps = [ap_table("vfp", 2, [1e-4], nodes=q.nodes.tolist(), **grid)[0][0][1]
             for q in (preset, other)]
     assert gaps[0] != gaps[1]

@@ -1,0 +1,65 @@
+"""scripts/output_parity.py: its comparison of two CSV directories."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "output_parity.py"
+_SPEC = importlib.util.spec_from_file_location("output_parity", _PATH)
+output_parity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_parity)
+
+
+def write(directory, files):
+    directory.mkdir(parents=True)
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+SNAP = "t,x,rho\n0,0.25,1.0\n0,0.75,2.0\n"
+SWEEP = "epsilon,error\n0.001,4.0e-05\n0.0001,4.0e-06\nslope,1.0\n"
+
+
+def test_identical_dirs(tmp_path):
+    files = {"snapshot_0000.csv": SNAP, "ap_sweep.csv": SWEEP}
+    got = output_parity.compare_dirs(write(tmp_path / "a", files), write(tmp_path / "b", files))
+    assert (got["count"], got["identical"], got["problems"]) == (2, 2, [])
+    assert got["moves"] == {"t": 0.0, "x": 0.0, "rho": 0.0, "epsilon": 0.0, "error": 0.0,
+                            "slope": 0.0}
+
+
+def test_moves_are_relative_to_the_parent_column_max(tmp_path):
+    a = write(tmp_path / "a", {"s.csv": SNAP, "ap_sweep.csv": SWEEP})
+    b = write(tmp_path / "b", {"s.csv": "t,x,rho\n0,0.25,1.0\n0,0.75,2.000002\n",
+                               "ap_sweep.csv": SWEEP.replace("slope,1.0", "slope,0.999")})
+    got = output_parity.compare_dirs(a, b)
+    assert (got["count"], got["identical"], got["problems"]) == (2, 0, [])
+    assert got["moves"]["rho"] == pytest.approx(1e-6)
+    assert got["moves"]["slope"] == pytest.approx(1e-3)
+    assert got["moves"]["error"] == 0.0  # the labelled row is not in the error column
+
+
+def test_zero_parent_column_reports_the_absolute_move(tmp_path):
+    a = write(tmp_path / "a", {"s.csv": "t,S\n0,0\n"})
+    b = write(tmp_path / "b", {"s.csv": "t,S\n0,1e-17\n"})
+    assert output_parity.compare_dirs(a, b)["moves"]["S"] == pytest.approx(1e-17)
+
+
+@pytest.mark.parametrize("change, problem", [
+    ({"snapshot_0000.csv": SNAP, "extra.csv": SNAP}, "CSV sets differ"),
+    ({"snapshot_0000.csv": SNAP.replace("rho", "S")}, "headers differ"),
+    ({"snapshot_0000.csv": SNAP + "0,1.25,3.0\n"}, "row counts"),
+    ({"snapshot_0000.csv": SNAP.replace("0,0.75", "x,0.75")}, "text cell"),
+])
+def test_structural_differences_are_problems(tmp_path, change, problem):
+    a = write(tmp_path / "a", {"snapshot_0000.csv": SNAP})
+    got = output_parity.compare_dirs(a, write(tmp_path / "b", change))
+    assert len(got["problems"]) == 1 and problem in got["problems"][0]
+
+
+def test_report_line_names_counts_and_moves():
+    line = output_parity.report_line("rte", {"count": 3, "identical": 1,
+                                             "moves": {"rho": 2.3e-11}, "problems": []})
+    assert line == "rte: 3 CSVs, 1 byte-identical; max relative move: rho 2.3e-11"

@@ -86,12 +86,12 @@ def test_constructor_validation():
 
 
 def test_vfp_single_node_requires_sqrt_kappa():
-    q = vfp_quadrature(1, 1.0, np.array([1.0]))
+    q = vfp_quadrature(1.0, np.array([1.0]))
     assert q.weights[0] == pytest.approx(1.0)  # normalized to unit weight sum
     with pytest.raises(InfeasibleNodes):
-        vfp_quadrature(1, 1.0, np.array([1.3]))
+        vfp_quadrature(1.0, np.array([1.3]))
     # kappa = 4: feasible node is sqrt(kappa) = 2
-    q = vfp_quadrature(1, 4.0, np.array([2.0]))
+    q = vfp_quadrature(4.0, np.array([2.0]))
     rep = moment_report(q)
     assert rep.passed
 
@@ -112,7 +112,7 @@ def test_vfp_k3_preset_solves_constraints(qv3):
 
 @pytest.mark.parametrize("K,kappa", [(1, 1.0), (2, 1.0), (3, 1.0), (2, 0.5), (3, 2.0)])
 def test_vfp_presets_feasible(K, kappa):
-    q = vfp_quadrature(K, kappa, vfp_preset_nodes(K, kappa))
+    q = vfp_quadrature(kappa, vfp_preset_nodes(K, kappa))
     rep = moment_report(q)
     assert rep.passed
     assert abs(rep.sigma2 - kappa * rep.sigma0) < 1e-10
@@ -128,12 +128,12 @@ def test_vfp_presets_are_the_bisected_roots(K, fixed, bracket):
 def test_vfp_generic_nodes_infeasible():
     # the constraint system has no kernel at generic node choices
     with pytest.raises(InfeasibleNodes):
-        vfp_quadrature(3, 1.0, np.array([0.6, 1.4, 2.4]))
+        vfp_quadrature(1.0, np.array([0.6, 1.4, 2.4]))
 
 
 def test_vfp_duplicated_nodes_singular_basis():
     with pytest.raises(SingularBasis):
-        vfp_quadrature(3, 1.0, np.array([1.0, 1.0, 2.0]))
+        vfp_quadrature(1.0, np.array([1.0, 1.0, 2.0]))
 
 
 def test_vfp_feasible_but_negative_weights():
@@ -153,7 +153,7 @@ def test_vfp_feasible_but_negative_weights():
         else:
             hi = mid
     with pytest.raises(NegativeWeight):
-        vfp_quadrature(3, 1.0, np.array([0.2, 0.5, 0.5 * (lo + hi)]))
+        vfp_quadrature(1.0, np.array([0.2, 0.5, 0.5 * (lo + hi)]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ from kinwb import (
     IllConditioned,
     KineticGrid,
     NonPositiveRate,
+    Rte,
     chemo_interfaces,
     density,
     dispersion_roots,
@@ -14,7 +15,6 @@ from kinwb import (
     imex_step,
     phi_tanh,
     rte_closure,
-    rte_interfaces,
     step_operator,
     stochasticity_check,
     vfp_closure,
@@ -89,18 +89,18 @@ def test_rte_closure_ill_conditioned(q4):
 # ---------------------------------------------------------------------------
 
 
-def test_rte_smatrix_deep_limit(q4, spec4, closure4):
+def test_rte_smatrix_deep_limit(q4, closure4):
     eps = 1e-11
-    stack = rte_interfaces(eps, DX, q4, spec4, closure4)
-    assert np.max(np.abs(stack.S[0] - s0_full(stack.S0))) < 1e-8
+    stack = Rte(q4).interfaces(eps, DX, None)
+    assert np.max(np.abs(stack.S[0] - s0_full(closure4.S0))) < 1e-8
     # below the switch threshold the explicit blocks are the analytic limit
     assert eps < 1e-8 * DX
     assert stack.B is stack.B0 or np.array_equal(stack.B, stack.B0)
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
-def test_rte_smatrix_maxwellian_and_stochasticity(q4, spec4, closure4, eps):
-    S = rte_interfaces(eps, DX, q4, spec4, closure4).S[0]
+def test_rte_smatrix_maxwellian_and_stochasticity(q4, eps):
+    S = Rte(q4).interfaces(eps, DX, None).S[0]
     ones = np.ones(8)
     assert np.max(np.abs(S @ ones - ones)) < 1e-12
     # direct column-summation oracle for Gamma S Gamma^{-1}
@@ -111,11 +111,11 @@ def test_rte_smatrix_maxwellian_and_stochasticity(q4, spec4, closure4, eps):
     assert rep.col_sum_deviation < 1e-10
 
 
-def test_rte_reconstruction_and_b_limit(q4, spec4, closure4):
+def test_rte_reconstruction_and_b_limit(q4, closure4):
     norms = []
     for eps in (1e-2, 1e-3, 1e-4):
-        stack = rte_interfaces(eps, DX, q4, spec4, closure4)
-        rec = np.max(np.abs(stack.S[0] - s0_full(stack.S0) - eps * stack.B[0]))
+        stack = Rte(q4).interfaces(eps, DX, None)
+        rec = np.max(np.abs(stack.S[0] - s0_full(closure4.S0) - eps * stack.B[0]))
         assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
         norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
     assert norms[0] > norms[1] > norms[2]
@@ -123,8 +123,8 @@ def test_rte_reconstruction_and_b_limit(q4, spec4, closure4):
     assert norms[0] / norms[1] == pytest.approx(10.0, rel=0.3)
 
 
-def test_rte_b0_block_pattern(q4, spec4, closure4):
-    B1, B2, B3, B4 = quarters(rte_interfaces(1e-3, DX, q4, spec4, closure4).B0[0])
+def test_rte_b0_block_pattern(q4, closure4):
+    B1, B2, B3, B4 = quarters(Rte(q4).interfaces(1e-3, DX, None).B0[0])
     W = 2.0 * np.eye(4) - closure4.zeta @ closure4.gamma
     oracle = np.outer(W @ q4.nodes, closure4.beta) / DX
     assert np.allclose(B1, oracle, atol=1e-12)
@@ -133,9 +133,9 @@ def test_rte_b0_block_pattern(q4, spec4, closure4):
     assert np.allclose(B4, oracle, atol=1e-12)
 
 
-def test_rte_well_balanced_fixed_point(q4, spec4, closure4):
+def test_rte_well_balanced_fixed_point(q4):
     for eps in (1e-1, 1e-3):
-        S = rte_interfaces(eps, DX, q4, spec4, closure4).S[0]
+        S = Rte(q4).interfaces(eps, DX, None).S[0]
         ones = np.ones(4)
         assert well_balanced_residual(S, eps, DX, q4, rates=(ones, ones), seed=2) < 1e-10
 
@@ -145,10 +145,10 @@ def test_rte_well_balanced_fixed_point(q4, spec4, closure4):
 # ---------------------------------------------------------------------------
 
 
-def test_chemo_reduces_to_rte_at_zero_grad(q4, spec4, closure4):
+def test_chemo_reduces_to_rte_at_zero_grad(q4):
     for eps in (1e-2, 1e-5):
         a = chemo_interfaces(eps, DX, q4, [0.0], phi_tanh)
-        b = rte_interfaces(eps, DX, q4, spec4, closure4)
+        b = Rte(q4).interfaces(eps, DX, None)
         assert np.max(np.abs(a.S[0] - b.S[0])) < 1e-12
         assert np.max(np.abs(a.B0[0] - b.B0[0])) < 1e-12
 
@@ -178,11 +178,11 @@ def test_chemo_wb_with_non_default_response(q4, eps):
     assert well_balanced_residual(S, eps, DX, q4, rates=T, seed=3) <= 1e-10
 
 
-def test_chemo_reconstruction_and_b_limit(q4):
+def test_chemo_reconstruction_and_b_limit(q4, closure4):
     norms = []
     for eps in (1e-2, 1e-3, 1e-4):
         stack = chemo_interfaces(eps, DX, q4, [0.8], phi_tanh)
-        rec = np.max(np.abs(stack.S[0] - s0_full(stack.S0) - eps * stack.B[0]))
+        rec = np.max(np.abs(stack.S[0] - s0_full(closure4.S0) - eps * stack.B[0]))
         assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
         norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
     assert norms[0] > norms[1] > norms[2]
@@ -205,6 +205,31 @@ def test_chemo_b0_flux_contractions(q4):
     assert wv @ (B2 @ ones) == pytest.approx(2.0 * E / d, rel=1e-10)
     assert wv @ (B3 @ ones) == pytest.approx(2.0 * E + 2.0 * E / d, rel=1e-10)
     assert wv @ (B4 @ ones) == pytest.approx(-2.0 * E / d, rel=1e-10)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 8, 16])
+def test_chemo_b0_continuous_through_zero_slope(K):
+    # the zero mode carries (exp(-lambda0^1 dx) - 1)/lambda0^1, finite at
+    # lambda0^1 = 0, so B0 is Lipschitz in the slope with no flat branch
+    q = gauss_symmetric(K)
+
+    def phi(u):
+        return 2.0 * np.tanh(u)
+
+    for dx in (1.0 / 256, 1.0 / 64, 0.5):
+        flat = chemo_interfaces(1e-3, dx, q, [0.0], phi).B0[0]
+        for g in (1e-300, 1e-14, 1e-11, 1e-9, 1e-6, -1e-6):
+            B0 = chemo_interfaces(1e-3, dx, q, [g], phi).B0[0]
+            assert np.max(np.abs(B0 - flat)) <= abs(g) * np.max(np.abs(flat)), (dx, g)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 8, 16])
+def test_chemo_assembles_at_deep_eps_on_coarse_cells(K):
+    # at dx = 1/2 and eps = 1e-12 the zero-mode column stays O(dx), so the
+    # mode matrix keeps a modest condition number instead of dx/eps
+    q = gauss_symmetric(K)
+    stack = chemo_interfaces(1e-12, 0.5, q, [0.0, 0.3, -1.0], phi_tanh)
+    assert np.all(np.isfinite(stack.S)) and np.all(np.isfinite(stack.B))
 
 
 def test_chemo_drift_odd_in_grad(q4):
@@ -238,7 +263,7 @@ def test_vfp_closure_identities(qv3):
 
 
 def test_vfp_closure_single_node():
-    q1 = vfp_quadrature(1, 1.0, np.array([1.0]))
+    q1 = vfp_quadrature(1.0, np.array([1.0]))
     cl = vfp_closure(q1)
     assert cl.zeta.shape == (1, 0)
     assert cl.gamma.shape == (0, 1)
@@ -246,9 +271,11 @@ def test_vfp_closure_single_node():
 
 
 def test_vfp_s0_independent_of_field(qv3):
-    a = vfp_interfaces(1e-3, DX, qv3, [+2.0])
-    b = vfp_interfaces(1e-3, DX, qv3, [-2.0])
-    assert np.array_equal(a.S0, b.S0)
+    # the stacks keep no S0 of their own: both fields tend to the closure's
+    S0 = vfp_closure(qv3).S0
+    for E in (+2.0, -2.0):
+        stack = vfp_interfaces(1e-11, DX, qv3, [E])
+        assert np.max(np.abs(stack.S[0] - s0_full(S0))) < 1e-8
 
 
 def test_vfp_maxwellian_fixed_at_zero_field(qv3):
@@ -275,9 +302,10 @@ def test_vfp_b10_contraction_reference_value(qv3):
 @pytest.mark.parametrize("E", [2.0, -0.7, 0.05, 0.0])
 def test_vfp_reconstruction_b_limit_and_wb(qv3, E):
     norms = []
+    S0 = vfp_closure(qv3).S0
     for eps in (1e-2, 1e-3, 1e-4):
         stack = vfp_interfaces(eps, DX, qv3, [E])
-        rec = np.max(np.abs(stack.S[0] - s0_full(stack.S0) - eps * stack.B[0]))
+        rec = np.max(np.abs(stack.S[0] - s0_full(S0) - eps * stack.B[0]))
         assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
         norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
         assert well_balanced_residual(stack.S[0], eps, DX, qv3, E=E, seed=4) < 1e-10
@@ -306,7 +334,7 @@ def test_vfp_flux_defect_scales_with_eps_and_E(qv3):
 
 # eps on both sides of the B0 switch at EPS_SWITCH_FACTOR*DX (about 3e-10)
 EPS = st.floats(-12.0, -1.0).map(lambda e: 10.0**e)
-# exact zeros hit the radiative-transfer B0 branch (chemo) and E = 0 (vfp)
+# exact zeros are the radiative-transfer slope (chemo) and E = 0 (vfp)
 VALUES = st.lists(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), min_size=1, max_size=6)
 
 
@@ -337,7 +365,7 @@ def test_chemo_stack_matches_single_interfaces(K, eps, grads):
 @example(K=3, eps=0.1 * EPS_SWITCH_FACTOR * DX, fields=[0.0, 0.5, -2.0])
 @example(K=3, eps=1e-3, fields=[0.0, 0.5, -2.0])
 def test_vfp_stack_matches_single_interfaces(K, eps, fields):
-    q = vfp_quadrature(K, 1.0, vfp_preset_nodes(K, 1.0))
+    q = vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0))
     stack = vfp_interfaces(eps, DX, q, fields)
     assert stack.S.shape == (len(fields), 2 * K, 2 * K)
     assert_rows_match(stack, [vfp_interfaces(eps, DX, q, [E]) for E in fields])

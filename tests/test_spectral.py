@@ -41,6 +41,40 @@ def test_bracket_failure_on_coincident_poles(q2):
         _all_roots_multi(q2.nodes, q2.weights, q2.nodes, q2.nodes)
 
 
+def sign_check_fails(nodes, weights, T_pos, T_neg):
+    """The former bracket check: g < 0 just right of each pole interval's
+    left end and g > 0 just left of its right end, at 1e-13 of its width."""
+    p = np.concatenate([T_pos / nodes, -T_neg / nodes], axis=1)
+    w2 = np.concatenate([weights, weights])
+    poles = np.sort(p, axis=1)
+    width = np.diff(poles, axis=1)
+    ends = np.stack([poles[:, :-1] + 1e-13 * width, poles[:, 1:] - 1e-13 * width])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_lo, g_hi = np.einsum("...k,k", 1.0 / (p[:, None, :] - ends[..., None]), w2)
+    return not (np.all(g_lo < 0.0) and np.all(g_hi > 0.0))
+
+
+@pytest.mark.parametrize("K", [2, 4, 16])
+def test_bracket_failure_where_the_sign_check_failed(K):
+    # two positive poles at 1 and 1 + gap, the others at 3, ..., K: the pole-order
+    # check raises exactly where the sign check at both interval ends did
+    q = gauss_symmetric(K)
+    raised = []
+    for gap in np.logspace(-1, -5, 81):
+        poles = np.arange(1.0, K + 1.0)
+        poles[1] = 1.0 + gap
+        T_pos = (q.nodes * poles)[None]
+        for T_neg in (np.ones((1, K)), T_pos):
+            try:
+                _all_roots_multi(q.nodes, q.weights, T_pos, T_neg)
+                fails = False
+            except BracketFailure:
+                fails = True
+            assert fails == sign_check_fails(q.nodes, q.weights, T_pos, T_neg), gap
+        raised.append(fails)
+    assert not raised[0] and raised[-1]  # the scan crosses the boundary
+
+
 def test_uneven_rate_has_middle_root(q4):
     roots = _all_roots_multi(q4.nodes, q4.weights, 1.0 + 0.1 * q4.nodes, 1.0 - 0.1 * q4.nodes)[0]
     assert roots[3] != 0.0
