@@ -15,8 +15,10 @@ prints how many CSVs the run wrote, how many are byte-identical between the
 trees, and the largest relative move of every column:
 max|change - parent| / max|parent| over the config's CSVs (the absolute move
 where the parent's column is all zeros).  A row whose first cell is a label,
-such as the sweep's ``slope`` row, is its own column.  For verify it says
-whether the two outputs are identical and prints the lines that differ.
+such as the sweep's ``slope`` row, is its own column.  Columns are matched
+by header name, so a CSV whose header gained or lost a column still has
+its shared columns compared.  For verify it says whether the two outputs
+are identical and prints the lines that differ.
 
 Exit status: 0 when every config wrote the same CSV names with the same
 headers and text cells on both sides, 1 otherwise.
@@ -67,22 +69,27 @@ def compare_dirs(parent: Path, change: Path) -> dict:
             identical += 1
         rows_a = [line.split(",") for line in a.read_text().splitlines()]
         rows_b = [line.split(",") for line in b.read_text().splitlines()]
-        if rows_a[:1] != rows_b[:1]:
-            problems.append(f"{name}: headers differ")
-            continue
-        if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        head_a, head_b = rows_a[0] if rows_a else [], rows_b[0] if rows_b else []
+        if head_a != head_b:
+            problems.append(f"{name}: headers differ: {','.join(head_a)} became "
+                            f"{','.join(head_b)}")
+        if len(rows_a) != len(rows_b) or any(
+            len(r) != len(rows[0]) for rows in (rows_a, rows_b) for r in rows
+        ):
             problems.append(f"{name}: row counts or widths differ")
             continue
-        header = rows_a[0] if rows_a else []
+        # columns are matched by name: an added or removed column leaves the rest compared
+        columns = [(j, head_b.index(c)) for j, c in enumerate(head_a) if c in head_b]
         for ra, rb in zip(rows_a[1:], rows_b[1:]):
             label = None if _number(ra[0]) is not None else ra[0]
-            for j, (ca, cb) in enumerate(zip(ra, rb)):
+            for j, k in columns:
+                ca, cb = ra[j], rb[k]
                 xa, xb = _number(ca), _number(cb)
                 if xa is None or xb is None:
                     if ca != cb:
                         problems.append(f"{name}: text cell {ca!r} became {cb!r}")
                     continue
-                col = label or (header[j] if j < len(header) else str(j))
+                col = label or head_a[j]
                 diff[col] = max(diff.get(col, 0.0), abs(xb - xa))
                 scale[col] = max(scale.get(col, 0.0), abs(xa))
     moves = {c: diff[c] / scale[c] if scale[c] > 0.0 else diff[c] for c in diff}

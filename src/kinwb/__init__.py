@@ -74,6 +74,6 @@ from .spectral import (
     hermite_poly,
     vfp_psi0,
 )
-from .twostream import TwoStreamState, ts_smatrix, ts_step
+from .twostream import ts_smatrix, ts_step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

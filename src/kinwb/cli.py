@@ -104,6 +104,9 @@ def main(argv=None) -> int:
     except KinwbError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"config error: out of memory, reduce Nx or K ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

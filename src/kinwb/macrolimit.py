@@ -32,17 +32,12 @@ class DriftDiffusionParams:
 
 
 def bernoulli(x):
-    """x/(exp(x) - 1) with its Taylor series 1 - x/2 + x^2/12 - x^4/720
-    below |x| = 1e-4 (removable singularity at 0)."""
+    """x/(exp(x) - 1), and 1 at the removable singularity x = 0; a float for
+    a 0-d input.  expm1 keeps the quotient within an ulp for tiny |x|, so
+    no series branch is needed; 1/bernoulli is the stable expm1(x)/x."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = 1.0 - xs / 2.0 + xs**2 / 12.0 - xs**4 / 720.0
-    out[~small] = x[~small] / np.expm1(x[~small])
-    return float(out[0]) if scalar else out
+    out = np.divide(x, np.expm1(x), out=np.ones_like(x), where=x != 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def sg_flux(E, D: float, dx: float, rho_left, rho_right):

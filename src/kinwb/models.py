@@ -7,7 +7,8 @@ eps -> 0.  All four limits are one exponential-fitting scheme,
 interface drift ``drift(S, dx)`` depend on the model.  Radiative transfer
 assembles its interface as chemotaxis at zero slope.  ``march`` yields
 (rho, S) for the initial state and then after every step, forever; S is
-the chemoattractant that drove the step (None without one).
+the chemoattractant that drove the step, at the initial state the one the
+first step reads (None without one).
 """
 
 import logging
@@ -25,7 +26,7 @@ from .kinetic import (
 )
 from .scattering import chemo_interfaces, rte_closure, vfp_closure, vfp_interfaces
 from .spectral import dispersion_roots, vfp_psi0
-from .twostream import TwoStreamState, ts_step
+from .twostream import ts_step
 
 log = logging.getLogger("kinwb")
 
@@ -46,7 +47,7 @@ class _Kinetic:
     def check_step(self, dt: float, dx: float) -> None:
         """Warn when dt exceeds dx^2/(2D), the stability bound of the explicit
         B term; the bound does not see eps, so the set-up checks it once."""
-        bound = dx**2 / (2.0 * self.D)
+        bound = dx * dx / (2.0 * self.D)
         if dt > bound:
             log.warning(
                 "dt=%g exceeds dx^2/(2D)=%g, the stability bound of the explicit "
@@ -58,12 +59,14 @@ class _Kinetic:
             Nx=len(rho0), dx=dx, dt=dt, epsilon=eps, q=self.q, f=self.equilibrium(rho0)
         )
         op = step_operator(grid, self)
-        S = None
+        rho = density(grid)
+        S = self.field(rho, dx)
+        yield rho, S
         while True:
+            grid = imex_step(grid, op, S)
             rho = density(grid)
             yield rho, S
             S = self.field(rho, dx)
-            grid = imex_step(grid, op, S)
 
 
 class Rte(_Kinetic):
@@ -153,10 +156,11 @@ class TwoStream:
 
     def march(self, eps: float, dt: float, dx: float, rho0: np.ndarray):
         f = self.equilibrium(rho0)
-        state = TwoStreamState(
-            Nx=len(rho0), dx=dx, dt=dt, epsilon=eps,
-            f_plus=f[:, 0], f_minus=f[:, 1], S=self.field(rho0, dx),
-        )
+        rho = f[:, 0] + f[:, 1]
+        S = self.field(rho, dx)
+        yield rho, S
         while True:
-            yield state.rho, state.S
-            state = ts_step(state, self.phi)
+            f = ts_step(f, S, eps, dt, dx, self.phi)
+            rho = f[:, 0] + f[:, 1]
+            yield rho, S
+            S = self.field(rho, dx)

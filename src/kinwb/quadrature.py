@@ -91,6 +91,8 @@ def gauss_symmetric(K: int) -> VelocityQuadrature:
 
 
 def _vfp_constraint_matrix(nodes: np.ndarray, kappa: float) -> np.ndarray:
+    """Rows of the K homogeneous weight constraints: the K-1 zero-flux
+    identities, then sigma2 - kappa*sigma0."""
     K = len(nodes)
     rows = [
         nodes * (vfp_psi0(l, nodes, kappa) - vfp_psi0(l, -nodes, kappa))
@@ -228,13 +230,7 @@ def moment_report(q: VelocityQuadrature) -> MomentReport:
     m = vfp_psi0(0, v, kappa)
     sigma0 = float(np.sum(w * m))
     sigma2 = float(np.sum(w * v**2 * m))
-    residuals = np.array(
-        [
-            abs(np.sum(w * v * (vfp_psi0(l, v, kappa) - vfp_psi0(l, -v, kappa))))
-            for l in range(1, q.K)
-        ]
-        + [abs(sigma2 - kappa * sigma0)]
-    )
+    residuals = np.abs(_vfp_constraint_matrix(v, kappa) @ w)
     return MomentReport(
         sum_weights=sum_w,
         second_moment=second,

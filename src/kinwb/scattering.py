@@ -139,14 +139,12 @@ def _assemble(M, K, top, bottom) -> np.ndarray:
     return out
 
 
-def _expm1_over(u: np.ndarray) -> np.ndarray:
-    """expm1(u)/u, stable through u = 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    big = np.abs(u) > 1e-8
-    out[big] = np.expm1(u[big]) / u[big]
-    out[~big] = 1.0 + 0.5 * u[~big]
-    return out
+def _closure(plus, minus, maxwellian, what) -> ClosureCoefficients:
+    """gamma, beta from inverting [plus | maxwellian], the limit modes
+    sampled at the positive nodes, and zeta = plus - minus, their odd part;
+    ``what`` names the basis in the :class:`IllConditioned` message."""
+    X = _inverse(np.column_stack([plus, maxwellian])[None], what)[0]
+    return ClosureCoefficients(zeta=plus - minus, gamma=X[:-1, :], beta=X[-1, :])
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +156,9 @@ def rte_closure(q, lam: np.ndarray) -> ClosureCoefficients:
     """gamma, beta from inverting [1/(1 - V (x) lambda) | 1] at the positive
     roots ``lam`` of :func:`dispersion_roots`; zeta = odd part."""
     v = q.nodes
-    K = q.K
-    Fm = 1.0 / (1.0 - np.outer(v, lam))
-    Fp = 1.0 / (1.0 + np.outer(v, lam))
-    M01 = np.column_stack([Fm, np.ones(K)])
-    X = _inverse(M01[None], "eigenbasis")[0]
-    return ClosureCoefficients(zeta=Fm - Fp, gamma=X[:-1, :], beta=X[-1, :])
+    return _closure(
+        1.0 / (1.0 - np.outer(v, lam)), 1.0 / (1.0 + np.outer(v, lam)), np.ones(q.K), "eigenbasis"
+    )
 
 
 def _chemo_matrices(epsilon, dx, v, phip, roots):
@@ -183,7 +178,7 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
 
     def zero_col(x, vv, T):
         # (-eps/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at lam0 -> 0
-        return (T * x * _expm1_over(-lam0 * x / epsilon) - epsilon * vv) / (
+        return (T * x / bernoulli(-lam0 * x / epsilon) - epsilon * vv) / (
             T * (T - lam0 * vv)
         )
 
@@ -208,7 +203,7 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> np.ndarray:
     M, K = phip.shape
     zeta0, gamma, beta = closure.zeta, closure.gamma, closure.beta
     q0 = np.exp(-lam01 * dx)[:, None]
-    r = -dx * _expm1_over(-lam01 * dx)[:, None]
+    r = (-dx / bernoulli(-lam01 * dx))[:, None]
     Fm2 = 1.0 / (1.0 - np.outer(v, lam0)) ** 2
     Fp2 = 1.0 / (1.0 + np.outer(v, lam0)) ** 2
     DP = phip[:, :, None] - v[:, None] * lam1[:, None, :]
@@ -283,16 +278,10 @@ def vfp_closure(q) -> ClosureCoefficients:
     Maxwellian; beta detects the Maxwellian coefficient.  For K = 1 the
     damped families are empty and beta = exp(v_1^2/2kappa).
     """
-    v = q.nodes
-    K = q.K
-    kappa = q.kappa
-    m = vfp_psi0(0, v, kappa)
-    basis = np.column_stack([vfp_psi0(l, v, kappa) for l in range(1, K)] + [m])
-    X = _inverse(basis[None], "mode basis")[0]
-    zeta = np.empty((K, K - 1))
-    for l in range(1, K):
-        zeta[:, l - 1] = vfp_psi0(l, v, kappa) - vfp_psi0(l, -v, kappa)
-    return ClosureCoefficients(zeta=zeta, gamma=X[:-1, :], beta=X[-1, :])
+    v, kappa = q.nodes, q.kappa
+    plus = np.column_stack([vfp_psi0(l, v, kappa) for l in range(q.K)])
+    minus = np.column_stack([vfp_psi0(l, -v, kappa) for l in range(q.K)])
+    return _closure(plus[:, 1:], minus[:, 1:], plus[:, 0], "mode basis")
 
 
 def _vfp_zero_columns(x, v, epsilon, E, kappa):
@@ -308,9 +297,9 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
     z = epsilon * v - x
     psi_D = (
         m
-        * np.exp((2.0 * x - epsilon**2 * E) * E / (2.0 * kappa))
+        * np.exp((2.0 * x - epsilon * epsilon * E) * E / (2.0 * kappa))
         * z
-        * _expm1_over(z * E / kappa)
+        / bernoulli(z * E / kappa)
     )
     return psi_H, psi_D
 

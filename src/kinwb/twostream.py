@@ -3,40 +3,17 @@
 The pedagogical instance: velocities +-1, tumbling biased by the
 chemoattractant slope.  Everything that the general solver does through
 mode matrices is explicit here, which makes it the cross-validation case
-for the full machinery.
+for the full machinery.  The state is the (Nx, 2) array [f+, f-], the
+kinetic layout at K = 1.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import SolveFailure
-from .kinetic import chemoattractant_update, phi_tanh
+from .kinetic import phi_tanh
 from .macrolimit import bernoulli
-
-
-@dataclass(frozen=True, eq=False)
-class TwoStreamState:
-    Nx: int
-    dx: float
-    dt: float
-    epsilon: float
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    S: np.ndarray
-
-    def __post_init__(self):
-        for name in ("f_plus", "f_minus", "S"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (self.Nx,):
-                raise ValueError(f"{name} must have shape ({self.Nx},)")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.f_plus + self.f_minus
 
 
 def _denominator(epsilon, dx, phi_half):
@@ -64,36 +41,28 @@ def ts_smatrix(epsilon: float, dx: float, phi_half: float) -> np.ndarray:
     return np.array([[-r, 1.0 + r * EE], [1.0 + r, -r * EE]])
 
 
-def _currents(f_plus, f_minus, phi_half, epsilon, dx):
-    """Jbar_{j-1/2} = -2 (f+_{j-1} - EE f-_j) / d, d as in :func:`ts_smatrix`."""
-    d, EE = _denominator(epsilon, dx, phi_half)
-    return -2.0 * (np.roll(f_plus, 1) - EE * f_minus) / d
+def ts_step(f: np.ndarray, S: np.ndarray, epsilon: float, dt: float, dx: float,
+            phi_response: Callable = phi_tanh) -> np.ndarray:
+    """One IMEX step of the two-stream scheme on f = [f+, f-], shape (Nx, 2),
+    driven by the chemoattractant S.
 
-
-def ts_step(state: TwoStreamState, phi_response: Callable = phi_tanh) -> TwoStreamState:
-    """One IMEX step of the two-stream scheme.
-
-    S is refreshed from rho^n through the elliptic solve, the interface
-    currents are evaluated explicitly with the exact eps-dependent
-    denominator (so stationary profiles are preserved at finite eps), and
-    the stiff relaxation is solved cell-locally:
+    The interface currents Jbar_{j-1/2} = -2 (f+_{j-1} - EE f-_j)/d, with
+    EE and d as in :func:`ts_smatrix`, are explicit with the exact
+    eps-dependent denominator (so stationary profiles are preserved at
+    finite eps), and the stiff relaxation is solved cell-locally:
 
         (1+a) f+ - a f- = f+^n + (dt/dx) Jbar_{j-1/2}
         -a f+ + (1+a) f- = f-^n - (dt/dx) Jbar_{j+1/2},   a = dt/(eps dx).
     """
-    S = chemoattractant_update(state.rho, state.dx)
-    phi_half = np.asarray(phi_response((S - np.roll(S, 1)) / state.dx), dtype=float)
-    J = _currents(state.f_plus, state.f_minus, phi_half, state.epsilon, state.dx)
-    a = state.dt / (state.epsilon * state.dx)
-    rp = state.f_plus + state.dt / state.dx * J
-    rm = state.f_minus - state.dt / state.dx * np.roll(J, -1)
+    f_plus, f_minus = f[:, 0], f[:, 1]
+    phi_half = np.asarray(phi_response((S - np.roll(S, 1)) / dx), dtype=float)
+    d, EE = _denominator(epsilon, dx, phi_half)
+    J = -2.0 * (np.roll(f_plus, 1) - EE * f_minus) / d
+    a = dt / (epsilon * dx)
+    rp = f_plus + dt / dx * J
+    rm = f_minus - dt / dx * np.roll(J, -1)
     det = 1.0 + 2.0 * a
-    f_plus = ((1.0 + a) * rp + a * rm) / det
-    f_minus = (a * rp + (1.0 + a) * rm) / det
-    if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+    fnew = np.column_stack([((1.0 + a) * rp + a * rm) / det, (a * rp + (1.0 + a) * rm) / det])
+    if not np.all(np.isfinite(fnew)):
         raise SolveFailure("the two-stream step produced a non-finite state")
-    return TwoStreamState(
-        Nx=state.Nx, dx=state.dx, dt=state.dt, epsilon=state.epsilon,
-        f_plus=f_plus, f_minus=f_minus, S=S,
-    )
-
+    return fnew

@@ -18,6 +18,7 @@ from kinwb import (
     ap_error_table,
     ap_gap,
     chemo_drift,
+    chemoattractant_update,
     gauss_symmetric,
     interface_grad,
     phi_tanh,
@@ -350,6 +351,16 @@ def test_run_vfp_and_twostream(tmp_path):
     assert first == "t,x,rho,S"
 
 
+def test_chemo_snapshots_all_carry_S(tmp_path):
+    # like twostream's, the first snapshot holds the field the first step reads
+    assert main(["run", "--config", str(CONFIGS / "chemo.json"), "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("snapshot_*.csv"))
+    assert len(paths) == 11
+    assert {p.read_text().split("\n")[0] for p in paths} == {"t,x,rho,S"}
+    rho0, S0 = np.loadtxt(paths[0], delimiter=",", skiprows=1, usecols=(2, 3)).T
+    assert np.array_equal(S0, chemoattractant_update(rho0, 1.0 / 64))
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
     "fields, named",
@@ -434,6 +445,7 @@ def fuzz_configs(draw):
 
 _FUZZ_BASE = {"K": 1, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e-3, "epsilon": 1e-3,
               "epsilon_list": [1e-3], "initial_density": "cosine_bump"}
+_FUZZ_VFP = {"model": "vfp", "kappa": 1.0, "E_profile": {"kind": "zero"}}
 
 
 @settings(max_examples=150, deadline=None)
@@ -448,6 +460,14 @@ _FUZZ_BASE = {"K": 1, "Nx": 4, "dx": 0.25, "dt": 1e-3, "t_final": 1e-3, "epsilon
          command="run")
 @example(config={**_FUZZ_BASE, "model": "rte", "Nx": 1, "dx": 1.0, "dt": 1.0, "t_final": 1.0,
                  "epsilon": 1e-17}, command="run")
+# dx*dx and eps*eps overflow to inf, where Python's ** raised OverflowError
+@example(config={**_FUZZ_BASE, "model": "rte", "dx": 1e300}, command="run")
+@example(config={**_FUZZ_BASE, "model": "chemo", "dx": 1e300}, command="run")
+@example(config={**_FUZZ_BASE, **_FUZZ_VFP, "dx": 1e300}, command="run")
+@example(config={**_FUZZ_BASE, **_FUZZ_VFP, "epsilon": 1e300}, command="run")
+# a grid no machine can allocate: NumPy raises MemoryError at once
+@example(config={**_FUZZ_BASE, "model": "rte", "Nx": 10**15}, command="run")
+@example(config={**_FUZZ_BASE, **_FUZZ_VFP, "Nx": 10**15}, command="sweep")
 def test_config_fuzz_exits_0_2_or_3(config, command):
     # every config runs to finite outputs, or ends in a config error (2) or
     # a numerical one (3)

@@ -25,6 +25,16 @@ def test_bernoulli_values():
     vals = bernoulli(xs)
     assert vals.shape == xs.shape
     assert vals[2] == 1.0
+    # the (M, 1) column that the scattering callers pass
+    col = bernoulli(xs[:, None])
+    assert col.shape == (5, 1) and np.array_equal(col[:, 0], vals)
+    # the smallest subnormal and a tiny normal: x/expm1(x) rounds to exactly 1
+    assert bernoulli(5e-324) == 1.0 and bernoulli(1e-300) == 1.0
+    # 1/B(u) = expm1(u)/u = 1 + u/2 + u^2/6 + u^3/24 + u^4/120 + O(u^5): within
+    # 4 ulp for |u| <= 1e-3, where u^5/720 is below an ulp
+    u = np.concatenate([-np.logspace(-3, -300, 200), [-5e-324, 5e-324], np.logspace(-300, -3, 200)])
+    series = 1.0 + u * (1.0 / 2.0 + u * (1.0 / 6.0 + u * (1.0 / 24.0 + u / 120.0)))
+    assert np.all(np.abs(1.0 / bernoulli(u) - series) <= 4.0 * np.spacing(series))
 
 
 @settings(max_examples=60, deadline=None)

@@ -59,6 +59,16 @@ def test_structural_differences_are_problems(tmp_path, change, problem):
     assert len(got["problems"]) == 1 and problem in got["problems"][0]
 
 
+def test_added_column_is_a_problem_and_shared_columns_are_compared(tmp_path):
+    a = write(tmp_path / "a", {"snapshot_0000.csv": SNAP})
+    b = write(tmp_path / "b", {"snapshot_0000.csv": "t,x,rho,S\n0,0.25,1.0,0.5\n0,0.75,2.000002,0.5\n"})
+    got = output_parity.compare_dirs(a, b)
+    assert len(got["problems"]) == 1 and "headers differ" in got["problems"][0]
+    assert got["moves"]["t"] == got["moves"]["x"] == 0.0
+    assert got["moves"]["rho"] == pytest.approx(1e-6)
+    assert "S" not in got["moves"]
+
+
 def test_report_line_names_counts_and_moves():
     line = output_parity.report_line("rte", {"count": 3, "identical": 1,
                                              "moves": {"rho": 2.3e-11}, "problems": []})

@@ -3,7 +3,6 @@ import pytest
 
 from kinwb import (
     DriftDiffusionParams,
-    TwoStreamState,
     chemoattractant_update,
     interface_grad,
     phi_tanh,
@@ -17,15 +16,16 @@ DX = 1.0 / NX
 DT = DX**2 / 4.0  # the Keller-Segel limit has D = 1: explicit bound dt <= dx^2/2
 
 
-def make_state(eps, rho=None, nx=NX, dx=DX, dt=DT):
-    x = (np.arange(nx) + 0.5) * dx
+def make_state(rho=None):
+    """[f+, f-] at the equilibrium carrying rho (a cosine bump by default)."""
     if rho is None:
-        rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
-    return TwoStreamState(
-        Nx=nx, dx=dx, dt=dt, epsilon=eps,
-        f_plus=rho / 2.0, f_minus=rho / 2.0,
-        S=chemoattractant_update(rho, dx),
-    )
+        rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * (np.arange(NX) + 0.5) * DX)
+    return np.column_stack([rho / 2.0, rho / 2.0])
+
+
+def step(f, eps):
+    """One step driven by the chemoattractant of f's density, as a march takes it."""
+    return ts_step(f, chemoattractant_update(f[:, 0] + f[:, 1], DX), eps, DT, DX)
 
 
 def test_smatrix_zero_response_is_swap():
@@ -71,30 +71,30 @@ def test_smatrix_transparent_limit():
 
 
 def test_constant_state_is_equilibrium():
-    state = make_state(1e-2, rho=np.full(NX, 0.9))
-    new = ts_step(state)
-    assert np.max(np.abs(new.f_plus - state.f_plus)) < 1e-14
-    assert np.max(np.abs(new.f_minus - state.f_minus)) < 1e-14
+    f = make_state(rho=np.full(NX, 0.9))
+    new = step(f, 1e-2)
+    assert np.max(np.abs(new[:, 0] - f[:, 0])) < 1e-14
+    assert np.max(np.abs(new[:, 1] - f[:, 1])) < 1e-14
 
 
 def test_one_step_matches_keller_segel_sg():
     eps = 1e-6
-    state = make_state(eps)
-    rho0 = state.rho
-    new = ts_step(state)
+    f = make_state()
+    rho0 = f[:, 0] + f[:, 1]
+    new = step(f, eps)
     S = chemoattractant_update(rho0, DX)
     phi_half = phi_tanh(interface_grad(S, DX))
     ref = sg_step(rho0, DriftDiffusionParams(D=1.0, E_half=phi_half, dt=DT, dx=DX))
-    gap = np.max(np.abs(new.rho - ref)) / np.max(np.abs(ref))
+    gap = np.max(np.abs(new[:, 0] + new[:, 1] - ref)) / np.max(np.abs(ref))
     assert gap < 1e-5
 
 
 def test_mass_conservation_per_step():
-    state = make_state(1e-3)
-    m0 = float(np.sum(state.rho) * state.dx)
+    f = make_state()
+    m0 = float(np.sum(f[:, 0] + f[:, 1]) * DX)
     for _ in range(200):
-        state = ts_step(state)
-        m1 = float(np.sum(state.rho) * state.dx)
+        f = step(f, 1e-3)
+        m1 = float(np.sum(f[:, 0] + f[:, 1]) * DX)
         assert abs(m1 - m0) / m0 < 1e-13
         m0 = m1
 
@@ -104,13 +104,13 @@ def test_epsilon_sweep_first_order():
     eps_list = np.array([1e-3, 1e-4, 1e-5, 1e-6])
     gaps = []
     for eps in eps_list:
-        state = make_state(eps)
-        rho0 = state.rho
-        new = ts_step(state)
+        f = make_state()
+        rho0 = f[:, 0] + f[:, 1]
+        new = step(f, eps)
         S = chemoattractant_update(rho0, DX)
         phi_half = phi_tanh(interface_grad(S, DX))
         ref = sg_step(rho0, DriftDiffusionParams(D=1.0, E_half=phi_half, dt=DT, dx=DX))
-        gaps.append(np.max(np.abs(new.rho - ref)))
+        gaps.append(np.max(np.abs(new[:, 0] + new[:, 1] - ref)))
     slope = np.polyfit(np.log(eps_list), np.log(gaps), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
 
@@ -119,10 +119,10 @@ def test_isotropization_rate():
     # f+ - f- after a few steps is O(eps)
     mismatch = []
     for eps in (1e-3, 1e-4, 1e-5):
-        state = make_state(eps)
+        f = make_state()
         for _ in range(5):
-            state = ts_step(state)
-        mismatch.append(np.max(np.abs(state.f_plus - state.f_minus)))
+            f = step(f, eps)
+        mismatch.append(np.max(np.abs(f[:, 0] - f[:, 1])))
     assert mismatch[0] / mismatch[1] == pytest.approx(10.0, rel=0.2)
     assert mismatch[1] / mismatch[2] == pytest.approx(10.0, rel=0.2)
 
