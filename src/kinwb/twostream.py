@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolveFailure
-from .kinetic import phi_tanh
+from .kinetic import interface_grad, phi_tanh
 from .macrolimit import bernoulli
 
 
@@ -55,7 +55,7 @@ def ts_step(f: np.ndarray, S: np.ndarray, epsilon: float, dt: float, dx: float,
         -a f+ + (1+a) f- = f-^n - (dt/dx) Jbar_{j+1/2},   a = dt/(eps dx).
     """
     f_plus, f_minus = f[:, 0], f[:, 1]
-    phi_half = np.asarray(phi_response((S - np.roll(S, 1)) / dx), dtype=float)
+    phi_half = np.asarray(phi_response(interface_grad(S, dx)), dtype=float)
     d, EE = _denominator(epsilon, dx, phi_half)
     J = -2.0 * (np.roll(f_plus, 1) - EE * f_minus) / d
     a = dt / (epsilon * dx)

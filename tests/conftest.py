@@ -1,12 +1,19 @@
 import pytest
 
 from kinwb import (
+    VelocityQuadrature,
     dispersion_roots,
     gauss_symmetric,
     rte_closure,
     vfp_preset_nodes,
     vfp_quadrature,
 )
+
+
+@pytest.fixture(scope="session")
+def q1():
+    """Two-stream as a velocity set: K = 1, v = 1, w = 1."""
+    return VelocityQuadrature(nodes=[1.0], weights=[1.0])
 
 
 @pytest.fixture(scope="session")

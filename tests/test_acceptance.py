@@ -12,6 +12,7 @@ from kinwb import (
     KineticGrid,
     Rte,
     Vfp,
+    VelocityQuadrature,
     assemble_cell_matrix,
     ap_error_table,
     chemo_interfaces,
@@ -178,7 +179,8 @@ def test_criterion_6_lemma_suite():
     dt, dx = 1e-3, 1.0 / 16.0
     checks = []
     R0 = np.array([[1.0, -1.0], [-1.0, 1.0]]) * dt / dx
-    checks.append(("twostream", kernel_range_check(R0, None, np.ones(2)).passed))
+    q1 = VelocityQuadrature(nodes=[1.0], weights=[1.0])  # two-stream: v = 1, w = 1
+    checks.append(("twostream", kernel_range_check(R0, q1, np.ones(2)).passed))
     q4 = gauss_symmetric(4)
     cl = rte_closure(q4, dispersion_roots(q4))
     S0 = np.eye(4) - cl.zeta @ cl.gamma
@@ -192,7 +194,7 @@ def test_criterion_6_lemma_suite():
     checks.append(
         ("vfp", kernel_range_check(assemble_cell_matrix(0.0, dt, dx, qv, S0v), qv, mw).passed)
     )
-    devs = [stochasticity_check(ts_smatrix(1e-3, dx, 0.7)).col_sum_deviation]
+    devs = [stochasticity_check(ts_smatrix(1e-3, dx, 0.7), q1).col_sum_deviation]
     devs.append(
         stochasticity_check(Rte(q4).interfaces(1e-3, dx, None).S[0], q4).col_sum_deviation
     )

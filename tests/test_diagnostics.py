@@ -22,9 +22,9 @@ from kinwb import (
 from kinwb.quadrature import _preset_root
 
 
-def test_stochasticity_examples(q4):
+def test_stochasticity_examples(q1, q4):
     S = ts_smatrix(1e-2, 0.1, 0.7)
-    rep = stochasticity_check(S)
+    rep = stochasticity_check(S, q1)
     assert rep.col_sum_deviation < 1e-14
     rep = stochasticity_check(np.eye(8), q4)
     assert rep.col_sum_deviation == 0.0
@@ -33,10 +33,10 @@ def test_stochasticity_examples(q4):
     assert stochasticity_check(S, q4).col_sum_deviation < 1e-10
 
 
-def test_kernel_range_all_models(q4, closure4, qv3):
+def test_kernel_range_all_models(q1, q4, closure4, qv3):
     dt, dx = 1e-3, 1.0 / 16.0
     R0 = np.array([[1.0, -1.0], [-1.0, 1.0]]) * dt / dx
-    rep = kernel_range_check(R0, None, np.ones(2))
+    rep = kernel_range_check(R0, q1, np.ones(2))
     assert rep.passed and rep.null_dim == 1
     S0 = np.eye(4) - closure4.zeta @ closure4.gamma
     rep = kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q4, S0), q4, np.ones(8))
@@ -49,6 +49,12 @@ def test_kernel_range_all_models(q4, closure4, qv3):
     # a full-rank matrix must fail
     rep = kernel_range_check(np.eye(8), q4, np.ones(8))
     assert not rep.passed and rep.null_dim == 0
+    # the right kernel with a range off the zero-mass hyperplane must fail
+    R0 = assemble_cell_matrix(0.0, dt, dx, q4, S0)
+    leaky = R0.copy()
+    leaky[0] += R0[1]  # rows of R0 annihilate the Maxwellian, so the kernel stays
+    rep = kernel_range_check(leaky, q4, np.ones(8))
+    assert rep.null_dim == 1 and not rep.passed and rep.range_test_residual > 1e-3
 
 
 def test_orthogonality_check_residuals(q4, qv3):
