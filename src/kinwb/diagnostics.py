@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
+from .macrolimit import bernoulli
 from .spectral import _all_roots_multi, vfp_mu, vfp_psi, vfp_psi0
 from .scattering import _vfp_zero_columns
 
@@ -199,8 +200,8 @@ def _stationary_modes_integral(epsilon, dx, q, Tp, Tn):
         vv, T = s * v, (Tp if s > 0 else Tn)
         if even:
             zero = x - epsilon * vv
-        else:
-            zero = np.exp(-lam0 * x / epsilon) / (T - lam0 * vv) - 1.0 / T
+        else:  # (-eps/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], as the assembly writes it
+            zero = (T * x / bernoulli(-lam0 * x / epsilon) - epsilon * vv) / (T * (T - lam0 * vv))
         decay = np.exp(-damped * (x - anchor) / epsilon) / (T[:, None] - np.outer(vv, damped))
         return np.column_stack([1.0 / T, zero, decay])
 
@@ -227,19 +228,20 @@ def _stationary_modes_vfp(epsilon, dx, q, E, kappa):
 
 
 def well_balanced_residual(S, epsilon, dx, q, *, rates=None, E=None) -> float:
-    """max|S INC - OUT| / max|OUT| over every mode of the stationary
-    eigen-expansion on (0, dx), with INC and OUT its exact incoming and
-    outgoing traces, one mode per column.  The stationary problem is the
-    integral-collision one with rates (T(+v), T(-v)) = ``rates``, or the
-    Fokker-Planck one in the field ``E`` with the quadrature's kappa."""
+    """max|S INC - OUT| / max|OUT| of every mode of the stationary
+    eigen-expansion on (0, dx), each column on its own scale, with INC and
+    OUT its exact incoming and outgoing traces, one mode per column.  The
+    stationary problem is the integral-collision one with rates
+    (T(+v), T(-v)) = ``rates``, or the Fokker-Planck one in the field ``E``
+    with the quadrature's kappa."""
     if E is None:
         modes = _stationary_modes_integral(epsilon, dx, q, *rates)
     else:
         modes = _stationary_modes_vfp(epsilon, dx, q, E, q.kappa)
     inc = np.vstack([modes(0.0, 1.0), modes(dx, -1.0)])
     out = np.vstack([modes(dx, 1.0), modes(0.0, -1.0)])
-    scale = np.max(np.abs(out)) + 1e-300
-    return float(np.max(np.abs(S @ inc - out)) / scale)
+    scale = np.max(np.abs(out), axis=0) + 1e-300
+    return float(np.max(np.max(np.abs(S @ inc - out), axis=0) / scale))
 
 
 def _result(name, passed, detail) -> CheckResult:

@@ -8,9 +8,11 @@ One step solves, cell by cell,
 
 with the stiff leading scattering block S0 implicit and the eps-correction
 blocks explicit.  S0 comes from the limit closure, which does not see the
-field, so :func:`step_operator` inverts R_eps once per run and a step is one
-product with the inverse; the B stack carries the per-interface field
-dependence.  State layout per cell: (f(v_1..v_K), f(-v_1..-v_K)).
+field, so :func:`step_operator` inverts R_eps once per run.  The B terms
+carry the per-interface field dependence: a static model's B stack is built
+once per run, and a chemotaxis step takes the outgoing traces B inc from
+the interfaces it assembles (:meth:`InterfaceStack.outgoing`).  State layout
+per cell: (f(v_1..v_K), f(-v_1..-v_K)).
 """
 
 from dataclasses import dataclass
@@ -49,8 +51,9 @@ class KineticGrid:
 
 
 def cfl_check(grid: KineticGrid) -> bool:
-    """Advisory kinetic CFL max(v) dt <= eps dx (the positivity-proof bound;
-    the IMEX stiff solve permits larger steps)."""
+    """Advisory kinetic CFL max(v) dt <= eps dx; the IMEX stiff solve permits
+    larger steps.  It is not a positivity bound: one step at it can make f
+    negative, for instance in rte and chemo at eps = 1e-2."""
     vmax = float(grid.q.nodes[-1])
     return vmax * grid.dt <= grid.epsilon * grid.dx * (1.0 + 1e-12)
 
@@ -144,8 +147,11 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
     """One IMEX step; pure function grid -> grid.  The interfaces are
     assembled from the field S when given, else op's static stack is used."""
-    B = op.B if S is None else op.model.interfaces(grid.epsilon, grid.dx, S).B
-    out = np.einsum("iab,ib->ia", B, grid.f.take(op.incoming))
+    inc = grid.f.take(op.incoming)
+    if S is None:
+        out = np.einsum("iab,ib->ia", op.B, inc)
+    else:
+        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(inc)
     rhs = grid.epsilon * grid.f + op.scaled_v * out.take(op.to_cells)
     fnew = rhs @ op.R_inv.T  # a non-finite rhs gives a non-finite fnew
     if not np.all(np.isfinite(fnew)):

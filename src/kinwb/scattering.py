@@ -16,18 +16,22 @@ normalisation keeps the mode matrix and the limit B^0 finite through zero
 slope, so no interface needs a separate flat-slope formula.  Fokker-Planck
 (:func:`vfp_interfaces`) has Hermite modes of its own.
 
-The mode matrices of M interfaces fill one (M, 2K, 2K) stack that is
-inverted in one call (:class:`InterfaceStack`); the same inverse gives
-S^eps = Ntilde N^{-1} and the guard, the exact 1-norm condition number
-||N||_1 ||N^{-1}||_1 of every interface.  A single interface is a stack
-of one: its S-matrix is ``S[0]``.
+The mode matrices of M interfaces fill two (M, 2K, 2K) stacks N and Ntilde
+(:class:`InterfaceStack`).  A chemotaxis step reads them only through the
+outgoing traces B^eps inc, one batched solve with N per step; S^eps, B^eps
+and B^0 are built when they are read.  Every stack is guarded at
+construction by the exact 1-norm condition number ||N||_1 ||N^{-1}||_1 of
+each interface.  The integral-collision assembly first tries a certificate
+from Y, the exact inverse of the eps -> 0 mode matrix, and inverts N only
+when Y does not certify it.  A single interface is a stack of one: its
+S-matrix is ``S[0]``.
 
 The leading decomposition term is the anti-diagonal block S0 = I - zeta*gamma
 of the limit closure; it does not see the field, so one S0 serves every
 interface.  Above the switch threshold eps >= 1e-8*dx the correction is
 computed as B^eps = (S^eps - S^0)/eps; below it the analytic limit B^0 is
-substituted to avoid catastrophic cancellation.  B^0 is built only when it
-is read: below the switch, or through :attr:`InterfaceStack.B0`.
+substituted to avoid catastrophic cancellation.  B^0 is built eagerly below
+the switch, and above it only when :attr:`InterfaceStack.B0` is read.
 """
 
 from dataclasses import dataclass, field
@@ -77,18 +81,51 @@ class ClosureCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class InterfaceStack:
-    """S-matrices S = [[0, S0], [S0, 0]] + eps*B of M interfaces, with S0
-    the closure's leading block: S, B and B0 have shape (M, 2K, 2K).  B0 is
-    the eps -> 0 limit of B, and B itself below the switch; it is built by
-    ``build_B0`` on first read, so above the switch a step never builds it."""
+    """Scattering data of M interfaces: the mode matrices N and Nt, shape
+    (M, 2K, 2K), of S = Nt N^{-1} = [[0, S0], [S0, 0]] + eps*B, with S0 the
+    closure's leading block.  B0 is the eps -> 0 limit of B, and B itself
+    below the switch, where it is built with the stack.  S, B and, above
+    the switch, B0 are built on first read; a step that reads only
+    :meth:`outgoing` builds none of them.  ``inverse`` is N^{-1} when the
+    condition guard had to compute it."""
 
-    S: np.ndarray
-    B: np.ndarray
+    epsilon: float
+    N: np.ndarray
+    Nt: np.ndarray
+    anti_S0: np.ndarray
+    below_switch: bool
     build_B0: Callable[[], np.ndarray] = field(repr=False)
+    inverse: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.below_switch:
+            self.B0  # built with the stack: below the switch every step reads it
 
     @cached_property
     def B0(self) -> np.ndarray:
         return self.build_B0()
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self.Nt @ (_inverse(self.N) if self.inverse is None else self.inverse)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        if self.below_switch:
+            return self.B0
+        return (self.S - self.anti_S0) / self.epsilon
+
+    def outgoing(self, inc: np.ndarray) -> np.ndarray:
+        """B @ inc of every interface, for incoming traces ``inc`` (M, 2K).
+        Above the switch it is (Nt N^{-1} inc - anti_S0 inc)/eps, with one
+        solve per interface unless the guard's inverse is at hand."""
+        if self.below_switch:
+            return np.einsum("iab,ib->ia", self.B0, inc)
+        if self.inverse is None:
+            c = np.linalg.solve(self.N, inc[..., None])
+        else:
+            c = self.inverse @ inc[..., None]
+        return ((self.Nt @ c)[..., 0] - inc @ self.anti_S0.T) / self.epsilon
 
 
 def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndarray:
@@ -120,13 +157,36 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
     return X
 
 
-def _stack(epsilon, dx, closure, N, Nt, build_B0) -> InterfaceStack:
-    """The stack with S = Nt N^{-1}; B0 is built here only below the switch."""
-    S = Nt @ _inverse(N)
-    if epsilon >= EPS_SWITCH_FACTOR * dx:
-        return InterfaceStack(S, (S - closure.anti_S0) / epsilon, build_B0)
-    B0 = build_B0()
-    return InterfaceStack(S, B0, lambda: B0)
+def _cond_bound(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Upper bounds of cond_1 of a stack A (M, n, n) from approximate
+    inverses Y: with rho = ||I - Y A||_1 < 1, ||A^{-1}||_1 <= ||Y||_1/(1 - rho).
+    rho is raised by 2n u ||Y||_1 ||A||_1, more than the rounding of Y A
+    (u the unit roundoff).  A member with rho > 1/2, or with a non-finite
+    bound, gets inf.  Subnormal entries of A, underflowed decay factors,
+    count as 0: that moves the bound by less than its rounding, and
+    arithmetic on them is slow."""
+    n = A.shape[-1]
+    ones = np.ones(n)
+    A = np.where(np.abs(A) < np.finfo(float).tiny, 0.0, A)
+    with np.errstate(all="ignore"):  # a non-finite input only fails the bound
+        E = Y @ A
+        E.reshape(len(E), -1)[:, :: n + 1] -= 1.0  # E = Y A - I
+        norms = (ones @ np.abs(A)).max(axis=-1) * (ones @ np.abs(Y)).max(axis=-1)
+        rho = (ones @ np.abs(E, out=E)).max(axis=-1) + n * np.finfo(float).eps * norms
+        bound = norms / (1.0 - rho)
+    return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf)
+
+
+def _stack(epsilon, dx, closure, N, Nt, build_B0, Y=None) -> InterfaceStack:
+    """The stack of N, Nt after the condition guard.  Approximate inverses Y
+    certify the guard when :func:`_cond_bound` keeps every member within
+    the limit; otherwise :func:`_inverse` decides it exactly, and names the
+    member that fails."""
+    certified = Y is not None and bool(np.all(_cond_bound(N, Y) <= _COND_LIMIT))
+    return InterfaceStack(
+        epsilon, N, Nt, closure.anti_S0, epsilon < EPS_SWITCH_FACTOR * dx, build_B0,
+        None if certified else _inverse(N),
+    )
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:
@@ -176,11 +236,13 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
     Pp, PpN = 1.0 / (Tp[:, :, None] - vlp), 1.0 / (Tn[:, :, None] + vlp)
     Pm, PmN = 1.0 / (Tp[:, :, None] - vlm), 1.0 / (Tn[:, :, None] + vlm)
 
+    B_dx = bernoulli(-lam0 * dx / epsilon)  # shared by the two x = dx columns
+
     def zero_col(x, vv, T):
-        # (-eps/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at lam0 -> 0
-        return (T * x / bernoulli(-lam0 * x / epsilon) - epsilon * vv) / (
-            T * (T - lam0 * vv)
-        )
+        # (-eps/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at lam0 -> 0;
+        # x is 0 or dx, and at x = 0 the term T x/bernoulli(0) is exactly 0
+        secular = T * dx / B_dx if x else 0.0
+        return (secular - epsilon * vv) / (T * (T - lam0 * vv))
 
     N = _assemble(M, K, (Pp, 1.0 / Tp, Pm * Elm, zero_col(0.0, v, Tp)),
                   (PpN * Elp, 1.0 / Tn, PmN, zero_col(dx, -v, Tn)))
@@ -189,7 +251,24 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
     return N, Nt
 
 
-def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> np.ndarray:
+def _limit_inverse(closure, r) -> np.ndarray:
+    """Y (M, 2K, 2K), the exact inverse of the eps -> 0 limit of the mode
+    matrices N of :func:`_chemo_matrices`, with r (M, 1) as in
+    :func:`_chemo_B0`.  In the column groups of :func:`_assemble` that limit
+    is [[P, 1, 0, 0], [0, 1, P, -r]], P = 1/(1 - v lambda0), and the closure
+    inverts its diagonal blocks [P | 1]."""
+    gamma, beta = closure.gamma, closure.beta
+    M, K = len(r), len(beta)
+    Y = np.zeros((M, 2 * K, 2 * K))
+    Y[:, : K - 1, :K] = gamma
+    Y[:, K - 1, :K] = beta
+    Y[:, K : 2 * K - 1, K:] = gamma
+    Y[:, 2 * K - 1, :K] = beta / r
+    Y[:, 2 * K - 1, K:] = -beta / r
+    return Y
+
+
+def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r, Y) -> np.ndarray:
     """Analytic limit of (S^eps - S^0)/eps via term-by-term differentiation.
 
     B^0 = A'(0) X - A^0 X N'(0) X with X the block inverse of the limit
@@ -198,12 +277,12 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> np.ndarray:
     The zero-mode column is normalised by 1/lambda0^1, so its limit carries
     r = (exp(-lambda0^1 dx) - 1)/lambda0^1 = -dx/B(-lambda0^1 dx), B the
     Bernoulli function: the formula holds through zero slope, where it is
-    the radiative-transfer limit.
+    the radiative-transfer limit.  That column is -1 times the one of the
+    finite-eps N, so X is :func:`_limit_inverse`'s Y with the last row negated.
     """
     M, K = phip.shape
-    zeta0, gamma, beta = closure.zeta, closure.gamma, closure.beta
+    zeta0 = closure.zeta
     q0 = np.exp(-lam01 * dx)[:, None]
-    r = (-dx / bernoulli(-lam01 * dx))[:, None]
     Fm2 = 1.0 / (1.0 - np.outer(v, lam0)) ** 2
     Fp2 = 1.0 / (1.0 + np.outer(v, lam0)) ** 2
     DP = phip[:, :, None] - v[:, None] * lam1[:, None, :]
@@ -214,12 +293,8 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure) -> np.ndarray:
     A0 = np.zeros((2 * K, 2 * K))
     A0[K:, : K - 1] = -zeta0
     A0[:K, K : 2 * K - 1] = -zeta0
-    X = np.zeros((M, 2 * K, 2 * K))
-    X[:, : K - 1, :K] = gamma
-    X[:, K - 1, :K] = beta
-    X[:, K : 2 * K - 1, K:] = gamma
-    X[:, 2 * K - 1, :K] = -beta / r
-    X[:, 2 * K - 1, K:] = beta / r
+    X = Y.copy()
+    X[:, -1] = -X[:, -1]
     return Ap @ X - A0 @ X @ Np @ X
 
 
@@ -260,9 +335,11 @@ def chemo_interfaces(
     )
     roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
     N, Nt = _chemo_matrices(epsilon, dx, v, phip, roots)
+    r = (-dx / bernoulli(-lam01 * dx))[:, None]
+    Y = _limit_inverse(closure, r)
     return _stack(
         epsilon, dx, closure, N, Nt,
-        lambda: _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure),
+        lambda: _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r, Y), Y,
     )
 
 

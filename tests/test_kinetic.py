@@ -259,13 +259,15 @@ def test_interface_helpers(q4):
 
 def roll_rhs(grid, op, S=None):
     """The step's right-hand side as written with np.roll/np.hstack before the
-    gather indices."""
-    B = op.B if S is None else op.model.interfaces(grid.epsilon, grid.dx, S).B
-    B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])
+    gather indices; a dynamic model's outgoing traces come from its stack."""
     K = grid.q.K
     f = grid.f
     incoming = np.hstack([np.roll(f[:, :K], 1, axis=0), f[:, K:]])
-    out = np.einsum("iab,ib->ia", B, incoming)
+    if S is None:
+        B = np.broadcast_to(op.B, (grid.Nx,) + op.B.shape[1:])
+        out = np.einsum("iab,ib->ia", B, incoming)
+    else:
+        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(incoming)
     b = np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
     Vd = np.concatenate([grid.q.nodes, grid.q.nodes])
     return grid.epsilon * f + (grid.epsilon * grid.dt / grid.dx) * Vd * b

@@ -24,7 +24,7 @@ from kinwb import (
     well_balanced_residual,
 )
 from kinwb import scattering
-from kinwb.scattering import EPS_SWITCH_FACTOR, _inverse
+from kinwb.scattering import _COND_LIMIT, EPS_SWITCH_FACTOR, _inverse
 from kinwb.spectral import first_order_shifts
 
 DX = 1.0 / 32.0
@@ -404,6 +404,16 @@ def test_integral_interface_well_balanced_and_stochastic(model, K, eps, dx, slop
     assert stochasticity_check(S, q).col_sum_deviation <= 1e-10
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_well_balanced_residual_gates_the_zero_mode_at_tiny_slope(q4, eps):
+    # at slope 1e-9 the unscaled zero mode exp(-lam0 x/eps)/(T - lam0 v) - 1/T
+    # is 3e-11 of the largest trace and good only to 5.5e-6 by cancellation;
+    # scaled by -eps/lam0 it is O(dx), and each column has its own gate
+    S = chemo_interfaces(eps, DX, q4, [1e-9], phi_tanh).S[0]
+    T = rates(eps, phi_tanh(q4.nodes * 1e-9))
+    assert well_balanced_residual(S, eps, DX, q4, rates=T) <= 1e-10
+
+
 @settings(max_examples=50, deadline=None)
 @given(K=st.integers(1, 3), eps=EPS, dx=DXS, E=st.floats(-2.0, 2.0))
 @example(K=3, eps=1e-12, dx=0.5, E=2.0)
@@ -489,6 +499,71 @@ def test_chemo_b0_built_only_when_read(monkeypatch, q4):
     assert below.B0 is below.B
     assert np.array_equal(above.B0[1], below.B[1])
     assert len(calls) == 2  # once for `below`, once for the first read of above.B0
+
+
+@pytest.mark.parametrize("nx, eps, inverses_per_step", [(256, 5e-5, 0), (64, 1e-1, 1)])
+def test_chemo_step_inverts_only_where_the_limit_inverse_does_not_certify(
+    monkeypatch, q4, nx, eps, inverses_per_step
+):
+    # dx = 1/256 deep in eps: Y certifies every interface and the step only
+    # solves; dx = 1/64 at eps = 0.1 is far from the limit and inverts N
+    x = (np.arange(nx) + 0.5) / nx
+    march = Chemo(q4, lambda u: phi_tanh(u, chi=2.0)).march(
+        eps, 1.0 / nx**2, 1.0 / nx, 1 + 0.5 * np.cos(2 * np.pi * x)
+    )
+    next(march)  # the initial state
+    calls = counting(monkeypatch, "_inverse")
+    for _ in range(3):
+        next(march)
+    assert len(calls) == 3 * inverses_per_step
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("K", [1, 2, 4, 8, 16])
+def test_outgoing_matches_the_b_stack(K, eps):
+    # both forms lose about u cond(N)/eps to the cancellation in B
+    dx = 1.0 / 64.0
+    q = gauss_symmetric(K)
+    stack = chemo_interfaces(eps, dx, q, [0.0, 0.3, -1.1, 2.5], phi_tanh)
+    inc = np.random.default_rng(K).uniform(0.5, 1.5, (4, 2 * K))
+    ref = np.einsum("iab,ib->ia", stack.B, inc)
+    gap = np.max(np.abs(stack.outgoing(inc) - ref)) / np.max(np.abs(ref))
+    assert gap <= 1e3 * np.finfo(float).eps / 2.0 / eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(1, 8), eps=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+       dx=st.floats(-3.0, 2.0).map(lambda e: 10.0**e), slope=st.floats(-3.0, 3.0))
+@example(K=4, eps=5e-5, dx=1.0 / 256.0, slope=0.7)  # certified
+@example(K=4, eps=1e-1, dx=1.0 / 64.0, slope=0.7)  # falls back on the inverse
+@example(K=2, eps=1e-3, dx=64.0, slope=-2.5)  # ill-conditioned, uncertified
+@example(K=1, eps=1e-9, dx=32.0, slope=-1.0)  # ill-conditioned, a finite bound past the limit
+def test_limit_inverse_certificate_bounds_the_exact_guard(K, eps, dx, slope):
+    bounds = []
+    original = scattering._cond_bound
+
+    def recorded(A, Y):
+        bounds.append((A, original(A, Y)))
+        return bounds[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scattering, "_cond_bound", recorded)
+        try:
+            stack = chemo_interfaces(eps, dx, gauss_symmetric(K), [0.0, slope], phi_tanh)
+        except IllConditioned:
+            stack = None
+    (N, bound), = bounds
+    certified = np.isfinite(bound)
+    note(f"bound {bound}, certified {certified}")
+    for A, b in zip(N[certified], bound[certified]):
+        assert b >= np.linalg.cond(A, 1)
+    try:
+        _inverse(N)
+    except IllConditioned:
+        assert stack is None
+    else:
+        assert stack is not None
+        assert (stack.inverse is None) == bool(np.all(bound <= _COND_LIMIT))
 
 
 def test_vfp_b0_built_only_when_read(monkeypatch, qv3):
