@@ -10,18 +10,22 @@ tree, each with its own ``src`` and ``configs``, the script runs
     kinwb sweep --config configs/sweep_rte.json
     kinwb verify --scope all
 
-as ``python3 -m kinwb.cli`` subprocesses, one at a time.  For each config it
-prints how many CSVs the run wrote, how many are byte-identical between the
-trees, and the largest relative move of every column:
+as ``python3 -m kinwb.cli`` subprocesses, one at a time, and then runs each
+config a second time in the working tree, into the same output directory.
+For each config it prints how many CSVs the run wrote, how many are
+byte-identical between the trees, and the largest relative move of every
+column:
 max|change - parent| / max|parent| over the config's CSVs (the absolute move
 where the parent's column is all zeros).  A row whose first cell is a label,
 such as the sweep's ``slope`` row, is its own column.  Columns are matched
 by header name, so a CSV whose header gained or lost a column still has
-its shared columns compared.  For verify it says whether the two outputs
+its shared columns compared.  Then it says whether the rerun left the same
+CSV names with the same bytes.  For verify it says whether the two outputs
 are identical and prints the lines that differ.
 
 Exit status: 0 when every config wrote the same CSV names with the same
-headers and text cells on both sides, 1 otherwise.
+headers and text cells on both sides, and every rerun left the same CSVs
+byte for byte; 1 otherwise.
 """
 
 import argparse
@@ -96,6 +100,24 @@ def compare_dirs(parent: Path, change: Path) -> dict:
     return {"count": len(names), "identical": identical, "moves": moves, "problems": problems}
 
 
+def csv_bytes(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.glob("*.csv")}
+
+
+def rerun_problems(first: dict, rerun: dict) -> list:
+    """How a rerun into the same directory changed its CSVs; ``first`` and
+    ``rerun`` map CSV names to their bytes after each run."""
+    problems = []
+    if first.keys() != rerun.keys():
+        problems.append(f"rerun leaves another CSV set: only first "
+                        f"{sorted(first.keys() - rerun.keys())}, only rerun "
+                        f"{sorted(rerun.keys() - first.keys())}")
+    changed = sorted(n for n in first.keys() & rerun.keys() if first[n] != rerun[n])
+    if changed:
+        problems.append(f"rerun not byte-identical: {', '.join(changed)}")
+    return problems
+
+
 def report_line(label: str, result: dict) -> str:
     moves = ", ".join(f"{c} {m:.2g}" for c, m in result["moves"].items())
     return (f"{label}: {result['count']} CSVs, {result['identical']} byte-identical; "
@@ -121,10 +143,17 @@ def main(argv=None) -> int:
                     print(f"{name}: {side} exited {done.returncode}: "
                           f"{done.stderr.strip()[-300:]}")
             result = compare_dirs(out["parent"], out["change"])
+            first = csv_bytes(out["change"])
+            done = kinwb(root, command, "--config", f"configs/{name}.json",
+                         "--out", str(out["change"]))
+            if done.returncode:
+                print(f"{name}: rerun exited {done.returncode}: {done.stderr.strip()[-300:]}")
+            rerun = rerun_problems(first, csv_bytes(out["change"]))
             print(report_line(name, result))
-            for problem in result["problems"]:
+            print(f"  rerun: {len(first)} CSVs, " + ("byte-identical" if not rerun else "differs"))
+            for problem in result["problems"] + rerun:
                 print(f"  {problem}")
-            status |= bool(result["problems"])
+            status |= bool(result["problems"] or rerun)
         verify = {side: kinwb(tree, "verify", "--scope", "all").stdout.splitlines()
                   for side, tree in trees.items()}
         same = verify["parent"] == verify["change"]

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -20,6 +22,8 @@ _DENSITIES = ("uniform", "cosine_bump", "gaussian")
 _FIELDS = {"zero": {"kind"}, "constant": {"kind", "value"}, "sinusoidal": {"kind", "amplitude"}}
 # the most time steps a config may ask for (at 0.1 ms a step, about a day)
 MAX_STEPS = 10**9
+# the name of a snapshot file, its index in group 1
+_SNAPSHOT = re.compile(r"snapshot_(\d{4})\.csv")
 
 
 def _number(value) -> bool:
@@ -217,8 +221,33 @@ def _write_snapshot(path, t, x_text, rho, S=None):
     columns = [x_text, rho.tolist()] + ([] if S is None else [S.tolist()])
     row = f"{t:.17g},%s" + ",%.17g" * (len(columns) - 1) + "\n"
     header = "t,x,rho" + (",S" if S is not None else "") + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + (row * len(x_text)) % tuple(chain.from_iterable(zip(*columns))))
+    _write_text(path, header + (row * len(x_text)) % tuple(chain.from_iterable(zip(*columns))))
+
+
+def _write_text(path, text):
+    """Make the file at ``path`` hold exactly ``text``: the one writer of
+    every file a run or a sweep leaves.
+
+    The file is opened without ``O_TRUNC``, written over from its start and
+    cut where the new text ends, so the bytes are those of
+    ``open(path, "w")``.  A rerun into the same directory then writes over
+    the blocks the file already has.  Truncating a written file to zero
+    first frees those blocks, to be allocated again on the write, and on
+    ext4 it also makes the close start writeback (the replace-by-truncate
+    rule of ``auto_da_alloc``).  For a 22 kB snapshot on ext4 that costs
+    over ten times the in-place rewrite."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
+def _remove_stale_snapshots(out, count):
+    """Delete the snapshots of ``out`` numbered ``count`` or more: those an
+    earlier, longer run left behind."""
+    for path in out.iterdir():
+        match = _SNAPSHOT.fullmatch(path.name)
+        if match and int(match[1]) >= count:
+            path.unlink()
 
 
 @dataclass
@@ -232,7 +261,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunResult:
     """Time-march one configuration, writing snapshot CSVs and a manifest.
 
     The manifest is written even when the run fails; the exception is then
-    re-raised for the caller to map onto an exit code.
+    re-raised for the caller to map onto an exit code.  Either way the
+    manifest lists the snapshots this run wrote, and the output directory
+    keeps no other ``snapshot_NNNN.csv``.
     """
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -246,9 +277,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunResult:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         raise
     finally:
+        _remove_stale_snapshots(out, len(snapshots))
+        manifest["snapshots"] = [path.name for path in snapshots]
         manifest["wall_time_s"] = time.perf_counter() - t0
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
+        _write_text(out / "manifest.json", json.dumps(manifest, indent=2))
     return RunResult(manifest=manifest, snapshots=snapshots, output_dir=out)
 
 
@@ -344,11 +376,9 @@ def sweep_experiment(config: ExperimentConfig, output_dir=None) -> Path:
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, slope = ap_error_table(config, config.epsilon_list)
+    lines = ["epsilon,error"] + [f"{e:.17g},{g:.17g}" for e, g in rows]
+    if slope is not None:
+        lines.append(f"slope,{slope:.17g}")
     path = out / "ap_sweep.csv"
-    with open(path, "w") as fh:
-        fh.write("epsilon,error\n")
-        for e, g in rows:
-            fh.write(f"{e:.17g},{g:.17g}\n")
-        if slope is not None:
-            fh.write(f"slope,{slope:.17g}\n")
+    _write_text(path, "\n".join(lines) + "\n")
     return path

@@ -200,6 +200,9 @@ def test_determinism_bitwise(tmp_path):
     a = read_all_csv_bytes(tmp_path / "o1")
     b = read_all_csv_bytes(tmp_path / "o2")
     assert a == b
+    # a rerun into the same directory rewrites the files in place, to the same bytes
+    assert main(["run", "--config", str(c1)]) == 0
+    assert read_all_csv_bytes(tmp_path / "o1") == a
 
 
 def test_sweep_table_and_footer(tmp_path):
@@ -213,6 +216,9 @@ def test_sweep_table_and_footer(tmp_path):
     assert table[-1].startswith("slope,")
     slope = float(table[-1].split(",")[1])
     assert 0.9 <= slope <= 1.1
+    first = (tmp_path / "out" / "ap_sweep.csv").read_bytes()
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / "ap_sweep.csv").read_bytes() == first
 
 
 def test_sweep_single_epsilon_no_footer(tmp_path):
@@ -252,6 +258,28 @@ def test_verify_scopes(tmp_path, capsys):
     assert main(["verify", "--scope", "lemmas", "--out", str(report)]) == 0
     data = json.loads(report.read_text())
     assert all(entry["passed"] for entry in data)
+
+
+def snapshot_names(directory):
+    return sorted(p.name for p in Path(directory).glob("snapshot_????.csv"))
+
+
+@pytest.mark.parametrize("rerun, code, kept", [
+    ({"t_final": DX**2}, 0, ["snapshot_0000.csv", "snapshot_0001.csv"]),
+    # fails before its first step: no snapshot of the earlier run is left
+    ({"epsilon": None, "epsilon_list": [1e-3, 1e-4]}, 2, []),
+])
+def test_shorter_rerun_removes_stale_snapshots(tmp_path, rerun, code, kept):
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    out = tmp_path / "out"
+    assert len(snapshot_names(out)) == 11
+    others = ["snapshot_0001.csv.bak", "snapshot_12345.csv", "notes.txt"]
+    for name in others:
+        (out / name).write_text("not a snapshot of this run\n")
+    assert main(["run", "--config", str(write_config(tmp_path, "r.json", **rerun))]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert snapshot_names(out) == manifest["snapshots"] == kept
+    assert all((out / name).exists() for name in others)
 
 
 def test_manifest_written_on_failure(tmp_path):
@@ -557,6 +585,13 @@ def test_snapshot_bytes_match_row_writer(tmp_path, with_S, t):
     x = (np.arange(len(values)) + 0.5) / len(values)
     x[0] = -0.0
     S = values[::-1].copy() if with_S else None
-    _write_snapshot(tmp_path / "a.csv", t, ["%.17g" % v for v in x.tolist()], values, S)
     write_snapshot_rows(tmp_path / "b.csv", t, x, values, S)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    expected = (tmp_path / "b.csv").read_bytes()
+    stale = b"9" * len(expected) + b"\nstale tail\n"
+    # the snapshot is written over what the target holds, and no tail of it is left
+    for before in (None, stale[:10], stale):
+        target = tmp_path / f"a{0 if before is None else len(before)}.csv"
+        if before is not None:
+            target.write_bytes(before)
+        _write_snapshot(target, t, ["%.17g" % v for v in x.tolist()], values, S)
+        assert target.read_bytes() == expected, before

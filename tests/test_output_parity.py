@@ -73,3 +73,14 @@ def test_report_line_names_counts_and_moves():
     line = output_parity.report_line("rte", {"count": 3, "identical": 1,
                                              "moves": {"rho": 2.3e-11}, "problems": []})
     assert line == "rte: 3 CSVs, 1 byte-identical; max relative move: rho 2.3e-11"
+
+
+def test_rerun_problems_name_changed_and_stale_csvs():
+    first = {"snapshot_0000.csv": b"t,x\n0,1\n", "snapshot_0001.csv": b"t,x\n1,1\n"}
+    assert output_parity.rerun_problems(first, dict(first)) == []
+    rerun = {"snapshot_0000.csv": b"t,x\n0,1\n", "snapshot_0001.csv": b"t,x\n1,2\n",
+             "snapshot_0002.csv": b"t,x\n2,1\n"}
+    assert output_parity.rerun_problems(first, rerun) == [
+        "rerun leaves another CSV set: only first [], only rerun ['snapshot_0002.csv']",
+        "rerun not byte-identical: snapshot_0001.csv",
+    ]

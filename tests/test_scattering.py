@@ -6,6 +6,7 @@ from kinwb import (
     Chemo,
     IllConditioned,
     KineticGrid,
+    KinwbError,
     NonPositiveRate,
     Rte,
     chemo_interfaces,
@@ -156,6 +157,25 @@ def test_chemo_reduces_to_rte_at_zero_grad(q4):
 def test_chemo_rate_positivity_guard(q4):
     with pytest.raises(NonPositiveRate):
         chemo_interfaces(1.5, DX, q4, [8.0], phi_tanh)
+
+
+@pytest.mark.parametrize("slope", [0.8, 8.0, -1.3])
+def test_chemo_rate_guard_at_its_exact_boundary(q4, slope):
+    # the least eps at which 1 - eps*max|phi| rounds to <= 0
+    top = np.max(np.abs(phi_tanh(q4.nodes * slope)))
+    eps = 1.0 / top
+    while 1.0 - eps * top <= 0.0:
+        eps = np.nextafter(eps, 0.0)
+    while 1.0 - eps * top > 0.0:
+        eps = np.nextafter(eps, np.inf)
+    with pytest.raises(NonPositiveRate):
+        chemo_interfaces(eps, DX, q4, [slope], phi_tanh)
+    # one ulp below it the rate guard passes; the mode matrices are nearly
+    # singular there, so the assembly may still fail, but only with a typed error
+    try:
+        chemo_interfaces(np.nextafter(eps, 0.0), DX, q4, [slope], phi_tanh)
+    except KinwbError as exc:
+        assert not isinstance(exc, NonPositiveRate)
 
 
 def test_chemo_stochasticity_and_wb(q4):
