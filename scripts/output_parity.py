@@ -8,10 +8,15 @@ tree, each with its own ``src`` and ``configs``, the script runs
 
     kinwb run --config configs/{rte,chemo,vfp,twostream}.json
     kinwb sweep --config configs/sweep_rte.json
+    kinwb run|sweep --config C    for every operation C of one timed cycle of
+                                  each bench workload (``bench/workloads.py``,
+                                  seed 0, full size)
     kinwb verify --scope all
 
 as ``python3 -m kinwb.cli`` subprocesses, one at a time, and then runs each
 config a second time in the working tree, into the same output directory.
+The bench configs come from the working tree's ``bench`` and are written
+into the temporary directory, so both trees run the same files.
 For each config it prints how many CSVs the run wrote, how many are
 byte-identical between the trees, and the largest relative move of every
 column:
@@ -29,17 +34,34 @@ byte for byte; 1 otherwise.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
 from bench_pairs import extract, git  # noqa: E402
 
-RUNS = (("run", "rte"), ("run", "chemo"), ("run", "vfp"), ("run", "twostream"),
-        ("sweep", "sweep_rte"))
+SHIPPED = (("run", "rte"), ("run", "chemo"), ("run", "vfp"), ("run", "twostream"),
+           ("sweep", "sweep_rte"))
+
+
+def bench_runs(directory: Path) -> list:
+    """(command, name, config path) of every operation of one timed cycle of
+    each bench workload at seed 0, full size, its config written into
+    ``directory``; the name is the operation's label."""
+    runs = []
+    for workload in workloads.WORKLOADS:
+        for op in workloads.build_workload(workload, 0, "full").cycle:
+            path = directory / f"{op.label}.json"
+            path.write_text(json.dumps(op.config))
+            runs.append((op.command, op.label, path))
+    return runs
 
 
 def kinwb(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -133,19 +155,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {"parent": extract(root, args.parent, tmp / "parent"), "change": root}
-        for command, name in RUNS:
+        (tmp / "bench").mkdir()
+        runs = [(c, n, f"configs/{n}.json") for c, n in SHIPPED] + bench_runs(tmp / "bench")
+        for command, name, config in runs:
             out = {}
             for side, tree in trees.items():
                 out[side] = tmp / "out" / side / name
-                done = kinwb(tree, command, "--config", f"configs/{name}.json",
-                             "--out", str(out[side]))
+                done = kinwb(tree, command, "--config", str(config), "--out", str(out[side]))
                 if done.returncode:
                     print(f"{name}: {side} exited {done.returncode}: "
                           f"{done.stderr.strip()[-300:]}")
             result = compare_dirs(out["parent"], out["change"])
             first = csv_bytes(out["change"])
-            done = kinwb(root, command, "--config", f"configs/{name}.json",
-                         "--out", str(out["change"]))
+            done = kinwb(root, command, "--config", str(config), "--out", str(out["change"]))
             if done.returncode:
                 print(f"{name}: rerun exited {done.returncode}: {done.stderr.strip()[-300:]}")
             rerun = rerun_problems(first, csv_bytes(out["change"]))

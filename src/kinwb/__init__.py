@@ -30,17 +30,16 @@ from .kinetic import (
     KineticGrid,
     StepOperator,
     assemble_cell_matrix,
-    cfl_check,
     chemo_drift,
     chemoattractant_update,
     density,
+    equilibrium,
     imex_step,
     interface_grad,
     phi_tanh,
     step_operator,
 )
 from .macrolimit import (
-    DriftDiffusionParams,
     bernoulli,
     sg_flux,
     sg_step,

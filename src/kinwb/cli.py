@@ -6,6 +6,8 @@ import json
 import logging
 import sys
 
+import numpy as np
+
 from .diagnostics import SCOPES, run_verification
 from .errors import ConfigError, KinwbError
 from .runner import ExperimentConfig, run_experiment, sweep_experiment
@@ -75,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kinwb",
         description="Well-balanced kinetic schemes and their exponential-fitting limits",
     )
-    parser.add_argument("--verbose", action="store_true", help="enable info logging")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="time-march one configuration")
     p_run.add_argument("--config", required=True)
@@ -94,10 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    logging.basicConfig()
     _reuse_freed_memory()
     try:
-        return args.func(args)
+        # non-finite values end in typed errors or are exact limits (1/inf = 0)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

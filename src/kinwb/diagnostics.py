@@ -13,7 +13,7 @@ import numpy as np
 from .errors import TangentRootWarning
 from .kinetic import assemble_cell_matrix
 from .macrolimit import bernoulli
-from .spectral import _all_roots_multi, vfp_mu, vfp_psi, vfp_psi0
+from .spectral import _all_roots_multi, vfp_mu, vfp_psi
 from .scattering import _vfp_zero_columns
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
@@ -70,18 +70,18 @@ def stochasticity_check(S: np.ndarray, q) -> StochasticityReport:
     )
 
 
-def kernel_range_check(R0: np.ndarray, q, maxwellian: np.ndarray) -> KernelRangeReport:
+def kernel_range_check(R0: np.ndarray, q) -> KernelRangeReport:
     """Kernel and range structure of the eps = 0 relaxation matrix.
 
     Passes when the kernel is one-dimensional and parallel to the model
-    Maxwellian, and when the range lies in the zero-mass hyperplane: the
-    mass row (w, w) is a left null vector of R0, so |(w, w) R0| must
-    vanish relative to (w, w) |R0| (below 1e-9).
+    Maxwellian ``q.maxwellian`` (on both halves), and when the range lies in
+    the zero-mass hyperplane: the mass row (w, w) is a left null vector of
+    R0, so |(w, w) R0| must vanish relative to (w, w) |R0| (below 1e-9).
     """
     _, s, vh = np.linalg.svd(R0)
     null_dim = int(np.sum(s < _NULL_TOL * s[0]))
     null_vec = vh[-1]
-    mw = np.asarray(maxwellian, dtype=float)
+    mw = np.concatenate([q.maxwellian, q.maxwellian])
     cos = abs(float(null_vec @ mw)) / (np.linalg.norm(null_vec) * np.linalg.norm(mw))
     mass = np.concatenate([q.weights, q.weights])
     residual = float(np.max(np.abs(mass @ R0)) / max(np.max(mass @ np.abs(R0)), 1e-300))
@@ -159,13 +159,10 @@ def exp_poly_roots(terms, interval, samples: int = 100_000):
         roots.append(0.5 * (lo + hi))
     # interior |f| minima that dip below tolerance without changing sign
     mags = np.abs(ys)
-    for i in range(1, samples - 1):
-        if mags[i] < 1e-12 and mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]:
-            if signs[i - 1] * signs[i + 1] > 0:
-                warnings.warn(
-                    f"possible even-multiplicity root near x = {xs[i]:.6g}",
-                    TangentRootWarning,
-                )
+    mid = mags[1:-1]
+    tangent = (mid < 1e-12) & (mid <= mags[:-2]) & (mid <= mags[2:]) & (signs[:-2] * signs[2:] > 0)
+    for x in xs[1:-1][tangent]:
+        warnings.warn(f"possible even-multiplicity root near x = {x:.6g}", TangentRootWarning)
     bound = sum(1 + t.degree for t in terms) - 1
     return np.asarray(roots), bound
 
@@ -356,31 +353,25 @@ def verify_scattering() -> list[CheckResult]:
 
 
 def verify_lemmas() -> list[CheckResult]:
-    from .quadrature import VelocityQuadrature, gauss_symmetric, vfp_preset_nodes, vfp_quadrature
+    from .models import TwoStream
+    from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
     from .scattering import rte_closure, vfp_closure
     from .spectral import dispersion_roots
     from .twostream import ts_smatrix
 
     out = []
     dt, dx = 1e-3, 1.0 / 16.0
-    # two-stream is the K = 1 set v = 1, w = 1 with S0 = 1 (the swap block)
-    q1 = VelocityQuadrature(nodes=[1.0], weights=[1.0])
-    R0 = assemble_cell_matrix(0.0, dt, dx, q1, np.eye(1))
-    rep = kernel_range_check(R0, q1, np.ones(2))
-    out.append(_result("two-stream kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
-    q = gauss_symmetric(4)
-    lam0 = dispersion_roots(q)
-    cl = rte_closure(q, lam0)
-    R0 = assemble_cell_matrix(0.0, dt, dx, q, cl.S0)
-    rep = kernel_range_check(R0, q, np.ones(8))
-    out.append(_result("rte/chemo kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
+    q4 = gauss_symmetric(4)
     qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
-    clv = vfp_closure(qv)
-    R0 = assemble_cell_matrix(0.0, dt, dx, qv, clv.S0)
-    mw = vfp_psi0(0, np.concatenate([qv.nodes, qv.nodes]), qv.kappa)
-    rep = kernel_range_check(R0, qv, mw)
-    out.append(_result("vfp kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
-    st = stochasticity_check(ts_smatrix(1e-2, 0.1, 0.6), q1)
+    # two-stream is the K = 1 set v = 1, w = 1 with S0 = 1 (the swap block)
+    for name, q, S0 in (
+        ("two-stream", TwoStream.q, np.eye(1)),
+        ("rte/chemo", q4, rte_closure(q4, dispersion_roots(q4)).S0),
+        ("vfp", qv, vfp_closure(qv).S0),
+    ):
+        rep = kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q, S0), q)
+        out.append(_result(f"{name} kernel/range", rep.passed, f"null_dim {rep.null_dim}"))
+    st = stochasticity_check(ts_smatrix(1e-2, 0.1, 0.6), TwoStream.q)
     out.append(
         _result(
             "two-stream left-stochasticity",

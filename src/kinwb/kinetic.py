@@ -50,19 +50,17 @@ class KineticGrid:
         object.__setattr__(self, "f", f)
 
 
-def cfl_check(grid: KineticGrid) -> bool:
-    """Advisory kinetic CFL max(v) dt <= eps dx; the IMEX stiff solve permits
-    larger steps.  It is not a positivity bound: one step at it can make f
-    negative, for instance in rte and chemo at eps = 1e-2."""
-    vmax = float(grid.q.nodes[-1])
-    return vmax * grid.dt <= grid.epsilon * grid.dx * (1.0 + 1e-12)
+def equilibrium(rho: np.ndarray, q) -> np.ndarray:
+    """Kinetic data at the model Maxwellian m = ``q.maxwellian`` carrying the
+    density: rho/(2 sigma0) m on both halves, sigma0 = sum_k w_k m_k."""
+    m = q.maxwellian
+    half = rho[:, None] / (2.0 * float(np.sum(q.weights * m))) * m[None, :]
+    return np.hstack([half, half])
 
 
-def density(grid: KineticGrid) -> np.ndarray:
+def density(f: np.ndarray, q) -> np.ndarray:
     """Macroscopic density rho_j = sum_k w_k (f_j(v_k) + f_j(-v_k))."""
-    K = grid.q.K
-    w = grid.q.weights
-    return grid.f[:, :K] @ w + grid.f[:, K:] @ w
+    return f[:, : q.K] @ q.weights + f[:, q.K :] @ q.weights
 
 
 def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:

@@ -12,23 +12,7 @@ are conservative: rho_j += (dt/dx)(F_{j-1/2} - F_{j+1/2}) on a periodic
 grid, with E_half[j] the drift at interface x_{j-1/2}.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class DriftDiffusionParams:
-    D: float
-    E_half: np.ndarray | float  # drift at x_{j-1/2}; a scalar for a uniform one
-    dt: float
-    dx: float
-
-    def __post_init__(self):
-        if self.D < 0.0:
-            raise ValueError("diffusion coefficient must be nonnegative")
-        if self.dt <= 0.0 or self.dx <= 0.0:
-            raise ValueError("dt and dx must be positive")
 
 
 def bernoulli(x):
@@ -50,7 +34,10 @@ def sg_flux(E, D: float, dx: float, rho_left, rho_right):
     return (D / dx) * (bernoulli(-u) * rho_left - bernoulli(u) * rho_right)
 
 
-def sg_step(rho: np.ndarray, params: DriftDiffusionParams) -> np.ndarray:
-    """One conservative step on a periodic grid; F[j] sits at x_{j-1/2}."""
-    F = sg_flux(params.E_half, params.D, params.dx, np.roll(rho, 1), rho)
-    return rho + params.dt / params.dx * (F - np.roll(F, -1))
+def sg_step(rho: np.ndarray, D: float, E_half, dt: float, dx: float) -> np.ndarray:
+    """One conservative step on a periodic grid; E_half[j] (a scalar for a
+    uniform drift) and F[j] sit at x_{j-1/2}."""
+    if dt <= 0.0 or dx <= 0.0:
+        raise ValueError("dt and dx must be positive")
+    F = sg_flux(E_half, D, dx, np.roll(rho, 1), rho)
+    return rho + dt / dx * (F - np.roll(F, -1))

@@ -1,14 +1,15 @@
 """The four models, one object each.
 
-A model knows its velocity set and limit closure (the kinetic ones), its
-equilibrium, the field it reads from the density, and how it relaxes as
-eps -> 0.  All four limits are one exponential-fitting scheme,
-:func:`macrolimit.sg_step`; only the diffusion coefficient ``D`` and the
-interface drift ``drift(S, dx)`` depend on the model.  Radiative transfer
-assembles its interface as chemotaxis at zero slope.  ``march`` yields
-(rho, S) for the initial state and then after every step, forever; S is
-the chemoattractant that drove the step, at the initial state the one the
-first step reads (None without one).
+A model knows its velocity set ``q`` (two-stream's is {v = 1, w = 1}) and
+limit closure (the kinetic ones), the field it reads from the density, and
+how it relaxes as eps -> 0; every march starts at ``kinetic.equilibrium`` on
+``q`` and reads ``kinetic.density``.  All four limits are one
+exponential-fitting scheme, :func:`macrolimit.sg_step`; only the diffusion
+coefficient ``D`` and the interface drift ``drift(S, dx)`` depend on the
+model.  Radiative transfer assembles its interface as chemotaxis at zero
+slope.  ``march`` yields (rho, S) for the initial state and then after
+every step, forever; S is the chemoattractant that drove the step, at the
+initial state the one the first step reads (None without one).
 """
 
 import logging
@@ -20,12 +21,14 @@ from .kinetic import (
     chemo_drift,
     chemoattractant_update,
     density,
+    equilibrium,
     imex_step,
     interface_grad,
     step_operator,
 )
+from .quadrature import VelocityQuadrature
 from .scattering import chemo_interfaces, rte_closure, vfp_closure, vfp_interfaces
-from .spectral import dispersion_roots, vfp_psi0
+from .spectral import dispersion_roots
 from .twostream import ts_step
 
 log = logging.getLogger("kinwb")
@@ -35,11 +38,6 @@ class _Kinetic:
     """The general IMEX march over interface scattering matrices."""
 
     static = True  # the interfaces stay the same for the whole run
-
-    def equilibrium(self, rho: np.ndarray) -> np.ndarray:
-        """Kinetic data at the uniform Maxwellian carrying the density."""
-        half = np.repeat(rho[:, None] / 2.0, self.q.K, axis=1)
-        return np.hstack([half, half])
 
     def field(self, rho: np.ndarray, dx: float):
         return None
@@ -55,16 +53,15 @@ class _Kinetic:
             )
 
     def march(self, eps: float, dt: float, dx: float, rho0: np.ndarray):
-        grid = KineticGrid(
-            Nx=len(rho0), dx=dx, dt=dt, epsilon=eps, q=self.q, f=self.equilibrium(rho0)
-        )
+        f0 = equilibrium(rho0, self.q)
+        grid = KineticGrid(Nx=len(rho0), dx=dx, dt=dt, epsilon=eps, q=self.q, f=f0)
         op = step_operator(grid, self)
-        rho = density(grid)
+        rho = density(grid.f, self.q)
         S = self.field(rho, dx)
         yield rho, S
         while True:
             grid = imex_step(grid, op, S)
-            rho = density(grid)
+            rho = density(grid.f, self.q)
             yield rho, S
             S = self.field(rho, dx)
 
@@ -118,14 +115,6 @@ class Vfp(_Kinetic):
         self.E_half = E_half
         self.closure = vfp_closure(q)
 
-    def equilibrium(self, rho: np.ndarray) -> np.ndarray:
-        """Kinetic data at the Maxwellian exp(-v^2/2 kappa) carrying the density."""
-        q = self.q
-        m = vfp_psi0(0, q.nodes, q.kappa)
-        sigma0 = float(np.sum(q.weights * m))
-        half = rho[:, None] / (2.0 * sigma0) * m[None, :]
-        return np.hstack([half, half])
-
     def drift(self, S, dx: float) -> np.ndarray:
         return self.E_half
 
@@ -134,16 +123,14 @@ class Vfp(_Kinetic):
 
 
 class TwoStream:
-    """Velocities +-1 with the closed-form 2x2 scheme of :mod:`twostream`;
-    its Keller-Segel limit has D = 1 and drift phi(dS/dx)."""
+    """The K = 1 set {v = 1, w = 1} with the closed-form 2x2 scheme of
+    :mod:`twostream`; its Keller-Segel limit has D = 1 and drift phi(dS/dx)."""
 
-    D = 1.0
+    q = VelocityQuadrature(nodes=[1.0], weights=[1.0])
+    D = q.second_moment
 
     def __init__(self, phi):
         self.phi = phi
-
-    def equilibrium(self, rho: np.ndarray) -> np.ndarray:
-        return np.column_stack([rho / 2.0, rho / 2.0])
 
     def field(self, rho: np.ndarray, dx: float) -> np.ndarray:
         return chemoattractant_update(rho, dx)
@@ -155,12 +142,12 @@ class TwoStream:
         """The closed-form step has no explicit B term and no step bound."""
 
     def march(self, eps: float, dt: float, dx: float, rho0: np.ndarray):
-        f = self.equilibrium(rho0)
-        rho = f[:, 0] + f[:, 1]
+        f = equilibrium(rho0, self.q)
+        rho = density(f, self.q)
         S = self.field(rho, dx)
         yield rho, S
         while True:
             f = ts_step(f, S, eps, dt, dx, self.phi)
-            rho = f[:, 0] + f[:, 1]
+            rho = density(f, self.q)
             yield rho, S
             S = self.field(rho, dx)

@@ -66,6 +66,14 @@ class VelocityQuadrature:
         """sum(w v^2): the diffusion coefficient of the rte and chemo limits."""
         return float(np.sum(self.weights * self.nodes**2))
 
+    @property
+    def maxwellian(self) -> np.ndarray:
+        """The model Maxwellian at the positive nodes, even in v: ones on a
+        unit-interval set, exp(-v^2/2 kappa) on a real-line one."""
+        if self.kappa is None:
+            return np.ones(self.K)
+        return vfp_psi0(0, self.nodes, self.kappa)
+
 
 @dataclass(frozen=True, eq=False)
 class MomentReport:
@@ -227,7 +235,7 @@ def moment_report(q: VelocityQuadrature) -> MomentReport:
             orthogonality_residuals=residuals,
             passed=bool(np.all(residuals < 1e-12)),
         )
-    m = vfp_psi0(0, v, kappa)
+    m = q.maxwellian
     sigma0 = float(np.sum(w * m))
     sigma2 = float(np.sum(w * v**2 * m))
     residuals = np.abs(_vfp_constraint_matrix(v, kappa) @ w)

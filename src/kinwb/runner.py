@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, SolveFailure
 from .kinetic import phi_tanh
-from .macrolimit import DriftDiffusionParams, sg_step
+from .macrolimit import sg_step
 from .models import Chemo, Rte, TwoStream, Vfp
 from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
 
@@ -349,7 +349,7 @@ def _gap(config, model, rho_init, epsilon) -> float:
     rho0, _ = next(march)
     rho1, S = next(march)
     drift = model.drift(S, config.dx)
-    ref = sg_step(rho0, DriftDiffusionParams(model.D, drift, config.dt, config.dx))
+    ref = sg_step(rho0, model.D, drift, config.dt, config.dx)
     if not np.all(np.isfinite(ref)):
         raise SolveFailure(f"eps={epsilon:g}: the limit scheme produced a non-finite state")
     return float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))

@@ -199,11 +199,11 @@ def _assemble(M, K, top, bottom) -> np.ndarray:
     return out
 
 
-def _closure(plus, minus, maxwellian, what) -> ClosureCoefficients:
-    """gamma, beta from inverting [plus | maxwellian], the limit modes
+def _closure(q, plus, minus, what) -> ClosureCoefficients:
+    """gamma, beta from inverting [plus | q.maxwellian], the limit modes
     sampled at the positive nodes, and zeta = plus - minus, their odd part;
     ``what`` names the basis in the :class:`IllConditioned` message."""
-    X = _inverse(np.column_stack([plus, maxwellian])[None], what)[0]
+    X = _inverse(np.column_stack([plus, q.maxwellian])[None], what)[0]
     return ClosureCoefficients(zeta=plus - minus, gamma=X[:-1, :], beta=X[-1, :])
 
 
@@ -216,9 +216,7 @@ def rte_closure(q, lam: np.ndarray) -> ClosureCoefficients:
     """gamma, beta from inverting [1/(1 - V (x) lambda) | 1] at the positive
     roots ``lam`` of :func:`dispersion_roots`; zeta = odd part."""
     v = q.nodes
-    return _closure(
-        1.0 / (1.0 - np.outer(v, lam)), 1.0 / (1.0 + np.outer(v, lam)), np.ones(q.K), "eigenbasis"
-    )
+    return _closure(q, 1.0 / (1.0 - np.outer(v, lam)), 1.0 / (1.0 + np.outer(v, lam)), "eigenbasis")
 
 
 def _chemo_matrices(epsilon, dx, v, phip, roots):
@@ -358,7 +356,7 @@ def vfp_closure(q) -> ClosureCoefficients:
     v, kappa = q.nodes, q.kappa
     plus = np.column_stack([vfp_psi0(l, v, kappa) for l in range(q.K)])
     minus = np.column_stack([vfp_psi0(l, -v, kappa) for l in range(q.K)])
-    return _closure(plus[:, 1:], minus[:, 1:], plus[:, 0], "mode basis")
+    return _closure(q, plus[:, 1:], minus[:, 1:], "mode basis")
 
 
 def _vfp_zero_columns(x, v, epsilon, E, kappa):

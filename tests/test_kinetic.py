@@ -3,18 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from kinwb import (
     Chemo,
-    DriftDiffusionParams,
     KineticGrid,
     Rte,
+    TwoStream,
     Vfp,
     assemble_cell_matrix,
-    cfl_check,
     chemo_drift,
     chemoattractant_update,
     density,
+    equilibrium,
     imex_step,
     interface_grad,
     phi_tanh,
@@ -36,23 +37,12 @@ def make_grid(model, eps, rho=None, nx=NX, dx=DX, dt=DT):
     x = (np.arange(nx) + 0.5) * dx
     if rho is None:
         rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
-    f = model.equilibrium(rho)
+    f = equilibrium(rho, model.q)
     return KineticGrid(Nx=nx, dx=dx, dt=dt, epsilon=eps, q=model.q, f=f)
 
 
 def mass(grid):
-    return float(np.sum(density(grid)) * grid.dx)
-
-
-def test_cfl_check_examples():
-    q = VelocityQuadrature(np.array([1.0]), np.array([1.0]))
-    f = np.ones((4, 2))
-    ok = KineticGrid(Nx=4, dx=0.1, dt=1e-7, epsilon=1e-6, q=q, f=f)
-    assert cfl_check(ok)
-    bad = KineticGrid(Nx=4, dx=0.1, dt=1e-6, epsilon=1e-6, q=q, f=f)
-    assert not cfl_check(bad)
-    hyperbolic = KineticGrid(Nx=4, dx=0.1, dt=0.05, epsilon=1.0, q=q, f=f)
-    assert cfl_check(hyperbolic)  # eps = 1 reduces to the standard CFL
+    return float(np.sum(density(grid.f, grid.q)) * grid.dx)
 
 
 def test_cell_matrix_two_stream_form():
@@ -93,15 +83,38 @@ def test_density_oracle(q4):
     rng = np.random.default_rng(11)
     f = rng.random((NX, 8))
     grid = KineticGrid(Nx=NX, dx=DX, dt=DT, epsilon=0.1, q=q4, f=f)
-    rho = density(grid)
+    rho = density(grid.f, grid.q)
     naive = np.array(
         [sum(q4.weights[k] * (f[j, k] + f[j, 4 + k]) for k in range(4)) for j in range(NX)]
     )
     assert np.max(np.abs(rho - naive)) < 1e-15
     zero = KineticGrid(Nx=NX, dx=DX, dt=DT, epsilon=0.1, q=q4, f=np.zeros((NX, 8)))
-    assert np.all(density(zero) == 0.0)
+    assert np.all(density(zero.f, zero.q) == 0.0)
     halves = KineticGrid(Nx=NX, dx=DX, dt=DT, epsilon=0.1, q=q4, f=0.5 * np.ones((NX, 8)))
-    assert np.allclose(density(halves), 1.0, atol=1e-15)
+    assert np.allclose(density(halves.f, halves.q), 1.0, atol=1e-15)
+
+
+# every kind of velocity set: unit-interval Gauss rules, the vfp presets at
+# kappa whose square root is exact (the K = 1 preset is feasible only where
+# sqrt(kappa)^2 == kappa), and two-stream's {v = 1, w = 1}
+_VELOCITY_SETS = (
+    [gauss_symmetric(K) for K in range(1, 9)]
+    + [vfp_quadrature(kappa, vfp_preset_nodes(K, kappa))
+       for K in (1, 2, 3) for kappa in (0.25, 1.0, 4.0)]
+    + [TwoStream.q]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from(_VELOCITY_SETS),
+       rho=st.lists(st.floats(1e-200, 1e200), min_size=1, max_size=16))
+def test_density_of_equilibrium_is_rho(q, rho):
+    m = np.ones(q.K) if q.kappa is None else np.exp(-q.nodes**2 / (2.0 * q.kappa))
+    assert np.allclose(q.maxwellian, m, rtol=1e-15, atol=0.0)
+    rho = np.array(rho)
+    f = equilibrium(rho, q)
+    assert np.array_equal(f[:, :q.K], f[:, q.K:])
+    assert np.all(np.abs(density(f, q) - rho) <= 4.0 * np.spacing(rho))
 
 
 def test_chemoattractant_constants_and_residual():
@@ -144,10 +157,10 @@ def test_imex_constant_maxwellian_invariant(q4, qv3):
 def test_imex_rte_matches_heat_step(q4):
     model = Rte(q4)
     grid = make_grid(model, 1e-6)
-    rho0 = density(grid)
+    rho0 = density(grid.f, grid.q)
     new = imex_step(grid, step_operator(grid, model))
-    ref = sg_step(rho0, DriftDiffusionParams(D=q4.second_moment, E_half=0.0, dt=DT, dx=DX))
-    gap = np.max(np.abs(density(new) - ref)) / np.max(np.abs(ref))
+    ref = sg_step(rho0, q4.second_moment, 0.0, DT, DX)
+    gap = np.max(np.abs(density(new.f, new.q) - ref)) / np.max(np.abs(ref))
     assert gap < 1e-5
 
 
@@ -168,7 +181,7 @@ def test_imex_nonnegativity_under_cfl(q4):
     dt = eps * DX / q4.nodes[-1]  # kinetic CFL bound
     model = Rte(q4)
     grid = make_grid(model, eps, dt=dt)
-    assert cfl_check(grid)
+    assert q4.nodes[-1] * grid.dt <= grid.epsilon * grid.dx * (1.0 + 1e-12)
     op = step_operator(grid, model)
     for _ in range(100):
         grid = imex_step(grid, op)
@@ -183,7 +196,7 @@ def test_imex_hilbert_structure(q4):
     f = np.asarray(grid.f) * (1.0 + 0.1 * rng.random(grid.f.shape))
     grid = dataclasses.replace(grid, f=f)
     new = imex_step(grid, step_operator(grid, model))
-    rho = density(new)
+    rho = density(new.f, new.q)
     for j in range(NX):
         maxwellian = np.full(8, rho[j] / 2.0)
         assert np.max(np.abs(new.f[j] - maxwellian)) / np.max(np.abs(maxwellian)) < 1e-6
@@ -225,7 +238,7 @@ def test_chemo_nontrivial_steady_state_invariant(q4):
     assert abs(eigvals[k] - 1.0) < 1e-12
     steady = np.real(eigvecs[:, k]).reshape(nx, -1)
     steady *= np.sign(steady.sum())
-    assert np.std(density(dataclasses.replace(grid0, f=steady))) > 1e-3  # genuinely non-flat
+    assert np.std(density(steady, grid0.q)) > 1e-3  # genuinely non-flat
     grid = dataclasses.replace(grid0, f=steady)
     for _ in range(100):
         grid = imex_step(grid, op, S)
@@ -300,7 +313,7 @@ def test_imex_step_bitwise_equals_roll_formula(name, K, nx, eps):
     grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
     op = step_operator(grid, model)
     for _ in range(3):
-        S = model.field(density(grid), dx)  # chemo: a field S each step
+        S = model.field(density(grid.f, grid.q), dx)  # chemo: a field S each step
         new = imex_step(grid, op, S)
         assert np.array_equal(new.f, imex_step_roll(grid, op, S))
         assert not new.f.flags.writeable
@@ -334,7 +347,7 @@ def test_imex_step_matches_lu_solve_within_condition_bound(name, K, nx):
     for eps in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
         grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
         op = step_operator(grid, model)
-        S = model.field(density(grid), dx)
+        S = model.field(density(grid.f, grid.q), dx)
         R = assemble_cell_matrix(eps, grid.dt, dx, model.q, model.closure.S0)
         new = imex_step(grid, op, S)
         ref = sla.lu_solve(sla.lu_factor(R), roll_rhs(grid, op, S).T).T
@@ -355,6 +368,6 @@ def test_per_step_mass_drift_stays_at_rounding(name, eps):
     drift = 0.0
     for _ in range(50):
         m0 = mass(grid)
-        grid = imex_step(grid, op, model.field(density(grid), dx))
+        grid = imex_step(grid, op, model.field(density(grid.f, grid.q), dx))
         drift = max(drift, abs(mass(grid) - m0) / m0)
     assert drift <= 1e-12

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinwb import (
-    DriftDiffusionParams,
     bernoulli,
     gauss_symmetric,
     sg_flux,
@@ -74,7 +73,7 @@ def test_sg_step_matches_heat_at_zero_drift():
     x = (np.arange(NX) + 0.5) * DX
     rho = 1.0 + 0.4 * np.sin(2.0 * np.pi * x)
     D = gauss_symmetric(4).second_moment
-    a = sg_step(rho, DriftDiffusionParams(D=D, E_half=np.zeros(NX), dt=DT, dx=DX))
+    a = sg_step(rho, D, np.zeros(NX), DT, DX)
     # the centred heat step
     b = rho + DT / DX**2 * D * (np.roll(rho, 1) - 2.0 * rho + np.roll(rho, -1))
     assert np.max(np.abs(a - b)) < 1e-14
@@ -82,16 +81,15 @@ def test_sg_step_matches_heat_at_zero_drift():
 
 def test_sg_step_constant_state_and_mass():
     rho = np.full(NX, 1.7)
-    params = DriftDiffusionParams(D=1.0, E_half=np.full(NX, 0.6), dt=DT, dx=DX)
-    assert np.max(np.abs(sg_step(rho, params) - rho)) < 1e-14
+    params = (1.0, np.full(NX, 0.6), DT, DX)  # D, E_half, dt, dx
+    assert np.max(np.abs(sg_step(rho, *params) - rho)) < 1e-14
     x = (np.arange(NX) + 0.5) * DX
     rho = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
     for step in (
-        lambda r: sg_step(r, params),
+        lambda r: sg_step(r, *params),
         # the chemo limit (D the Gauss second moment, drift -E) and the vfp one (D = kappa)
-        lambda r: sg_step(r, DriftDiffusionParams(
-            D=gauss_symmetric(4).second_moment, E_half=np.full(NX, -0.2), dt=DT, dx=DX)),
-        lambda r: sg_step(r, DriftDiffusionParams(D=1.0, E_half=np.full(NX, 0.2), dt=DT, dx=DX)),
+        lambda r: sg_step(r, gauss_symmetric(4).second_moment, np.full(NX, -0.2), DT, DX),
+        lambda r: sg_step(r, 1.0, np.full(NX, 0.2), DT, DX),
     ):
         new = step(rho)
         assert abs(np.sum(new) - np.sum(rho)) / np.sum(rho) < 1e-14
@@ -115,19 +113,19 @@ def test_heat_step_coefficient_and_decay():
     assert np.sum(q.weights * q.nodes**2) == pytest.approx(1.0 / 3.0, abs=1e-14)
     x = (np.arange(NX) + 0.5) * DX
     rho = np.cos(2.0 * np.pi * x)
-    heat = DriftDiffusionParams(D=q.second_moment, E_half=0.0, dt=DT, dx=DX)
-    new = sg_step(rho, heat)
+    heat = (q.second_moment, 0.0, DT, DX)  # D, E_half, dt, dx
+    new = sg_step(rho, *heat)
     # discrete symbol: one mode decays by 1 - 4 (dt/dx^2) (1/3) sin^2(pi dx / L)
     factor = 1.0 - 4.0 * DT / DX**2 * (1.0 / 3.0) * np.sin(np.pi * DX) ** 2
     assert np.max(np.abs(new - factor * rho)) < 1e-13
     const = np.full(NX, 0.4)
-    assert np.array_equal(sg_step(const, heat), const)
+    assert np.array_equal(sg_step(const, *heat), const)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        DriftDiffusionParams(D=-1.0, E_half=np.zeros(4), dt=DT, dx=DX)
+        sg_step(np.ones(4), -1.0, np.zeros(4), DT, DX)
     with pytest.raises(ValueError):
-        DriftDiffusionParams(D=1.0, E_half=np.zeros(4), dt=0.0, dx=DX)
+        sg_step(np.ones(4), 1.0, np.zeros(4), 0.0, DX)
     with pytest.raises(ValueError):
         sg_flux(1.0, 0.0, DX, 1.0, 1.0)

@@ -1,6 +1,7 @@
 """scripts/output_parity.py: its comparison of two CSV directories."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,15 @@ def test_rerun_problems_name_changed_and_stale_csvs():
         "rerun leaves another CSV set: only first [], only rerun ['snapshot_0002.csv']",
         "rerun not byte-identical: snapshot_0001.csv",
     ]
+
+
+def test_bench_runs_cover_every_sweep_and_both_marches(tmp_path):
+    runs = output_parity.bench_runs(tmp_path)
+    names = [name for _, name, _ in runs]
+    assert len(set(names)) == len(names)  # one output directory each
+    configs = [(command, json.loads(path.read_text())) for command, _, path in runs]
+    sweeps = {(c["model"], c["K"]) for command, c in configs if command == "sweep"}
+    assert sweeps == set(output_parity.workloads.SWEEPS)
+    for march in ("chemo_march", "static_march"):
+        cycle = output_parity.workloads.build_workload(march, 0, "full").cycle
+        assert cycle and all(("run", op.config) in configs for op in cycle)

@@ -12,6 +12,7 @@ from kinwb import (
     chemo_interfaces,
     density,
     dispersion_roots,
+    equilibrium,
     gauss_symmetric,
     imex_step,
     phi_tanh,
@@ -507,10 +508,10 @@ def test_chemo_b0_built_only_when_read(monkeypatch, q4):
     x = (np.arange(16) + 0.5) / 16
     model = Chemo(q4, phi_tanh)
     grid = KineticGrid(Nx=16, dx=1 / 16, dt=1 / 256, epsilon=1e-4, q=q4,
-                       f=model.equilibrium(1 + 0.5 * np.cos(2 * np.pi * x)))
+                       f=equilibrium(1 + 0.5 * np.cos(2 * np.pi * x), model.q))
     op = step_operator(grid, model)
     for _ in range(3):
-        grid = imex_step(grid, op, model.field(density(grid), grid.dx))
+        grid = imex_step(grid, op, model.field(density(grid.f, grid.q), grid.dx))
     assert calls == []
     below = chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, q4, grads, phi_tanh)
     assert len(calls) == 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kinwb import (
-    DriftDiffusionParams,
+    Chemo,
+    TwoStream,
     chemoattractant_update,
     interface_grad,
     phi_tanh,
@@ -10,6 +11,7 @@ from kinwb import (
     ts_smatrix,
     ts_step,
 )
+from kinwb.runner import initial_density_profile
 
 NX = 128
 DX = 1.0 / NX
@@ -84,7 +86,7 @@ def test_one_step_matches_keller_segel_sg():
     new = step(f, eps)
     S = chemoattractant_update(rho0, DX)
     phi_half = phi_tanh(interface_grad(S, DX))
-    ref = sg_step(rho0, DriftDiffusionParams(D=1.0, E_half=phi_half, dt=DT, dx=DX))
+    ref = sg_step(rho0, 1.0, phi_half, DT, DX)
     gap = np.max(np.abs(new[:, 0] + new[:, 1] - ref)) / np.max(np.abs(ref))
     assert gap < 1e-5
 
@@ -109,10 +111,24 @@ def test_epsilon_sweep_first_order():
         new = step(f, eps)
         S = chemoattractant_update(rho0, DX)
         phi_half = phi_tanh(interface_grad(S, DX))
-        ref = sg_step(rho0, DriftDiffusionParams(D=1.0, E_half=phi_half, dt=DT, dx=DX))
+        ref = sg_step(rho0, 1.0, phi_half, DT, DX)
         gaps.append(np.max(np.abs(new[:, 0] + new[:, 1] - ref)))
     slope = np.polyfit(np.log(eps_list), np.log(gaps), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-4, 1e-6])
+def test_twostream_is_the_k1_chemotaxis_model(eps):
+    # the general march on two-stream's K = 1 set, with the response of the
+    # opposite sign, on the grid of configs/twostream.json for 200 steps
+    rho0 = initial_density_profile("gaussian", (np.arange(NX) + 0.5) * DX, NX * DX)
+    ts = TwoStream(phi_tanh)
+    chemo = Chemo(ts.q, lambda u: -phi_tanh(u))
+    gap = 0.0
+    for _, (a, _), (b, _) in zip(range(201), ts.march(eps, DT, DX, rho0),
+                                 chemo.march(eps, DT, DX, rho0)):
+        gap = max(gap, np.max(np.abs(b - a)) / np.max(np.abs(a)))
+    assert gap <= 1e-14 / eps
 
 
 def test_isotropization_rate():
