@@ -24,13 +24,16 @@ max|change - parent| / max|parent| over the config's CSVs (the absolute move
 where the parent's column is all zeros).  A row whose first cell is a label,
 such as the sweep's ``slope`` row, is its own column.  Columns are matched
 by header name, so a CSV whose header gained or lost a column still has
-its shared columns compared.  Then it says whether the rerun left the same
-CSV names with the same bytes.  For verify it says whether the two outputs
-are identical and prints the lines that differ.
+its shared columns compared.  It compares the two ``manifest.json`` files
+with ``wall_time_s`` removed, and the two stdouts with each side's output
+directory replaced by ``<out>``.  Then it says whether the rerun left the
+same CSV names with the same bytes.  For verify it says whether the two
+outputs are identical and prints the lines that differ.
 
 Exit status: 0 when every config wrote the same CSV names with the same
-headers and text cells on both sides, and every rerun left the same CSVs
-byte for byte; 1 otherwise.
+headers and text cells on both sides, the same manifest apart from wall time
+and the same stdout, and every rerun left the same CSVs byte for byte; 1
+otherwise.
 """
 
 import argparse
@@ -122,6 +125,23 @@ def compare_dirs(parent: Path, change: Path) -> dict:
     return {"count": len(names), "identical": identical, "moves": moves, "problems": problems}
 
 
+def manifest_problems(parent: Path, change: Path) -> list:
+    """How the change's ``manifest.json`` differs from the parent's, with
+    ``wall_time_s`` removed from both; a sweep writes none on either side."""
+    manifests = []
+    for directory in (parent, change):
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text()) if path.exists() else None
+        if manifest is not None:
+            manifest.pop("wall_time_s", None)
+        manifests.append(manifest)
+    a, b = manifests
+    if a is None or b is None:
+        return [] if a is b else [f"manifest only in {'change' if a is None else 'parent'}"]
+    return [f"manifest: {key} {a.get(key)!r} became {b.get(key)!r}"
+            for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+
+
 def csv_bytes(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in directory.glob("*.csv")}
 
@@ -158,24 +178,30 @@ def main(argv=None) -> int:
         (tmp / "bench").mkdir()
         runs = [(c, n, f"configs/{n}.json") for c, n in SHIPPED] + bench_runs(tmp / "bench")
         for command, name, config in runs:
-            out = {}
+            out, stdout = {}, {}
             for side, tree in trees.items():
                 out[side] = tmp / "out" / side / name
                 done = kinwb(tree, command, "--config", str(config), "--out", str(out[side]))
                 if done.returncode:
                     print(f"{name}: {side} exited {done.returncode}: "
                           f"{done.stderr.strip()[-300:]}")
+                stdout[side] = done.stdout.replace(str(out[side]), "<out>")
             result = compare_dirs(out["parent"], out["change"])
+            others = manifest_problems(out["parent"], out["change"])
+            if stdout["parent"] != stdout["change"]:
+                others.append(f"stdout {stdout['parent']!r} became {stdout['change']!r}")
             first = csv_bytes(out["change"])
             done = kinwb(root, command, "--config", str(config), "--out", str(out["change"]))
             if done.returncode:
                 print(f"{name}: rerun exited {done.returncode}: {done.stderr.strip()[-300:]}")
             rerun = rerun_problems(first, csv_bytes(out["change"]))
             print(report_line(name, result))
+            print("  manifest (wall time aside) and stdout: "
+                  + ("identical" if not others else "differ"))
             print(f"  rerun: {len(first)} CSVs, " + ("byte-identical" if not rerun else "differs"))
-            for problem in result["problems"] + rerun:
+            for problem in result["problems"] + others + rerun:
                 print(f"  {problem}")
-            status |= bool(result["problems"] or rerun)
+            status |= bool(result["problems"] or others or rerun)
         verify = {side: kinwb(tree, "verify", "--scope", "all").stdout.splitlines()
                   for side, tree in trees.items()}
         same = verify["parent"] == verify["change"]

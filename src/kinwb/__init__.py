@@ -56,7 +56,6 @@ from .quadrature import (
 from .runner import (
     ExperimentConfig,
     ap_error_table,
-    ap_gap,
     run_experiment,
     sweep_experiment,
 )

@@ -5,6 +5,7 @@ import ctypes
 import json
 import logging
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,24 +31,23 @@ def _reuse_freed_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB freed for reuse
 
 
-def _load_config(path):
-    try:
-        return ExperimentConfig.from_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+def _config_and_out(args):
+    """The config named by ``--config`` and the output directory: ``--out``
+    when given (an empty one is the current directory), else the config's."""
+    config = ExperimentConfig.from_json(args.config)
+    return config, Path(args.out if args.out is not None else config.output_dir)
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
-    result = run_experiment(config, output_dir=args.out)
-    print(f"run complete: {len(result.snapshots)} snapshots in {result.output_dir}")
-    print(f"mass drift per step (max): {result.manifest['mass_drift_per_step_max']:.3e}")
+    config, out = _config_and_out(args)
+    manifest = run_experiment(config, out)
+    print(f"run complete: {len(manifest['snapshots'])} snapshots in {out}")
+    print(f"mass drift per step (max): {manifest['mass_drift_per_step_max']:.3e}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    path = sweep_experiment(config, output_dir=args.out)
+    path = sweep_experiment(*_config_and_out(args))
     print(f"sweep table written to {path}")
     with open(path) as fh:
         sys.stdout.write(fh.read())

@@ -114,6 +114,8 @@ def _check_haar(nodes: np.ndarray, kappa: float) -> None:
     """hypV1 (basis at +nodes invertible) and hypV2 (stacked +- family rank 2K-1)."""
     K = len(nodes)
     basis = np.column_stack([vfp_psi0(l, nodes, kappa) for l in range(K)])
+    if not np.all(np.isfinite(basis)):
+        raise SingularBasis("limit-mode basis at the nodes is not finite (v^2 or 2 kappa overflows)")
     sv = np.linalg.svd(basis, compute_uv=False)
     if sv[-1] <= _REL_SV_TOL * sv[0]:
         raise SingularBasis(
@@ -164,10 +166,13 @@ def vfp_quadrature(kappa: float, candidate_nodes) -> VelocityQuadrature:
 
     A = _vfp_constraint_matrix(nodes, kappa)
     _, s, vt = np.linalg.svd(A)
-    if s[-1] > _REL_SV_TOL * s[0]:
+    # at K = 1, s[0] is the one entry (v^2 - kappa) m itself: measure it
+    # against the size of its terms instead
+    scale = s[0] if len(nodes) > 1 else (nodes[0] ** 2 + kappa) * vfp_psi0(0, nodes[0], kappa)
+    if s[-1] > _REL_SV_TOL * scale:
         raise InfeasibleNodes(
             f"constraint matrix has no kernel at these nodes "
-            f"(smallest relative singular value {s[-1]/s[0]:.2e}); "
+            f"(smallest relative singular value {s[-1]/scale:.2e}); "
             "the nodes must satisfy det(constraints) = 0"
         )
     w = vt[-1]

@@ -5,7 +5,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -17,9 +17,23 @@ from .macrolimit import sg_step
 from .models import Chemo, Rte, TwoStream, Vfp
 from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
 
-_DENSITIES = ("uniform", "cosine_bump", "gaussian")
-# E_profile kinds and the keys each one reads
-_FIELDS = {"zero": {"kind"}, "constant": {"kind", "value"}, "sinusoidal": {"kind", "amplitude"}}
+# initial density name -> its profile at the cell centres x of a grid of length L
+_DENSITIES = {
+    "uniform": lambda x, L: np.ones_like(x),
+    "cosine_bump": lambda x, L: 1.0 + 0.5 * np.cos(2.0 * np.pi * x / L),
+    "gaussian": lambda x, L: 1.0 + 0.5 * np.exp(-0.5 * ((x - 0.5 * L) / (0.1 * L)) ** 2),
+}
+# E_profile kind -> (the keys it reads, its field at abscissae x of a grid of length L)
+_FIELDS = {
+    "zero": ({"kind"}, lambda p, x, L: np.zeros_like(x)),
+    "constant": ({"kind", "value"}, lambda p, x, L: np.full_like(x, float(p.get("value", 0.0)))),
+    "sinusoidal": (
+        {"kind", "amplitude"},
+        lambda p, x, L: float(p.get("amplitude", 0.5)) * np.sin(2.0 * np.pi * x / L),
+    ),
+}
+# phi_params names and their defaults
+_RESPONSE = {"chi": 1.0, "delta": 1.0}
 # the most time steps a config may ask for (at 0.1 ms a step, about a day)
 MAX_STEPS = 10**9
 # the name of a snapshot file, its index in group 1
@@ -71,8 +85,9 @@ class ExperimentConfig:
                 errs.append(f"{name}: must be positive")
         if _positive(self.dt) and _positive(self.t_final) and self.t_final / self.dt > MAX_STEPS:
             errs.append(f"t_final: t_final/dt must be at most {MAX_STEPS:,} steps")
-        if self.initial_density not in _DENSITIES:
-            errs.append(f"initial_density: must be one of {_DENSITIES}")
+        # tuples, not the dicts: a name read from the config may be unhashable
+        if self.initial_density not in tuple(_DENSITIES):
+            errs.append(f"initial_density: must be one of {tuple(_DENSITIES)}")
         if self.epsilon is None and not self.epsilon_list:
             errs.append("epsilon: either epsilon or epsilon_list is required")
         if self.epsilon is not None and not _positive(self.epsilon):
@@ -87,26 +102,28 @@ class ExperimentConfig:
         ):
             errs.append("phi_params: must map names to numbers")
         elif params:
-            unknown = set(params) - {"chi", "delta"}
+            unknown = set(params) - set(_RESPONSE)
             if unknown:
-                errs.append(f"phi_params: unknown keys {sorted(unknown)}; known: chi, delta")
-            if not _positive(params.get("delta", 1.0)):
+                errs.append(
+                    f"phi_params: unknown keys {sorted(unknown)}; known: {', '.join(_RESPONSE)}"
+                )
+            if not _positive(params.get("delta", _RESPONSE["delta"])):
                 errs.append("phi_params: delta must be positive")
         if self.kappa is not None and not _positive(self.kappa):
             errs.append("kappa: must be a positive number")
         profile = self.E_profile
         kind = profile.get("kind", "zero") if isinstance(profile, dict) else None
-        # a tuple, not the dict: a kind read from the config may be unhashable
         if profile is not None and not (
             kind in tuple(_FIELDS) and all(_number(v) for k, v in profile.items() if k != "kind")
         ):
             errs.append(f"E_profile: kind must be one of {tuple(_FIELDS)}, other entries numbers")
         elif profile is not None:
-            unknown = set(profile) - _FIELDS[kind]
+            keys = _FIELDS[kind][0]
+            unknown = set(profile) - keys
             if unknown:
                 errs.append(
                     f"E_profile: unknown keys {sorted(unknown)} for kind {kind!r};"
-                    f" known: {', '.join(sorted(_FIELDS[kind]))}"
+                    f" known: {', '.join(sorted(keys))}"
                 )
         if self.model == "vfp":
             if self.kappa is None:
@@ -127,23 +144,23 @@ class ExperimentConfig:
             errs.append("K: the two-stream model has K = 1")
         if isinstance(self.model, str) and self.model in MODELS:
             # a field the model does not read would be silently ignored
-            unread = [] if self.model == "vfp" else [
-                name for name in ("kappa", "E_profile", "nodes") if getattr(self, name) is not None
-            ]
-            if self.model in ("rte", "vfp") and self.phi_params:
-                unread.append("phi_params")
-            errs.extend(f"{name}: not read by the {self.model} model" for name in unread)
+            given = [n for n in ("kappa", "E_profile", "nodes") if getattr(self, n) is not None]
+            given += ["phi_params"] if self.phi_params else []
+            reads = MODELS[self.model][1]
+            errs.extend(f"{n}: not read by the {self.model} model" for n in given if n not in reads)
         return errs
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
         if isinstance(source, (str, Path)):
-            with open(source) as fh:
-                record = json.load(fh)
+            try:
+                with open(source) as fh:
+                    record = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"cannot read config {source}: {exc}") from exc
         else:
             record = dict(source)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(record) - known
+        unknown = set(record) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
@@ -155,62 +172,30 @@ class ExperimentConfig:
             raise ConfigError("; ".join(errs))
         return config
 
-    def to_json(self) -> dict:
-        return {
-            k: (list(v) if isinstance(v, (list, tuple)) else v)
-            for k, v in self.__dict__.items()
-        }
 
-
-def initial_density_profile(name: str, x: np.ndarray, length: float) -> np.ndarray:
-    if name == "uniform":
-        return np.ones_like(x)
-    if name == "cosine_bump":
-        return 1.0 + 0.5 * np.cos(2.0 * np.pi * x / length)
-    if name == "gaussian":
-        return 1.0 + 0.5 * np.exp(-0.5 * ((x - 0.5 * length) / (0.1 * length)) ** 2)
-    raise ConfigError(f"unknown initial density {name!r}")
-
-
-def field_profile(profile: dict | None, x: np.ndarray, length: float) -> np.ndarray:
-    """Static field values at the given abscissae."""
-    if profile is None or profile.get("kind", "zero") == "zero":
-        return np.zeros_like(x)
-    kind = profile["kind"]
-    if kind == "constant":
-        return np.full_like(x, float(profile.get("value", 0.0)))
-    if kind == "sinusoidal":
-        amp = float(profile.get("amplitude", 0.5))
-        return amp * np.sin(2.0 * np.pi * x / length)
-    raise ConfigError(f"unknown E_profile kind {kind!r}")
-
-
-def response_from_params(params: dict | None):
-    params = params or {}
-    chi = float(params.get("chi", 1.0))
-    delta = float(params.get("delta", 1.0))
+def _response(config: ExperimentConfig):
+    """The chemotactic response phi of the config's phi_params."""
+    params = {**_RESPONSE, **(config.phi_params or {})}
+    chi, delta = float(params["chi"]), float(params["delta"])
     return lambda u: phi_tanh(u, chi=chi, delta=delta)
 
 
 def _vfp(config: ExperimentConfig) -> Vfp:
     """The vfp model on the config's nodes (else the preset), with its
     static field at the interfaces x_{j-1/2}."""
-    nodes = (
-        np.asarray(config.nodes, dtype=float)
-        if config.nodes is not None
-        else vfp_preset_nodes(config.K, config.kappa)
-    )
+    nodes = vfp_preset_nodes(config.K, config.kappa) if config.nodes is None else config.nodes
     xi = np.arange(config.Nx) * config.dx
-    E_half = field_profile(config.E_profile, xi, config.Nx * config.dx)
+    field_at = _FIELDS[config.E_profile.get("kind", "zero")][1]
+    E_half = field_at(config.E_profile, xi, config.Nx * config.dx)
     return Vfp(vfp_quadrature(config.kappa, nodes), E_half)
 
 
-# model name -> the model of a validated config
+# model name -> (the model of a validated config, the optional fields it reads)
 MODELS = {
-    "twostream": lambda c: TwoStream(response_from_params(c.phi_params)),
-    "rte": lambda c: Rte(gauss_symmetric(c.K)),
-    "chemo": lambda c: Chemo(gauss_symmetric(c.K), response_from_params(c.phi_params)),
-    "vfp": _vfp,
+    "twostream": (lambda c: TwoStream(_response(c)), {"phi_params"}),
+    "rte": (lambda c: Rte(gauss_symmetric(c.K)), set()),
+    "chemo": (lambda c: Chemo(gauss_symmetric(c.K), _response(c)), {"phi_params"}),
+    "vfp": (_vfp, {"kappa", "E_profile", "nodes"}),
 }
 
 
@@ -250,24 +235,17 @@ def _remove_stale_snapshots(out, count):
             path.unlink()
 
 
-@dataclass
-class RunResult:
-    manifest: dict
-    snapshots: list
-    output_dir: Path
-
-
-def run_experiment(config: ExperimentConfig, output_dir=None) -> RunResult:
-    """Time-march one configuration, writing snapshot CSVs and a manifest.
+def run_experiment(config: ExperimentConfig, out: Path) -> dict:
+    """Time-march one configuration, writing snapshot CSVs and a manifest
+    into the directory ``out``; returns the manifest.
 
     The manifest is written even when the run fails; the exception is then
     re-raised for the caller to map onto an exit code.  Either way the
     manifest lists the snapshots this run wrote, and the output directory
     keeps no other ``snapshot_NNNN.csv``.
     """
-    out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"config": config.to_json(), "status": "ok", "error": None}
+    manifest = {"config": asdict(config), "status": "ok", "error": None}
     snapshots = []
     t0 = time.perf_counter()
     try:
@@ -281,7 +259,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunResult:
         manifest["snapshots"] = [path.name for path in snapshots]
         manifest["wall_time_s"] = time.perf_counter() - t0
         _write_text(out / "manifest.json", json.dumps(manifest, indent=2))
-    return RunResult(manifest=manifest, snapshots=snapshots, output_dir=out)
+    return manifest
 
 
 def _run_loop(config, out, manifest, snapshots):
@@ -323,28 +301,24 @@ def _setup(config: ExperimentConfig):
     Models are immutable, so ``kinwb run`` marches the set-up once and the
     AP sweep marches one set-up at every epsilon; the step-size warning of
     ``model.check_step`` comes once per set-up."""
-    model = MODELS[config.model](config)
+    model = MODELS[config.model][0](config)
     model.check_step(config.dt, config.dx)
     x = (np.arange(config.Nx) + 0.5) * config.dx
-    return model, initial_density_profile(config.initial_density, x, config.Nx * config.dx)
-
-
-# ---------------------------------------------------------------------------
-# one-step AP gap against the exponential-fitting limit scheme
-# ---------------------------------------------------------------------------
-
-
-def ap_gap(config: ExperimentConfig, epsilon: float) -> float:
-    """Relative L-inf gap between the first step of ``kinwb run`` on
-    ``config`` at ``epsilon`` and one step of the limit scheme from the same
-    density: exponential fitting with the model's D and drift, S being the
-    chemoattractant that drove the step.  Builds the set-up for this one
-    epsilon; :func:`ap_error_table` builds it once for a whole sweep."""
-    return _gap(config, *_setup(config), epsilon)
+    rho0 = _DENSITIES[config.initial_density](x, config.Nx * config.dx)
+    if not np.all(np.isfinite(rho0)):
+        raise ConfigError(
+            f"dx, Nx: the {config.initial_density} initial density is not finite on"
+            f" Nx = {config.Nx} cells of dx = {config.dx:g}: the grid is too long"
+        )
+    return model, rho0
 
 
 def _gap(config, model, rho_init, epsilon) -> float:
-    """:func:`ap_gap` on the set-up ``(model, rho_init)`` of ``config``."""
+    """Relative L-inf gap between the first step of ``kinwb run`` on
+    ``config`` at ``epsilon`` and one step of the limit scheme from the same
+    density: exponential fitting with the model's D and drift, S being the
+    chemoattractant that drove the step.  ``(model, rho_init)`` is the
+    set-up of ``config``."""
     march = model.march(epsilon, config.dt, config.dx, rho_init)
     rho0, _ = next(march)
     rho1, S = next(march)
@@ -356,9 +330,10 @@ def _gap(config, model, rho_init, epsilon) -> float:
 
 
 def ap_error_table(config: ExperimentConfig, epsilons):
-    """(epsilon, gap) rows, each gap :func:`ap_gap` bit for bit, plus the
-    log-log slope (None below two distinct epsilons).  The set-up is built
-    once and marched at every epsilon."""
+    """(epsilon, gap) rows, each gap :func:`_gap`, plus the log-log slope
+    (None below two distinct epsilons).  The set-up is built once and
+    marched at every epsilon, so a row does not depend on the other
+    epsilons of the table."""
     model, rho_init = _setup(config)
     rows = [(float(e), _gap(config, model, rho_init, float(e))) for e in epsilons]
     slope = None
@@ -369,11 +344,11 @@ def ap_error_table(config: ExperimentConfig, epsilons):
     return rows, slope
 
 
-def sweep_experiment(config: ExperimentConfig, output_dir=None) -> Path:
-    """AP sweep over config.epsilon_list; one CSV with a slope footer row."""
+def sweep_experiment(config: ExperimentConfig, out: Path) -> Path:
+    """AP sweep over config.epsilon_list; one CSV with a slope footer row in
+    the directory ``out``."""
     if not config.epsilon_list:
         raise ConfigError("sweep requires epsilon_list")
-    out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows, slope = ap_error_table(config, config.epsilon_list)
     lines = ["epsilon,error"] + [f"{e:.17g},{g:.17g}" for e, g in rows]

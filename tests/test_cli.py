@@ -16,7 +16,6 @@ from kinwb import (
     ConfigError,
     ExperimentConfig,
     ap_error_table,
-    ap_gap,
     chemo_drift,
     chemoattractant_update,
     gauss_symmetric,
@@ -147,7 +146,8 @@ def test_ap_gap_steps_like_run(tmp_path, model):
         else:
             D, drift = 1.0, phi_tanh(grads)
     ref = sg_step(rho0, D, drift, dt, DX)
-    assert ap_gap(config, eps) == np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref))
+    [(_, gap)], _ = ap_error_table(config, [eps])
+    assert gap == np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(
@@ -164,16 +164,18 @@ def test_ap_gap_steps_like_run(tmp_path, model):
     ids=["rte", "chemo", "vfp-nodes", "vfp-preset", "twostream"],
 )
 def test_sweep_builds_model_once(monkeypatch, fields):
-    # a sweep marches one model at every eps; its rows are ap_gap's, bitwise
+    # a sweep marches one model at every eps; its rows are those of one-point
+    # tables, bitwise
     eps_list = [10.0**-d for d in range(1, 11)]
     config = ExperimentConfig.from_json(
         {"Nx": 64, "dx": 1.0 / 64.0, "dt": (1.0 / 64.0) ** 2 / 4.0,
          "t_final": (1.0 / 64.0) ** 2 / 4.0, "epsilon_list": eps_list, **fields}
     )
-    expected = [(e, ap_gap(config, e)) for e in eps_list]
+    expected = [ap_error_table(config, [e])[0][0] for e in eps_list]
     calls = []
-    build = runner.MODELS[config.model]
-    monkeypatch.setitem(runner.MODELS, config.model, lambda c: calls.append(c) or build(c))
+    build, reads = runner.MODELS[config.model]
+    monkeypatch.setitem(runner.MODELS, config.model,
+                        (lambda c: calls.append(c) or build(c), reads))
     rows, _ = ap_error_table(config, eps_list)
     assert len(calls) == 1
     assert [(e, g.hex()) for e, g in rows] == [(e, g.hex()) for e, g in expected]
@@ -280,6 +282,23 @@ def test_shorter_rerun_removes_stale_snapshots(tmp_path, rerun, code, kept):
     manifest = json.loads((out / "manifest.json").read_text())
     assert snapshot_names(out) == manifest["snapshots"] == kept
     assert all((out / name).exists() for name in others)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("model", ["rte", "chemo", "vfp", "twostream"])
+def test_grid_too_long_to_evaluate_exits_2(tmp_path, capsys, command, model):
+    # Nx*dx = 1.6e308 is finite, but 2 pi x overflows in the initial density
+    fields = {"vfp": {"K": 3, "kappa": 1.0, "E_profile": {"kind": "zero"}},
+              "twostream": {"K": 1}}.get(model, {})
+    config = write_config(tmp_path, model=model, Nx=4, dx=4e307, epsilon_list=[1e-3], **fields)
+    assert main([command, "--config", str(config)]) == 2
+    assert "config error: dx, Nx:" in capsys.readouterr().err
+
+
+def test_vfp_k1_preset_runs_where_sqrt_kappa_squared_is_not_kappa(tmp_path):
+    assert np.sqrt(0.3) ** 2 != 0.3
+    config = write_config(tmp_path, model="vfp", K=1, kappa=0.3, E_profile={"kind": "zero"})
+    assert main(["run", "--config", str(config)]) == 0
 
 
 def test_manifest_written_on_failure(tmp_path):
@@ -499,6 +518,15 @@ _FUZZ_VFP = {"model": "vfp", "kappa": 1.0, "E_profile": {"kind": "zero"}}
 # a grid no machine can allocate: NumPy raises MemoryError at once
 @example(config={**_FUZZ_BASE, "model": "rte", "Nx": 10**15}, command="run")
 @example(config={**_FUZZ_BASE, **_FUZZ_VFP, "Nx": 10**15}, command="sweep")
+# Nx*dx is finite, but the initial density is not: 2 pi x overflows, or x does
+@example(config={**_FUZZ_BASE, "model": "rte", "dx": 4e307}, command="run")
+@example(config={**_FUZZ_BASE, "model": "rte", "Nx": 1000, "dx": 1e306}, command="sweep")
+@example(config={**_FUZZ_BASE, "model": "chemo", "dx": 1e308}, command="run")
+@example(config={**_FUZZ_BASE, "model": "chemo", "dx": 4e307}, command="sweep")
+@example(config={**_FUZZ_BASE, **_FUZZ_VFP, "Nx": 1000, "dx": 1e306}, command="run")
+@example(config={**_FUZZ_BASE, **_FUZZ_VFP, "dx": 1e308}, command="sweep")
+# the sqrt(kappa)-scaled preset overflows v^2 and 2 kappa
+@example(config={**_FUZZ_BASE, **_FUZZ_VFP, "K": 2, "kappa": 1e308}, command="run")
 def test_config_fuzz_exits_0_2_or_3(config, command):
     # every config runs to finite outputs, or ends in a config error (2) or
     # a numerical one (3), without a NumPy warning on the way
@@ -512,6 +540,50 @@ def test_config_fuzz_exits_0_2_or_3(config, command):
         if code == 0:
             text = "".join(p.read_text() for p in (Path(tmp) / "out").glob("*.csv"))
             assert "nan" not in text and "inf" not in text
+
+
+# each field's JSON type; a value of another type, null aside, is a config error
+# (output_dir is left out: --out overrides it)
+_FIELD_TYPES = {"model": str, "K": int, "Nx": int, "dx": float, "dt": float, "t_final": float,
+                "initial_density": str, "epsilon": float, "epsilon_list": list, "kappa": float,
+                "E_profile": dict, "phi_params": dict, "nodes": list}
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.sampled_from([1.7e308, -1.7e308]),
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2)),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "value", "chi", "x"]),
+                    st.one_of(st.none(), st.floats(-5.0, 5.0), st.text(max_size=2),
+                              st.lists(st.text(max_size=1), max_size=1)), max_size=2),
+)
+
+
+def _has_type(value, expected):
+    """JSON typing: a bool is not a number, and an int is also a float."""
+    if isinstance(value, bool) or expected is not float:
+        return type(value) is expected
+    return isinstance(value, (int, float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=fuzz_configs(), name=st.sampled_from(sorted(_FIELD_TYPES)), value=_ANY_JSON,
+       command=st.sampled_from(["run", "sweep"]))
+# names and kinds that cannot be dict keys
+@example(config={**_FUZZ_BASE, "model": "rte"}, name="initial_density", value=["x"],
+         command="run")
+@example(config={**_FUZZ_BASE, **_FUZZ_VFP}, name="E_profile", value={"kind": ["zero"]},
+         command="sweep")
+def test_config_fields_of_any_json_type_exit_0_2_or_3(config, name, value, command):
+    # any field may hold any JSON value: the command still ends in an exit
+    # code, and in a config error when the value has the wrong type
+    config = {**config, name: value}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    wrong = value is not None and not _has_type(value, _FIELD_TYPES[name])
+    assert code in ((2,) if wrong else (0, 2, 3))
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

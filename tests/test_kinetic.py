@@ -95,18 +95,16 @@ def test_density_oracle(q4):
 
 
 # every kind of velocity set: unit-interval Gauss rules, the vfp presets at
-# kappa whose square root is exact (the K = 1 preset is feasible only where
-# sqrt(kappa)^2 == kappa), and two-stream's {v = 1, w = 1}
-_VELOCITY_SETS = (
-    [gauss_symmetric(K) for K in range(1, 9)]
-    + [vfp_quadrature(kappa, vfp_preset_nodes(K, kappa))
-       for K in (1, 2, 3) for kappa in (0.25, 1.0, 4.0)]
-    + [TwoStream.q]
+# any kappa in [0.1, 10], and two-stream's {v = 1, w = 1}
+_VELOCITY_SETS = st.one_of(
+    st.sampled_from([gauss_symmetric(K) for K in range(1, 9)] + [TwoStream.q]),
+    st.builds(lambda K, kappa: vfp_quadrature(kappa, vfp_preset_nodes(K, kappa)),
+              st.sampled_from([1, 2, 3]), st.floats(0.1, 10.0)),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(q=st.sampled_from(_VELOCITY_SETS),
+@given(q=_VELOCITY_SETS,
        rho=st.lists(st.floats(1e-200, 1e200), min_size=1, max_size=16))
 def test_density_of_equilibrium_is_rho(q, rho):
     m = np.ones(q.K) if q.kappa is None else np.exp(-q.nodes**2 / (2.0 * q.kappa))

@@ -87,6 +87,18 @@ def test_rerun_problems_name_changed_and_stale_csvs():
     ]
 
 
+def test_manifest_problems_ignore_wall_time_and_name_changed_fields(tmp_path):
+    manifest = {"status": "ok", "n_steps": 10, "mass_final": 1.0, "wall_time_s": 0.5}
+    a = write(tmp_path / "a", {"manifest.json": json.dumps(manifest)})
+    b = write(tmp_path / "b", {"manifest.json": json.dumps({**manifest, "wall_time_s": 0.7})})
+    assert output_parity.manifest_problems(a, b) == []
+    c = write(tmp_path / "c", {"manifest.json": json.dumps({**manifest, "n_steps": 11})})
+    assert output_parity.manifest_problems(a, c) == ["manifest: n_steps 10 became 11"]
+    none = write(tmp_path / "none", {})
+    assert output_parity.manifest_problems(none, none) == []
+    assert output_parity.manifest_problems(a, none) == ["manifest only in parent"]
+
+
 def test_bench_runs_cover_every_sweep_and_both_marches(tmp_path):
     runs = output_parity.bench_runs(tmp_path)
     names = [name for _, name, _ in runs]

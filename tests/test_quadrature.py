@@ -96,6 +96,23 @@ def test_vfp_single_node_requires_sqrt_kappa():
     assert rep.passed
 
 
+def test_vfp_k1_preset_builds_at_every_kappa():
+    # sqrt(kappa)^2 rounds away from kappa for about half of these kappa; the
+    # 1 x 1 constraint (v^2 - kappa) m is measured against its terms, so the
+    # preset is feasible at every one of them
+    for kappa in np.linspace(0.1, 10.0, 1000):
+        assert vfp_quadrature(kappa, vfp_preset_nodes(1, kappa)).weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("kappa, nodes", [(1e308, None), (1e308, [1e154, 2e154])])
+def test_vfp_overflowing_basis_is_singular(kappa, nodes):
+    # v^2 and 2 kappa overflow, and the limit modes are inf/inf: a typed
+    # error, not an SVD that does not converge
+    nodes = vfp_preset_nodes(2, kappa) if nodes is None else np.array(nodes)
+    with np.errstate(all="ignore"), pytest.raises(SingularBasis, match="not finite"):
+        vfp_quadrature(kappa, nodes)
+
+
 def test_vfp_k3_preset_solves_constraints(qv3):
     # independent oracle: rebuild the constraint rows and substitute back
     from kinwb.spectral import vfp_psi0

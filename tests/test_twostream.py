@@ -11,7 +11,7 @@ from kinwb import (
     ts_smatrix,
     ts_step,
 )
-from kinwb.runner import initial_density_profile
+from kinwb.runner import _DENSITIES
 
 NX = 128
 DX = 1.0 / NX
@@ -121,7 +121,7 @@ def test_epsilon_sweep_first_order():
 def test_twostream_is_the_k1_chemotaxis_model(eps):
     # the general march on two-stream's K = 1 set, with the response of the
     # opposite sign, on the grid of configs/twostream.json for 200 steps
-    rho0 = initial_density_profile("gaussian", (np.arange(NX) + 0.5) * DX, NX * DX)
+    rho0 = _DENSITIES["gaussian"]((np.arange(NX) + 0.5) * DX, NX * DX)
     ts = TwoStream(phi_tanh)
     chemo = Chemo(ts.q, lambda u: -phi_tanh(u))
     gap = 0.0
