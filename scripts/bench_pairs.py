@@ -18,7 +18,10 @@ directory.  The workloads and the run length are those of the change's
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
 one after the other: the parent first on even seeds, the change first on
-odd ones, one run at a time.  Then the tier-1 suite runs in both trees,
+odd ones, one run at a time.  After those pairs each tree runs every
+workload once more with ``--trace 1`` on the first seed, and the JSON keeps
+each side's ``step_ms_attribution``: the step time split by layer.  Then
+the tier-1 suite runs in both trees,
 alternating, ``TIER1_RUNS`` times each.  The JSON holds, per workload and
 end-to-end metric of ``BENCHMARK.json``, every run, the median and quartiles
 of each side (``numpy.percentile``, linear), the pairs the change won, the
@@ -76,10 +79,11 @@ def extract(root: Path, tree: str, dest: Path) -> Path:
     return dest
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def bench(tree: Path, workload: str, seed: int, seconds: float,
+          trace: int = 0) -> tuple[dict, dict]:
     """(result, info) of one harness run: its last two stdout lines."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           timeout=20 * seconds + 600)
     if proc.returncode != 0:
@@ -155,6 +159,13 @@ def main(argv=None) -> int:
                         environment = info["environment"]
                     step = result["metrics"].get("step_ms", {}).get("value")
                     print(f"{workload} seed {seed} {name}: step_ms {step}", file=sys.stderr)
+        attribution = {}
+        for workload in workloads:
+            attribution[workload] = {"seed": args.seeds[0]}
+            for name in ("parent", "change"):
+                _, info = bench(trees[name], workload, args.seeds[0], seconds, trace=1)
+                attribution[workload][name] = info["step_ms_attribution"]
+                print(f"{workload} traced {name}: done", file=sys.stderr)
         tier1_runs = {"parent": [], "change": []}
         for i in range(TIER1_RUNS):
             for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
@@ -170,6 +181,8 @@ def main(argv=None) -> int:
                  "the change on odd seeds; one run at a time",
         "quartiles": "numpy.percentile 25/50/75, linear interpolation, over the runs of one side",
         "host": f"{args.host}; setup_s and step_ms are host-scaled by the harness",
+        "attribution": "ms per step by layer, from one --trace 1 run per side and "
+                       "workload on the first seed, after the pairs",
         "revisions": revisions,
         "environment": environment,
         "workloads": {},
@@ -180,6 +193,7 @@ def main(argv=None) -> int:
                  for m in declared["end_to_end"]}
         entry["operations"] = {key: {s: sum(r[key] for r in sides[s]) for s in sides}
                                for key in ("attempted", "failed")}
+        entry["step_ms_attribution"] = attribution[workload]
         report["workloads"][workload] = entry
     report["tier1"] = {
         "command": TIER1_COMMAND,

@@ -84,7 +84,8 @@ def assemble_cell_matrix(epsilon: float, dt: float, dx: float, q, S0: np.ndarray
     """
     K = q.K
     Vd = np.concatenate([q.nodes, q.nodes])
-    H = np.block([[np.eye(K), -S0], [-S0, np.eye(K)]])
+    H = np.eye(2 * K)
+    H[:K, K:] = H[K:, :K] = -S0
     return epsilon * np.eye(2 * K) + dt / dx * (Vd[:, None] * H)
 
 

@@ -13,6 +13,7 @@ initial state the one the first step reads (None without one).
 """
 
 import logging
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .kinetic import (
 )
 from .quadrature import VelocityQuadrature
 from .scattering import chemo_interfaces, rte_closure, vfp_closure, vfp_interfaces
-from .spectral import dispersion_roots
+from .spectral import _all_roots_multi, dispersion_roots
 from .twostream import ts_step
 
 log = logging.getLogger("kinwb")
@@ -76,11 +77,21 @@ class Rte(_Kinetic):
         self.base = dispersion_roots(q)
         self.closure = rte_closure(q, self.base)
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """The interface's finite-eps roots: at zero slope neither the rates
+        nor the root seed see eps, so one row serves every eps."""
+        ones = np.ones((1, self.q.K))
+        seed = np.hstack([-self.base[::-1], 0.0, self.base])[None]
+        return _all_roots_multi(self.q.nodes, self.q.weights, ones, ones, seed)
+
     def drift(self, S, dx: float):
         return 0.0
 
     def interfaces(self, eps: float, dx: float, S):
-        return chemo_interfaces(eps, dx, self.q, [0.0], np.zeros_like, self.base, self.closure)
+        return chemo_interfaces(
+            eps, dx, self.q, [0.0], np.zeros_like, self.base, self.closure, self.roots
+        )
 
 
 class Chemo(Rte):

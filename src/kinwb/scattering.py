@@ -304,6 +304,7 @@ def chemo_interfaces(
     phi_response: Callable,
     base: np.ndarray | None = None,
     closure: ClosureCoefficients | None = None,
+    roots: np.ndarray | None = None,
 ) -> InterfaceStack:
     """Chemotaxis decompositions for a stack of interface slopes.
 
@@ -311,8 +312,9 @@ def chemo_interfaces(
     each seeded from the first-order expansion lambda0 + eps*lambda1 (the
     negative branch is the mirror image under phi -> -phi); the limit
     closure (gradS-independent) is shared.  ``base`` holds the even-rate
-    roots of :func:`dispersion_roots`, solved here when None.  Radiative
-    transfer is this assembly at slope 0 with phi = 0.
+    roots of :func:`dispersion_roots` and ``roots`` the finite-eps ones
+    (M, 2K-1), each solved here when None.  Radiative transfer is this
+    assembly at slope 0 with phi = 0.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
@@ -328,10 +330,11 @@ def chemo_interfaces(
     if closure is None:
         closure = rte_closure(q, lam0)
     lam01, lam1 = first_order_shifts(q, lam0, phip)
-    guess = np.hstack(
-        [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]
-    )
-    roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
+    if roots is None:
+        guess = np.hstack(
+            [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]
+        )
+        roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
     N, Nt = _chemo_matrices(epsilon, dx, v, phip, roots)
     r = (-dx / bernoulli(-lam01 * dx))[:, None]
     Y = _limit_inverse(closure, r)

@@ -35,7 +35,10 @@ def test_summary_counts_strict_wins_in_the_better_direction(better, wins):
 
 _FAKE_HARNESS = '''import json, sys
 step = float(open("step_ms.txt").read())
-print(json.dumps({"info": {"environment": {"commit": None}}}))
+info = {"environment": {"commit": None}}
+if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    info["step_ms_attribution"] = {"op.self": step / 4, "kinetic.apply": 3 * step / 4}
+print(json.dumps({"info": info}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
                   "metrics": {"step_ms": {"value": step, "unit": "ms"}}}))
 '''
@@ -86,6 +89,9 @@ def test_writer_records_full_shas_and_the_declared_workloads(tmp_path, monkeypat
         assert entry["step_ms"]["change_wins"] == 2
         assert entry["operations"] == {"attempted": {"parent": 6, "change": 6},
                                        "failed": {"parent": 0, "change": 0}}
+        assert entry["step_ms_attribution"] == {
+            "seed": 4, "parent": {"op.self": 0.5, "kinetic.apply": 1.5},
+            "change": {"op.self": 0.25, "kinetic.apply": 0.75}}
     assert report["tier1"]["change"]["passed"] == 1
     assert report["tier1"]["parent"]["runs_s"] == [0.25] * bench_pairs.TIER1_RUNS
     assert report["src_kinwb_lines"]["change"] == {"a.py": 2, "total": 2}

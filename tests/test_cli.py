@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from kinwb import (
     ConfigError,
     ExperimentConfig,
+    SolveFailure,
     ap_error_table,
     chemo_drift,
     chemoattractant_update,
@@ -179,6 +180,58 @@ def test_sweep_builds_model_once(monkeypatch, fields):
     rows, _ = ap_error_table(config, eps_list)
     assert len(calls) == 1
     assert [(e, g.hex()) for e, g in rows] == [(e, g.hex()) for e, g in expected]
+
+
+def test_sweep_takes_one_limit_step(monkeypatch):
+    # the limit step reads no eps, so a table of any length takes one
+    config = ExperimentConfig.from_json(
+        {"model": "chemo", "K": 2, "Nx": 16, "dx": 1.0 / 16.0, "dt": (1.0 / 16.0) ** 2 / 4.0,
+         "t_final": (1.0 / 16.0) ** 2 / 4.0, "epsilon_list": [1e-1, 1e-3, 1e-5, 1e-7]}
+    )
+    calls = []
+    monkeypatch.setattr(runner, "sg_step", lambda *a: calls.append(1) or sg_step(*a))
+    for n in (1, 2, 4):
+        calls.clear()
+        rows, _ = ap_error_table(config, config.epsilon_list[:n])
+        assert len(rows) == n and len(calls) == 1
+
+
+def test_non_finite_limit_step_names_the_first_eps(monkeypatch):
+    config = ExperimentConfig.from_json(
+        {"model": "rte", "K": 2, "Nx": 16, "dx": 1.0 / 16.0, "dt": (1.0 / 16.0) ** 2 / 4.0,
+         "t_final": (1.0 / 16.0) ** 2 / 4.0, "epsilon_list": [1e-3, 1e-5]}
+    )
+    monkeypatch.setattr(runner, "sg_step", lambda rho, *a: np.full_like(rho, np.nan))
+    with pytest.raises(SolveFailure, match=r"^eps=0\.001: the limit scheme produced a non-finite"):
+        ap_error_table(config, config.epsilon_list)
+
+
+@pytest.mark.parametrize("text", ['[["x"]]', "5", '"s"', "null"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", [None, 5, ["out"]])
+def test_output_dir_not_a_string_exits_2(tmp_path, capsys, command, value):
+    # without --out the config's output_dir is the one read
+    path = write_config(tmp_path, output_dir=value, epsilon_list=[1e-3, 1e-4])
+    assert main([command, "--config", str(path)]) == 2
+    assert "output_dir: must be a string" in capsys.readouterr().err
+
+
+def test_main_parses_again_on_its_cached_parser(tmp_path, capsys):
+    path = write_config(tmp_path, t_final=2 * DX**2, epsilon_list=[1e-3, 1e-4])
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("run complete: 3 snapshots") == 2 and "sweep table written" in out
+    assert (tmp_path / "s" / "ap_sweep.csv").is_file()
+    assert read_all_csv_bytes(tmp_path / "out") == read_all_csv_bytes(tmp_path / "r")
 
 
 def test_uniform_initial_snapshots_identical(tmp_path):
@@ -543,10 +596,10 @@ def test_config_fuzz_exits_0_2_or_3(config, command):
 
 
 # each field's JSON type; a value of another type, null aside, is a config error
-# (output_dir is left out: --out overrides it)
 _FIELD_TYPES = {"model": str, "K": int, "Nx": int, "dx": float, "dt": float, "t_final": float,
-                "initial_density": str, "epsilon": float, "epsilon_list": list, "kappa": float,
-                "E_profile": dict, "phi_params": dict, "nodes": list}
+                "initial_density": str, "output_dir": str, "epsilon": float,
+                "epsilon_list": list, "kappa": float, "E_profile": dict, "phi_params": dict,
+                "nodes": list}
 _ANY_JSON = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.sampled_from([1.7e308, -1.7e308]),
     st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2)),

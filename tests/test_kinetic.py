@@ -54,6 +54,21 @@ def test_cell_matrix_two_stream_form():
     assert np.allclose(R, [[eps + c, -c], [-c, eps + c]], atol=1e-15)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 0.3])
+@pytest.mark.parametrize("K", range(1, 17))
+def test_cell_matrix_equals_block_form(K, eps):
+    # R_eps fills [[I, -S0], [-S0, I]] in place; bitwise the np.block form,
+    # signs of zeros included
+    q = gauss_symmetric(K)
+    S0 = Rte(q).closure.S0
+    H = np.block([[np.eye(K), -S0], [-S0, np.eye(K)]])
+    Vd = np.concatenate([q.nodes, q.nodes])
+    expected = eps * np.eye(2 * K) + DT / DX * (Vd[:, None] * H)
+    R = assemble_cell_matrix(eps, DT, DX, q, S0)
+    assert np.array_equal(R, expected)
+    assert np.array_equal(np.signbit(R), np.signbit(expected))
+
+
 def test_cell_matrix_kernel_structures(q4, closure4, qv3):
     from kinwb import vfp_closure
 

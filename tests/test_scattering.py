@@ -25,7 +25,7 @@ from kinwb import (
     vfp_quadrature,
     well_balanced_residual,
 )
-from kinwb import scattering
+from kinwb import models, scattering
 from kinwb.scattering import _COND_LIMIT, EPS_SWITCH_FACTOR, _inverse
 from kinwb.spectral import first_order_shifts
 
@@ -498,6 +498,30 @@ def counting(monkeypatch, name):
 
     monkeypatch.setattr(scattering, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("K", range(1, 17))
+def test_rte_roots_solved_once_equal_the_per_call_solve(monkeypatch, K):
+    # at zero slope the root solve sees the same rates and seed at every
+    # eps, so the model's one row is the per-call solve, bitwise
+    q = gauss_symmetric(K)
+    model = Rte(q)
+    model.interfaces(1e-3, DX, None)  # set-up solves the row
+    for eps in [1e-1, 1e-4, 1e-8, 1e-12]:
+        with monkeypatch.context() as m:
+            solved = []
+            for module in (scattering, models):
+                original = module._all_roots_multi
+                m.setattr(module, "_all_roots_multi",
+                          lambda *a, f=original: solved.append(f(*a)) or solved[-1])
+            stack = model.interfaces(eps, DX, None)
+            assert solved == []
+            expected = chemo_interfaces(eps, DX, q, [0.0], np.zeros_like, model.base,
+                                        model.closure)
+        [roots] = solved
+        assert np.array_equal(model.roots, roots)
+        assert np.array_equal(np.signbit(model.roots), np.signbit(roots))
+        assert np.array_equal(stack.S, expected.S)
 
 
 def test_chemo_b0_built_only_when_read(monkeypatch, q4):
