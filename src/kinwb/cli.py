@@ -2,7 +2,6 @@
 
 import argparse
 import ctypes
-import functools
 import json
 import logging
 import sys
@@ -18,13 +17,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-@functools.cache
 def _reuse_freed_memory() -> None:
     """Keep freed heap memory for reuse: under glibc's default thresholds a
     chemo step's (Nx, 2K, 2K) temporaries, 128 KB and up from Nx = 256 at
     K = 4, go back to the kernel at every free and are page-faulted in again
-    the next step.  A no-op where the C library has no mallopt.  Set once
-    per process."""
+    the next step.  A no-op where the C library has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -75,9 +72,7 @@ def _cmd_verify(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process; parsing does not change the parser."""
     parser = argparse.ArgumentParser(
         prog="kinwb",
         description="Well-balanced kinetic schemes and their exponential-fitting limits",

@@ -317,35 +317,27 @@ def _setup(config: ExperimentConfig):
     return model, rho0
 
 
-def _gap(config, model, rho_init, epsilon, ref=None):
-    """Relative L-inf gap between the first step of ``kinwb run`` on
-    ``config`` at ``epsilon`` and one step of the limit scheme from the same
-    density: exponential fitting with the model's D and drift, S being the
-    chemoattractant that drove the step.  ``(model, rho_init)`` is the
-    set-up of ``config``.  Returns (gap, limit step).  The limit step reads
-    no eps, rho0 = density(equilibrium(rho_init)) and S = field(rho0) for
-    every model, so ``ref`` of an earlier eps is reused bit for bit; None
-    computes it after the kinetic step, whose failure is raised first."""
-    march = model.march(epsilon, config.dt, config.dx, rho_init)
-    rho0, _ = next(march)
-    rho1, S = next(march)
-    if ref is None:
-        ref = sg_step(rho0, model.D, model.drift(S, config.dx), config.dt, config.dx)
-        if not np.all(np.isfinite(ref)):
-            raise SolveFailure(f"eps={epsilon:g}: the limit scheme produced a non-finite state")
-    return float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref))), ref
-
-
 def ap_error_table(config: ExperimentConfig, epsilons):
-    """(epsilon, gap) rows, each gap :func:`_gap`, plus the log-log slope
-    (None below two distinct epsilons).  The set-up is built once and
-    marched at every epsilon, and the limit step, which reads no epsilon,
-    is taken once; so a row does not depend on the other epsilons."""
+    """(epsilon, gap) rows plus the log-log slope (None below two distinct
+    epsilons).  A gap is the relative L-inf distance between the first step
+    of ``kinwb run`` on ``config`` at epsilon and one step of the limit
+    scheme from the same density: exponential fitting with the model's D
+    and drift, S being the chemoattractant that drove the step.  The set-up
+    is built once and marched at every epsilon, so a row does not depend on
+    the other epsilons."""
     model, rho_init = _setup(config)
     rows, ref = [], None
     for e in map(float, epsilons):
-        gap, ref = _gap(config, model, rho_init, e, ref)
-        rows.append((e, gap))
+        march = model.march(e, config.dt, config.dx, rho_init)
+        rho0, _ = next(march)
+        rho1, S = next(march)
+        # rho0 = density(equilibrium(rho_init)) and S = field(rho0) read no
+        # eps, so the limit step is taken once, after the first kinetic step
+        if ref is None:
+            ref = sg_step(rho0, model.D, model.drift(S, config.dx), config.dt, config.dx)
+            if not np.all(np.isfinite(ref)):
+                raise SolveFailure(f"eps={e:g}: the limit scheme produced a non-finite state")
+        rows.append((e, float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))))
     slope = None
     if len({e for e, _ in rows}) >= 2:
         le = np.log([r[0] for r in rows])

@@ -223,7 +223,7 @@ def test_output_dir_not_a_string_exits_2(tmp_path, capsys, command, value):
     assert "output_dir: must be a string" in capsys.readouterr().err
 
 
-def test_main_parses_again_on_its_cached_parser(tmp_path, capsys):
+def test_main_runs_each_subcommand_again_in_one_process(tmp_path, capsys):
     path = write_config(tmp_path, t_final=2 * DX**2, epsilon_list=[1e-3, 1e-4])
     assert main(["run", "--config", str(path)]) == 0
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
