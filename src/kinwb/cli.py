@@ -11,7 +11,7 @@ import numpy as np
 
 from .diagnostics import SCOPES, run_verification
 from .errors import ConfigError, KinwbError
-from .runner import ExperimentConfig, run_experiment, sweep_experiment
+from .runner import ExperimentConfig, _write_text, run_experiment, sweep_experiment
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -61,12 +61,8 @@ def _cmd_verify(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name:<{width}}  {r.detail}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(
-                [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-                fh,
-                indent=2,
-            )
+        report = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        _write_text(args.out, json.dumps(report, indent=2))
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return 0 if n_fail == 0 else 1
@@ -109,6 +105,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except MemoryError as exc:
         print(f"config error: out of memory, reduce Nx or K ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reading the config raises ConfigError: this is the output
+        print(f"config error: cannot write output ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

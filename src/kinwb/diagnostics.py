@@ -241,6 +241,12 @@ def well_balanced_residual(S, epsilon, dx, q, *, rates=None, E=None) -> float:
     return float(np.max(np.max(np.abs(S @ inc - out), axis=0) / scale))
 
 
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x, y floored at 1e-300 so
+    that an exact zero stays finite: the one fit of every sweep and check."""
+    return float(np.polyfit(np.log(x), np.log(np.maximum(y, 1e-300)), 1)[0])
+
+
 def _result(name, passed, detail) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
@@ -300,7 +306,7 @@ def verify_spectral() -> list[CheckResult]:
         roots = _all_roots_multi(q4.nodes, q4.weights, 1 + eps * phip, 1 - eps * phip)[0]
         err = np.max(np.abs(roots[4:] - (lam0 + eps * lam1[0])))
         errs.append(max(err, abs(roots[3] - eps * lam01[0])))
-    slope = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0])
+    slope = loglog_slope(eps_list, errs)
     out.append(_result("eigenvalue expansion remainder o(eps)", slope >= 1.9, f"slope {slope:.3f}"))
     return out
 

@@ -12,7 +12,11 @@ field, so :func:`step_operator` inverts R_eps once per run.  The B terms
 carry the per-interface field dependence: a static model's B stack is built
 once per run, and a chemotaxis step takes the outgoing traces B inc from
 the interfaces it assembles (:meth:`InterfaceStack.outgoing`).  State layout
-per cell: (f(v_1..v_K), f(-v_1..-v_K)).
+per cell: (f(v_1..v_K), f(-v_1..-v_K)).  The static B stack is stored
+velocity-major, (2K, 2K, Nx) with the interface axis last, and the traces
+move as (2K, Nx), so the product B inc runs its inner loops over all Nx
+interfaces instead of over 2K velocities; from Nx = 2 on it sums over b
+left to right.
 """
 
 from dataclasses import dataclass
@@ -103,12 +107,16 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
-    R_eps^{-1}, the read-only (Nx, 2K, 2K) B stack of a static model (None
-    when each step assembles its own; rte's one S-matrix is broadcast), the
-    velocities scaled by eps dt/dx, and two (Nx, 2K) flat indices: ``f.take(incoming)``
-    gives interface i its incoming traces (f_{i-1}(+v), f_i(-v)), and
-    ``out.take(to_cells)`` puts each outgoing trace into the cell it enters
-    (cell i for +v, cell i-1 for -v)."""
+    R_eps^{-1}, the read-only B stack of a static model, B[a, b, i] =
+    B_i[a, b] of interface i with the interface axis last and contiguous
+    (None when each step assembles its own; rte's one S-matrix is broadcast
+    with stride 0 along i), the velocities scaled by eps dt/dx, and two flat
+    indices: ``f.take(incoming)`` gives the (2K, Nx) incoming traces
+    (f_{i-1}(+v), f_i(-v)) of interface i, ``f.take(incoming.T)`` the same
+    as (Nx, 2K), and ``out.take(to_cells)`` puts each outgoing trace of a
+    (2K, Nx) ``out`` into the (Nx, 2K) cell it enters (cell i for +v, cell
+    i-1 for -v).  From Nx = 2 on the static product sums over b left to
+    right."""
 
     model: object
     R_inv: np.ndarray
@@ -131,26 +139,25 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
     B = None
     if model.static:
         B = model.interfaces(grid.epsilon, grid.dx, None).B
-        B = np.broadcast_to(B, (grid.Nx,) + B.shape[1:])
-    K = grid.q.K
-    cell = np.arange(grid.Nx)[:, None]
+        B = np.broadcast_to(B.transpose(1, 2, 0).copy(), B.shape[1:] + (grid.Nx,))
+    K, Nx = grid.q.K, grid.Nx
+    cell = np.arange(Nx)[:, None]
     plus, minus = np.arange(K), np.arange(K, 2 * K)
     return StepOperator(
         model=model, R_inv=R_inv, B=B,
         scaled_v=(grid.epsilon * grid.dt / grid.dx) * np.concatenate([grid.q.nodes, grid.q.nodes]),
-        incoming=np.hstack([(cell - 1) % grid.Nx * 2 * K + plus, cell * 2 * K + minus]),
-        to_cells=np.hstack([cell * 2 * K + plus, (cell + 1) % grid.Nx * 2 * K + minus]),
+        incoming=np.hstack([(cell - 1) % Nx * 2 * K + plus, cell * 2 * K + minus]).T.copy(),
+        to_cells=np.hstack([plus * Nx + cell, minus * Nx + (cell + 1) % Nx]),
     )
 
 
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
     """One IMEX step; pure function grid -> grid.  The interfaces are
     assembled from the field S when given, else op's static stack is used."""
-    inc = grid.f.take(op.incoming)
     if S is None:
-        out = np.einsum("iab,ib->ia", op.B, inc)
+        out = np.einsum("abi,bi->ai", op.B, grid.f.take(op.incoming))
     else:
-        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(inc)
+        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(grid.f.take(op.incoming.T)).T
     rhs = grid.epsilon * grid.f + op.scaled_v * out.take(op.to_cells)
     fnew = rhs @ op.R_inv.T  # a non-finite rhs gives a non-finite fnew
     if not np.all(np.isfinite(fnew)):

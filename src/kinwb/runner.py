@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import loglog_slope
 from .errors import ConfigError, SolveFailure
 from .kinetic import phi_tanh
 from .macrolimit import sg_step
@@ -338,11 +339,7 @@ def ap_error_table(config: ExperimentConfig, epsilons):
             if not np.all(np.isfinite(ref)):
                 raise SolveFailure(f"eps={e:g}: the limit scheme produced a non-finite state")
         rows.append((e, float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))))
-    slope = None
-    if len({e for e, _ in rows}) >= 2:
-        le = np.log([r[0] for r in rows])
-        lg = np.log([max(r[1], 1e-300) for r in rows])
-        slope = float(np.polyfit(le, lg, 1)[0])
+    slope = loglog_slope(*zip(*rows)) if len({e for e, _ in rows}) >= 2 else None
     return rows, slope
 
 

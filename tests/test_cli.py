@@ -315,6 +315,20 @@ def test_verify_scopes(tmp_path, capsys):
     assert all(entry["passed"] for entry in data)
 
 
+@pytest.mark.parametrize("command, out", [
+    ("run", "taken"),  # an existing file where the directory goes
+    ("sweep", "taken/x"),  # a directory under a file
+    ("verify", "missing/r.json"),  # a report in a directory that is not there
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, out):
+    (tmp_path / "taken").write_text("a file\n")
+    path = write_config(tmp_path, t_final=2 * DX**2, epsilon_list=[1e-3, 1e-4])
+    args = ["--scope", "roots"] if command == "verify" else ["--config", str(path)]
+    assert main([command, *args, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and str(tmp_path) in err
+
+
 def snapshot_names(directory):
     return sorted(p.name for p in Path(directory).glob("snapshot_????.csv"))
 

@@ -283,15 +283,17 @@ def test_interface_helpers(q4):
     assert E[0] == 0.0
 
 
-def roll_rhs(grid, op, S=None):
+def roll_rhs(grid, op, S=None, outgoing=None):
     """The step's right-hand side as written with np.roll/np.hstack before the
-    gather indices; a dynamic model's outgoing traces come from its stack."""
+    gather indices; a dynamic model's outgoing traces come from its stack,
+    and ``outgoing``, when given, maps the (Nx, 2K) incoming traces to them."""
     K = grid.q.K
     f = grid.f
     incoming = np.hstack([np.roll(f[:, :K], 1, axis=0), f[:, K:]])
-    if S is None:
-        B = np.broadcast_to(op.B, (grid.Nx,) + op.B.shape[1:])
-        out = np.einsum("iab,ib->ia", B, incoming)
+    if outgoing is not None:
+        out = outgoing(incoming)
+    elif S is None:
+        out = np.einsum("abi,bi->ai", op.B, np.ascontiguousarray(incoming.T)).T
     else:
         out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(incoming)
     b = np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
@@ -331,6 +333,42 @@ def test_imex_step_bitwise_equals_roll_formula(name, K, nx, eps):
         assert np.array_equal(new.f, imex_step_roll(grid, op, S))
         assert not new.f.flags.writeable
         grid = new
+
+
+@pytest.mark.parametrize("nx", [1, 2, 17])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_static_b_stack_is_the_models_stack_interface_axis_last(K, nx):
+    model = _model("vfp", K, nx)  # a sinusoidal field: every interface differs
+    grid = make_grid(model, 1e-2, nx=nx, dx=1.0 / nx, dt=1.0 / nx**2)
+    B = step_operator(grid, model).B
+    assert B.shape == (2 * K, 2 * K, nx) and B.flags.c_contiguous and not B.flags.writeable
+    assert np.array_equal(np.moveaxis(B, -1, 0), model.interfaces(1e-2, 1.0 / nx, None).B)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-9])
+@pytest.mark.parametrize("nx", [1, 2, 17])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("name", ["rte", "vfp"])
+def test_static_step_agrees_with_interface_major_product(name, K, nx, eps):
+    # the bitwise test shares the step's contraction; this reference builds
+    # B inc from the model's (Nx, 2K, 2K) stack, summed in another order
+    model = _model(name, K, nx)
+    dx = 1.0 / nx
+    f = np.random.default_rng([K, nx]).uniform(0.5, 1.5, (nx, 2 * K))
+    grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
+    op = step_operator(grid, model)
+    B = np.broadcast_to(model.interfaces(eps, dx, None).B, (nx, 2 * K, 2 * K))
+    rhs = roll_rhs(grid, op, outgoing=lambda inc: np.einsum("iab,ib->ia", B, inc))
+    ref = rhs @ op.R_inv.T
+    gap = np.max(np.abs(imex_step(grid, op).f - ref)) / np.max(np.abs(ref))
+    assert gap <= 4 * np.finfo(float).eps, gap
+
+
+def test_rte_b_stack_is_one_broadcast_matrix():
+    nx, K = 1024, 16
+    model = _model("rte", K, nx)
+    B = step_operator(make_grid(model, 1e-2, nx=nx, dx=1.0 / nx, dt=1.0 / nx**2), model).B
+    assert B.shape == (2 * K, 2 * K, nx) and B.strides[-1] == 0
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
