@@ -12,11 +12,12 @@ field, so :func:`step_operator` inverts R_eps once per run.  The B terms
 carry the per-interface field dependence: a static model's B stack is built
 once per run, and a chemotaxis step takes the outgoing traces B inc from
 the interfaces it assembles (:meth:`InterfaceStack.outgoing`).  State layout
-per cell: (f(v_1..v_K), f(-v_1..-v_K)).  The static B stack is stored
-velocity-major, (2K, 2K, Nx) with the interface axis last, and the traces
-move as (2K, Nx), so the product B inc runs its inner loops over all Nx
-interfaces instead of over 2K velocities; from Nx = 2 on it sums over b
-left to right.
+per cell: (f(v_1..v_K), f(-v_1..-v_K)).  The static B stack, like a
+chemotaxis step's mode matrices, is stored velocity-major, (2K, 2K, Nx)
+with the interface axis last, and both branches move the traces as
+(2K, Nx), so the product B inc runs its inner loops over all Nx interfaces
+instead of over 2K velocities; from Nx = 2 on it sums over b left to
+right.
 """
 
 from dataclasses import dataclass
@@ -112,11 +113,11 @@ class StepOperator:
     (None when each step assembles its own; rte's one S-matrix is broadcast
     with stride 0 along i), the velocities scaled by eps dt/dx, and two flat
     indices: ``f.take(incoming)`` gives the (2K, Nx) incoming traces
-    (f_{i-1}(+v), f_i(-v)) of interface i, ``f.take(incoming.T)`` the same
-    as (Nx, 2K), and ``out.take(to_cells)`` puts each outgoing trace of a
-    (2K, Nx) ``out`` into the (Nx, 2K) cell it enters (cell i for +v, cell
-    i-1 for -v).  From Nx = 2 on the static product sums over b left to
-    right."""
+    (f_{i-1}(+v), f_i(-v)) of interface i, and ``out.take(to_cells)`` puts
+    each outgoing trace of a (2K, Nx) ``out`` into the (Nx, 2K) cell it
+    enters (cell i for +v, cell i-1 for -v).  Both step branches move their
+    traces in that layout.  From Nx = 2 on the static product sums over b
+    left to right."""
 
     model: object
     R_inv: np.ndarray
@@ -154,10 +155,11 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
     """One IMEX step; pure function grid -> grid.  The interfaces are
     assembled from the field S when given, else op's static stack is used."""
+    inc = grid.f.take(op.incoming)
     if S is None:
-        out = np.einsum("abi,bi->ai", op.B, grid.f.take(op.incoming))
+        out = np.einsum("abi,bi->ai", op.B, inc)
     else:
-        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(grid.f.take(op.incoming.T)).T
+        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(inc)
     rhs = grid.epsilon * grid.f + op.scaled_v * out.take(op.to_cells)
     fnew = rhs @ op.R_inv.T  # a non-finite rhs gives a non-finite fnew
     if not np.all(np.isfinite(fnew)):

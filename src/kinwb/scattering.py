@@ -16,15 +16,19 @@ normalisation keeps the mode matrix and the limit B^0 finite through zero
 slope, so no interface needs a separate flat-slope formula.  Fokker-Planck
 (:func:`vfp_interfaces`) has Hermite modes of its own.
 
-The mode matrices of M interfaces fill two (M, 2K, 2K) stacks N and Ntilde
-(:class:`InterfaceStack`).  A chemotaxis step reads them only through the
-outgoing traces B^eps inc, one batched solve with N per step; S^eps, B^eps
-and B^0 are built when they are read.  Every stack is guarded at
+The mode matrices of M interfaces fill two stacks N and Ntilde, stored
+(2K, 2K, M) with the interface axis last and C-contiguous, so that every
+elementwise formula and product runs its inner loop over the M interfaces;
+:class:`InterfaceStack` shows them as (M, 2K, 2K) views.  A chemotaxis step
+reads them only through the outgoing traces B^eps inc, one batched solve
+with N per step on (2K, M) traces; S^eps, B^eps and B^0 are built, as
+(M, 2K, 2K) stacks, when they are read.  Every stack is guarded at
 construction by the exact 1-norm condition number ||N||_1 ||N^{-1}||_1 of
 each interface.  The integral-collision assembly first tries a certificate
-from Y, the exact inverse of the eps -> 0 mode matrix, and inverts N only
-when Y does not certify it.  A single interface is a stack of one: its
-S-matrix is ``S[0]``.
+from Y, the exact inverse of the eps -> 0 mode matrix, which is built from
+the shared closure blocks and never formed, and inverts N only when Y does
+not certify it.  A single interface is a stack of one: its S-matrix is
+``S[0]``.
 
 The leading decomposition term is the anti-diagonal block S0 = I - zeta*gamma
 of the limit closure; it does not see the field, so one S0 serves every
@@ -81,13 +85,15 @@ class ClosureCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class InterfaceStack:
-    """Scattering data of M interfaces: the mode matrices N and Nt, shape
-    (M, 2K, 2K), of S = Nt N^{-1} = [[0, S0], [S0, 0]] + eps*B, with S0 the
-    closure's leading block.  B0 is the eps -> 0 limit of B, and B itself
-    below the switch, where it is built with the stack.  S, B and, above
-    the switch, B0 are built on first read; a step that reads only
-    :meth:`outgoing` builds none of them.  ``inverse`` is N^{-1} when the
-    condition guard had to compute it."""
+    """Scattering data of M interfaces: the mode matrices N and Nt of
+    S = Nt N^{-1} = [[0, S0], [S0, 0]] + eps*B, with S0 the closure's
+    leading block.  N and Nt read as (M, 2K, 2K); each is the view of a
+    C-contiguous (2K, 2K, M) array, ``N.transpose(1, 2, 0)``, which
+    :meth:`outgoing` contracts.  B0 is the eps -> 0 limit of B, and B
+    itself below the switch, where it is built with the stack.  S, B and,
+    above the switch, B0 are (M, 2K, 2K) arrays built on first read; a step
+    that reads only :meth:`outgoing` builds none of them.  ``inverse`` is
+    N^{-1} when the condition guard had to compute it."""
 
     epsilon: float
     N: np.ndarray
@@ -107,7 +113,9 @@ class InterfaceStack:
 
     @cached_property
     def S(self) -> np.ndarray:
-        return self.Nt @ (_inverse(self.N) if self.inverse is None else self.inverse)
+        # a contiguous Nt: a stacked matmul on the strided view is not BLAS's
+        inverse = _inverse(self.N) if self.inverse is None else self.inverse
+        return np.ascontiguousarray(self.Nt) @ inverse
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -116,16 +124,18 @@ class InterfaceStack:
         return (self.S - self.anti_S0) / self.epsilon
 
     def outgoing(self, inc: np.ndarray) -> np.ndarray:
-        """B @ inc of every interface, for incoming traces ``inc`` (M, 2K).
-        Above the switch it is (Nt N^{-1} inc - anti_S0 inc)/eps, with one
-        solve per interface unless the guard's inverse is at hand."""
+        """B inc of every interface for incoming traces ``inc`` (2K, M),
+        interface i in column i, as (2K, M).  Above the switch it is
+        (Nt N^{-1} inc - anti_S0 inc)/eps, with one solve per interface
+        unless the guard's inverse is at hand."""
         if self.below_switch:
-            return np.einsum("iab,ib->ia", self.B0, inc)
+            return np.einsum("iab,bi->ai", self.B0, inc)
         if self.inverse is None:
-            c = np.linalg.solve(self.N, inc[..., None])
+            c = np.linalg.solve(self.N, inc.T[..., None])
         else:
-            c = self.inverse @ inc[..., None]
-        return ((self.Nt @ c)[..., 0] - inc @ self.anti_S0.T) / self.epsilon
+            c = self.inverse @ inc.T[..., None]
+        Ntc = np.einsum("abi,bi->ai", self.Nt.transpose(1, 2, 0), np.ascontiguousarray(c[..., 0].T))
+        return (Ntc - self.anti_S0 @ inc) / self.epsilon
 
 
 def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndarray:
@@ -157,32 +167,56 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
     return X
 
 
-def _cond_bound(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Upper bounds of cond_1 of a stack A (M, n, n) from approximate
-    inverses Y: with rho = ||I - Y A||_1 < 1, ||A^{-1}||_1 <= ||Y||_1/(1 - rho).
-    rho is raised by 2n u ||Y||_1 ||A||_1, more than the rounding of Y A
-    (u the unit roundoff).  A member with rho > 1/2, or with a non-finite
-    bound, gets inf.  Subnormal entries of A, underflowed decay factors,
-    count as 0: that moves the bound by less than its rounding, and
-    arithmetic on them is slow."""
-    n = A.shape[-1]
-    ones = np.ones(n)
-    A = np.where(np.abs(A) < np.finfo(float).tiny, 0.0, A)
+def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
+    """Upper bounds of cond_1 of the chemotaxis mode matrices A (n, n, M),
+    interface axis last, n = 2K, from Y, :func:`_limit_inverse`'s exact
+    inverse of their eps -> 0 limit: with rho = ||I - Y A||_1 < 1,
+    ||A^{-1}||_1 <= ||Y||_1/(1 - rho).  A member with rho > 1/2, or with a
+    non-finite bound, gets inf.
+
+    Y is not formed.  With G = [gamma; beta] (K, K) and A_top, A_bot the
+    first and last K rows of A, Y A is G A_top in its first K rows, the
+    first K-1 rows of G A_bot below them, and (beta A_top - beta A_bot)/r
+    in the last: two GEMMs (K, K)(K, nM).  ||Y||_1 is the largest column
+    sum |G|_j + |beta_j|/|r|, from the first K columns.
+
+    rho is raised by 2n u ||Y||_1 ||A||_1 (u the unit roundoff), more than
+    the rounding of Y A.  Each entry of Y A is a sum of the products
+    y_j a_j along one row of Y, formed here with at most K + 2 roundings
+    (the K-term dot products, the difference, the division by r), so it is
+    off by at most gamma_{K+2} sum_j |y_j||a_j|, gamma_m = m u/(1 - m u);
+    a column of those sums is at most ||Y||_1 ||A||_1, and K + 2 <= 3K
+    < 2n for every K >= 1.  Subtracting I is exact (Sterbenz) wherever
+    rho <= 1/2.  Subnormal entries of A, underflowed decay factors, count
+    as 0 in the product: that moves the bound by less than its rounding,
+    and arithmetic on them is slow."""
+    n, M = A.shape[0], A.shape[-1]
+    K = n // 2
+    beta = closure.beta
+    G = np.vstack([closure.gamma, beta])
+    abs_A = np.abs(A)
+    A = np.where(abs_A < np.finfo(float).tiny, 0.0, A)
+    E = np.empty((n, n, M))
     with np.errstate(all="ignore"):  # a non-finite input only fails the bound
-        E = Y @ A
-        E.reshape(len(E), -1)[:, :: n + 1] -= 1.0  # E = Y A - I
-        norms = (ones @ np.abs(A)).max(axis=-1) * (ones @ np.abs(Y)).max(axis=-1)
-        rho = (ones @ np.abs(E, out=E)).max(axis=-1) + n * np.finfo(float).eps * norms
+        np.matmul(G, A[:K].reshape(K, -1), out=E[:K].reshape(K, -1))
+        bottom = (G @ A[K:].reshape(K, -1)).reshape(K, n, M)
+        E[K:-1] = bottom[:-1]
+        E[-1] = (E[K - 1] - bottom[-1]) / r
+        E.reshape(n * n, M)[:: n + 1] -= 1.0  # E = Y A - I
+        norm_Y = (np.abs(G).sum(axis=0)[:, None] + np.abs(beta)[:, None] / np.abs(r)).max(axis=0)
+        norms = abs_A.sum(axis=0).max(axis=0) * norm_Y
+        rho = np.abs(E, out=E).sum(axis=0).max(axis=0) + n * np.finfo(float).eps * norms
         bound = norms / (1.0 - rho)
     return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf)
 
 
-def _stack(epsilon, dx, closure, N, Nt, build_B0, Y=None) -> InterfaceStack:
-    """The stack of N, Nt after the condition guard.  Approximate inverses Y
-    certify the guard when :func:`_cond_bound` keeps every member within
-    the limit; otherwise :func:`_inverse` decides it exactly, and names the
-    member that fails."""
-    certified = Y is not None and bool(np.all(_cond_bound(N, Y) <= _COND_LIMIT))
+def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None) -> InterfaceStack:
+    """The stack of the mode matrices N, Nt (2K, 2K, M) after the condition
+    guard.  The chemotaxis zero-mode factors r certify the guard when
+    :func:`_cond_bound` keeps every member within the limit; otherwise
+    :func:`_inverse` decides it exactly, and names the member that fails."""
+    certified = r is not None and bool(np.all(_cond_bound(N, closure, r) <= _COND_LIMIT))
+    N, Nt = N.transpose(2, 0, 1), Nt.transpose(2, 0, 1)
     return InterfaceStack(
         epsilon, N, Nt, closure.anti_S0, epsilon < EPS_SWITCH_FACTOR * dx, build_B0,
         None if certified else _inverse(N),
@@ -190,12 +224,14 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, Y=None) -> InterfaceStack:
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:
-    """(M, 2K, 2K) stack from two block rows of column widths K-1, 1, K-1, 1."""
-    out = np.empty((M, 2 * K, 2 * K))
+    """(2K, 2K, M) stack, interface axis last, from two block rows of column
+    widths K-1, 1, K-1, 1; a block is (K, K-1, M) or (K, M), or broadcasts
+    to it."""
+    out = np.empty((2 * K, 2 * K, M))
     cols = (slice(0, K - 1), K - 1, slice(K, 2 * K - 1), 2 * K - 1)
     for rows, blocks in ((slice(0, K), top), (slice(K, 2 * K), bottom)):
         for c, block in zip(cols, blocks):
-            out[:, rows, c] = block
+            out[rows, c] = block
     return out
 
 
@@ -220,19 +256,22 @@ def rte_closure(q, lam: np.ndarray) -> ClosureCoefficients:
 
 
 def _chemo_matrices(epsilon, dx, v, phip, roots):
-    """Finite-eps mode matrices of M interfaces, phip (M, K), roots
-    (M, 2K-1); the middle-root column is scaled by -eps/lambda0, which
-    makes it the secular mode x - eps*v at zero slope."""
+    """Finite-eps mode matrices (2K, 2K, M) of M interfaces, phip (M, K),
+    roots (M, 2K-1); the middle-root column is scaled by -eps/lambda0, which
+    makes it the secular mode x - eps*v at zero slope.  Blocks are
+    (K, K-1, M): velocity, root, interface."""
     M, K = phip.shape
+    phip, roots = phip.T, roots.T
     Tp, Tn = 1.0 + epsilon * phip, 1.0 - epsilon * phip
-    lam_m = roots[:, : K - 1][:, ::-1]  # entry l pairs with -lam_p[l]
-    lam0 = roots[:, K - 1, None]
-    lam_p = roots[:, K:]
-    Elp = np.exp(-lam_p * dx / epsilon)[:, None, :]
-    Elm = np.exp(lam_m * dx / epsilon)[:, None, :]
-    vlp, vlm = v[:, None] * lam_p[:, None, :], v[:, None] * lam_m[:, None, :]
-    Pp, PpN = 1.0 / (Tp[:, :, None] - vlp), 1.0 / (Tn[:, :, None] + vlp)
-    Pm, PmN = 1.0 / (Tp[:, :, None] - vlm), 1.0 / (Tn[:, :, None] + vlm)
+    lam_m = roots[: K - 1][::-1]  # entry l pairs with -lam_p[l]
+    lam0 = roots[K - 1]
+    lam_p = roots[K:]
+    Elp = np.exp(-lam_p * dx / epsilon)
+    Elm = np.exp(lam_m * dx / epsilon)
+    vlp, vlm = v[:, None, None] * lam_p, v[:, None, None] * lam_m
+    Pp, PpN = 1.0 / (Tp[:, None] - vlp), 1.0 / (Tn[:, None] + vlp)
+    Pm, PmN = 1.0 / (Tp[:, None] - vlm), 1.0 / (Tn[:, None] + vlm)
+    v = v[:, None]  # the zero-mode columns are (K, M)
 
     B_dx = bernoulli(-lam0 * dx / epsilon)  # shared by the two x = dx columns
 
@@ -251,12 +290,13 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
 
 def _limit_inverse(closure, r) -> np.ndarray:
     """Y (M, 2K, 2K), the exact inverse of the eps -> 0 limit of the mode
-    matrices N of :func:`_chemo_matrices`, with r (M, 1) as in
+    matrices N of :func:`_chemo_matrices`, with r (M,) as in
     :func:`_chemo_B0`.  In the column groups of :func:`_assemble` that limit
     is [[P, 1, 0, 0], [0, 1, P, -r]], P = 1/(1 - v lambda0), and the closure
     inverts its diagonal blocks [P | 1]."""
     gamma, beta = closure.gamma, closure.beta
     M, K = len(r), len(beta)
+    r = r[:, None]
     Y = np.zeros((M, 2 * K, 2 * K))
     Y[:, : K - 1, :K] = gamma
     Y[:, K - 1, :K] = beta
@@ -266,7 +306,7 @@ def _limit_inverse(closure, r) -> np.ndarray:
     return Y
 
 
-def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r, Y) -> np.ndarray:
+def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r) -> np.ndarray:
     """Analytic limit of (S^eps - S^0)/eps via term-by-term differentiation.
 
     B^0 = A'(0) X - A^0 X N'(0) X with X the block inverse of the limit
@@ -276,22 +316,26 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r, Y) -> np.ndarray:
     r = (exp(-lambda0^1 dx) - 1)/lambda0^1 = -dx/B(-lambda0^1 dx), B the
     Bernoulli function: the formula holds through zero slope, where it is
     the radiative-transfer limit.  That column is -1 times the one of the
-    finite-eps N, so X is :func:`_limit_inverse`'s Y with the last row negated.
+    finite-eps N, so X is :func:`_limit_inverse`'s Y with the last row
+    negated.  The derivative blocks are assembled interface-last and the
+    products run on contiguous (M, 2K, 2K) copies.
     """
     M, K = phip.shape
     zeta0 = closure.zeta
-    q0 = np.exp(-lam01 * dx)[:, None]
-    Fm2 = 1.0 / (1.0 - np.outer(v, lam0)) ** 2
-    Fp2 = 1.0 / (1.0 + np.outer(v, lam0)) ** 2
-    DP = phip[:, :, None] - v[:, None] * lam1[:, None, :]
-    z = np.zeros((M, K, K - 1))
-    Np = _assemble(M, K, (-DP * Fm2, -phip, z, v), (z, phip, DP * Fm2, r * phip - q0 * v))
-    Ntp = _assemble(M, K, (z, -phip, -DP * Fp2, q0 * v - r * phip), (DP * Fp2, phip, z, -v))
-    Ap = Ntp - np.roll(Np, K, axis=1)
+    phip = phip.T
+    q0 = np.exp(-lam01 * dx)
+    Fm2 = (1.0 / (1.0 - np.outer(v, lam0)) ** 2)[:, :, None]
+    Fp2 = (1.0 / (1.0 + np.outer(v, lam0)) ** 2)[:, :, None]
+    DP = phip[:, None] - v[:, None, None] * lam1.T
+    v = v[:, None]
+    Np = _assemble(M, K, (-DP * Fm2, -phip, 0.0, v), (0.0, phip, DP * Fm2, r * phip - q0 * v))
+    Ntp = _assemble(M, K, (0.0, -phip, -DP * Fp2, q0 * v - r * phip), (DP * Fp2, phip, 0.0, -v))
+    Ap = np.ascontiguousarray((Ntp - np.roll(Np, K, axis=0)).transpose(2, 0, 1))
+    Np = np.ascontiguousarray(Np.transpose(2, 0, 1))
     A0 = np.zeros((2 * K, 2 * K))
     A0[K:, : K - 1] = -zeta0
     A0[:K, K : 2 * K - 1] = -zeta0
-    X = Y.copy()
+    X = _limit_inverse(closure, r)
     X[:, -1] = -X[:, -1]
     return Ap @ X - A0 @ X @ Np @ X
 
@@ -336,11 +380,10 @@ def chemo_interfaces(
         )
         roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
     N, Nt = _chemo_matrices(epsilon, dx, v, phip, roots)
-    r = (-dx / bernoulli(-lam01 * dx))[:, None]
-    Y = _limit_inverse(closure, r)
+    r = -dx / bernoulli(-lam01 * dx)
     return _stack(
         epsilon, dx, closure, N, Nt,
-        lambda: _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r, Y), Y,
+        lambda: _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r), r,
     )
 
 
@@ -368,7 +411,8 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
     psi_H is the space-homogeneous shifted Maxwellian; psi_D is the
     regularized drift combination (kappa/E)(psi_H - c*Psi_G) which tends to
     the secular mode (eps*v - x)*exp(-v^2/2kappa) as E -> 0.  E broadcasts
-    against v, so a column (M, 1) of fields gives (M, K) values.
+    against v, so M fields against a column (K, 1) of velocities give
+    (K, M) values.
     """
     m = vfp_psi0(0, v, kappa)
     psi_H = np.exp(-((v - epsilon * E) ** 2) / (2.0 * kappa))
@@ -383,17 +427,17 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
 
 
 def _vfp_matrices(epsilon, dx, v, E, kappa):
-    """Mode matrices of M interfaces with fields E (M,), column groups
-    [psi_+, psi_H, psi_-, psi_D]."""
+    """Mode matrices (2K, 2K, M) of M interfaces with fields E (M,), column
+    groups [psi_+, psi_H, psi_-, psi_D]."""
     M, K = len(E), len(v)
-    E = E[:, None]
+    v = v[:, None]
     # per damped family: values at +v, at -v, and the decay over the cell
-    fam = {s: np.empty((3, M, K, K - 1)) for s in (1, -1)}
+    fam = {s: np.empty((3, K, K - 1, M)) for s in (1, -1)}
     for l in range(1, K):
         for s, (at_p, at_n, decay) in fam.items():
-            at_p[..., l - 1] = vfp_psi(l, s, v, epsilon, E, kappa)
-            at_n[..., l - 1] = vfp_psi(l, s, -v, epsilon, E, kappa)
-            decay[..., l - 1] = np.exp(-s * vfp_mu(l, epsilon, E, kappa, s) * dx / epsilon)
+            at_p[:, l - 1] = vfp_psi(l, s, v, epsilon, E, kappa)
+            at_n[:, l - 1] = vfp_psi(l, s, -v, epsilon, E, kappa)
+            decay[:, l - 1] = np.exp(-s * vfp_mu(l, epsilon, E, kappa, s) * dx / epsilon)
     (pp, pn, ep), (mp, mn, em) = fam[1], fam[-1]
     hp, dp = _vfp_zero_columns(0.0, v, epsilon, E, kappa)
     hn, dn = _vfp_zero_columns(dx, -v, epsilon, E, kappa)

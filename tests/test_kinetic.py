@@ -295,7 +295,8 @@ def roll_rhs(grid, op, S=None, outgoing=None):
     elif S is None:
         out = np.einsum("abi,bi->ai", op.B, np.ascontiguousarray(incoming.T)).T
     else:
-        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(incoming)
+        stack = op.model.interfaces(grid.epsilon, grid.dx, S)
+        out = stack.outgoing(np.ascontiguousarray(incoming.T)).T
     b = np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
     Vd = np.concatenate([grid.q.nodes, grid.q.nodes])
     return grid.epsilon * f + (grid.epsilon * grid.dt / grid.dx) * Vd * b

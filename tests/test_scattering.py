@@ -370,7 +370,13 @@ VALUES = st.lists(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), min_size=1, max
 
 
 def assert_rows_match(stack, singles):
+    # N and Nt read as (M, 2K, 2K) views of C-contiguous arrays stored with
+    # the interface axis last; entry i is interface i's stack of one, bitwise
+    for A in (stack.N, stack.Nt):
+        assert A.shape == stack.S.shape and A.transpose(1, 2, 0).flags.c_contiguous
     for i, single in enumerate(singles):
+        assert np.array_equal(stack.N[i], single.N[0])
+        assert np.array_equal(stack.Nt[i], single.Nt[0])
         for got, want in (
             (stack.S[i], single.S[0]),
             (stack.B[i], single.B[0]),
@@ -572,7 +578,9 @@ def test_outgoing_matches_the_b_stack(K, eps):
     stack = chemo_interfaces(eps, dx, q, [0.0, 0.3, -1.1, 2.5], phi_tanh)
     inc = np.random.default_rng(K).uniform(0.5, 1.5, (4, 2 * K))
     ref = np.einsum("iab,ib->ia", stack.B, inc)
-    gap = np.max(np.abs(stack.outgoing(inc) - ref)) / np.max(np.abs(ref))
+    out = stack.outgoing(np.ascontiguousarray(inc.T))
+    assert out.shape == (2 * K, 4)
+    gap = np.max(np.abs(out.T - ref)) / np.max(np.abs(ref))
     assert gap <= 1e3 * np.finfo(float).eps / 2.0 / eps
 
 
@@ -587,8 +595,8 @@ def test_limit_inverse_certificate_bounds_the_exact_guard(K, eps, dx, slope):
     bounds = []
     original = scattering._cond_bound
 
-    def recorded(A, Y):
-        bounds.append((A, original(A, Y)))
+    def recorded(A, closure, r):
+        bounds.append((A.transpose(2, 0, 1), original(A, closure, r)))
         return bounds[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -609,6 +617,62 @@ def test_limit_inverse_certificate_bounds_the_exact_guard(K, eps, dx, slope):
     else:
         assert stack is not None
         assert (stack.inverse is None) == bool(np.all(bound <= _COND_LIMIT))
+
+
+def explicit_cond_bound(A, Y):
+    """The certificate with the limit inverse Y (M, n, n) materialised and
+    Y A multiplied out, A (M, n, n): the reference of the structured
+    :func:`scattering._cond_bound`.  Returns the bounds, rho and
+    ||Y||_1 ||A||_1 of every member."""
+    n = A.shape[-1]
+    ones = np.ones(n)
+    A = np.where(np.abs(A) < np.finfo(float).tiny, 0.0, A)
+    with np.errstate(all="ignore"):
+        E = Y @ A
+        E.reshape(len(E), -1)[:, :: n + 1] -= 1.0  # E = Y A - I
+        norms = (ones @ np.abs(A)).max(axis=-1) * (ones @ np.abs(Y)).max(axis=-1)
+        rho = (ones @ np.abs(E, out=E)).max(axis=-1) + n * np.finfo(float).eps * norms
+        bound = norms / (1.0 - rho)
+    return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf), rho, norms
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(1, 16), eps=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+       dx=st.floats(-3.0, 2.0).map(lambda e: 10.0**e), slope=st.floats(-3.0, 3.0))
+@example(K=4, eps=5e-5, dx=1.0 / 256.0, slope=0.7)  # certified
+@example(K=4, eps=1e-1, dx=1.0 / 64.0, slope=0.7)  # falls back on the inverse
+@example(K=2, eps=1e-3, dx=64.0, slope=-2.5)  # ill-conditioned, uncertified
+@example(K=1, eps=1e-9, dx=32.0, slope=-1.0)  # ill-conditioned, a finite bound past the limit
+def test_structured_certificate_matches_the_explicit_product(K, eps, dx, slope):
+    # the two products of Y A round differently, each within the allowance
+    # a = 2n u ||Y||_1 ||A||_1 that rho carries, so the bounds agree to a
+    # few ulps plus a/(1 - rho): a few ulps where ||Y||_1 ||A||_1 is small
+    recorded = []
+    original = scattering._cond_bound
+
+    def record(A, closure, r):
+        recorded.append((A, closure, r, original(A, closure, r)))
+        return recorded[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scattering, "_cond_bound", record)
+        try:
+            chemo_interfaces(eps, dx, gauss_symmetric(K), [0.0, slope], phi_tanh)
+        except IllConditioned:
+            pass
+    (A, closure, r, bound), = recorded
+    Y = scattering._limit_inverse(closure, r)
+    ref, rho, norms = explicit_cond_bound(np.ascontiguousarray(A.transpose(2, 0, 1)), Y)
+    ulp = np.finfo(float).eps
+    allowance = 2 * K * ulp * norms
+    tol = 4 * ulp + allowance / (1.0 - np.minimum(rho, 0.5))
+    note(f"bound {bound}, reference {ref}, rho {rho}, tolerance {tol}")
+    edge = np.abs(rho - 0.5) <= allowance  # rho within rounding of the 1/2 cut
+    assert np.array_equal(np.isfinite(bound)[~edge], np.isfinite(ref)[~edge])
+    both = np.isfinite(bound) & np.isfinite(ref)
+    assert np.all(np.abs(bound[both] - ref[both]) <= tol[both] * ref[both])
+    edge |= np.abs(ref - _COND_LIMIT) <= tol * _COND_LIMIT
+    assert np.array_equal((bound <= _COND_LIMIT)[~edge], (ref <= _COND_LIMIT)[~edge])
 
 
 def test_vfp_b0_built_only_when_read(monkeypatch, qv3):
