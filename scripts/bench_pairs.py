@@ -19,10 +19,12 @@ directory.  The workloads and the run length are those of the change's
 
 one after the other: the parent first on even seeds, the change first on
 odd ones, one run at a time.  After those pairs each tree runs every
-workload once more with ``--trace 1`` on the first seed, and the JSON keeps
-each side's ``step_ms_attribution``: the step time split by layer.  Then
-the tier-1 suite runs in both trees,
-alternating, ``TIER1_RUNS`` times each.  The JSON holds, per workload and
+workload again with ``--trace 1`` on the first ``TRACED_SEEDS`` seeds,
+paired in the same order, and the JSON keeps each side's
+``step_ms_attribution``, the step time split by layer, as the median of
+each layer over those runs (a layer missing from a run counts 0).  Then
+the tier-1 suite runs in both trees, alternating, ``TIER1_RUNS`` times
+each.  The JSON holds, per workload and
 end-to-end metric of ``BENCHMARK.json``, every run, the median and quartiles
 of each side (``numpy.percentile``, linear), the pairs the change won, the
 relative change of the median and the parent's quartile spread; then the
@@ -44,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 TIER1_RUNS = 3
+TRACED_SEEDS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_COMMAND = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
 
@@ -112,6 +115,17 @@ def line_counts(tree: Path) -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
+def order(seed: int) -> tuple[str, str]:
+    """The two sides in the order they run on ``seed``."""
+    return ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+
+
+def layer_medians(runs: list) -> dict:
+    """The per-layer median of several ``step_ms_attribution`` dicts."""
+    layers = sorted({layer for run in runs for layer in run})
+    return {layer: float(np.median([run.get(layer, 0.0) for run in runs])) for layer in layers}
+
+
 def side(runs: list) -> dict:
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
@@ -151,8 +165,7 @@ def main(argv=None) -> int:
         environment = None
         for workload in workloads:
             for seed in args.seeds:
-                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-                for name in order:
+                for name in order(seed):
                     result, info = bench(trees[name], workload, seed, seconds)
                     results[workload][name].append(result)
                     if name == "change" and environment is None:
@@ -160,15 +173,19 @@ def main(argv=None) -> int:
                     step = result["metrics"].get("step_ms", {}).get("value")
                     print(f"{workload} seed {seed} {name}: step_ms {step}", file=sys.stderr)
         attribution = {}
+        traced_seeds = args.seeds[:TRACED_SEEDS]
         for workload in workloads:
-            attribution[workload] = {"seed": args.seeds[0]}
-            for name in ("parent", "change"):
-                _, info = bench(trees[name], workload, args.seeds[0], seconds, trace=1)
-                attribution[workload][name] = info["step_ms_attribution"]
-                print(f"{workload} traced {name}: done", file=sys.stderr)
+            traced = {"parent": [], "change": []}
+            for seed in traced_seeds:
+                for name in order(seed):
+                    _, info = bench(trees[name], workload, seed, seconds, trace=1)
+                    traced[name].append(info["step_ms_attribution"])
+                    print(f"{workload} seed {seed} traced {name}: done", file=sys.stderr)
+            attribution[workload] = {"seeds": traced_seeds,
+                                     **{name: layer_medians(runs) for name, runs in traced.items()}}
         tier1_runs = {"parent": [], "change": []}
         for i in range(TIER1_RUNS):
-            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            for name in order(i):
                 tier1_runs[name].append(tier1(trees[name]))
                 print(f"tier-1 {name}: {tier1_runs[name][-1]}", file=sys.stderr)
         lines = {name: line_counts(tree) for name, tree in trees.items()}
@@ -181,8 +198,9 @@ def main(argv=None) -> int:
                  "the change on odd seeds; one run at a time",
         "quartiles": "numpy.percentile 25/50/75, linear interpolation, over the runs of one side",
         "host": f"{args.host}; setup_s and step_ms are host-scaled by the harness",
-        "attribution": "ms per step by layer, from one --trace 1 run per side and "
-                       "workload on the first seed, after the pairs",
+        "attribution": "ms per step by layer, the median of each layer over --trace 1 runs "
+                       "on the first seeds listed with it, paired like the timed runs, "
+                       "after the pairs",
         "revisions": revisions,
         "environment": environment,
         "workloads": {},

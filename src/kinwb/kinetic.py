@@ -105,19 +105,30 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
     return phi(np.outer(np.asarray(grads, dtype=float), v)) @ (w * v)
 
 
+def trace_indices(Nx: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat indices of a step on Nx cells: ``f.take(incoming)``
+    gives the (2K, Nx) incoming traces (f_{i-1}(+v), f_i(-v)) of interface
+    i, and ``out.take(to_cells)`` puts each outgoing trace of a (2K, Nx)
+    ``out`` into the (Nx, 2K) cell it enters (cell i for +v, cell i-1 for
+    -v).  They see only (Nx, K), so a model builds them once per grid size."""
+    cell = np.arange(Nx)[:, None]
+    plus, minus = np.arange(K), np.arange(K, 2 * K)
+    incoming = np.hstack([(cell - 1) % Nx * 2 * K + plus, cell * 2 * K + minus]).T.copy()
+    # writeable: ``take`` copies an index array that is not, at every step
+    return incoming, np.hstack([plus * Nx + cell, minus * Nx + (cell + 1) % Nx])
+
+
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
     R_eps^{-1}, the read-only B stack of a static model, B[a, b, i] =
     B_i[a, b] of interface i with the interface axis last and contiguous
     (None when each step assembles its own; rte's one S-matrix is broadcast
-    with stride 0 along i), the velocities scaled by eps dt/dx, and two flat
-    indices: ``f.take(incoming)`` gives the (2K, Nx) incoming traces
-    (f_{i-1}(+v), f_i(-v)) of interface i, and ``out.take(to_cells)`` puts
-    each outgoing trace of a (2K, Nx) ``out`` into the (Nx, 2K) cell it
-    enters (cell i for +v, cell i-1 for -v).  Both step branches move their
-    traces in that layout.  From Nx = 2 on the static product sums over b
-    left to right."""
+    with stride 0 along i), the velocities scaled by eps dt/dx, and
+    ``incoming``, ``to_cells``: the :func:`trace_indices` of the grid, which
+    the model builds once per grid size and every operator on it shares.
+    Both step branches move their traces in that layout.  From Nx = 2 on
+    the static product sums over b left to right."""
 
     model: object
     R_inv: np.ndarray
@@ -139,16 +150,15 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
         raise SolveFailure(f"R_eps is singular at eps={grid.epsilon:g}") from None
     B = None
     if model.static:
-        B = model.interfaces(grid.epsilon, grid.dx, None).B
-        B = np.broadcast_to(B.transpose(1, 2, 0).copy(), B.shape[1:] + (grid.Nx,))
-    K, Nx = grid.q.K, grid.Nx
-    cell = np.arange(Nx)[:, None]
-    plus, minus = np.arange(K), np.arange(K, 2 * K)
+        B = model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0).copy()
+        if B.shape[-1] != grid.Nx:  # one interface serves the grid
+            B = np.broadcast_to(B, B.shape[:-1] + (grid.Nx,))
+        B.flags.writeable = False
+    incoming, to_cells = model.traces(grid.Nx)
     return StepOperator(
         model=model, R_inv=R_inv, B=B,
         scaled_v=(grid.epsilon * grid.dt / grid.dx) * np.concatenate([grid.q.nodes, grid.q.nodes]),
-        incoming=np.hstack([(cell - 1) % Nx * 2 * K + plus, cell * 2 * K + minus]).T.copy(),
-        to_cells=np.hstack([plus * Nx + cell, minus * Nx + (cell + 1) % Nx]),
+        incoming=incoming, to_cells=to_cells,
     )
 
 

@@ -26,19 +26,32 @@ from .kinetic import (
     imex_step,
     interface_grad,
     step_operator,
+    trace_indices,
 )
 from .quadrature import VelocityQuadrature
 from .scattering import chemo_interfaces, rte_closure, vfp_closure, vfp_interfaces
-from .spectral import _all_roots_multi, dispersion_roots
+from .spectral import _all_roots_multi, dispersion_roots, shift_weights
 from .twostream import ts_step
 
 log = logging.getLogger("kinwb")
 
 
 class _Kinetic:
-    """The general IMEX march over interface scattering matrices."""
+    """The general IMEX march over interface scattering matrices.  What sees
+    neither eps nor the field is built once per model: the closure, and the
+    trace indices of each grid size it marches."""
 
     static = True  # the interfaces stay the same for the whole run
+
+    def __init__(self, q, D: float, closure):
+        self.q, self.D, self.closure = q, D, closure
+        self._traces = {}  # Nx -> trace_indices(Nx, K)
+
+    def traces(self, Nx: int):
+        """:func:`kinetic.trace_indices` on Nx cells, built once per grid size."""
+        if Nx not in self._traces:
+            self._traces[Nx] = trace_indices(Nx, self.q.K)
+        return self._traces[Nx]
 
     def field(self, rho: np.ndarray, dx: float):
         return None
@@ -72,10 +85,9 @@ class Rte(_Kinetic):
     quadrature's second moment.  One interface serves the whole grid."""
 
     def __init__(self, q):
-        self.q = q
-        self.D = q.second_moment
         self.base = dispersion_roots(q)
-        self.closure = rte_closure(q, self.base)
+        super().__init__(q, q.second_moment, rte_closure(q, self.base))
+        self.shifts = shift_weights(q, self.base)
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -90,7 +102,7 @@ class Rte(_Kinetic):
 
     def interfaces(self, eps: float, dx: float, S):
         return chemo_interfaces(
-            eps, dx, self.q, [0.0], np.zeros_like, self.base, self.closure, self.roots
+            eps, dx, self.q, [0.0], np.zeros_like, self.base, self.closure, self.roots, self.shifts
         )
 
 
@@ -113,7 +125,9 @@ class Chemo(Rte):
 
     def interfaces(self, eps: float, dx: float, S: np.ndarray):
         grads = interface_grad(S, dx)
-        return chemo_interfaces(eps, dx, self.q, grads, self.phi, self.base, self.closure)
+        return chemo_interfaces(
+            eps, dx, self.q, grads, self.phi, self.base, self.closure, shifts=self.shifts
+        )
 
 
 class Vfp(_Kinetic):
@@ -121,10 +135,8 @@ class Vfp(_Kinetic):
     interfaces x_{j-1/2}); D is the quadrature's kappa."""
 
     def __init__(self, q, E_half: np.ndarray):
-        self.q = q
-        self.D = q.kappa
+        super().__init__(q, q.kappa, vfp_closure(q))
         self.E_half = E_half
-        self.closure = vfp_closure(q)
 
     def drift(self, S, dx: float) -> np.ndarray:
         return self.E_half

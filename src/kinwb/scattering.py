@@ -67,7 +67,9 @@ class ClosureCoefficients:
     density, beta its Maxwellian coefficient, and zeta converts damped-mode
     coefficients back to an odd-in-v density.  They satisfy
     gamma @ basis = I, gamma @ maxwellian = 0, beta @ basis = 0,
-    beta @ maxwellian = 1.
+    beta @ maxwellian = 1.  What is derived from them sees no field either,
+    so a model builds it once: S0 and anti_S0 serve every S-matrix, G and
+    its column sums every certificate of :func:`_cond_bound`.
     """
 
     zeta: np.ndarray
@@ -75,12 +77,17 @@ class ClosureCoefficients:
     beta: np.ndarray
     S0: np.ndarray = field(init=False)  # the leading scattering block I - zeta*gamma
     anti_S0: np.ndarray = field(init=False)  # [[0, S0], [S0, 0]], every S at eps = 0
+    G: np.ndarray = field(init=False)  # [gamma; beta], (K, K)
+    abs_G_sums: np.ndarray = field(init=False)  # |G|_j, the column sums of |G|
 
     def __post_init__(self):
         S0 = np.eye(self.zeta.shape[0]) - self.zeta @ self.gamma
         Z = np.zeros_like(S0)
+        G = np.vstack([self.gamma, self.beta])
         object.__setattr__(self, "S0", S0)
         object.__setattr__(self, "anti_S0", np.block([[Z, S0], [S0, Z]]))
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "abs_G_sums", np.abs(G).sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +199,7 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
     and arithmetic on them is slow."""
     n, M = A.shape[0], A.shape[-1]
     K = n // 2
-    beta = closure.beta
-    G = np.vstack([closure.gamma, beta])
+    beta, G = closure.beta, closure.G
     abs_A = np.abs(A)
     A = np.where(abs_A < np.finfo(float).tiny, 0.0, A)
     E = np.empty((n, n, M))
@@ -203,7 +209,7 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
         E[K:-1] = bottom[:-1]
         E[-1] = (E[K - 1] - bottom[-1]) / r
         E.reshape(n * n, M)[:: n + 1] -= 1.0  # E = Y A - I
-        norm_Y = (np.abs(G).sum(axis=0)[:, None] + np.abs(beta)[:, None] / np.abs(r)).max(axis=0)
+        norm_Y = (closure.abs_G_sums[:, None] + np.abs(beta)[:, None] / np.abs(r)).max(axis=0)
         norms = abs_A.sum(axis=0).max(axis=0) * norm_Y
         rho = np.abs(E, out=E).sum(axis=0).max(axis=0) + n * np.finfo(float).eps * norms
         bound = norms / (1.0 - rho)
@@ -263,6 +269,7 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
     M, K = phip.shape
     phip, roots = phip.T, roots.T
     Tp, Tn = 1.0 + epsilon * phip, 1.0 - epsilon * phip
+    inv_Tp, inv_Tn = 1.0 / Tp, 1.0 / Tn
     lam_m = roots[: K - 1][::-1]  # entry l pairs with -lam_p[l]
     lam0 = roots[K - 1]
     lam_p = roots[K:]
@@ -274,17 +281,15 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
     v = v[:, None]  # the zero-mode columns are (K, M)
 
     B_dx = bernoulli(-lam0 * dx / epsilon)  # shared by the two x = dx columns
+    # the zero mode (-eps/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at
+    # lam0 -> 0, at x = 0 and x = dx: T = Tp, vv = v on the +v rows and T = Tn,
+    # vv = -v on the -v rows; at x = 0 the term T x/bernoulli(0) is exactly 0
+    den_p, den_n = Tp * (Tp - lam0 * v), Tn * (Tn - lam0 * -v)
+    zero_p = ((0.0 - epsilon * v) / den_p, (Tp * dx / B_dx - epsilon * v) / den_p)
+    zero_n = ((0.0 - epsilon * -v) / den_n, (Tn * dx / B_dx - epsilon * -v) / den_n)
 
-    def zero_col(x, vv, T):
-        # (-eps/lam0)[exp(-lam0 x/eps)/(T - lam0 vv) - 1/T], stable at lam0 -> 0;
-        # x is 0 or dx, and at x = 0 the term T x/bernoulli(0) is exactly 0
-        secular = T * dx / B_dx if x else 0.0
-        return (secular - epsilon * vv) / (T * (T - lam0 * vv))
-
-    N = _assemble(M, K, (Pp, 1.0 / Tp, Pm * Elm, zero_col(0.0, v, Tp)),
-                  (PpN * Elp, 1.0 / Tn, PmN, zero_col(dx, -v, Tn)))
-    Nt = _assemble(M, K, (Pp * Elp, 1.0 / Tp, Pm, zero_col(dx, v, Tp)),
-                   (PpN, 1.0 / Tn, PmN * Elm, zero_col(0.0, -v, Tn)))
+    N = _assemble(M, K, (Pp, inv_Tp, Pm * Elm, zero_p[0]), (PpN * Elp, inv_Tn, PmN, zero_n[1]))
+    Nt = _assemble(M, K, (Pp * Elp, inv_Tp, Pm, zero_p[1]), (PpN, inv_Tn, PmN * Elm, zero_n[0]))
     return N, Nt
 
 
@@ -349,6 +354,7 @@ def chemo_interfaces(
     base: np.ndarray | None = None,
     closure: ClosureCoefficients | None = None,
     roots: np.ndarray | None = None,
+    shifts: tuple | None = None,
 ) -> InterfaceStack:
     """Chemotaxis decompositions for a stack of interface slopes.
 
@@ -356,9 +362,10 @@ def chemo_interfaces(
     each seeded from the first-order expansion lambda0 + eps*lambda1 (the
     negative branch is the mirror image under phi -> -phi); the limit
     closure (gradS-independent) is shared.  ``base`` holds the even-rate
-    roots of :func:`dispersion_roots` and ``roots`` the finite-eps ones
-    (M, 2K-1), each solved here when None.  Radiative transfer is this
-    assembly at slope 0 with phi = 0.
+    roots of :func:`dispersion_roots`, ``shifts`` their
+    :func:`shift_weights` and ``roots`` the finite-eps ones (M, 2K-1), each
+    computed here when None; a model passes the ones it built once.
+    Radiative transfer is this assembly at slope 0 with phi = 0.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
@@ -373,7 +380,7 @@ def chemo_interfaces(
     lam0 = dispersion_roots(q) if base is None else base
     if closure is None:
         closure = rte_closure(q, lam0)
-    lam01, lam1 = first_order_shifts(q, lam0, phip)
+    lam01, lam1 = first_order_shifts(q, lam0, phip, shifts)
     if roots is None:
         guess = np.hstack(
             [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]
@@ -412,7 +419,8 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
     regularized drift combination (kappa/E)(psi_H - c*Psi_G) which tends to
     the secular mode (eps*v - x)*exp(-v^2/2kappa) as E -> 0.  E broadcasts
     against v, so M fields against a column (K, 1) of velocities give
-    (K, M) values.
+    (K, M) values; psi_H does not see x, and psi_D broadcasts x against
+    both.
     """
     m = vfp_psi0(0, v, kappa)
     psi_H = np.exp(-((v - epsilon * E) ** 2) / (2.0 * kappa))
@@ -428,23 +436,24 @@ def _vfp_zero_columns(x, v, epsilon, E, kappa):
 
 def _vfp_matrices(epsilon, dx, v, E, kappa):
     """Mode matrices (2K, 2K, M) of M interfaces with fields E (M,), column
-    groups [psi_+, psi_H, psi_-, psi_D]."""
+    groups [psi_+, psi_H, psi_-, psi_D].
+
+    One broadcast pass evaluates every damped family l = 1..K-1 of both
+    signs at +v and -v, on axes (sign, side, velocity, family, interface),
+    with one Hermite recurrence up to order K-1; the decay factors over the
+    cell take (sign, family, interface), and the zero modes are evaluated
+    once on (x, side) = ({0, dx}, {+v, -v}).  Every element sees the
+    operations of :func:`vfp_psi` and :func:`vfp_mu` on its own (l, sign)."""
     M, K = len(E), len(v)
-    v = v[:, None]
-    # per damped family: values at +v, at -v, and the decay over the cell
-    fam = {s: np.empty((3, K, K - 1, M)) for s in (1, -1)}
-    for l in range(1, K):
-        for s, (at_p, at_n, decay) in fam.items():
-            at_p[:, l - 1] = vfp_psi(l, s, v, epsilon, E, kappa)
-            at_n[:, l - 1] = vfp_psi(l, s, -v, epsilon, E, kappa)
-            decay[:, l - 1] = np.exp(-s * vfp_mu(l, epsilon, E, kappa, s) * dx / epsilon)
-    (pp, pn, ep), (mp, mn, em) = fam[1], fam[-1]
-    hp, dp = _vfp_zero_columns(0.0, v, epsilon, E, kappa)
-    hn, dn = _vfp_zero_columns(dx, -v, epsilon, E, kappa)
-    N = _assemble(M, K, (pp, hp, mp * em, dp), (pn * ep, hn, mn, dn))
-    hp, dp = _vfp_zero_columns(dx, v, epsilon, E, kappa)
-    hn, dn = _vfp_zero_columns(0.0, -v, epsilon, E, kappa)
-    Nt = _assemble(M, K, (pp * ep, hp, mp, dp), (pn, hn, mn * em, dn))
+    ell = np.arange(1, K)[:, None]  # (family, interface)
+    sign = np.array([1, -1])[:, None, None]  # (sign, family, interface)
+    sides = np.stack([v, -v])[:, :, None]  # (side, velocity, interface)
+    (pp, pn), (mp, mn) = vfp_psi(ell, sign[:, None, None], sides[..., None], epsilon, E, kappa)
+    ep, em = np.exp(-sign * vfp_mu(ell, epsilon, E, kappa, sign) * dx / epsilon)
+    x = np.array([0.0, dx])[:, None, None, None]  # (x, side, velocity, interface)
+    (hp, hn), ((dp0, dn0), (dp1, dn1)) = _vfp_zero_columns(x, sides, epsilon, E, kappa)
+    N = _assemble(M, K, (pp, hp, mp * em, dp0), (pn * ep, hn, mn, dn1))
+    Nt = _assemble(M, K, (pp * ep, hp, mp, dp1), (pn, hn, mn * em, dn0))
     return N, Nt
 
 

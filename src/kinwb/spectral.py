@@ -33,18 +33,22 @@ _ROOT_RTOL = 1e-14
 _ROOT_MAXIT = 200
 
 
-def hermite_poly(ell: int, x):
-    """Physicists' Hermite polynomial H_ell via H_{l+1} = 2x H_l - 2l H_{l-1}."""
-    if ell < 0 or ell > _MAX_HERMITE:
+def hermite_poly(ell, x):
+    """Physicists' Hermite polynomial H_ell via H_{l+1} = 2x H_l - 2l H_{l-1}.
+
+    An integer array ``ell`` broadcasts against x: one recurrence runs up to
+    the largest order and every element keeps the order it asks for, so it
+    sees the operations of its own scalar recurrence."""
+    ell = np.asarray(ell)
+    orders = ell.ravel().tolist() or [0]  # Python ints: cheap for a scalar ell
+    if min(orders) < 0 or max(orders) > _MAX_HERMITE:
         raise ValueError(f"ell must be in [0, {_MAX_HERMITE}], got {ell}")
     x = np.asarray(x, dtype=float)
-    h = np.ones_like(x)
-    if ell == 0:
-        return h if h.ndim else float(h)
-    hm, h = h, 2.0 * x
-    for n in range(1, ell):
-        hm, h = h, 2.0 * x * h - 2.0 * n * hm
-    return h if h.ndim else float(h)
+    h = out = np.ones_like(x)
+    for n in range(max(orders)):  # h becomes H_{n+1}
+        hm, h = h, (2.0 * x * h - 2.0 * n * hm if n else 2.0 * x)
+        out = np.where(ell == n + 1, h, out) if ell.ndim else h
+    return out if out.ndim else float(out)
 
 
 def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):
@@ -107,7 +111,19 @@ def dispersion_roots(q: "VelocityQuadrature") -> np.ndarray:
     return _all_roots_multi(q.nodes, q.weights, ones, ones)[0, q.K :]
 
 
-def first_order_shifts(q: "VelocityQuadrature", lam0, phip):
+def shift_weights(q: "VelocityQuadrature", lam0):
+    """The parts of :func:`first_order_shifts` that see no field, once per
+    velocity set: w v, the (K-1, K) weights w v (1/(1 - lambda^0 v)^2 +
+    1/(1 + lambda^0 v)^2) of S_phi, and S_v (K-1,)."""
+    v, w = q.nodes, q.weights
+    wv = w * v
+    Lm, Lp = 1 - np.outer(lam0, v), 1 + np.outer(lam0, v)
+    # full +-K sums; the k -> -k half folds with phi odd
+    Sv = np.sum(wv / Lm**2, axis=1) - np.sum(wv / Lp**2, axis=1)
+    return wv, wv * (1.0 / Lm**2 + 1.0 / Lp**2), Sv
+
+
+def first_order_shifts(q: "VelocityQuadrature", lam0, phip, weights=None):
     """First-order eigenvalue shifts for the tumbling rate
     T_eps = 1 + eps*phi(v*gradS), one row per slope.
 
@@ -122,15 +138,12 @@ def first_order_shifts(q: "VelocityQuadrature", lam0, phip):
         lambda_l^1 = lambda_l^0 * S_phi(l) / S_v(l),
 
     with S_v, S_phi the +-K sums of w v/(1 -+ lambda^0 v)^2 against 1 and
-    phi respectively.  Returns lambda0^1 (M,) and lambda_l^1 (M, K-1).
+    phi respectively.  ``weights`` are :func:`shift_weights` of (q, lam0),
+    computed here when None.  Returns lambda0^1 (M,) and lambda_l^1 (M, K-1).
     """
-    v, w = q.nodes, q.weights
-    wv = w * v
-    Lm, Lp = 1 - np.outer(lam0, v), 1 + np.outer(lam0, v)
-    # full +-K sums; the k -> -k half folds with phi odd
-    Sv = np.sum(wv / Lm**2, axis=1) - np.sum(wv / Lp**2, axis=1)
+    wv, W, Sv = shift_weights(q, lam0) if weights is None else weights
     # einsum, unlike BLAS, gives every row the same result in any batch
-    Sphi = np.einsum("mk,lk->ml", phip, wv * (1.0 / Lm**2 + 1.0 / Lp**2))
+    Sphi = np.einsum("mk,lk->ml", phip, W)
     return np.einsum("mk,k->m", phip, wv) / q.second_moment, lam0 * Sphi / Sv
 
 
@@ -139,16 +152,18 @@ def first_order_shifts(q: "VelocityQuadrature", lam0, phip):
 # ---------------------------------------------------------------------------
 
 
-def vfp_mu(ell: int, epsilon: float, E: float, kappa: float, sign: int) -> float:
-    """Spatial decay rate mu_{+-ell} of the ell-th Fokker-Planck mode."""
+def vfp_mu(ell, epsilon: float, E, kappa: float, sign):
+    """Spatial decay rate mu_{+-ell} of the ell-th Fokker-Planck mode; ell,
+    E and sign broadcast."""
     return (-epsilon * E + sign * np.sqrt((epsilon * E) ** 2 + 4.0 * kappa * ell)) / (
         2.0 * kappa
     )
 
 
-def vfp_psi(ell: int, sign: int, v, epsilon: float, E: float, kappa: float):
-    """Finite-eps mode psi_{+-ell}(v) for ell >= 1."""
-    if ell < 1:
+def vfp_psi(ell, sign, v, epsilon: float, E, kappa: float):
+    """Finite-eps mode psi_{+-ell}(v) for ell >= 1; integer arrays ell and
+    sign broadcast against v and E, every element evaluated as alone."""
+    if np.any(np.asarray(ell) < 1):
         raise ValueError("vfp_psi handles ell >= 1; zero modes are E-branch specific")
     v = np.asarray(v, dtype=float)
     mu = vfp_mu(ell, epsilon, E, kappa, sign)

@@ -15,6 +15,11 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
+def test_layer_medians_count_a_missing_layer_as_zero():
+    runs = [{"a": 1.0, "b": 4.0}, {"a": 3.0}, {"a": 2.0, "b": 2.0}]
+    assert bench_pairs.layer_medians(runs) == {"a": 2.0, "b": 2.0}
+
+
 def test_seed_list_forms():
     assert bench_pairs.seed_list("60-63") == [60, 61, 62, 63]
     assert bench_pairs.seed_list("7,9,11") == [7, 9, 11]
@@ -90,8 +95,8 @@ def test_writer_records_full_shas_and_the_declared_workloads(tmp_path, monkeypat
         assert entry["operations"] == {"attempted": {"parent": 6, "change": 6},
                                        "failed": {"parent": 0, "change": 0}}
         assert entry["step_ms_attribution"] == {
-            "seed": 4, "parent": {"op.self": 0.5, "kinetic.apply": 1.5},
-            "change": {"op.self": 0.25, "kinetic.apply": 0.75}}
+            "seeds": [4, 5], "parent": {"kinetic.apply": 1.5, "op.self": 0.5},
+            "change": {"kinetic.apply": 0.75, "op.self": 0.25}}
     assert report["tier1"]["change"]["passed"] == 1
     assert report["tier1"]["parent"]["runs_s"] == [0.25] * bench_pairs.TIER1_RUNS
     assert report["src_kinwb_lines"]["change"] == {"a.py": 2, "total": 2}

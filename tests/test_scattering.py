@@ -27,7 +27,7 @@ from kinwb import (
 )
 from kinwb import models, scattering
 from kinwb.scattering import _COND_LIMIT, EPS_SWITCH_FACTOR, _inverse
-from kinwb.spectral import first_order_shifts
+from kinwb.spectral import first_order_shifts, vfp_mu, vfp_psi
 
 DX = 1.0 / 32.0
 
@@ -369,6 +369,13 @@ EPS = st.floats(-12.0, -1.0).map(lambda e: 10.0**e)
 VALUES = st.lists(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), min_size=1, max_size=6)
 
 
+def assert_same_stack(a, b):
+    """N, Nt, B and the outgoing traces of two stacks agree bitwise."""
+    inc = np.random.default_rng(len(a.N)).uniform(0.5, 1.5, a.N.shape[1::-1])
+    for got, want in ((a.N, b.N), (a.Nt, b.Nt), (a.B, b.B), (a.outgoing(inc), b.outgoing(inc))):
+        assert np.array_equal(got, want)
+
+
 def assert_rows_match(stack, singles):
     # N and Nt read as (M, 2K, 2K) views of C-contiguous arrays stored with
     # the interface axis last; entry i is interface i's stack of one, bitwise
@@ -386,15 +393,20 @@ def assert_rows_match(stack, singles):
 
 
 @settings(max_examples=40, deadline=None)
-@given(K=st.sampled_from([2, 4, 8]), eps=EPS, grads=VALUES)
+@given(K=st.sampled_from([1, 2, 4, 8, 16]), eps=EPS, grads=VALUES)
 @example(K=4, eps=0.1 * EPS_SWITCH_FACTOR * DX, grads=[0.0, 0.8, -1.3])
 @example(K=4, eps=1e-3, grads=[0.0, 0.8, -1.3])
 @example(K=2, eps=1e-6, grads=[-1.23, 3.58])  # roots must not depend on the batch
+@example(K=16, eps=1e-3, grads=[0.0, 0.8, -1.3])
 def test_chemo_stack_matches_single_interfaces(K, eps, grads):
     q = gauss_symmetric(K)
     stack = chemo_interfaces(eps, DX, q, grads, phi_tanh)
     assert stack.S.shape == (len(grads), 2 * K, 2 * K)
     assert_rows_match(stack, [chemo_interfaces(eps, DX, q, [g], phi_tanh) for g in grads])
+    # the constants a model builds once give the cold assembly, bitwise
+    model = Chemo(q, phi_tanh)
+    assert_same_stack(chemo_interfaces(eps, DX, q, grads, phi_tanh, model.base, model.closure,
+                                       shifts=model.shifts), stack)
 
 
 @settings(max_examples=40, deadline=None)
@@ -522,12 +534,12 @@ def test_rte_roots_solved_once_equal_the_per_call_solve(monkeypatch, K):
                           lambda *a, f=original: solved.append(f(*a)) or solved[-1])
             stack = model.interfaces(eps, DX, None)
             assert solved == []
-            expected = chemo_interfaces(eps, DX, q, [0.0], np.zeros_like, model.base,
-                                        model.closure)
+            cold = chemo_interfaces(eps, DX, q, [0.0], np.zeros_like)
         [roots] = solved
         assert np.array_equal(model.roots, roots)
         assert np.array_equal(np.signbit(model.roots), np.signbit(roots))
-        assert np.array_equal(stack.S, expected.S)
+        assert np.array_equal(stack.S, cold.S)
+        assert_same_stack(stack, cold)  # the model's roots, closure and shift weights
 
 
 def test_chemo_b0_built_only_when_read(monkeypatch, q4):
@@ -673,6 +685,46 @@ def test_structured_certificate_matches_the_explicit_product(K, eps, dx, slope):
     assert np.all(np.abs(bound[both] - ref[both]) <= tol[both] * ref[both])
     edge |= np.abs(ref - _COND_LIMIT) <= tol * _COND_LIMIT
     assert np.array_equal((bound <= _COND_LIMIT)[~edge], (ref <= _COND_LIMIT)[~edge])
+
+
+def per_family_vfp_matrices(epsilon, dx, v, E, kappa):
+    """The vfp mode matrices built one (family l, sign s) pair at a time
+    from :func:`vfp_psi` and :func:`vfp_mu`: the reference of the
+    broadcast :func:`scattering._vfp_matrices`."""
+    M, K = len(E), len(v)
+    v = v[:, None]
+    fam = {s: np.empty((3, K, K - 1, M)) for s in (1, -1)}
+    for l in range(1, K):
+        for s, (at_p, at_n, decay) in fam.items():
+            at_p[:, l - 1] = vfp_psi(l, s, v, epsilon, E, kappa)
+            at_n[:, l - 1] = vfp_psi(l, s, -v, epsilon, E, kappa)
+            decay[:, l - 1] = np.exp(-s * vfp_mu(l, epsilon, E, kappa, s) * dx / epsilon)
+    (pp, pn, ep), (mp, mn, em) = fam[1], fam[-1]
+    zero = scattering._vfp_zero_columns
+    hp, dp = zero(0.0, v, epsilon, E, kappa)
+    hn, dn = zero(dx, -v, epsilon, E, kappa)
+    N = scattering._assemble(M, K, (pp, hp, mp * em, dp), (pn * ep, hn, mn, dn))
+    hp, dp = zero(dx, v, epsilon, E, kappa)
+    hn, dn = zero(0.0, -v, epsilon, E, kappa)
+    Nt = scattering._assemble(M, K, (pp * ep, hp, mp, dp), (pn, hn, mn * em, dn))
+    return N, Nt
+
+
+@settings(max_examples=80, deadline=None)
+@given(nodes=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4, unique=True).map(sorted),
+       kappa=st.floats(0.25, 4.0), eps=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+       dx=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+       fields=st.lists(st.one_of(st.sampled_from([0.0, 5.0, -5.0]), st.floats(-5.0, 5.0)),
+                       min_size=1, max_size=6))
+@example(nodes=[0.5, 1.5, 2.5], kappa=1.0, eps=1e-3, dx=1.0 / 64.0, fields=[0.0, 5.0, -5.0])
+@example(nodes=[1.0], kappa=1.0, eps=1e-12, dx=1e-3, fields=[0.0])
+def test_vfp_matrices_match_the_per_family_loop(nodes, kappa, eps, dx, fields):
+    v, E = np.array(nodes), np.array(fields)
+    with np.errstate(all="ignore"):  # either side may overflow; both must agree
+        got = scattering._vfp_matrices(eps, dx, v, E, kappa)
+        want = per_family_vfp_matrices(eps, dx, v, E, kappa)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
 
 
 def test_vfp_b0_built_only_when_read(monkeypatch, qv3):

@@ -89,8 +89,14 @@ def test_hermite_small_orders():
     assert np.allclose(hermite_poly(2, xs), 4 * xs**2 - 2, atol=1e-12)
     assert np.allclose(hermite_poly(3, xs), 8 * xs**3 - 12 * xs, atol=1e-12)
     assert np.allclose(hermite_poly(4, xs), 16 * xs**4 - 48 * xs**2 + 12, atol=1e-11)
+    # an order per row: each row is its own scalar-order recurrence, bitwise
+    orders = np.array([[0], [1], [2], [3], [4]])
+    rows = hermite_poly(orders, np.tile(xs, (5, 1)))
+    assert all(np.array_equal(row, hermite_poly(ell, xs)) for row, (ell,) in zip(rows, orders))
     with pytest.raises(ValueError):
         hermite_poly(65, 0.0)
+    with pytest.raises(ValueError):
+        hermite_poly(np.array([2, 65]), 0.0)
 
 
 def test_chemo_expansion_odd_symmetry(q4):
