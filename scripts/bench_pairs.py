@@ -22,7 +22,11 @@ odd ones, one run at a time.  After those pairs each tree runs every
 workload again with ``--trace 1`` on the first ``TRACED_SEEDS`` seeds,
 paired in the same order, and the JSON keeps each side's
 ``step_ms_attribution``, the step time split by layer, as the median of
-each layer over those runs (a layer missing from a run counts 0).  Then
+each layer over those runs (a layer missing from a run counts 0), and its
+``per_layer`` metrics, the median of every ``per_layer`` metric that
+``BENCHMARK.json`` declares over the same runs' result lines, the size
+probe included (a run that reports a metric as null or not at all is left
+out of its median, which is null when no run has a value).  Then
 the tier-1 suite runs in both trees, alternating, ``TIER1_RUNS`` times
 each.  The JSON holds, per workload and
 end-to-end metric of ``BENCHMARK.json``, every run, the median and quartiles
@@ -126,6 +130,17 @@ def layer_medians(runs: list) -> dict:
     return {layer: float(np.median([run.get(layer, 0.0) for run in runs])) for layer in layers}
 
 
+def metric_medians(results: list, names: list) -> dict:
+    """The median of each named metric over several harness result lines,
+    over the runs that report a number for it; None when none does."""
+    medians = {}
+    for name in names:
+        values = [r["metrics"][name]["value"] for r in results
+                  if r["metrics"].get(name, {}).get("value") is not None]
+        medians[name] = float(np.median(values)) if values else None
+    return medians
+
+
 def side(runs: list) -> dict:
     q1, median, q3 = np.percentile(runs, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
@@ -172,17 +187,21 @@ def main(argv=None) -> int:
                         environment = info["environment"]
                     step = result["metrics"].get("step_ms", {}).get("value")
                     print(f"{workload} seed {seed} {name}: step_ms {step}", file=sys.stderr)
-        attribution = {}
+        attribution, layer_metrics = {}, {}
         traced_seeds = args.seeds[:TRACED_SEEDS]
+        layer_names = [m["name"] for m in declared.get("per_layer", [])]
         for workload in workloads:
             traced = {"parent": [], "change": []}
             for seed in traced_seeds:
                 for name in order(seed):
-                    _, info = bench(trees[name], workload, seed, seconds, trace=1)
-                    traced[name].append(info["step_ms_attribution"])
+                    traced[name].append(bench(trees[name], workload, seed, seconds, trace=1))
                     print(f"{workload} seed {seed} traced {name}: done", file=sys.stderr)
-            attribution[workload] = {"seeds": traced_seeds,
-                                     **{name: layer_medians(runs) for name, runs in traced.items()}}
+            attribution[workload] = {"seeds": traced_seeds, **{
+                name: layer_medians([info["step_ms_attribution"] for _, info in runs])
+                for name, runs in traced.items()}}
+            layer_metrics[workload] = {"seeds": traced_seeds, **{
+                name: metric_medians([result for result, _ in runs], layer_names)
+                for name, runs in traced.items()}}
         tier1_runs = {"parent": [], "change": []}
         for i in range(TIER1_RUNS):
             for name in order(i):
@@ -201,6 +220,8 @@ def main(argv=None) -> int:
         "attribution": "ms per step by layer, the median of each layer over --trace 1 runs "
                        "on the first seeds listed with it, paired like the timed runs, "
                        "after the pairs",
+        "per_layer": "the median of each per_layer metric of BENCHMARK.json over the same "
+                     "--trace 1 runs, size probe included; runs without a value are left out",
         "revisions": revisions,
         "environment": environment,
         "workloads": {},
@@ -212,6 +233,7 @@ def main(argv=None) -> int:
         entry["operations"] = {key: {s: sum(r[key] for r in sides[s]) for s in sides}
                                for key in ("attempted", "failed")}
         entry["step_ms_attribution"] = attribution[workload]
+        entry["per_layer"] = layer_metrics[workload]
         report["workloads"][workload] = entry
     report["tier1"] = {
         "command": TIER1_COMMAND,

@@ -95,8 +95,13 @@ def assemble_cell_matrix(epsilon: float, dt: float, dx: float, q, S0: np.ndarray
 
 
 def interface_grad(values: np.ndarray, dx: float) -> np.ndarray:
-    """(values_j - values_{j-1})/dx at interface x_{j-1/2}, periodic."""
-    return (values - np.roll(values, 1)) / dx
+    """(values_j - values_{j-1})/dx at interface x_{j-1/2}, periodic: the
+    bits of ``(values - np.roll(values, 1))/dx``, from two slices."""
+    diff = np.empty(len(values))
+    np.subtract(values[1:], values[:-1], out=diff[1:])
+    np.subtract(values[:1], values[-1:], out=diff[:1])
+    diff /= dx
+    return diff
 
 
 def chemo_drift(q, grads, phi) -> np.ndarray:

@@ -57,6 +57,7 @@ from .spectral import (
 
 EPS_SWITCH_FACTOR = 1e-8
 _COND_LIMIT = 1e12
+_TINY, _UNIT = np.finfo(float).tiny, np.finfo(float).eps  # read once, not per step
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +202,8 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
     K = n // 2
     beta, G = closure.beta, closure.G
     abs_A = np.abs(A)
-    A = np.where(abs_A < np.finfo(float).tiny, 0.0, A)
+    A = A.copy()  # the stack itself keeps its subnormal entries
+    np.copyto(A, 0.0, where=abs_A < _TINY)
     E = np.empty((n, n, M))
     with np.errstate(all="ignore"):  # a non-finite input only fails the bound
         np.matmul(G, A[:K].reshape(K, -1), out=E[:K].reshape(K, -1))
@@ -211,7 +213,7 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
         E.reshape(n * n, M)[:: n + 1] -= 1.0  # E = Y A - I
         norm_Y = (closure.abs_G_sums[:, None] + np.abs(beta)[:, None] / np.abs(r)).max(axis=0)
         norms = abs_A.sum(axis=0).max(axis=0) * norm_Y
-        rho = np.abs(E, out=E).sum(axis=0).max(axis=0) + n * np.finfo(float).eps * norms
+        rho = np.abs(E, out=E).sum(axis=0).max(axis=0) + n * _UNIT * norms
         bound = norms / (1.0 - rho)
     return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf)
 
@@ -262,12 +264,12 @@ def rte_closure(q, lam: np.ndarray) -> ClosureCoefficients:
 
 
 def _chemo_matrices(epsilon, dx, v, phip, roots):
-    """Finite-eps mode matrices (2K, 2K, M) of M interfaces, phip (M, K),
-    roots (M, 2K-1); the middle-root column is scaled by -eps/lambda0, which
-    makes it the secular mode x - eps*v at zero slope.  Blocks are
-    (K, K-1, M): velocity, root, interface."""
-    M, K = phip.shape
-    phip, roots = phip.T, roots.T
+    """Finite-eps mode matrices (2K, 2K, M) of M interfaces from C-contiguous
+    phip (K, M) and roots (2K-1, M), interface axis last and innermost; the
+    middle-root column is scaled by -eps/lambda0, which makes it the secular
+    mode x - eps*v at zero slope.  Blocks are (K, K-1, M): velocity, root,
+    interface."""
+    K, M = phip.shape
     Tp, Tn = 1.0 + epsilon * phip, 1.0 - epsilon * phip
     inv_Tp, inv_Tn = 1.0 / Tp, 1.0 / Tn
     lam_m = roots[: K - 1][::-1]  # entry l pairs with -lam_p[l]
@@ -322,12 +324,12 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r) -> np.ndarray:
     Bernoulli function: the formula holds through zero slope, where it is
     the radiative-transfer limit.  That column is -1 times the one of the
     finite-eps N, so X is :func:`_limit_inverse`'s Y with the last row
-    negated.  The derivative blocks are assembled interface-last and the
-    products run on contiguous (M, 2K, 2K) copies.
+    negated.  phip is (K, M), as for :func:`_chemo_matrices`; the
+    derivative blocks are assembled interface-last and the products run on
+    contiguous (M, 2K, 2K) copies.
     """
-    M, K = phip.shape
+    K, M = phip.shape
     zeta0 = closure.zeta
-    phip = phip.T
     q0 = np.exp(-lam01 * dx)
     Fm2 = (1.0 / (1.0 - np.outer(v, lam0)) ** 2)[:, :, None]
     Fp2 = (1.0 / (1.0 + np.outer(v, lam0)) ** 2)[:, :, None]
@@ -364,15 +366,17 @@ def chemo_interfaces(
     closure (gradS-independent) is shared.  ``base`` holds the even-rate
     roots of :func:`dispersion_roots`, ``shifts`` their
     :func:`shift_weights` and ``roots`` the finite-eps ones (M, 2K-1), each
-    computed here when None; a model passes the ones it built once.
-    Radiative transfer is this assembly at slope 0 with phi = 0.
+    computed here when None; a model passes the ones it built once.  The
+    mode matrices and B0 read C-contiguous (K, M) and (2K-1, M) copies of
+    phi and the roots; radiative transfer is this assembly at slope 0, phi = 0.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
     v = q.nodes
     grads = np.atleast_1d(np.asarray(grads, dtype=float))
     phip = np.asarray(phi_response(np.outer(grads, v)), dtype=float)
-    if np.any(1.0 - epsilon * np.abs(phip) <= 0.0):
+    # the decision of 1 - eps*|phi| <= 0: rounding is monotone, fl(1 - a) <= 0 iff a >= 1
+    if epsilon * np.max(np.abs(phip), initial=0.0) >= 1.0:
         raise NonPositiveRate(
             f"1 + eps*phi(v*gradS) must be positive; min margin "
             f"{np.min(1.0 - epsilon*np.abs(phip)):.3e}"
@@ -386,6 +390,7 @@ def chemo_interfaces(
             [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]
         )
         roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
+    phip, roots = np.ascontiguousarray(phip.T), np.ascontiguousarray(roots.T)
     N, Nt = _chemo_matrices(epsilon, dx, v, phip, roots)
     r = -dx / bernoulli(-lam01 * dx)
     return _stack(

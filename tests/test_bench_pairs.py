@@ -20,6 +20,13 @@ def test_layer_medians_count_a_missing_layer_as_zero():
     assert bench_pairs.layer_medians(runs) == {"a": 2.0, "b": 2.0}
 
 
+def test_metric_medians_leave_out_runs_without_a_value():
+    runs = [{"metrics": {"a": {"value": 1.0}, "b": {"value": None}}},
+            {"metrics": {"a": {"value": 5.0}}},
+            {"metrics": {"a": {"value": 2.0}, "b": {"value": 4.0}}}]
+    assert bench_pairs.metric_medians(runs, ["a", "b", "c"]) == {"a": 2.0, "b": 4.0, "c": None}
+
+
 def test_seed_list_forms():
     assert bench_pairs.seed_list("60-63") == [60, 61, 62, 63]
     assert bench_pairs.seed_list("7,9,11") == [7, 9, 11]
@@ -41,11 +48,14 @@ def test_summary_counts_strict_wins_in_the_better_direction(better, wins):
 _FAKE_HARNESS = '''import json, sys
 step = float(open("step_ms.txt").read())
 info = {"environment": {"commit": None}}
+metrics = {"step_ms": {"value": step, "unit": "ms"}}
 if sys.argv[sys.argv.index("--trace") + 1] == "1":
     info["step_ms_attribution"] = {"op.self": step / 4, "kinetic.apply": 3 * step / 4}
+    metrics = {"scattering.smatrix_ms.nx64.k4": {"value": step / 2, "unit": "ms"},
+               "macrolimit.ref_ms.nx64": {"value": None, "unit": "ms"},
+               "undeclared_ms": {"value": 1.0, "unit": "ms"}}
 print(json.dumps({"info": info}))
-print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
-                  "metrics": {"step_ms": {"value": step, "unit": "ms"}}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
 '''
 
 
@@ -57,14 +67,18 @@ def _git(repo, *args):
 def test_writer_records_full_shas_and_the_declared_workloads(tmp_path, monkeypatch):
     """A fake checkout: its harness reads step_ms from a file, which is 2.0
     in the committed parent and 1.0 in the staged change, measured as the
-    bare tree that ``git write-tree`` prints.  Tier-1 is a stand-in that
-    prints a pytest summary line: a real nested pytest costs seconds."""
+    bare tree that ``git write-tree`` prints; its traced runs report one
+    declared size-probe metric, one declared metric as null and one that
+    is not declared.  Tier-1 is a stand-in that prints a pytest summary
+    line: a real nested pytest costs seconds."""
     repo = tmp_path / "repo"
     (repo / "bench").mkdir(parents=True)
     (repo / "src" / "kinwb").mkdir(parents=True)
     (repo / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 0.5, "workloads": [{"name": "w1"}, {"name": "w2"}],
-        "end_to_end": [{"name": "step_ms", "unit": "ms", "better": "lower", "bound": 0.2}]}))
+        "end_to_end": [{"name": "step_ms", "unit": "ms", "better": "lower", "bound": 0.2}],
+        "per_layer": [{"name": n, "unit": "ms", "better": "lower"} for n in
+                      ("scattering.smatrix_ms.nx64.k4", "macrolimit.ref_ms.nx64")]}))
     (repo / "bench" / "run.py").write_text(_FAKE_HARNESS)
     (repo / "src" / "kinwb" / "a.py").write_text("x = 1\ny = 2\n")
     (repo / "step_ms.txt").write_text("2.0")
@@ -97,6 +111,10 @@ def test_writer_records_full_shas_and_the_declared_workloads(tmp_path, monkeypat
         assert entry["step_ms_attribution"] == {
             "seeds": [4, 5], "parent": {"kinetic.apply": 1.5, "op.self": 0.5},
             "change": {"kinetic.apply": 0.75, "op.self": 0.25}}
+        assert entry["per_layer"] == {
+            "seeds": [4, 5],
+            "parent": {"scattering.smatrix_ms.nx64.k4": 1.0, "macrolimit.ref_ms.nx64": None},
+            "change": {"scattering.smatrix_ms.nx64.k4": 0.5, "macrolimit.ref_ms.nx64": None}}
     assert report["tier1"]["change"]["passed"] == 1
     assert report["tier1"]["parent"]["runs_s"] == [0.25] * bench_pairs.TIER1_RUNS
     assert report["src_kinwb_lines"]["change"] == {"a.py": 2, "total": 2}

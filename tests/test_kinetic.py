@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kinwb import (
     Chemo,
@@ -281,6 +282,20 @@ def test_interface_helpers(q4):
     assert np.allclose(g, [(1.0 - 7.0) / 0.5, 2.0, 4.0, 6.0], atol=1e-15)
     E = chemo_drift(q4, [0.0], phi_tanh)
     assert E[0] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=hnp.arrays(float, st.integers(1, 300),
+                      elements=st.floats(-1e300, 1e300, allow_subnormal=True)),
+    dx=st.floats(1e-6, 1e3),
+)
+@example(values=np.array([3.5]), dx=0.25)  # Nx = 1: the cell is its own neighbour
+@example(values=np.array([1.0, -2.0]), dx=0.5)  # Nx = 2: both interfaces see the same pair
+def test_interface_grad_is_the_rolled_difference_bitwise(values, dx):
+    assert interface_grad(values, dx).tobytes() == ((values - np.roll(values, 1)) / dx).tobytes()
+    if len(values) == 1:
+        assert interface_grad(values, dx)[0] == 0.0
 
 
 def roll_rhs(grid, op, S=None, outgoing=None):

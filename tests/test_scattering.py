@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
@@ -177,6 +179,37 @@ def test_chemo_rate_guard_at_its_exact_boundary(q4, slope):
         chemo_interfaces(np.nextafter(eps, 0.0), DX, q4, [slope], phi_tanh)
     except KinwbError as exc:
         assert not isinstance(exc, NonPositiveRate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 16),
+    slope=st.floats(0.3, 20.0) | st.floats(-20.0, -0.3),
+    chi=st.sampled_from([0.1, 1.0, 2.5, 40.0]),
+    delta=st.sampled_from([0.05, 1.0, 3.0]),
+    ulps=st.integers(-8, 8),
+)
+def test_chemo_rate_guard_decides_as_the_elementwise_margin(K, slope, chi, delta, ulps):
+    # eps*max|phi| >= 1 must raise exactly where some 1 - eps*|phi| rounds to <= 0
+    q = gauss_symmetric(K)
+
+    def phi(u):
+        return phi_tanh(u, chi=chi, delta=delta)
+
+    phip = phi(np.outer([slope], q.nodes))
+    eps = 1.0 / np.max(np.abs(phip))
+    for _ in range(abs(ulps)):
+        eps = np.nextafter(eps, np.inf if ulps > 0 else 0.0)
+    margins = 1.0 - eps * np.abs(phip)
+    note(f"eps={eps!r}, min margin {np.min(margins)!r}")
+    if np.any(margins <= 0.0):
+        with pytest.raises(NonPositiveRate, match=re.escape(f"min margin {np.min(margins):.3e}")):
+            chemo_interfaces(eps, DX, q, [slope], phi)
+    else:
+        try:
+            chemo_interfaces(eps, DX, q, [slope], phi)
+        except KinwbError as exc:  # nearly singular mode matrices, typed
+            assert not isinstance(exc, NonPositiveRate)
 
 
 def test_chemo_stochasticity_and_wb(q4):
@@ -504,6 +537,60 @@ def test_guard_is_the_exact_one_norm_condition_number(scale, passes):
     else:
         with pytest.raises(IllConditioned, match="interface 0"):
             _inverse(A[None])
+
+
+def _interface_last_inputs(K, M, eps):
+    """phip (M, K) and first-order roots (M, 2K-1) of M interfaces, as the
+    root solve sees them, and the closure data of :func:`_chemo_B0`."""
+    q = gauss_symmetric(K)
+    grads = 3.0 * np.sin(np.arange(M) + 0.5)
+    phip = phi_tanh(np.outer(grads, q.nodes))
+    lam0 = dispersion_roots(q)
+    lam01, lam1 = first_order_shifts(q, lam0, phip)
+    roots = np.hstack([-(lam0 - eps * lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps * lam1])
+    r = -DX / scattering.bernoulli(-lam01 * DX)
+    return q, phip, roots, (lam0, lam1, lam01, rte_closure(q, lam0), r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.sampled_from([1, 2, 4, 8, 16]),
+    eps=st.floats(1e-12, 1.0),
+    M=st.sampled_from([1, 2, 17, 256]),
+)
+def test_chemo_kernels_ignore_the_layout_of_their_inputs(K, eps, M):
+    # the step's contiguous interface-last copies give the bits of strided views
+    q, phip, roots, limit = _interface_last_inputs(K, M, eps)
+    contiguous = np.ascontiguousarray(phip.T), np.ascontiguousarray(roots.T)
+    for a, b in zip(scattering._chemo_matrices(eps, DX, q.nodes, *contiguous),
+                    scattering._chemo_matrices(eps, DX, q.nodes, phip.T, roots.T)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(scattering._chemo_B0(DX, q.nodes, contiguous[0], *limit),
+                          scattering._chemo_B0(DX, q.nodes, phip.T, *limit))
+
+
+def test_chemo_interfaces_pass_contiguous_interface_last_inputs(monkeypatch):
+    K, M = 4, 7
+    seen = []
+    for name in ("first_order_shifts", "_chemo_matrices", "_chemo_B0"):
+        original = getattr(scattering, name)
+
+        def recorded(*args, name=name, original=original):
+            seen.append((name, [a for a in args if isinstance(a, np.ndarray) and a.ndim == 2]))
+            return original(*args)
+
+        monkeypatch.setattr(scattering, name, recorded)
+    grads = np.linspace(-2.0, 2.0, M)
+    chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, gauss_symmetric(K), grads, phi_tanh)
+    shapes = {
+        "first_order_shifts": [(M, K)],  # its einsum fixes the bits of the roots
+        "_chemo_matrices": [(K, M), (2 * K - 1, M)],
+        "_chemo_B0": [(K, M), (M, K - 1)],  # phip, and lambda1 as the shifts give it
+    }
+    assert [name for name, _ in seen] == list(shapes)
+    for name, arrays in seen:
+        assert [a.shape for a in arrays] == shapes[name], name
+        assert all(a.flags.c_contiguous for a in arrays), name
 
 
 def counting(monkeypatch, name):
