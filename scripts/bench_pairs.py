@@ -24,9 +24,12 @@ paired in the same order, and the JSON keeps each side's
 ``step_ms_attribution``, the step time split by layer, as the median of
 each layer over those runs (a layer missing from a run counts 0), and its
 ``per_layer`` metrics, the median of every ``per_layer`` metric that
-``BENCHMARK.json`` declares over the same runs' result lines, the size
-probe included (a run that reports a metric as null or not at all is left
-out of its median, which is null when no run has a value).  Then
+``BENCHMARK.json`` declares over the same runs' result lines (a run that
+reports a metric as null or not at all is left out of its median, which is
+null when no run has a value).  The size probe's metrics, the names with
+``.nx``, are the same probe in every workload's traced run, so each side
+gets one median of each, ``size_probe_medians``, pooled over all its traced runs
+of all workloads, and the workloads' ``per_layer`` leave them out.  Then
 the tier-1 suite runs in both trees, alternating, ``TIER1_RUNS`` times
 each.  The JSON holds, per workload and
 end-to-end metric of ``BENCHMARK.json``, every run, the median and quartiles
@@ -190,6 +193,9 @@ def main(argv=None) -> int:
         attribution, layer_metrics = {}, {}
         traced_seeds = args.seeds[:TRACED_SEEDS]
         layer_names = [m["name"] for m in declared.get("per_layer", [])]
+        probe_names = [name for name in layer_names if ".nx" in name]
+        layer_names = [name for name in layer_names if ".nx" not in name]
+        probe_runs = {"parent": [], "change": []}  # every traced result line of a side
         for workload in workloads:
             traced = {"parent": [], "change": []}
             for seed in traced_seeds:
@@ -202,6 +208,10 @@ def main(argv=None) -> int:
             layer_metrics[workload] = {"seeds": traced_seeds, **{
                 name: metric_medians([result for result, _ in runs], layer_names)
                 for name, runs in traced.items()}}
+            for name, runs in traced.items():
+                probe_runs[name].extend(result for result, _ in runs)
+        size_probe = {"seeds": traced_seeds, "workloads": workloads, **{
+            name: metric_medians(results, probe_names) for name, results in probe_runs.items()}}
         tier1_runs = {"parent": [], "change": []}
         for i in range(TIER1_RUNS):
             for name in order(i):
@@ -221,7 +231,9 @@ def main(argv=None) -> int:
                        "on the first seeds listed with it, paired like the timed runs, "
                        "after the pairs",
         "per_layer": "the median of each per_layer metric of BENCHMARK.json over the same "
-                     "--trace 1 runs, size probe included; runs without a value are left out",
+                     "--trace 1 runs, size probe excluded; runs without a value are left out",
+        "size_probe": "the median of each per_layer metric with .nx in its name over every "
+                      "--trace 1 run of a side, all workloads pooled",
         "revisions": revisions,
         "environment": environment,
         "workloads": {},
@@ -235,6 +247,7 @@ def main(argv=None) -> int:
         entry["step_ms_attribution"] = attribution[workload]
         entry["per_layer"] = layer_metrics[workload]
         report["workloads"][workload] = entry
+    report["size_probe_medians"] = size_probe
     report["tier1"] = {
         "command": TIER1_COMMAND,
         "note": "pytest-reported seconds, alternating runs per side after the bench pairs",

@@ -11,10 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TangentRootWarning
-from .kinetic import assemble_cell_matrix
+from .kinetic import assemble_cell_matrix, phi_tanh
 from .macrolimit import bernoulli
-from .spectral import _all_roots_multi, vfp_mu, vfp_psi
+from .models import Chemo, Rte, TwoStream, Vfp
+from .quadrature import gauss_symmetric, moment_report, vfp_preset_nodes, vfp_quadrature
 from .scattering import _vfp_zero_columns
+from .spectral import _all_roots_multi, dispersion_roots, first_order_shifts, vfp_mu, vfp_psi
+from .twostream import ts_smatrix
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for rank statements
 
@@ -252,8 +255,6 @@ def _result(name, passed, detail) -> CheckResult:
 
 
 def verify_quadrature() -> list[CheckResult]:
-    from .quadrature import gauss_symmetric, moment_report, vfp_preset_nodes, vfp_quadrature
-
     out = []
     worst = 0.0
     for K in (2, 4, 8, 16, 32):
@@ -271,10 +272,6 @@ def verify_quadrature() -> list[CheckResult]:
 
 
 def verify_spectral() -> list[CheckResult]:
-    from .quadrature import gauss_symmetric
-    from .spectral import dispersion_roots, first_order_shifts
-    from .kinetic import phi_tanh
-
     out = []
     q = gauss_symmetric(2)
     lam = dispersion_roots(q)
@@ -297,9 +294,10 @@ def verify_spectral() -> list[CheckResult]:
     out.append(
         _result("discrete orthogonality residuals", float(np.max(res)) < 1e-10, f"max {np.max(res):.2e}")
     )
-    lam0 = dispersion_roots(q4)
+    rte = Rte(q4)
+    lam0 = rte.base
     phip = phi_tanh(q4.nodes * 0.7)
-    lam01, lam1 = first_order_shifts(q4, lam0, phip[None])
+    lam01, lam1 = first_order_shifts(q4, lam0, phip[None], rte.shifts)
     errs = []
     eps_list = (1e-2, 1e-3, 1e-4)
     for eps in eps_list:
@@ -312,10 +310,6 @@ def verify_spectral() -> list[CheckResult]:
 
 
 def verify_scattering() -> list[CheckResult]:
-    from .kinetic import phi_tanh
-    from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
-    from .models import Chemo, Rte, Vfp
-
     out = []
     dx, eps = 1.0 / 32.0, 1e-3
     q = gauss_symmetric(4)
@@ -359,12 +353,6 @@ def verify_scattering() -> list[CheckResult]:
 
 
 def verify_lemmas() -> list[CheckResult]:
-    from .models import TwoStream
-    from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
-    from .scattering import rte_closure, vfp_closure
-    from .spectral import dispersion_roots
-    from .twostream import ts_smatrix
-
     out = []
     dt, dx = 1e-3, 1.0 / 16.0
     q4 = gauss_symmetric(4)
@@ -372,8 +360,8 @@ def verify_lemmas() -> list[CheckResult]:
     # two-stream is the K = 1 set v = 1, w = 1 with S0 = 1 (the swap block)
     for name, q, S0 in (
         ("two-stream", TwoStream.q, np.eye(1)),
-        ("rte/chemo", q4, rte_closure(q4, dispersion_roots(q4)).S0),
-        ("vfp", qv, vfp_closure(qv).S0),
+        ("rte/chemo", q4, Rte(q4).closure.S0),
+        ("vfp", qv, Vfp(qv, np.zeros(1)).closure.S0),
     ):
         rep = kernel_range_check(assemble_cell_matrix(0.0, dt, dx, q, S0), q)
         out.append(_result(f"{name} kernel/range", rep.passed, f"null_dim {rep.null_dim}"))

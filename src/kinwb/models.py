@@ -82,7 +82,10 @@ class _Kinetic:
 
 class Rte(_Kinetic):
     """Radiative transfer; its limit is the heat equation with D the
-    quadrature's second moment.  One interface serves the whole grid."""
+    quadrature's second moment.  One interface serves the whole grid; it
+    is chemotaxis at zero response ``phi``, from the same set-up."""
+
+    phi = staticmethod(np.zeros_like)
 
     def __init__(self, q):
         self.base = dispersion_roots(q)
@@ -101,9 +104,7 @@ class Rte(_Kinetic):
         return 0.0
 
     def interfaces(self, eps: float, dx: float, S):
-        return chemo_interfaces(
-            eps, dx, self.q, [0.0], np.zeros_like, self.base, self.closure, self.roots, self.shifts
-        )
+        return chemo_interfaces(eps, dx, self, [0.0], self.roots)
 
 
 class Chemo(Rte):
@@ -124,10 +125,7 @@ class Chemo(Rte):
         return -chemo_drift(self.q, interface_grad(S, dx), self.phi)
 
     def interfaces(self, eps: float, dx: float, S: np.ndarray):
-        grads = interface_grad(S, dx)
-        return chemo_interfaces(
-            eps, dx, self.q, grads, self.phi, self.base, self.closure, shifts=self.shifts
-        )
+        return chemo_interfaces(eps, dx, self, interface_grad(S, dx))
 
 
 class Vfp(_Kinetic):
@@ -142,7 +140,7 @@ class Vfp(_Kinetic):
         return self.E_half
 
     def interfaces(self, eps: float, dx: float, S):
-        return vfp_interfaces(eps, dx, self.q, self.E_half, self.closure)
+        return vfp_interfaces(eps, dx, self)
 
 
 class TwoStream:

@@ -46,14 +46,7 @@ import numpy as np
 
 from .errors import IllConditioned, NonPositiveRate
 from .macrolimit import bernoulli
-from .spectral import (
-    _all_roots_multi,
-    dispersion_roots,
-    first_order_shifts,
-    vfp_mu,
-    vfp_psi,
-    vfp_psi0,
-)
+from .spectral import _all_roots_multi, first_order_shifts, vfp_mu, vfp_psi, vfp_psi0
 
 EPS_SWITCH_FACTOR = 1e-8
 _COND_LIMIT = 1e12
@@ -101,7 +94,8 @@ class InterfaceStack:
     itself below the switch, where it is built with the stack.  S, B and,
     above the switch, B0 are (M, 2K, 2K) arrays built on first read; a step
     that reads only :meth:`outgoing` builds none of them.  ``inverse`` is
-    N^{-1} when the condition guard had to compute it."""
+    N^{-1} when the condition guard had to compute it, None when the
+    certificate spared it."""
 
     epsilon: float
     N: np.ndarray
@@ -109,7 +103,7 @@ class InterfaceStack:
     anti_S0: np.ndarray
     below_switch: bool
     build_B0: Callable[[], np.ndarray] = field(repr=False)
-    inverse: np.ndarray | None = field(default=None, repr=False)
+    inverse: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
         if self.below_switch:
@@ -169,6 +163,8 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
+        if not np.all(np.isfinite(A[i])):
+            raise IllConditioned(f"{what.format(i=i)} has entries that are not finite")
         raise IllConditioned(
             f"{what.format(i=i)} 1-norm condition number {cond[i]:.3e} exceeds 1e12"
         )
@@ -347,44 +343,33 @@ def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r) -> np.ndarray:
     return Ap @ X - A0 @ X @ Np @ X
 
 
-def chemo_interfaces(
-    epsilon: float,
-    dx: float,
-    q,
-    grads,
-    phi_response: Callable,
-    base: np.ndarray | None = None,
-    closure: ClosureCoefficients | None = None,
-    roots: np.ndarray | None = None,
-    shifts: tuple | None = None,
-) -> InterfaceStack:
+def chemo_interfaces(epsilon: float, dx: float, model, grads, roots=None) -> InterfaceStack:
     """Chemotaxis decompositions for a stack of interface slopes.
 
-    The finite-eps dispersion roots of all interfaces are solved together,
-    each seeded from the first-order expansion lambda0 + eps*lambda1 (the
-    negative branch is the mirror image under phi -> -phi); the limit
-    closure (gradS-independent) is shared.  ``base`` holds the even-rate
-    roots of :func:`dispersion_roots`, ``shifts`` their
-    :func:`shift_weights` and ``roots`` the finite-eps ones (M, 2K-1), each
-    computed here when None; a model passes the ones it built once.  The
-    mode matrices and B0 read C-contiguous (K, M) and (2K-1, M) copies of
-    phi and the roots; radiative transfer is this assembly at slope 0, phi = 0.
+    ``model`` (a :class:`models.Rte` or :class:`models.Chemo`) holds what
+    sees no field, built once: the velocity set ``q``, the response ``phi``,
+    the even-rate roots ``base`` of :func:`dispersion_roots`, the limit
+    ``closure`` and the :func:`shift_weights` ``shifts``.  The finite-eps
+    dispersion roots of all interfaces are solved together, each seeded
+    from the first-order expansion lambda0 + eps*lambda1 (the negative
+    branch is the mirror image under phi -> -phi), unless ``roots``
+    (M, 2K-1) are given, as radiative transfer's are.  The mode matrices
+    and B0 read C-contiguous (K, M) and (2K-1, M) copies of phi and the
+    roots; radiative transfer is this assembly at slope 0, phi = 0.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
+    q, lam0, closure = model.q, model.base, model.closure
     v = q.nodes
     grads = np.atleast_1d(np.asarray(grads, dtype=float))
-    phip = np.asarray(phi_response(np.outer(grads, v)), dtype=float)
+    phip = np.asarray(model.phi(np.outer(grads, v)), dtype=float)
     # the decision of 1 - eps*|phi| <= 0: rounding is monotone, fl(1 - a) <= 0 iff a >= 1
     if epsilon * np.max(np.abs(phip), initial=0.0) >= 1.0:
         raise NonPositiveRate(
             f"1 + eps*phi(v*gradS) must be positive; min margin "
             f"{np.min(1.0 - epsilon*np.abs(phip)):.3e}"
         )
-    lam0 = dispersion_roots(q) if base is None else base
-    if closure is None:
-        closure = rte_closure(q, lam0)
-    lam01, lam1 = first_order_shifts(q, lam0, phip, shifts)
+    lam01, lam1 = first_order_shifts(q, lam0, phip, model.shifts)
     if roots is None:
         guess = np.hstack(
             [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]
@@ -490,26 +475,20 @@ def _vfp_B0(dx, v, E, kappa, closure) -> np.ndarray:
     )
 
 
-def vfp_interfaces(
-    epsilon: float,
-    dx: float,
-    q,
-    E,
-    closure: ClosureCoefficients | None = None,
-) -> InterfaceStack:
-    """Fokker-Planck decompositions for a stack of interface fields E.
+def vfp_interfaces(epsilon: float, dx: float, model) -> InterfaceStack:
+    """Fokker-Planck decompositions of the interfaces of a :class:`models.Vfp`,
+    which holds the velocity set ``q`` (and its kappa), the interface
+    fields ``E_half`` and the E-independent ``closure``, whose leading
+    block I - zeta*gamma every interface shares.
 
     The zero-mode pair is assembled in the regularized basis of
     :func:`_vfp_zero_columns`, which handles both signs of E and the
-    degenerate E = 0 case in one formula; the leading block I - zeta*gamma
-    is independent of E.  kappa is the quadrature's.
+    degenerate E = 0 case in one formula.
     """
     if epsilon <= 0.0 or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
-    if closure is None:
-        closure = vfp_closure(q)
-    E = np.atleast_1d(np.asarray(E, dtype=float))
+    q, closure = model.q, model.closure
+    E = np.atleast_1d(np.asarray(model.E_half, dtype=float))
     kappa = q.kappa
     N, Nt = _vfp_matrices(epsilon, dx, q.nodes, E, kappa)
     return _stack(epsilon, dx, closure, N, Nt, lambda: _vfp_B0(dx, q.nodes, E, kappa, closure))
-

@@ -123,7 +123,7 @@ def shift_weights(q: "VelocityQuadrature", lam0):
     return wv, wv * (1.0 / Lm**2 + 1.0 / Lp**2), Sv
 
 
-def first_order_shifts(q: "VelocityQuadrature", lam0, phip, weights=None):
+def first_order_shifts(q: "VelocityQuadrature", lam0, phip, weights):
     """First-order eigenvalue shifts for the tumbling rate
     T_eps = 1 + eps*phi(v*gradS), one row per slope.
 
@@ -139,9 +139,10 @@ def first_order_shifts(q: "VelocityQuadrature", lam0, phip, weights=None):
 
     with S_v, S_phi the +-K sums of w v/(1 -+ lambda^0 v)^2 against 1 and
     phi respectively.  ``weights`` are :func:`shift_weights` of (q, lam0),
-    computed here when None.  Returns lambda0^1 (M,) and lambda_l^1 (M, K-1).
+    which a model builds once.  Returns lambda0^1 (M,) and lambda_l^1
+    (M, K-1).
     """
-    wv, W, Sv = shift_weights(q, lam0) if weights is None else weights
+    wv, W, Sv = weights
     # einsum, unlike BLAS, gives every row the same result in any batch
     Sphi = np.einsum("mk,lk->ml", phip, W)
     return np.einsum("mk,k->m", phip, wv) / q.second_moment, lam0 * Sphi / Sv

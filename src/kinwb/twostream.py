@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolveFailure
-from .kinetic import interface_grad, phi_tanh
+from .kinetic import interface_grad
 from .macrolimit import bernoulli
 
 
@@ -42,9 +42,10 @@ def ts_smatrix(epsilon: float, dx: float, phi_half: float) -> np.ndarray:
 
 
 def ts_step(f: np.ndarray, S: np.ndarray, epsilon: float, dt: float, dx: float,
-            phi_response: Callable = phi_tanh) -> np.ndarray:
+            phi_response: Callable) -> np.ndarray:
     """One IMEX step of the two-stream scheme on f = [f+, f-], shape (Nx, 2),
-    driven by the chemoattractant S.
+    driven by the chemoattractant S through the response ``phi_response``
+    of the interface slopes.
 
     The interface currents Jbar_{j-1/2} = -2 (f+_{j-1} - EE f-_j)/d, with
     EE and d as in :func:`ts_smatrix`, are explicit with the exact

@@ -116,7 +116,8 @@ def test_criterion_4_well_balanced_steady_states():
         ok = ok and drift < 1e-10
     # two-stream equilibrium; its field is re-solved every step
     def ts(f):
-        return ts_step(f, chemoattractant_update(f[:, 0] + f[:, 1], DX), 1e-3, DT / 4.0, DX)
+        S = chemoattractant_update(f[:, 0] + f[:, 1], DX)
+        return ts_step(f, S, 1e-3, DT / 4.0, DX, phi_tanh)
 
     drift = _drift_over_steps(
         ts, np.full((NX, 2), 0.65), lambda f: float(np.max(np.abs(f - 0.65))), 100
@@ -167,7 +168,8 @@ def test_criterion_5_mass_conservation_1000_steps():
     m0 = m_prev
     worst = 0.0
     for _ in range(1000):
-        f = ts_step(f, chemoattractant_update(f[:, 0] + f[:, 1], dx), 1e-3, dx**2 / 4.0, dx)
+        f = ts_step(f, chemoattractant_update(f[:, 0] + f[:, 1], dx), 1e-3, dx**2 / 4.0, dx,
+                    phi_tanh)
         m = float(np.sum(f[:, 0] + f[:, 1]) * dx)
         worst = max(worst, abs(m - m_prev) / m0)
         m_prev = m
@@ -198,9 +200,8 @@ def test_criterion_6_lemma_suite():
     devs.append(
         stochasticity_check(Rte(q4).interfaces(1e-3, dx, None).S[0], q4).col_sum_deviation
     )
-    devs.append(
-        stochasticity_check(chemo_interfaces(1e-3, dx, q4, [0.8], phi_tanh).S[0], q4).col_sum_deviation
-    )
+    S = chemo_interfaces(1e-3, dx, Chemo(q4, phi_tanh), [0.8]).S[0]
+    devs.append(stochasticity_check(S, q4).col_sum_deviation)
     ok = all(p for _, p in checks) and max(devs) < 1e-10
     report(
         6, ok,
@@ -243,12 +244,14 @@ def test_criterion_8_decomposition():
     qv = vfp_quadrature(1.0, vfp_preset_nodes(3, 1.0))
     leading = {"rte": cl.S0, "chemo": cl.S0, "vfp": vfp_closure(qv).S0}
 
+    built = {"rte": Rte(q4), "chemo": Chemo(q4, phi_tanh), "vfp": Vfp(qv, [0.5])}
+
     def build(model, eps):
         if model == "rte":
-            return Rte(q4).interfaces(eps, DX, None)
+            return built["rte"].interfaces(eps, DX, None)
         if model == "chemo":
-            return chemo_interfaces(eps, DX, q4, [0.8], phi_tanh)
-        return vfp_interfaces(eps, DX, qv, [0.5])
+            return chemo_interfaces(eps, DX, built["chemo"], [0.8])
+        return vfp_interfaces(eps, DX, built["vfp"])
 
     details = []
     ok = True

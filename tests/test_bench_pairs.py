@@ -51,8 +51,10 @@ info = {"environment": {"commit": None}}
 metrics = {"step_ms": {"value": step, "unit": "ms"}}
 if sys.argv[sys.argv.index("--trace") + 1] == "1":
     info["step_ms_attribution"] = {"op.self": step / 4, "kinetic.apply": 3 * step / 4}
-    metrics = {"scattering.smatrix_ms.nx64.k4": {"value": step / 2, "unit": "ms"},
+    probe = step / 2 if sys.argv[sys.argv.index("--workload") + 1] == "w1" else 3 * step / 2
+    metrics = {"scattering.smatrix_ms.nx64.k4": {"value": probe, "unit": "ms"},
                "macrolimit.ref_ms.nx64": {"value": None, "unit": "ms"},
+               "spectral.self_ms": {"value": step / 4, "unit": "ms"},
                "undeclared_ms": {"value": 1.0, "unit": "ms"}}
 print(json.dumps({"info": info}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
@@ -67,9 +69,10 @@ def _git(repo, *args):
 def test_writer_records_full_shas_and_the_declared_workloads(tmp_path, monkeypatch):
     """A fake checkout: its harness reads step_ms from a file, which is 2.0
     in the committed parent and 1.0 in the staged change, measured as the
-    bare tree that ``git write-tree`` prints; its traced runs report one
-    declared size-probe metric, one declared metric as null and one that
-    is not declared.  Tier-1 is a stand-in that prints a pytest summary
+    bare tree that ``git write-tree`` prints; its traced runs report a
+    declared size-probe metric, which differs between the workloads, a
+    declared probe metric as null, a declared metric of the workload and
+    one that is not declared.  Tier-1 is a stand-in that prints a pytest summary
     line: a real nested pytest costs seconds."""
     repo = tmp_path / "repo"
     (repo / "bench").mkdir(parents=True)
@@ -78,7 +81,8 @@ def test_writer_records_full_shas_and_the_declared_workloads(tmp_path, monkeypat
         "run_seconds": 0.5, "workloads": [{"name": "w1"}, {"name": "w2"}],
         "end_to_end": [{"name": "step_ms", "unit": "ms", "better": "lower", "bound": 0.2}],
         "per_layer": [{"name": n, "unit": "ms", "better": "lower"} for n in
-                      ("scattering.smatrix_ms.nx64.k4", "macrolimit.ref_ms.nx64")]}))
+                      ("scattering.smatrix_ms.nx64.k4", "macrolimit.ref_ms.nx64",
+                       "spectral.self_ms")]}))
     (repo / "bench" / "run.py").write_text(_FAKE_HARNESS)
     (repo / "src" / "kinwb" / "a.py").write_text("x = 1\ny = 2\n")
     (repo / "step_ms.txt").write_text("2.0")
@@ -111,10 +115,13 @@ def test_writer_records_full_shas_and_the_declared_workloads(tmp_path, monkeypat
         assert entry["step_ms_attribution"] == {
             "seeds": [4, 5], "parent": {"kinetic.apply": 1.5, "op.self": 0.5},
             "change": {"kinetic.apply": 0.75, "op.self": 0.25}}
-        assert entry["per_layer"] == {
-            "seeds": [4, 5],
-            "parent": {"scattering.smatrix_ms.nx64.k4": 1.0, "macrolimit.ref_ms.nx64": None},
-            "change": {"scattering.smatrix_ms.nx64.k4": 0.5, "macrolimit.ref_ms.nx64": None}}
+        assert entry["per_layer"] == {"seeds": [4, 5], "parent": {"spectral.self_ms": 0.5},
+                                      "change": {"spectral.self_ms": 0.25}}
+    # the probe reads 1.0 and 3.0 in the parent's two workloads, two runs each
+    assert report["size_probe_medians"] == {
+        "seeds": [4, 5], "workloads": ["w1", "w2"],
+        "parent": {"scattering.smatrix_ms.nx64.k4": 2.0, "macrolimit.ref_ms.nx64": None},
+        "change": {"scattering.smatrix_ms.nx64.k4": 1.0, "macrolimit.ref_ms.nx64": None}}
     assert report["tier1"]["change"]["passed"] == 1
     assert report["tier1"]["parent"]["runs_s"] == [0.25] * bench_pairs.TIER1_RUNS
     assert report["src_kinwb_lines"]["change"] == {"a.py": 2, "total": 2}

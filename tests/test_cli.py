@@ -401,6 +401,19 @@ def test_singular_cell_matrix_exits_3(tmp_path):
     assert manifest["error"].startswith("SolveFailure") and "R_eps" in manifest["error"]
 
 
+def test_non_finite_mode_matrix_exits_3_and_says_so(tmp_path, capsys):
+    # a field of 1e300 overflows the vfp modes: the guard names the entries,
+    # not a nan condition number
+    cfg = json.loads((CONFIGS / "vfp.json").read_text())
+    cfg["E_profile"] = {"kind": "constant", "value": 1e300}
+    config = tmp_path / "vfp.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "IllConditioned): interface 0: mode matrix has entries that are not finite" in err
+    assert "nan" not in err
+
+
 def test_deep_eps_chemo_on_coarse_cells_exits_0(tmp_path):
     # below the B0 switch a step reads only B0, and the mode matrices it
     # still assembles stay well conditioned at dx = 1/2 and eps = 1e-12

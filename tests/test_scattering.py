@@ -6,11 +6,14 @@ from hypothesis import example, given, note, settings, strategies as st
 
 from kinwb import (
     Chemo,
+    ExperimentConfig,
     IllConditioned,
     KineticGrid,
     KinwbError,
     NonPositiveRate,
     Rte,
+    Vfp,
+    ap_error_table,
     chemo_interfaces,
     density,
     dispersion_roots,
@@ -27,7 +30,7 @@ from kinwb import (
     vfp_quadrature,
     well_balanced_residual,
 )
-from kinwb import models, scattering
+from kinwb import models, scattering, spectral
 from kinwb.scattering import _COND_LIMIT, EPS_SWITCH_FACTOR, _inverse
 from kinwb.spectral import first_order_shifts, vfp_mu, vfp_psi
 
@@ -150,16 +153,17 @@ def test_rte_well_balanced_fixed_point(q4):
 
 
 def test_chemo_reduces_to_rte_at_zero_grad(q4):
+    chemo, rte = Chemo(q4, phi_tanh), Rte(q4)
     for eps in (1e-2, 1e-5):
-        a = chemo_interfaces(eps, DX, q4, [0.0], phi_tanh)
-        b = Rte(q4).interfaces(eps, DX, None)
+        a = chemo_interfaces(eps, DX, chemo, [0.0])
+        b = rte.interfaces(eps, DX, None)
         assert np.max(np.abs(a.S[0] - b.S[0])) < 1e-12
         assert np.max(np.abs(a.B0[0] - b.B0[0])) < 1e-12
 
 
 def test_chemo_rate_positivity_guard(q4):
     with pytest.raises(NonPositiveRate):
-        chemo_interfaces(1.5, DX, q4, [8.0], phi_tanh)
+        chemo_interfaces(1.5, DX, Chemo(q4, phi_tanh), [8.0])
 
 
 @pytest.mark.parametrize("slope", [0.8, 8.0, -1.3])
@@ -171,12 +175,13 @@ def test_chemo_rate_guard_at_its_exact_boundary(q4, slope):
         eps = np.nextafter(eps, 0.0)
     while 1.0 - eps * top > 0.0:
         eps = np.nextafter(eps, np.inf)
+    model = Chemo(q4, phi_tanh)
     with pytest.raises(NonPositiveRate):
-        chemo_interfaces(eps, DX, q4, [slope], phi_tanh)
+        chemo_interfaces(eps, DX, model, [slope])
     # one ulp below it the rate guard passes; the mode matrices are nearly
     # singular there, so the assembly may still fail, but only with a typed error
     try:
-        chemo_interfaces(np.nextafter(eps, 0.0), DX, q4, [slope], phi_tanh)
+        chemo_interfaces(np.nextafter(eps, 0.0), DX, model, [slope])
     except KinwbError as exc:
         assert not isinstance(exc, NonPositiveRate)
 
@@ -202,19 +207,21 @@ def test_chemo_rate_guard_decides_as_the_elementwise_margin(K, slope, chi, delta
         eps = np.nextafter(eps, np.inf if ulps > 0 else 0.0)
     margins = 1.0 - eps * np.abs(phip)
     note(f"eps={eps!r}, min margin {np.min(margins)!r}")
+    model = Chemo(q, phi)
     if np.any(margins <= 0.0):
         with pytest.raises(NonPositiveRate, match=re.escape(f"min margin {np.min(margins):.3e}")):
-            chemo_interfaces(eps, DX, q, [slope], phi)
+            chemo_interfaces(eps, DX, model, [slope])
     else:
         try:
-            chemo_interfaces(eps, DX, q, [slope], phi)
+            chemo_interfaces(eps, DX, model, [slope])
         except KinwbError as exc:  # nearly singular mode matrices, typed
             assert not isinstance(exc, NonPositiveRate)
 
 
 def test_chemo_stochasticity_and_wb(q4):
+    model = Chemo(q4, phi_tanh)
     for eps, gradS in ((1e-2, 0.8), (1e-4, -1.3)):
-        S = chemo_interfaces(eps, DX, q4, [gradS], phi_tanh).S[0]
+        S = chemo_interfaces(eps, DX, model, [gradS]).S[0]
         rep = stochasticity_check(S, q4)
         assert rep.col_sum_deviation < 1e-10
         T = rates(eps, phi_tanh(q4.nodes * gradS))
@@ -227,7 +234,7 @@ def test_chemo_wb_with_non_default_response(q4, eps):
     def phi(u):
         return phi_tanh(u, chi=2.0, delta=0.5)
 
-    S = chemo_interfaces(eps, DX, q4, [0.8], phi).S[0]
+    S = chemo_interfaces(eps, DX, Chemo(q4, phi), [0.8]).S[0]
     T = rates(eps, phi(q4.nodes * 0.8))
     assert well_balanced_residual(S, eps, DX, q4, rates=T) <= 1e-10
 
@@ -236,16 +243,18 @@ def test_chemo_wb_with_non_default_response(q4, eps):
 def test_chemo_wb_deep_eps(q4, gradS):
     # the rates 1 +- eps*phi differ only in their last digits here; they are
     # still uneven, so the oracle's zero mode is the uneven one
+    model = Chemo(q4, phi_tanh)
     for eps in (1e-6, 1e-8, 1e-10, 1e-12):
-        S = chemo_interfaces(eps, DX, q4, [gradS], phi_tanh).S[0]
+        S = chemo_interfaces(eps, DX, model, [gradS]).S[0]
         T = rates(eps, phi_tanh(q4.nodes * gradS))
         assert well_balanced_residual(S, eps, DX, q4, rates=T) <= 1e-10
 
 
 def test_chemo_reconstruction_and_b_limit(q4, closure4):
     norms = []
+    model = Chemo(q4, phi_tanh)
     for eps in (1e-2, 1e-3, 1e-4):
-        stack = chemo_interfaces(eps, DX, q4, [0.8], phi_tanh)
+        stack = chemo_interfaces(eps, DX, model, [0.8])
         rec = np.max(np.abs(stack.S[0] - s0_full(closure4.S0) - eps * stack.B[0]))
         assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
         norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
@@ -257,8 +266,10 @@ def test_chemo_b0_flux_contractions(q4):
     """The four weighted contractions of B^{i0} 1 that build the limiting
     exponential-fitting flux (drift E = lambda0^1/3)."""
     gradS = 0.8
-    stack = chemo_interfaces(1e-3, DX, q4, [gradS], phi_tanh)
-    lam01 = first_order_shifts(q4, dispersion_roots(q4), phi_tanh(q4.nodes * gradS)[None])[0][0]
+    model = Chemo(q4, phi_tanh)
+    stack = chemo_interfaces(1e-3, DX, model, [gradS])
+    phip = phi_tanh(q4.nodes * gradS)[None]
+    lam01 = first_order_shifts(q4, model.base, phip, model.shifts)[0][0]
     E = lam01 / 3.0
     q0 = np.exp(-lam01 * DX)
     d = q0 - 1.0
@@ -280,10 +291,11 @@ def test_chemo_b0_continuous_through_zero_slope(K):
     def phi(u):
         return 2.0 * np.tanh(u)
 
+    model = Chemo(q, phi)
     for dx in (1.0 / 256, 1.0 / 64, 0.5):
-        flat = chemo_interfaces(1e-3, dx, q, [0.0], phi).B0[0]
+        flat = chemo_interfaces(1e-3, dx, model, [0.0]).B0[0]
         for g in (1e-300, 1e-14, 1e-11, 1e-9, 1e-6, -1e-6):
-            B0 = chemo_interfaces(1e-3, dx, q, [g], phi).B0[0]
+            B0 = chemo_interfaces(1e-3, dx, model, [g]).B0[0]
             assert np.max(np.abs(B0 - flat)) <= abs(g) * np.max(np.abs(flat)), (dx, g)
 
 
@@ -292,7 +304,7 @@ def test_chemo_assembles_at_deep_eps_on_coarse_cells(K):
     # at dx = 1/2 and eps = 1e-12 the zero-mode column stays O(dx), so the
     # mode matrix keeps a modest condition number instead of dx/eps
     q = gauss_symmetric(K)
-    stack = chemo_interfaces(1e-12, 0.5, q, [0.0, 0.3, -1.0], phi_tanh)
+    stack = chemo_interfaces(1e-12, 0.5, Chemo(q, phi_tanh), [0.0, 0.3, -1.0])
     assert np.all(np.isfinite(stack.S)) and np.all(np.isfinite(stack.B))
 
 
@@ -338,15 +350,16 @@ def test_vfp_s0_independent_of_field(qv3):
     # the stacks keep no S0 of their own: both fields tend to the closure's
     S0 = vfp_closure(qv3).S0
     for E in (+2.0, -2.0):
-        stack = vfp_interfaces(1e-11, DX, qv3, [E])
+        stack = vfp_interfaces(1e-11, DX, Vfp(qv3, [E]))
         assert np.max(np.abs(stack.S[0] - s0_full(S0))) < 1e-8
 
 
 def test_vfp_maxwellian_fixed_at_zero_field(qv3):
     m = np.exp(-qv3.nodes**2 / 2.0)
     mm = np.concatenate([m, m])
+    model = Vfp(qv3, [0.0])
     for eps in (1e-1, 1e-3, 1e-6):
-        S = vfp_interfaces(eps, DX, qv3, [0.0]).S[0]
+        S = vfp_interfaces(eps, DX, model).S[0]
         assert np.max(np.abs(S @ mm - mm)) < 1e-12
 
 
@@ -357,7 +370,7 @@ def test_vfp_b10_contraction_reference_value(qv3):
     wv = qv3.weights * qv3.nodes
     sigma2 = np.sum(qv3.weights * qv3.nodes**2 * m)
     for E in (2.0, 0.5, -1.0):
-        B1 = quarters(vfp_interfaces(1e-4, DX, qv3, [E]).B0[0])[0]
+        B1 = quarters(vfp_interfaces(1e-4, DX, Vfp(qv3, [E])).B0[0])[0]
         got = wv @ (B1 @ m)
         expect = (2.0 * E / kappa) * sigma2 / (1.0 - np.exp(-E * DX / kappa))
         assert got == pytest.approx(expect, rel=1e-12)
@@ -367,8 +380,9 @@ def test_vfp_b10_contraction_reference_value(qv3):
 def test_vfp_reconstruction_b_limit_and_wb(qv3, E):
     norms = []
     S0 = vfp_closure(qv3).S0
+    model = Vfp(qv3, [E])
     for eps in (1e-2, 1e-3, 1e-4):
-        stack = vfp_interfaces(eps, DX, qv3, [E])
+        stack = vfp_interfaces(eps, DX, model)
         rec = np.max(np.abs(stack.S[0] - s0_full(S0) - eps * stack.B[0]))
         assert rec < 1e-12 * np.max(np.abs(stack.S[0]))
         norms.append(np.max(np.abs(stack.B[0] - stack.B0[0])))
@@ -381,14 +395,15 @@ def test_vfp_flux_defect_scales_with_eps_and_E(qv3):
     discrete nodes, so column stochasticity degrades linearly (reported,
     not asserted as exact by the scheme)."""
     devs = {}
-    for eps in (1e-3, 1e-4):
-        for E in (0.5, 2.0):
-            S = vfp_interfaces(eps, DX, qv3, [E]).S[0]
+    for E in (0.5, 2.0):
+        model = Vfp(qv3, [E])
+        for eps in (1e-3, 1e-4):
+            S = vfp_interfaces(eps, DX, model).S[0]
             devs[(eps, E)] = stochasticity_check(S, qv3).col_sum_deviation
     assert devs[(1e-4, 0.5)] == pytest.approx(devs[(1e-3, 0.5)] / 10.0, rel=0.15)
     assert devs[(1e-3, 2.0)] == pytest.approx(4.0 * devs[(1e-3, 0.5)], rel=0.15)
     # and exactly conserving at E = 0
-    S = vfp_interfaces(1e-2, DX, qv3, [0.0]).S[0]
+    S = vfp_interfaces(1e-2, DX, Vfp(qv3, [0.0])).S[0]
     assert stochasticity_check(S, qv3).col_sum_deviation < 1e-12
 
 
@@ -433,13 +448,12 @@ def assert_rows_match(stack, singles):
 @example(K=16, eps=1e-3, grads=[0.0, 0.8, -1.3])
 def test_chemo_stack_matches_single_interfaces(K, eps, grads):
     q = gauss_symmetric(K)
-    stack = chemo_interfaces(eps, DX, q, grads, phi_tanh)
-    assert stack.S.shape == (len(grads), 2 * K, 2 * K)
-    assert_rows_match(stack, [chemo_interfaces(eps, DX, q, [g], phi_tanh) for g in grads])
-    # the constants a model builds once give the cold assembly, bitwise
     model = Chemo(q, phi_tanh)
-    assert_same_stack(chemo_interfaces(eps, DX, q, grads, phi_tanh, model.base, model.closure,
-                                       shifts=model.shifts), stack)
+    stack = chemo_interfaces(eps, DX, model, grads)
+    assert stack.S.shape == (len(grads), 2 * K, 2 * K)
+    assert_rows_match(stack, [chemo_interfaces(eps, DX, model, [g]) for g in grads])
+    # a second model of the same q sets up the same constants: the same stack, bitwise
+    assert_same_stack(chemo_interfaces(eps, DX, Chemo(q, phi_tanh), grads), stack)
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,9 +462,9 @@ def test_chemo_stack_matches_single_interfaces(K, eps, grads):
 @example(K=3, eps=1e-3, fields=[0.0, 0.5, -2.0])
 def test_vfp_stack_matches_single_interfaces(K, eps, fields):
     q = vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0))
-    stack = vfp_interfaces(eps, DX, q, fields)
+    stack = vfp_interfaces(eps, DX, Vfp(q, fields))
     assert stack.S.shape == (len(fields), 2 * K, 2 * K)
-    assert_rows_match(stack, [vfp_interfaces(eps, DX, q, [E]) for E in fields])
+    assert_rows_match(stack, [vfp_interfaces(eps, DX, Vfp(q, [E])) for E in fields])
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +484,7 @@ def test_integral_interface_well_balanced_and_stochastic(model, K, eps, dx, slop
         S = Rte(q).interfaces(eps, dx, None).S[0]
         T = (np.ones(K), np.ones(K))
     else:
-        S = chemo_interfaces(eps, dx, q, [slope], phi_tanh).S[0]
+        S = chemo_interfaces(eps, dx, Chemo(q, phi_tanh), [slope]).S[0]
         T = rates(eps, phi_tanh(q.nodes * slope))
     assert well_balanced_residual(S, eps, dx, q, rates=T) <= 1e-10
     assert stochasticity_check(S, q).col_sum_deviation <= 1e-10
@@ -481,7 +495,7 @@ def test_well_balanced_residual_gates_the_zero_mode_at_tiny_slope(q4, eps):
     # at slope 1e-9 the unscaled zero mode exp(-lam0 x/eps)/(T - lam0 v) - 1/T
     # is 3e-11 of the largest trace and good only to 5.5e-6 by cancellation;
     # scaled by -eps/lam0 it is O(dx), and each column has its own gate
-    S = chemo_interfaces(eps, DX, q4, [1e-9], phi_tanh).S[0]
+    S = chemo_interfaces(eps, DX, Chemo(q4, phi_tanh), [1e-9]).S[0]
     T = rates(eps, phi_tanh(q4.nodes * 1e-9))
     assert well_balanced_residual(S, eps, DX, q4, rates=T) <= 1e-10
 
@@ -491,7 +505,7 @@ def test_well_balanced_residual_gates_the_zero_mode_at_tiny_slope(q4, eps):
 @example(K=3, eps=1e-12, dx=0.5, E=2.0)
 def test_vfp_interface_well_balanced(K, eps, dx, E):
     q = vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0))
-    S = vfp_interfaces(eps, dx, q, [E]).S[0]
+    S = vfp_interfaces(eps, dx, Vfp(q, [E])).S[0]
     assert well_balanced_residual(S, eps, dx, q, E=E) <= 1e-10
     # reported, not asserted: the finite-eps Hermite modes are O(eps*E)-flux-free
     note(f"column-sum deviation {stochasticity_check(S, q).col_sum_deviation:.2e}")
@@ -500,7 +514,7 @@ def test_vfp_interface_well_balanced(K, eps, dx, E):
 def test_ill_conditioned_interface_is_named(qv3):
     # an extreme field at interface 2 makes its mode matrix singular
     with pytest.raises(IllConditioned, match="interface 2"):
-        vfp_interfaces(1e-3, DX, qv3, [0.5, -0.5, 1e4, 0.0])
+        vfp_interfaces(1e-3, DX, Vfp(qv3, [0.5, -0.5, 1e4, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +557,14 @@ def _interface_last_inputs(K, M, eps):
     """phip (M, K) and first-order roots (M, 2K-1) of M interfaces, as the
     root solve sees them, and the closure data of :func:`_chemo_B0`."""
     q = gauss_symmetric(K)
+    model = Rte(q)
     grads = 3.0 * np.sin(np.arange(M) + 0.5)
     phip = phi_tanh(np.outer(grads, q.nodes))
-    lam0 = dispersion_roots(q)
-    lam01, lam1 = first_order_shifts(q, lam0, phip)
+    lam0 = model.base
+    lam01, lam1 = first_order_shifts(q, lam0, phip, model.shifts)
     roots = np.hstack([-(lam0 - eps * lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps * lam1])
     r = -DX / scattering.bernoulli(-lam01 * DX)
-    return q, phip, roots, (lam0, lam1, lam01, rte_closure(q, lam0), r)
+    return q, phip, roots, (lam0, lam1, lam01, model.closure, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -581,7 +596,7 @@ def test_chemo_interfaces_pass_contiguous_interface_last_inputs(monkeypatch):
 
         monkeypatch.setattr(scattering, name, recorded)
     grads = np.linspace(-2.0, 2.0, M)
-    chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, gauss_symmetric(K), grads, phi_tanh)
+    chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, Chemo(gauss_symmetric(K), phi_tanh), grads)
     shapes = {
         "first_order_shifts": [(M, K)],  # its einsum fixes the bits of the roots
         "_chemo_matrices": [(K, M), (2 * K - 1, M)],
@@ -621,7 +636,7 @@ def test_rte_roots_solved_once_equal_the_per_call_solve(monkeypatch, K):
                           lambda *a, f=original: solved.append(f(*a)) or solved[-1])
             stack = model.interfaces(eps, DX, None)
             assert solved == []
-            cold = chemo_interfaces(eps, DX, q, [0.0], np.zeros_like)
+            cold = chemo_interfaces(eps, DX, Rte(q), [0.0])
         [roots] = solved
         assert np.array_equal(model.roots, roots)
         assert np.array_equal(np.signbit(model.roots), np.signbit(roots))
@@ -629,20 +644,62 @@ def test_rte_roots_solved_once_equal_the_per_call_solve(monkeypatch, K):
         assert_same_stack(stack, cold)  # the model's roots, closure and shift weights
 
 
+SETUP = ("dispersion_roots", "rte_closure", "shift_weights", "vfp_closure")
+
+
+def count_setup(monkeypatch):
+    """Calls of the field-free set-up builders, wherever a kinwb module
+    reaches them from."""
+    calls = dict.fromkeys(SETUP, 0)
+    for module in (models, scattering, spectral):
+        for name in SETUP:
+            if hasattr(module, name):
+                def counted(*args, name=name, original=getattr(module, name)):
+                    calls[name] += 1
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_field_free_setup_is_built_once_per_model(monkeypatch, q4):
+    calls = count_setup(monkeypatch)
+    once = {"dispersion_roots": 1, "rte_closure": 1, "shift_weights": 1, "vfp_closure": 0}
+    x = (np.arange(32) + 0.5) / 32
+    rho0 = 1 + 0.5 * np.cos(2 * np.pi * x)
+    march = Chemo(q4, phi_tanh).march(1e-3, 1.0 / 32**2, 1.0 / 32, rho0)
+    assert calls == once
+    for _ in range(21):  # the initial state and 20 steps
+        next(march)
+    assert calls == once
+    vfp_once = {"dispersion_roots": 0, "rte_closure": 0, "shift_weights": 0, "vfp_closure": 1}
+    for model, K, fields, expected in (
+        ("rte", 4, {}, once),
+        ("chemo", 4, {}, once),
+        ("vfp", 3, {"kappa": 1.0, "E_profile": {"kind": "sinusoidal", "amplitude": 0.5}},
+         vfp_once),
+    ):
+        calls.update(dict.fromkeys(SETUP, 0))
+        config = ExperimentConfig(model=model, K=K, Nx=32, dx=1.0 / 32, dt=1.0 / 32**2,
+                                  t_final=1.0 / 32**2, epsilon_list=[1e-1], **fields)
+        rows, _ = ap_error_table(config, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+        assert len(rows) == 5 and calls == expected, model
+
+
 def test_chemo_b0_built_only_when_read(monkeypatch, q4):
     calls = counting(monkeypatch, "_chemo_B0")
     grads = [0.0, 0.8, -1.3]
-    above = chemo_interfaces(1e-3, DX, q4, grads, phi_tanh)
+    model = Chemo(q4, phi_tanh)
+    above = chemo_interfaces(1e-3, DX, model, grads)
     assert calls == []
     x = (np.arange(16) + 0.5) / 16
-    model = Chemo(q4, phi_tanh)
     grid = KineticGrid(Nx=16, dx=1 / 16, dt=1 / 256, epsilon=1e-4, q=q4,
                        f=equilibrium(1 + 0.5 * np.cos(2 * np.pi * x), model.q))
     op = step_operator(grid, model)
     for _ in range(3):
         grid = imex_step(grid, op, model.field(density(grid.f, grid.q), grid.dx))
     assert calls == []
-    below = chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, q4, grads, phi_tanh)
+    below = chemo_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, model, grads)
     assert len(calls) == 1
     # B0 does not depend on eps: read on demand it is the stack built below the switch
     assert np.array_equal(above.B0, below.B)
@@ -674,7 +731,7 @@ def test_outgoing_matches_the_b_stack(K, eps):
     # both forms lose about u cond(N)/eps to the cancellation in B
     dx = 1.0 / 64.0
     q = gauss_symmetric(K)
-    stack = chemo_interfaces(eps, dx, q, [0.0, 0.3, -1.1, 2.5], phi_tanh)
+    stack = chemo_interfaces(eps, dx, Chemo(q, phi_tanh), [0.0, 0.3, -1.1, 2.5])
     inc = np.random.default_rng(K).uniform(0.5, 1.5, (4, 2 * K))
     ref = np.einsum("iab,ib->ia", stack.B, inc)
     out = stack.outgoing(np.ascontiguousarray(inc.T))
@@ -701,7 +758,7 @@ def test_limit_inverse_certificate_bounds_the_exact_guard(K, eps, dx, slope):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scattering, "_cond_bound", recorded)
         try:
-            stack = chemo_interfaces(eps, dx, gauss_symmetric(K), [0.0, slope], phi_tanh)
+            stack = chemo_interfaces(eps, dx, Chemo(gauss_symmetric(K), phi_tanh), [0.0, slope])
         except IllConditioned:
             stack = None
     (N, bound), = bounds
@@ -756,7 +813,7 @@ def test_structured_certificate_matches_the_explicit_product(K, eps, dx, slope):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scattering, "_cond_bound", record)
         try:
-            chemo_interfaces(eps, dx, gauss_symmetric(K), [0.0, slope], phi_tanh)
+            chemo_interfaces(eps, dx, Chemo(gauss_symmetric(K), phi_tanh), [0.0, slope])
         except IllConditioned:
             pass
     (A, closure, r, bound), = recorded
@@ -817,13 +874,14 @@ def test_vfp_matrices_match_the_per_family_loop(nodes, kappa, eps, dx, fields):
 def test_vfp_b0_built_only_when_read(monkeypatch, qv3):
     calls = counting(monkeypatch, "_vfp_B0")
     fields = [0.0, 0.5, -2.0]
-    above = vfp_interfaces(1e-3, DX, qv3, fields)
+    model = Vfp(qv3, fields)
+    above = vfp_interfaces(1e-3, DX, model)
     assert calls == []
     eager = scattering._vfp_B0(DX, qv3.nodes, np.asarray(fields), 1.0, vfp_closure(qv3))
     assert np.array_equal(above.B0, eager)
-    below = vfp_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, qv3, fields)
+    below = vfp_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, model)
     assert np.array_equal(below.B, eager) and below.B0 is below.B
     assert len(calls) == 3  # the eager reference, above.B0, and `below`
-    single = vfp_interfaces(1e-3, DX, qv3, [0.5])
+    single = vfp_interfaces(1e-3, DX, Vfp(qv3, [0.5]))
     assert np.array_equal(single.B0[0], eager[1])
 

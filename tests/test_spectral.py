@@ -13,7 +13,7 @@ from kinwb import (
     vfp_psi0,
 )
 from kinwb.scattering import _vfp_zero_columns
-from kinwb.spectral import _all_roots_multi, first_order_shifts, vfp_mu, vfp_psi
+from kinwb.spectral import _all_roots_multi, first_order_shifts, shift_weights, vfp_mu, vfp_psi
 
 
 def test_k2_root_closed_form(q2):
@@ -99,10 +99,16 @@ def test_hermite_small_orders():
         hermite_poly(np.array([2, 65]), 0.0)
 
 
+def even_rate_shifts(q, phip):
+    """:func:`first_order_shifts` of phip on q's even-rate roots."""
+    lam0 = dispersion_roots(q)
+    return first_order_shifts(q, lam0, phip, shift_weights(q, lam0))
+
+
 def test_chemo_expansion_odd_symmetry(q4):
     # rows: gradS = 0, 0.9, -0.9
     phip = phi_tanh(np.outer([0.0, 0.9, -0.9], q4.nodes))
-    lam01, lam1 = first_order_shifts(q4, dispersion_roots(q4), phip)
+    lam01, lam1 = even_rate_shifts(q4, phip)
     assert lam01[0] == 0.0
     assert np.allclose(lam1[0], 0.0, atol=1e-15)
     # odd response makes the double-zero split odd in gradS
@@ -111,7 +117,7 @@ def test_chemo_expansion_odd_symmetry(q4):
 
 def test_chemo_expansion_linear_response(q2):
     # phi(u) = u with gradS = 1 gives lambda0^1 = sum w v^2 / D = 1
-    lam01, _ = first_order_shifts(q2, dispersion_roots(q2), q2.nodes[None])
+    lam01, _ = even_rate_shifts(q2, q2.nodes[None])
     assert lam01[0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -120,7 +126,7 @@ def test_chemo_zero_root_first_order_matches_root_solve(K):
     # lambda0^1 divides by the quadrature's D = sum w v^2 (1/4 at K = 1, not 1/3)
     q = gauss_symmetric(K)
     phip = phi_tanh(q.nodes * 0.7)
-    lam01, _ = first_order_shifts(q, dispersion_roots(q), phip[None])
+    lam01, _ = even_rate_shifts(q, phip[None])
     eps = 1e-6
     root = _all_roots_multi(q.nodes, q.weights, 1 + eps * phip, 1 - eps * phip)[0][K - 1]
     assert root / eps == pytest.approx(lam01[0], rel=1e-4)
@@ -137,7 +143,7 @@ def test_chemo_expansion_second_order_remainder(q4):
     gradS = 0.7
     phip = phi_tanh(q4.nodes * gradS)
     lam0 = dispersion_roots(q4)
-    lam01, lam1 = first_order_shifts(q4, lam0, phip[None])
+    lam01, lam1 = first_order_shifts(q4, lam0, phip[None], shift_weights(q4, lam0))
     eps_list = np.array([1e-2, 1e-3, 1e-4])
     errs = []
     for eps in eps_list:
@@ -233,7 +239,7 @@ def test_seeded_roots_match_bisection(K, log_eps, grads):
     # the first-order seed: lambda0 + eps*lambda1, eps*lambda0^1, and the
     # negative branch as the mirror image under phi -> -phi
     lam = dispersion_roots(q)
-    lam01, lam1 = first_order_shifts(q, lam, phip)
+    lam01, lam1 = first_order_shifts(q, lam, phip, shift_weights(q, lam))
     guess = np.hstack([-(lam - eps * lam1)[:, ::-1], eps * lam01[:, None], lam + eps * lam1])
     assert_roots_close(_all_roots_multi(q.nodes, q.weights, Tp, Tn, guess), ref)
     assert_roots_close(_all_roots_multi(q.nodes, q.weights, Tp, Tn), ref)

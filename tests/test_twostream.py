@@ -27,7 +27,7 @@ def make_state(rho=None):
 
 def step(f, eps):
     """One step driven by the chemoattractant of f's density, as a march takes it."""
-    return ts_step(f, chemoattractant_update(f[:, 0] + f[:, 1], DX), eps, DT, DX)
+    return ts_step(f, chemoattractant_update(f[:, 0] + f[:, 1], DX), eps, DT, DX, phi_tanh)
 
 
 def test_smatrix_zero_response_is_swap():
