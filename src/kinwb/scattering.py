@@ -35,7 +35,10 @@ of the limit closure; it does not see the field, so one S0 serves every
 interface.  Above the switch threshold eps >= 1e-8*dx the correction is
 computed as B^eps = (S^eps - S^0)/eps; below it the analytic limit B^0 is
 substituted to avoid catastrophic cancellation.  B^0 is built eagerly below
-the switch, and above it only when :attr:`InterfaceStack.B0` is read.
+the switch, and above it only when :attr:`InterfaceStack.B0` is read.  It
+is one closed form for every model (:func:`_limit_B0`): the Il'in /
+Scharfetter-Gummel flux with the model's own D and drift, acting on the
+Maxwellian traces, plus a micro block on the damped ones.
 """
 
 from dataclasses import dataclass, field
@@ -173,11 +176,13 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
 
 def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
     """Upper bounds of cond_1 of the chemotaxis mode matrices A (n, n, M),
-    interface axis last, n = 2K, from Y, :func:`_limit_inverse`'s exact
-    inverse of their eps -> 0 limit: with rho = ||I - Y A||_1 < 1,
-    ||A^{-1}||_1 <= ||Y||_1/(1 - rho).  A member with rho > 1/2, or with a
-    non-finite bound, gets inf.
+    interface axis last, n = 2K, from Y, the exact inverse of their eps -> 0
+    limit: with rho = ||I - Y A||_1 < 1, ||A^{-1}||_1 <= ||Y||_1/(1 - rho).
+    A member with rho > 1/2, or with a non-finite bound, gets inf.
 
+    In the column groups of :func:`_assemble` that limit is [[P, 1, 0, 0],
+    [0, 1, P, -r]], P = 1/(1 - v lambda0), r = -dx/bernoulli(-lambda0^1 dx),
+    and Y's rows are [gamma, 0], [beta, 0], [0, gamma], [beta/r, -beta/r].
     Y is not formed.  With G = [gamma; beta] (K, K) and A_top, A_bot the
     first and last K rows of A, Y A is G A_top in its first K rows, the
     first K-1 rows of G A_bot below them, and (beta A_top - beta A_bot)/r
@@ -291,56 +296,31 @@ def _chemo_matrices(epsilon, dx, v, phip, roots):
     return N, Nt
 
 
-def _limit_inverse(closure, r) -> np.ndarray:
-    """Y (M, 2K, 2K), the exact inverse of the eps -> 0 limit of the mode
-    matrices N of :func:`_chemo_matrices`, with r (M,) as in
-    :func:`_chemo_B0`.  In the column groups of :func:`_assemble` that limit
-    is [[P, 1, 0, 0], [0, 1, P, -r]], P = 1/(1 - v lambda0), and the closure
-    inverts its diagonal blocks [P | 1]."""
-    gamma, beta = closure.gamma, closure.beta
-    M, K = len(r), len(beta)
-    r = r[:, None]
-    Y = np.zeros((M, 2 * K, 2 * K))
-    Y[:, : K - 1, :K] = gamma
-    Y[:, K - 1, :K] = beta
-    Y[:, K : 2 * K - 1, K:] = gamma
-    Y[:, 2 * K - 1, :K] = beta / r
-    Y[:, 2 * K - 1, K:] = -beta / r
-    return Y
+def _limit_B0(model, dx, u, Z) -> np.ndarray:
+    """B^0 (M, 2K, 2K), the eps -> 0 limit of (S^eps - S^0)/eps of every
+    model: [[b+ C, Z - b- C], [-Z - b+ C, b- C]], C = (I + S0)(v m) beta^T,
+    m the Maxwellian, b+- = B(-+u)/dx, B the Bernoulli function.  On the
+    Maxwellian coefficient beta f the diagonal blocks are the Il'in flux
+    :func:`macrolimit.sg_flux` with the model's D and drift, u = drift dx/D
+    (M,); the micro block Z (M, K, K) carries no flux of it, (w v)^T Z m = 0."""
+    q, closure = model.q, model.closure
+    u = u[:, None, None]
+    b_plus, b_minus = bernoulli(-u) / dx, bernoulli(u) / dx
+    C = np.outer((np.eye(q.K) + closure.S0) @ (q.nodes * q.maxwellian), closure.beta)
+    return np.block([[b_plus * C, Z - b_minus * C], [-Z - b_plus * C, b_minus * C]])
 
 
-def _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r) -> np.ndarray:
-    """Analytic limit of (S^eps - S^0)/eps via term-by-term differentiation.
-
-    B^0 = A'(0) X - A^0 X N'(0) X with X the block inverse of the limit
-    mode matrix; stiff entries differentiate to zero, and the second-order
-    middle-eigenvalue coefficient drops because gamma annihilates constants.
-    The zero-mode column is normalised by 1/lambda0^1, so its limit carries
-    r = (exp(-lambda0^1 dx) - 1)/lambda0^1 = -dx/B(-lambda0^1 dx), B the
-    Bernoulli function: the formula holds through zero slope, where it is
-    the radiative-transfer limit.  That column is -1 times the one of the
-    finite-eps N, so X is :func:`_limit_inverse`'s Y with the last row
-    negated.  phip is (K, M), as for :func:`_chemo_matrices`; the
-    derivative blocks are assembled interface-last and the products run on
-    contiguous (M, 2K, 2K) copies.
-    """
-    K, M = phip.shape
-    zeta0 = closure.zeta
-    q0 = np.exp(-lam01 * dx)
-    Fm2 = (1.0 / (1.0 - np.outer(v, lam0)) ** 2)[:, :, None]
-    Fp2 = (1.0 / (1.0 + np.outer(v, lam0)) ** 2)[:, :, None]
-    DP = phip[:, None] - v[:, None, None] * lam1.T
-    v = v[:, None]
-    Np = _assemble(M, K, (-DP * Fm2, -phip, 0.0, v), (0.0, phip, DP * Fm2, r * phip - q0 * v))
-    Ntp = _assemble(M, K, (0.0, -phip, -DP * Fp2, q0 * v - r * phip), (DP * Fp2, phip, 0.0, -v))
-    Ap = np.ascontiguousarray((Ntp - np.roll(Np, K, axis=0)).transpose(2, 0, 1))
-    Np = np.ascontiguousarray(Np.transpose(2, 0, 1))
-    A0 = np.zeros((2 * K, 2 * K))
-    A0[K:, : K - 1] = -zeta0
-    A0[:K, K : 2 * K - 1] = -zeta0
-    X = _limit_inverse(closure, r)
-    X[:, -1] = -X[:, -1]
-    return Ap @ X - A0 @ X @ Np @ X
+def _chemo_micro(model, phip, lam1, lam01) -> np.ndarray:
+    """Chemotaxis' micro block Z (M, K, K) from phip (K, M) and the shifts
+    lambda0^1 (M,), lambda^1 (M, K-1) of :func:`first_order_shifts`: Z =
+    -[sum_l (DP_l p~_l^2 + S0 DP_l p_l^2) gamma_l^T + (I + S0)(phi - v lambda0^1) beta^T],
+    p_l, p~_l = 1/(1 -+ v lambda_l^0), DP_l = phi - v lambda_l^1; 0 at phi = 0."""
+    v, lam0, S0 = model.q.nodes, model.base, model.closure.S0
+    DP = (phip[:, None] - v[:, None, None] * lam1.T).transpose(2, 0, 1)  # (M, K, K-1)
+    p2, pt2 = 1.0 / (1.0 - np.outer(v, lam0)) ** 2, 1.0 / (1.0 + np.outer(v, lam0)) ** 2
+    zero = (np.eye(len(v)) + S0) @ (phip - v[:, None] * lam01)  # the zero mode's, (K, M)
+    return -((DP * pt2 + S0 @ (DP * p2)) @ model.closure.gamma
+             + zero.T[:, :, None] * model.closure.beta)
 
 
 def chemo_interfaces(epsilon: float, dx: float, model, grads, roots=None) -> InterfaceStack:
@@ -380,7 +360,7 @@ def chemo_interfaces(epsilon: float, dx: float, model, grads, roots=None) -> Int
     r = -dx / bernoulli(-lam01 * dx)
     return _stack(
         epsilon, dx, closure, N, Nt,
-        lambda: _chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r), r,
+        lambda: _limit_B0(model, dx, -lam01 * dx, _chemo_micro(model, phip, lam1, lam01)), r,
     )
 
 
@@ -447,32 +427,15 @@ def _vfp_matrices(epsilon, dx, v, E, kappa):
     return N, Nt
 
 
-def _vfp_B0(dx, v, E, kappa, closure) -> np.ndarray:
-    """Closed-form limit blocks with Bernoulli-type prefactors.
-
-    The drift factors E/(kappa(1 - exp(-E dx/kappa))) are evaluated through
-    the Bernoulli function, so the formula is uniformly valid through E = 0.
-    """
-    K = len(v)
-    gamma, beta = closure.gamma, closure.beta
-    m = vfp_psi0(0, v, kappa)
-    P = closure.S0
-    W = np.eye(K) + P
-    u = (E * dx / kappa)[:, None, None]
-    b_plus = bernoulli(-u) / dx
-    b_minus = bernoulli(u) / dx
-    core = np.outer(W @ (v * m), beta)
-    Y = np.zeros((K, K))
-    for l in range(1, K):
-        col = v * vfp_psi0(l, -v, kappa) + P @ (v * vfp_psi0(l, v, kappa))
-        Y += np.outer(col, gamma[l - 1])
-    G = (E / (2.0 * kappa))[:, None, None]
-    return np.block(
-        [
-            [b_plus * core, G * Y - b_minus * core],
-            [-G * Y - b_plus * core, b_minus * core],
-        ]
-    )
+def _vfp_micro(model, E) -> np.ndarray:
+    """The micro block Z (M, K, K) of Fokker-Planck in the fields E (M,):
+    (E/2 kappa) sum_l (v psi0_l(-v) + S0 (v psi0_l(v))) gamma_l^T."""
+    v, kappa, closure = model.q.nodes, model.q.kappa, model.closure
+    Y = np.zeros((len(v), len(v)))
+    for l in range(1, len(v)):
+        col = v * vfp_psi0(l, -v, kappa) + closure.S0 @ (v * vfp_psi0(l, v, kappa))
+        Y += np.outer(col, closure.gamma[l - 1])
+    return (E / (2.0 * kappa))[:, None, None] * Y
 
 
 def vfp_interfaces(epsilon: float, dx: float, model) -> InterfaceStack:
@@ -491,4 +454,5 @@ def vfp_interfaces(epsilon: float, dx: float, model) -> InterfaceStack:
     E = np.atleast_1d(np.asarray(model.E_half, dtype=float))
     kappa = q.kappa
     N, Nt = _vfp_matrices(epsilon, dx, q.nodes, E, kappa)
-    return _stack(epsilon, dx, closure, N, Nt, lambda: _vfp_B0(dx, q.nodes, E, kappa, closure))
+    return _stack(epsilon, dx, closure, N, Nt,
+                  lambda: _limit_B0(model, dx, E * dx / kappa, _vfp_micro(model, E)))

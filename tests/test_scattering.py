@@ -31,10 +31,13 @@ from kinwb import (
     well_balanced_residual,
 )
 from kinwb import models, scattering, spectral
+from kinwb.diagnostics import loglog_slope
+from kinwb.macrolimit import bernoulli, sg_step
 from kinwb.scattering import _COND_LIMIT, EPS_SWITCH_FACTOR, _inverse
 from kinwb.spectral import first_order_shifts, vfp_mu, vfp_psi
 
 DX = 1.0 / 32.0
+ULP = np.finfo(float).eps
 
 
 def s0_full(S0):
@@ -555,7 +558,8 @@ def test_guard_is_the_exact_one_norm_condition_number(scale, passes):
 
 def _interface_last_inputs(K, M, eps):
     """phip (M, K) and first-order roots (M, 2K-1) of M interfaces, as the
-    root solve sees them, and the closure data of :func:`_chemo_B0`."""
+    root solve sees them, and the model and shifts of
+    :func:`scattering._chemo_micro`."""
     q = gauss_symmetric(K)
     model = Rte(q)
     grads = 3.0 * np.sin(np.arange(M) + 0.5)
@@ -563,8 +567,7 @@ def _interface_last_inputs(K, M, eps):
     lam0 = model.base
     lam01, lam1 = first_order_shifts(q, lam0, phip, model.shifts)
     roots = np.hstack([-(lam0 - eps * lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps * lam1])
-    r = -DX / scattering.bernoulli(-lam01 * DX)
-    return q, phip, roots, (lam0, lam1, lam01, model.closure, r)
+    return q, phip, roots, (model, lam1, lam01)
 
 
 @settings(max_examples=40, deadline=None)
@@ -580,14 +583,17 @@ def test_chemo_kernels_ignore_the_layout_of_their_inputs(K, eps, M):
     for a, b in zip(scattering._chemo_matrices(eps, DX, q.nodes, *contiguous),
                     scattering._chemo_matrices(eps, DX, q.nodes, phip.T, roots.T)):
         assert np.array_equal(a, b)
-    assert np.array_equal(scattering._chemo_B0(DX, q.nodes, contiguous[0], *limit),
-                          scattering._chemo_B0(DX, q.nodes, phip.T, *limit))
+    model, lam1, lam01 = limit
+    B0 = [scattering._limit_B0(model, DX, -lam01 * DX,
+                               scattering._chemo_micro(model, p, lam1, lam01))
+          for p in (contiguous[0], phip.T)]
+    assert np.array_equal(*B0)
 
 
 def test_chemo_interfaces_pass_contiguous_interface_last_inputs(monkeypatch):
     K, M = 4, 7
     seen = []
-    for name in ("first_order_shifts", "_chemo_matrices", "_chemo_B0"):
+    for name in ("first_order_shifts", "_chemo_matrices", "_chemo_micro"):
         original = getattr(scattering, name)
 
         def recorded(*args, name=name, original=original):
@@ -600,7 +606,7 @@ def test_chemo_interfaces_pass_contiguous_interface_last_inputs(monkeypatch):
     shapes = {
         "first_order_shifts": [(M, K)],  # its einsum fixes the bits of the roots
         "_chemo_matrices": [(K, M), (2 * K - 1, M)],
-        "_chemo_B0": [(K, M), (M, K - 1)],  # phip, and lambda1 as the shifts give it
+        "_chemo_micro": [(K, M), (M, K - 1)],  # phip, and lambda1 as the shifts give it
     }
     assert [name for name, _ in seen] == list(shapes)
     for name, arrays in seen:
@@ -687,7 +693,7 @@ def test_field_free_setup_is_built_once_per_model(monkeypatch, q4):
 
 
 def test_chemo_b0_built_only_when_read(monkeypatch, q4):
-    calls = counting(monkeypatch, "_chemo_B0")
+    calls = counting(monkeypatch, "_limit_B0")
     grads = [0.0, 0.8, -1.3]
     model = Chemo(q4, phi_tanh)
     above = chemo_interfaces(1e-3, DX, model, grads)
@@ -775,6 +781,19 @@ def test_limit_inverse_certificate_bounds_the_exact_guard(K, eps, dx, slope):
         assert (stack.inverse is None) == bool(np.all(bound <= _COND_LIMIT))
 
 
+def test_certificate_carries_its_rounding_allowance_and_cuts_rho_at_one_half():
+    # K = 1, r = -1: Y = [[1, 0], [-1, 1]] inverts the first member exactly,
+    # so its rho is the allowance 2n u ||Y||_1 ||A||_1 = 2 ULP * 4 alone and
+    # its bound lies above the exact cond_1, 4; the others have rho 0.6, 0.4
+    closure = Rte(gauss_symmetric(1)).closure
+    A = np.array([[[1.0, 0.0], [1.0, 1.0]], [[1.3, 0.0], [1.0, 1.0]], [[1.2, 0.0], [1.0, 1.0]]])
+    bound = scattering._cond_bound(A.transpose(1, 2, 0).copy(), closure, np.full(3, -1.0))
+    assert np.linalg.cond(A[0], 1) == 4.0
+    assert bound[0] == 4.0 / (1.0 - 2 * ULP * 4.0) > 4.0
+    assert bound[1] == np.inf
+    assert bound[2] == pytest.approx(2.0 * 2.2 / 0.6, rel=1e-14)
+
+
 def explicit_cond_bound(A, Y):
     """The certificate with the limit inverse Y (M, n, n) materialised and
     Y A multiplied out, A (M, n, n): the reference of the structured
@@ -817,7 +836,7 @@ def test_structured_certificate_matches_the_explicit_product(K, eps, dx, slope):
         except IllConditioned:
             pass
     (A, closure, r, bound), = recorded
-    Y = scattering._limit_inverse(closure, r)
+    Y = limit_inverse(closure, r)
     ref, rho, norms = explicit_cond_bound(np.ascontiguousarray(A.transpose(2, 0, 1)), Y)
     ulp = np.finfo(float).eps
     allowance = 2 * K * ulp * norms
@@ -872,12 +891,13 @@ def test_vfp_matrices_match_the_per_family_loop(nodes, kappa, eps, dx, fields):
 
 
 def test_vfp_b0_built_only_when_read(monkeypatch, qv3):
-    calls = counting(monkeypatch, "_vfp_B0")
+    calls = counting(monkeypatch, "_limit_B0")
     fields = [0.0, 0.5, -2.0]
     model = Vfp(qv3, fields)
     above = vfp_interfaces(1e-3, DX, model)
     assert calls == []
-    eager = scattering._vfp_B0(DX, qv3.nodes, np.asarray(fields), 1.0, vfp_closure(qv3))
+    E = np.asarray(fields)  # kappa = 1
+    eager = scattering._limit_B0(model, DX, E * DX / 1.0, scattering._vfp_micro(model, E))
     assert np.array_equal(above.B0, eager)
     below = vfp_interfaces(0.1 * EPS_SWITCH_FACTOR * DX, DX, model)
     assert np.array_equal(below.B, eager) and below.B0 is below.B
@@ -885,3 +905,200 @@ def test_vfp_b0_built_only_when_read(monkeypatch, qv3):
     single = vfp_interfaces(1e-3, DX, Vfp(qv3, [0.5]))
     assert np.array_equal(single.B0[0], eager[1])
 
+
+
+# ---------------------------------------------------------------------------
+# B0: the Il'in block of the model's D and drift plus a micro block, against
+# the formulas it replaced and the Il'in / Scharfetter-Gummel update
+# ---------------------------------------------------------------------------
+
+
+def limit_inverse(closure, r):
+    """Y (M, 2K, 2K), the exact inverse of the eps -> 0 limit of the mode
+    matrices N of :func:`scattering._chemo_matrices`, with r (M,) as in
+    :func:`differentiated_chemo_B0`.  In the column groups of
+    :func:`scattering._assemble` that limit is [[P, 1, 0, 0], [0, 1, P, -r]],
+    P = 1/(1 - v lambda0), and the closure inverts its diagonal blocks
+    [P | 1]."""
+    gamma, beta = closure.gamma, closure.beta
+    M, K = len(r), len(beta)
+    r = r[:, None]
+    Y = np.zeros((M, 2 * K, 2 * K))
+    Y[:, : K - 1, :K] = gamma
+    Y[:, K - 1, :K] = beta
+    Y[:, K : 2 * K - 1, K:] = gamma
+    Y[:, 2 * K - 1, :K] = beta / r
+    Y[:, 2 * K - 1, K:] = -beta / r
+    return Y
+
+
+def differentiated_chemo_B0(dx, v, phip, lam0, lam1, lam01, closure, r):
+    """Analytic limit of (S^eps - S^0)/eps via term-by-term differentiation:
+    the reference of :func:`scattering._limit_B0` for chemotaxis.
+
+    B^0 = A'(0) X - A^0 X N'(0) X with X the block inverse of the limit
+    mode matrix; stiff entries differentiate to zero, and the second-order
+    middle-eigenvalue coefficient drops because gamma annihilates constants.
+    The zero-mode column is normalised by 1/lambda0^1, so its limit carries
+    r = (exp(-lambda0^1 dx) - 1)/lambda0^1 = -dx/B(-lambda0^1 dx), B the
+    Bernoulli function.  That column is -1 times the one of the finite-eps
+    N, so X is :func:`limit_inverse`'s Y with the last row negated.  phip
+    is (K, M), as for :func:`scattering._chemo_matrices`.  It overflows
+    where |lambda0^1 dx| > 709.
+    """
+    K, M = phip.shape
+    zeta0 = closure.zeta
+    q0 = np.exp(-lam01 * dx)
+    Fm2 = (1.0 / (1.0 - np.outer(v, lam0)) ** 2)[:, :, None]
+    Fp2 = (1.0 / (1.0 + np.outer(v, lam0)) ** 2)[:, :, None]
+    DP = phip[:, None] - v[:, None, None] * lam1.T
+    v = v[:, None]
+    assemble = scattering._assemble
+    Np = assemble(M, K, (-DP * Fm2, -phip, 0.0, v), (0.0, phip, DP * Fm2, r * phip - q0 * v))
+    Ntp = assemble(M, K, (0.0, -phip, -DP * Fp2, q0 * v - r * phip), (DP * Fp2, phip, 0.0, -v))
+    Ap = np.ascontiguousarray((Ntp - np.roll(Np, K, axis=0)).transpose(2, 0, 1))
+    Np = np.ascontiguousarray(Np.transpose(2, 0, 1))
+    A0 = np.zeros((2 * K, 2 * K))
+    A0[K:, : K - 1] = -zeta0
+    A0[:K, K : 2 * K - 1] = -zeta0
+    X = limit_inverse(closure, r)
+    X[:, -1] = -X[:, -1]
+    return Ap @ X - A0 @ X @ Np @ X
+
+
+def closed_form_vfp_B0(dx, v, E, kappa, closure):
+    """Fokker-Planck's closed-form limit blocks with Bernoulli-type
+    prefactors, written out on their own: the reference of
+    :func:`scattering._limit_B0` for vfp."""
+    K = len(v)
+    gamma, beta = closure.gamma, closure.beta
+    m = spectral.vfp_psi0(0, v, kappa)
+    P = closure.S0
+    W = np.eye(K) + P
+    u = (E * dx / kappa)[:, None, None]
+    b_plus = bernoulli(-u) / dx
+    b_minus = bernoulli(u) / dx
+    core = np.outer(W @ (v * m), beta)
+    Y = np.zeros((K, K))
+    for l in range(1, K):
+        col = v * spectral.vfp_psi0(l, -v, kappa) + P @ (v * spectral.vfp_psi0(l, v, kappa))
+        Y += np.outer(col, gamma[l - 1])
+    G = (E / (2.0 * kappa))[:, None, None]
+    return np.block(
+        [
+            [b_plus * core, G * Y - b_minus * core],
+            [-G * Y - b_plus * core, b_minus * core],
+        ]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 16), chi=st.floats(0.0, 40.0),
+       slopes=st.lists(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)), min_size=1, max_size=5),
+       dx=st.floats(-3.0, 0.0).map(lambda e: 10.0**e))
+@example(K=16, chi=40.0, slopes=[0.0, 20.0, -20.0], dx=1.0)
+@example(K=1, chi=0.0, slopes=[0.0], dx=1e-3)  # radiative transfer
+def test_chemo_b0_matches_the_differentiated_limit(K, chi, slopes, dx):
+    # the two round differently: measured within 14 u of each interface's
+    # largest entry over K 1-16, chi <= 40, |slope| <= 20, dx 1e-3-100
+    q = gauss_symmetric(K)
+    model = Chemo(q, lambda u: phi_tanh(u, chi=chi))
+    phip = np.asarray(model.phi(np.outer(slopes, q.nodes)), dtype=float)
+    lam01, lam1 = first_order_shifts(q, model.base, phip, model.shifts)
+    phip = np.ascontiguousarray(phip.T)
+    got = scattering._limit_B0(model, dx, -lam01 * dx,
+                               scattering._chemo_micro(model, phip, lam1, lam01))
+    r = -dx / bernoulli(-lam01 * dx)
+    want = differentiated_chemo_B0(dx, q.nodes, phip, model.base, lam1, lam01, model.closure, r)
+    gap = np.max(np.abs(got - want), axis=(1, 2))
+    note(f"gap in u of the largest entry: {gap / np.max(np.abs(want), axis=(1, 2)) / ULP}")
+    assert np.all(gap <= 50 * ULP * np.max(np.abs(want), axis=(1, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 3), kappa=st.floats(0.25, 4.0),
+       dx=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+       fields=st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=1, max_size=5))
+def test_vfp_b0_is_the_closed_form(K, kappa, dx, fields):
+    q = vfp_quadrature(kappa, vfp_preset_nodes(K, kappa))
+    model, E = Vfp(q, fields), np.asarray(fields)
+    got = scattering._limit_B0(model, dx, E * dx / kappa, scattering._vfp_micro(model, E))
+    assert np.array_equal(got, closed_form_vfp_B0(dx, q.nodes, E, kappa, model.closure))
+
+
+def limit_model(name, K, chi, E_half):
+    """A model of the limit tests: rte, chemo with chi (delta = 1/2), or the
+    K-point vfp preset at kappa = 1 in the fields E_half."""
+    if name == "vfp":
+        return Vfp(vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0)), E_half)
+    if name == "rte":
+        return Rte(gauss_symmetric(K))
+    return Chemo(gauss_symmetric(K), lambda u: phi_tanh(u, chi=chi, delta=0.5))
+
+
+LIMIT_CASES = st.one_of(
+    st.tuples(st.sampled_from(["rte", "chemo"]), st.integers(1, 16)),
+    st.tuples(st.just("vfp"), st.integers(2, 3)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=LIMIT_CASES, Nx=st.sampled_from([1, 2, 3, 17, 64]),
+       dx=st.floats(-3.0, 0.0).map(lambda e: 10.0**e), strength=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=("chemo", 16), Nx=64, dx=1.0, strength=10.0, seed=0)
+@example(case=("rte", 1), Nx=1, dx=1e-3, strength=0.0, seed=0)  # a constant: no update
+def test_b0_on_maxwellian_traces_is_the_ilin_update(case, Nx, dx, strength, seed):
+    # the paper's theorem: below the switch B = B0, and on the traces of a
+    # Maxwellian state B0 moves the density by the exponential-fitting step
+    # with the model's own D and drift.  The gap is measured against the
+    # size of the flux terms (dt/dx^2) D max|rho| max(B(-u) + B(u)), which
+    # stays put where the update is 0: within 6 u of it over this space
+    rng = np.random.default_rng(seed)
+    x, L = (np.arange(Nx) + 0.5) * dx, Nx * dx
+    E_half = strength * np.sin(2 * np.pi * (x - dx / 2) / L + rng.uniform(0.0, 6.0))
+    model = limit_model(*case, strength, E_half)
+    # chemo's interface slopes are up to 2 pi strength
+    S = strength * L * rng.uniform(-1.0, 1.0) * np.sin(2 * np.pi * x / L)
+    if case[0] != "chemo":
+        S = None
+    rho0 = rng.uniform(0.5, 1.5, Nx)
+    q, dt = model.q, dx * dx / 4.0
+    stack = model.interfaces(0.1 * EPS_SWITCH_FACTOR * dx, dx, S)
+    assert stack.below_switch
+    incoming, to_cells = model.traces(Nx)
+    B0 = np.broadcast_to(stack.B0, (Nx,) + stack.B0.shape[1:])  # rte's one interface
+    out = np.einsum("iab,bi->ai", B0, equilibrium(rho0, q).take(incoming))
+    wv = q.weights * q.nodes
+    drho = dt / dx * out.take(to_cells) @ np.concatenate([wv, wv])
+    drift = model.drift(S, dx)
+    want = sg_step(rho0, model.D, drift, dt, dx) - rho0
+    u = np.asarray(drift) * dx / model.D
+    scale = dt / dx**2 * model.D * np.max(rho0) * np.max(bernoulli(-u) + bernoulli(u))
+    note(f"gap {np.max(np.abs(drho - want)) / scale / ULP} u of the flux terms")
+    assert np.max(np.abs(drho - want)) <= 16 * ULP * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=LIMIT_CASES, dx=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+       strength=st.floats(0.0, 10.0))
+@example(case=("vfp", 3), dx=1.0 / 32.0, strength=4.0)
+@example(case=("chemo", 4), dx=1.0 / 32.0, strength=5.0)
+def test_b_tends_to_b0_at_first_order(case, dx, strength):
+    # |B - B0| = O(eps) from eps = 1e-3 down to 100 times the switch,
+    # wherever it stays 10 times above the cancellation floor u cond(N)/eps
+    # of B = (S - S0)/eps: measured slopes 0.94-1.00 over this space
+    fields = np.array([0.0, 0.5, -1.5, 1.0]) * strength  # they sum to 0
+    model = limit_model(*case, strength, fields)
+    S = np.cumsum(fields) * dx if case[0] == "chemo" else None  # interface slopes `fields`
+    epss = np.geomspace(1e-3, 100 * EPS_SWITCH_FACTOR * dx, 10)
+    gaps, floors = [], []
+    for eps in epss:
+        stack = model.interfaces(eps, dx, S)
+        gaps.append(np.max(np.abs(stack.B - stack.B0)))
+        floors.append(ULP * np.max(np.linalg.cond(stack.N, 1)) / eps)
+    gaps = np.array(gaps)
+    above = gaps > 10.0 * np.array(floors)
+    note(f"gaps {gaps}, above the floor {above}")
+    assert np.sum(above) >= 3
+    assert loglog_slope(epss[above], gaps[above]) >= 0.9
