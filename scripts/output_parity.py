@@ -15,6 +15,10 @@ tree, each with its own ``src`` and ``configs``, the script runs
 
 as ``python3 -m kinwb.cli`` subprocesses, one at a time, and then runs each
 config a second time in the working tree, into the same output directory.
+Every sweep also runs in the working tree with its ``epsilon_list``
+reversed: its rows must be the forward rows, byte for byte, in reverse
+order (the slope row, a fit over all rows, aside), since a row depends
+only on its own eps.
 The bench configs come from the working tree's ``bench`` and are written
 into the temporary directory, so both trees run the same files.
 For each config it prints how many CSVs the run wrote, how many are
@@ -27,13 +31,14 @@ by header name, so a CSV whose header gained or lost a column still has
 its shared columns compared.  It compares the two ``manifest.json`` files
 with ``wall_time_s`` removed, and the two stdouts with each side's output
 directory replaced by ``<out>``.  Then it says whether the rerun left the
-same CSV names with the same bytes.  For verify it says whether the two
-outputs are identical and prints the lines that differ.
+same CSV names with the same bytes, and for a sweep whether the reversed
+list gave the same rows.  For verify it says whether the two outputs are
+identical and prints the lines that differ.
 
 Exit status: 0 when every config wrote the same CSV names with the same
 headers and text cells on both sides, the same manifest apart from wall time
-and the same stdout, and every rerun left the same CSVs byte for byte; 1
-otherwise.
+and the same stdout, every rerun left the same CSVs byte for byte and every
+reversed sweep the same rows; 1 otherwise.
 """
 
 import argparse
@@ -160,6 +165,35 @@ def rerun_problems(first: dict, rerun: dict) -> list:
     return problems
 
 
+def reversed_row_problems(forward: str, backward: str) -> list:
+    """How the rows of a sweep on its ``epsilon_list`` reversed, the CSV
+    text ``backward``, differ from the rows of the forward sweep's text
+    ``forward`` for the same eps.  The slope row is left out: its fit sums
+    the rows in list order."""
+
+    def rows(text):
+        return [line for line in text.splitlines()[1:] if not line.startswith("slope,")]
+
+    a, b = rows(forward), rows(backward)[::-1]
+    if len(a) != len(b):
+        return [f"reversed sweep has {len(b)} rows, the forward one {len(a)}"]
+    return [f"eps {x.split(',')[0]}: row {x!r} became {y!r} reversed" for x, y in zip(a, b) if x != y]
+
+
+def reversed_sweep(root: Path, config: str, forward: Path, out: Path) -> list:
+    """Run the sweep ``config`` in ``root`` with its epsilon_list reversed,
+    into the new directory ``out``; its :func:`reversed_row_problems`
+    against the CSV ``forward`` of the sweep as listed."""
+    record = json.loads((root / config).read_text())
+    record["epsilon_list"] = record["epsilon_list"][::-1]
+    out.mkdir(parents=True)
+    (out / "reversed.json").write_text(json.dumps(record))
+    done = kinwb(root, "sweep", "--config", str(out / "reversed.json"), "--out", str(out))
+    if done.returncode:
+        return [f"reversed sweep exited {done.returncode}: {done.stderr.strip()[-300:]}"]
+    return reversed_row_problems(forward.read_text(), (out / "ap_sweep.csv").read_text())
+
+
 def report_line(label: str, result: dict) -> str:
     moves = ", ".join(f"{c} {m:.2g}" for c, m in result["moves"].items())
     return (f"{label}: {result['count']} CSVs, {result['identical']} byte-identical; "
@@ -199,9 +233,14 @@ def main(argv=None) -> int:
             print("  manifest (wall time aside) and stdout: "
                   + ("identical" if not others else "differ"))
             print(f"  rerun: {len(first)} CSVs, " + ("byte-identical" if not rerun else "differs"))
-            for problem in result["problems"] + others + rerun:
+            backward = []
+            if command == "sweep":
+                backward = reversed_sweep(root, config, out["change"] / "ap_sweep.csv",
+                                          tmp / "out" / "reversed" / name)
+                print("  reversed epsilon_list: " + ("same rows" if not backward else "rows differ"))
+            for problem in result["problems"] + others + rerun + backward:
                 print(f"  {problem}")
-            status |= bool(result["problems"] or others or rerun)
+            status |= bool(result["problems"] or others or rerun or backward)
         verify = {side: kinwb(tree, "verify", "--scope", "all").stdout.splitlines()
                   for side, tree in trees.items()}
         same = verify["parent"] == verify["change"]

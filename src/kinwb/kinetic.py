@@ -18,6 +18,12 @@ with the interface axis last, and both branches move the traces as
 (2K, Nx), so the product B inc runs its inner loops over all Nx interfaces
 instead of over 2K velocities; from Nx = 2 on it sums over b left to
 right.
+
+A grid whose ``epsilon`` is an array of P values holds P independent
+problems: P periodic rings of Nx cells, ring p the rows p*Nx .. p*Nx + Nx - 1
+of f, each with its own eps.  One step then serves them all: one gather, one
+assembly or B product, and one product with the (P, 2K, 2K) stack of
+R_eps^{-1}, in which ring p sees the operations of its problem alone.
 """
 
 from dataclasses import dataclass
@@ -34,7 +40,8 @@ def phi_tanh(u, chi: float = 1.0, delta: float = 1.0):
 
 @dataclass(frozen=True, eq=False)
 class KineticGrid:
-    """Periodic kinetic state: f[j] = (f_j(v_1..v_K), f_j(-v_1..-v_K))."""
+    """Periodic kinetic state: f[j] = (f_j(v_1..v_K), f_j(-v_1..-v_K)); an
+    array ``epsilon`` of P values makes f the P rings of Nx cells, (P*Nx, 2K)."""
 
     Nx: int
     dx: float
@@ -43,12 +50,18 @@ class KineticGrid:
     q: object
     f: np.ndarray
 
+    @property
+    def cells(self) -> tuple:
+        """The shape of a density: (Nx,), or (P, Nx) for P rings."""
+        return np.shape(self.epsilon) + (self.Nx,)
+
     def __post_init__(self):
-        if self.dx <= 0.0 or self.dt <= 0.0 or self.epsilon <= 0.0:
+        if self.dx <= 0.0 or self.dt <= 0.0 or (np.asarray(self.epsilon) <= 0.0).any():
             raise ValueError("dx, dt, epsilon must be positive")
         f = np.array(self.f, dtype=float)
-        if f.shape != (self.Nx, 2 * self.q.K):
-            raise ValueError(f"f must have shape ({self.Nx}, {2*self.q.K})")
+        rows = np.size(self.epsilon) * self.Nx
+        if f.shape != (rows, 2 * self.q.K):
+            raise ValueError(f"f must have shape ({rows}, {2*self.q.K})")
         if not np.all(np.isfinite(f)):
             raise ValueError("densities must be finite")
         f.flags.writeable = False
@@ -57,15 +70,19 @@ class KineticGrid:
 
 def equilibrium(rho: np.ndarray, q) -> np.ndarray:
     """Kinetic data at the model Maxwellian m = ``q.maxwellian`` carrying the
-    density: rho/(2 sigma0) m on both halves, sigma0 = sum_k w_k m_k."""
+    density: rho/(2 sigma0) m on both halves, sigma0 = sum_k w_k m_k; a
+    density of any shape gets the velocities on a new last axis."""
     m = q.maxwellian
-    half = rho[:, None] / (2.0 * float(np.sum(q.weights * m))) * m[None, :]
-    return np.hstack([half, half])
+    half = rho[..., None] / (2.0 * float(np.sum(q.weights * m))) * m
+    return np.concatenate([half, half], axis=-1)
 
 
 def density(f: np.ndarray, q) -> np.ndarray:
-    """Macroscopic density rho_j = sum_k w_k (f_j(v_k) + f_j(-v_k))."""
-    return f[:, : q.K] @ q.weights + f[:, q.K :] @ q.weights
+    """Macroscopic density rho_j = sum_k w_k (f_j(v_k) + f_j(-v_k)) of f
+    (..., 2K).  Give P rings as (P, Nx, 2K): a matrix-vector product sums a
+    row in an order that depends on where it sits, so each ring then has
+    the bits of its problem alone."""
+    return f[..., : q.K] @ q.weights + f[..., q.K :] @ q.weights
 
 
 def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:
@@ -73,9 +90,9 @@ def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:
 
     The operator is circulant with the exact symbol 1 + (2 sin(pi k/Nx)/dx)^2
     >= 1, so one FFT pair solves it for every Nx and dx; constants map to
-    themselves.
+    themselves.  A (P, Nx) rho is P rings, each solved alone.
     """
-    Nx = len(rho)
+    Nx = rho.shape[-1]
     symbol = 1.0 + (2.0 * np.sin(np.pi * np.arange(Nx // 2 + 1) / Nx) / dx) ** 2
     return np.fft.irfft(np.fft.rfft(rho) / symbol, n=Nx)
 
@@ -95,11 +112,12 @@ def assemble_cell_matrix(epsilon: float, dt: float, dx: float, q, S0: np.ndarray
 
 
 def interface_grad(values: np.ndarray, dx: float) -> np.ndarray:
-    """(values_j - values_{j-1})/dx at interface x_{j-1/2}, periodic: the
-    bits of ``(values - np.roll(values, 1))/dx``, from two slices."""
-    diff = np.empty(len(values))
-    np.subtract(values[1:], values[:-1], out=diff[1:])
-    np.subtract(values[:1], values[-1:], out=diff[:1])
+    """(values_j - values_{j-1})/dx at interface x_{j-1/2}, periodic along
+    the last axis: the bits of ``(values - np.roll(values, 1, axis=-1))/dx``,
+    from two slices."""
+    diff = np.empty(np.shape(values))
+    np.subtract(values[..., 1:], values[..., :-1], out=diff[..., 1:])
+    np.subtract(values[..., :1], values[..., -1:], out=diff[..., :1])
     diff /= dx
     return diff
 
@@ -110,30 +128,37 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
     return phi(np.outer(np.asarray(grads, dtype=float), v)) @ (w * v)
 
 
-def trace_indices(Nx: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two flat indices of a step on Nx cells: ``f.take(incoming)``
-    gives the (2K, Nx) incoming traces (f_{i-1}(+v), f_i(-v)) of interface
-    i, and ``out.take(to_cells)`` puts each outgoing trace of a (2K, Nx)
-    ``out`` into the (Nx, 2K) cell it enters (cell i for +v, cell i-1 for
-    -v).  They see only (Nx, K), so a model builds them once per grid size."""
-    cell = np.arange(Nx)[:, None]
+def trace_indices(Nx: int, K: int, rings: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat indices of a step on ``rings`` periodic rings of Nx
+    cells: ``f.take(incoming)`` gives the (2K, rings*Nx) incoming traces
+    (f_{i-1}(+v), f_i(-v)) of interface i, and ``out.take(to_cells)`` puts
+    each outgoing trace of a (2K, rings*Nx) ``out`` into the (rings*Nx, 2K)
+    cell it enters (cell i for +v, cell i-1 for -v).  Interface and cell
+    p*Nx + i are number i of ring p, which wraps around by itself.  They see
+    only (Nx, K, rings), so a model builds them once per grid size."""
+    n, cell = rings * Nx, np.arange(Nx)[:, None]
+    ring = np.arange(rings)[:, None, None] * Nx  # the first cell of each ring
     plus, minus = np.arange(K), np.arange(K, 2 * K)
-    incoming = np.hstack([(cell - 1) % Nx * 2 * K + plus, cell * 2 * K + minus]).T.copy()
+    incoming = np.concatenate([((cell - 1) % Nx + ring) * 2 * K + plus, (cell + ring) * 2 * K + minus],
+                              axis=-1).reshape(n, 2 * K).T.copy()
     # writeable: ``take`` copies an index array that is not, at every step
-    return incoming, np.hstack([plus * Nx + cell, minus * Nx + (cell + 1) % Nx])
+    to_cells = np.concatenate([plus * n + ring + cell, minus * n + ring + (cell + 1) % Nx], axis=-1)
+    return incoming, to_cells.reshape(n, 2 * K)
 
 
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
-    R_eps^{-1}, the read-only B stack of a static model, B[a, b, i] =
-    B_i[a, b] of interface i with the interface axis last and contiguous
-    (None when each step assembles its own; rte's one S-matrix is broadcast
-    with stride 0 along i), the velocities scaled by eps dt/dx, and
-    ``incoming``, ``to_cells``: the :func:`trace_indices` of the grid, which
-    the model builds once per grid size and every operator on it shares.
-    Both step branches move their traces in that layout.  From Nx = 2 on
-    the static product sums over b left to right."""
+    R_eps^{-1} ((P, 2K, 2K) for P rings), the read-only B stack of a static
+    model, B[a, b, i] = B_i[a, b] of interface i with the interface axis
+    last and contiguous (None when each step assembles its own; rte's one
+    S-matrix per ring is broadcast with stride 0 along the ring's cells, as
+    (2K, 2K, P, Nx) for P rings), the velocities scaled by eps dt/dx
+    ((P, 1, 2K) for P rings), and ``incoming``, ``to_cells``: the
+    :func:`trace_indices` of the grid, which the model builds once per grid
+    size and every operator on it shares.  Both step branches move their
+    traces in that layout.  From Nx = 2 on the static product sums over b
+    left to right."""
 
     model: object
     R_inv: np.ndarray
@@ -148,35 +173,48 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
     the model's closure, which does not see the field; the B stack is kept
     for a model whose interfaces stay the same.  An exactly singular R_eps
     raises :class:`SolveFailure`."""
-    R = assemble_cell_matrix(grid.epsilon, grid.dt, grid.dx, grid.q, model.closure.S0)
+    eps = np.asarray(grid.epsilon)[..., None, None]
+    rings = eps.shape[:-2]  # () for one problem, (P,) for P rings
+    R = assemble_cell_matrix(eps, grid.dt, grid.dx, grid.q, model.closure.S0)
     try:
         R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
-        raise SolveFailure(f"R_eps is singular at eps={grid.epsilon:g}") from None
+        at = ", ".join(f"{e:g}" for e in np.ravel(grid.epsilon))
+        raise SolveFailure(f"R_eps is singular at eps={at}") from None
     B = None
     if model.static:
         B = model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0).copy()
-        if B.shape[-1] != grid.Nx:  # one interface serves the grid
-            B = np.broadcast_to(B, B.shape[:-1] + (grid.Nx,))
+        if B.shape[-1] != grid.f.shape[0]:  # one interface serves each ring
+            B = np.broadcast_to(B.reshape(B.shape[:2] + rings + (1,)), B.shape[:2] + grid.cells)
         B.flags.writeable = False
-    incoming, to_cells = model.traces(grid.Nx)
+    incoming, to_cells = model.traces(grid.Nx, np.size(grid.epsilon))
     return StepOperator(
         model=model, R_inv=R_inv, B=B,
-        scaled_v=(grid.epsilon * grid.dt / grid.dx) * np.concatenate([grid.q.nodes, grid.q.nodes]),
+        scaled_v=(eps * grid.dt / grid.dx) * np.concatenate([grid.q.nodes, grid.q.nodes]),
         incoming=incoming, to_cells=to_cells,
     )
 
 
-def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
-    """One IMEX step; pure function grid -> grid.  The interfaces are
-    assembled from the field S when given, else op's static stack is used."""
+def _outgoing(grid: KineticGrid, op: StepOperator, S) -> np.ndarray:
+    """B inc, (2K, cells), of the interfaces assembled from the field S
+    when given, else of op's static stack."""
     inc = grid.f.take(op.incoming)
     if S is None:
-        out = np.einsum("abi,bi->ai", op.B, inc)
-    else:
-        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(inc)
-    rhs = grid.epsilon * grid.f + op.scaled_v * out.take(op.to_cells)
-    fnew = rhs @ op.R_inv.T  # a non-finite rhs gives a non-finite fnew
+        return np.einsum("ab...,b...->a...", op.B, inc.reshape(op.B.shape[1:])).reshape(inc.shape)
+    return op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(inc)
+
+
+def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
+    """One IMEX step; pure function grid -> grid.  The interfaces are
+    assembled from the field S when given, else op's static stack is used.
+    P rings take one product with R_eps^{-1} each, as (P, Nx, 2K); the
+    traces are dropped as soon as they are used, which keeps a batch small."""
+    cells = grid.cells + (-1,)
+    rhs = _outgoing(grid, op, S).take(op.to_cells).reshape(cells)
+    rhs *= op.scaled_v
+    rhs += np.asarray(grid.epsilon)[..., None, None] * grid.f.reshape(cells)
+    # a non-finite rhs gives a non-finite fnew
+    fnew = (rhs @ op.R_inv.swapaxes(-1, -2)).reshape(grid.f.shape)
     if not np.all(np.isfinite(fnew)):
         raise SolveFailure("the IMEX step produced a non-finite state")
     fnew.flags.writeable = False  # fresh and checked: skip __post_init__'s copy and check

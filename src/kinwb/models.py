@@ -9,7 +9,11 @@ coefficient ``D`` and the interface drift ``drift(S, dx)`` depend on the
 model.  Radiative transfer assembles its interface as chemotaxis at zero
 slope.  ``march`` yields (rho, S) for the initial state and then after
 every step, forever; S is the chemoattractant that drove the step, at the
-initial state the one the first step reads (None without one).
+initial state the one the first step reads (None without one).  Given an
+array of P eps, ``march`` marches P independent problems from the same
+rho0 at once, on the P rings of :class:`kinetic.KineticGrid`; rho and S are
+then (P, Nx), one row per eps, each with the bits of its march alone from
+Nx = 2 on.
 """
 
 import logging
@@ -42,16 +46,18 @@ class _Kinetic:
     trace indices of each grid size it marches."""
 
     static = True  # the interfaces stay the same for the whole run
+    shared_interface = False  # one interface serves every cell
 
     def __init__(self, q, D: float, closure):
         self.q, self.D, self.closure = q, D, closure
-        self._traces = {}  # Nx -> trace_indices(Nx, K)
+        self._traces = {}  # (Nx, rings) -> trace_indices(Nx, K, rings)
 
-    def traces(self, Nx: int):
-        """:func:`kinetic.trace_indices` on Nx cells, built once per grid size."""
-        if Nx not in self._traces:
-            self._traces[Nx] = trace_indices(Nx, self.q.K)
-        return self._traces[Nx]
+    def traces(self, Nx: int, rings: int = 1):
+        """:func:`kinetic.trace_indices` on rings of Nx cells, built once per
+        grid size."""
+        if (Nx, rings) not in self._traces:
+            self._traces[Nx, rings] = trace_indices(Nx, self.q.K, rings)
+        return self._traces[Nx, rings]
 
     def field(self, rho: np.ndarray, dx: float):
         return None
@@ -66,16 +72,17 @@ class _Kinetic:
                 "B term; the march may blow up", dt, bound,
             )
 
-    def march(self, eps: float, dt: float, dx: float, rho0: np.ndarray):
+    def march(self, eps, dt: float, dx: float, rho0: np.ndarray):
         f0 = equilibrium(rho0, self.q)
-        grid = KineticGrid(Nx=len(rho0), dx=dx, dt=dt, epsilon=eps, q=self.q, f=f0)
+        grid = KineticGrid(Nx=len(rho0), dx=dx, dt=dt, epsilon=eps, q=self.q,
+                           f=np.tile(f0, (np.size(eps), 1)))  # one ring per eps
         op = step_operator(grid, self)
-        rho = density(grid.f, self.q)
+        rho = density(grid.f.reshape(grid.cells + (-1,)), self.q)
         S = self.field(rho, dx)
         yield rho, S
         while True:
             grid = imex_step(grid, op, S)
-            rho = density(grid.f, self.q)
+            rho = density(grid.f.reshape(grid.cells + (-1,)), self.q)
             yield rho, S
             S = self.field(rho, dx)
 
@@ -86,6 +93,7 @@ class Rte(_Kinetic):
     is chemotaxis at zero response ``phi``, from the same set-up."""
 
     phi = staticmethod(np.zeros_like)
+    shared_interface = True
 
     def __init__(self, q):
         self.base = dispersion_roots(q)
@@ -103,15 +111,16 @@ class Rte(_Kinetic):
     def drift(self, S, dx: float):
         return 0.0
 
-    def interfaces(self, eps: float, dx: float, S):
-        return chemo_interfaces(eps, dx, self, [0.0], self.roots)
+    def interfaces(self, eps, dx: float, S):
+        P = np.size(eps)  # one interface per problem
+        return chemo_interfaces(eps, dx, self, np.zeros(P), np.repeat(self.roots, P, axis=0))
 
 
 class Chemo(Rte):
     """Othmer-Alt chemotaxis with tumbling rate 1 + eps*phi(v dS/dx); S
     solves the elliptic equation of the density every step."""
 
-    static = False
+    static = shared_interface = False
 
     def __init__(self, q, phi):
         super().__init__(q)
@@ -124,7 +133,7 @@ class Chemo(Rte):
         # the macroscopic flux is D d_x rho + E rho: drift of opposite sign
         return -chemo_drift(self.q, interface_grad(S, dx), self.phi)
 
-    def interfaces(self, eps: float, dx: float, S: np.ndarray):
+    def interfaces(self, eps, dx: float, S: np.ndarray):
         return chemo_interfaces(eps, dx, self, interface_grad(S, dx))
 
 
@@ -139,7 +148,7 @@ class Vfp(_Kinetic):
     def drift(self, S, dx: float) -> np.ndarray:
         return self.E_half
 
-    def interfaces(self, eps: float, dx: float, S):
+    def interfaces(self, eps, dx: float, S):
         return vfp_interfaces(eps, dx, self)
 
 
@@ -149,6 +158,7 @@ class TwoStream:
 
     q = VelocityQuadrature(nodes=[1.0], weights=[1.0])
     D = q.second_moment
+    shared_interface = False
 
     def __init__(self, phi):
         self.phi = phi
@@ -162,8 +172,8 @@ class TwoStream:
     def check_step(self, dt: float, dx: float) -> None:
         """The closed-form step has no explicit B term and no step bound."""
 
-    def march(self, eps: float, dt: float, dx: float, rho0: np.ndarray):
-        f = equilibrium(rho0, self.q)
+    def march(self, eps, dt: float, dx: float, rho0: np.ndarray):
+        f = np.tile(equilibrium(rho0, self.q), np.shape(eps) + (1, 1))  # one ring per eps
         rho = density(f, self.q)
         S = self.field(rho, dx)
         yield rho, S

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import loglog_slope
-from .errors import ConfigError, SolveFailure
+from .errors import ConfigError, KinwbError, SolveFailure
 from .kinetic import phi_tanh
 from .macrolimit import sg_step
 from .models import Chemo, Rte, TwoStream, Vfp
@@ -39,6 +39,9 @@ _RESPONSE = {"chi": 1.0, "delta": 1.0}
 MAX_STEPS = 10**9
 # the name of a snapshot file, its index in group 1
 _SNAPSHOT = re.compile(r"snapshot_(\d{4})\.csv")
+# the most entries, M (2K)^2, of the interface stack of one AP sweep batch:
+# 128 KiB a (2K, 2K, M) array, what a K = 4, Nx = 256 chemo step builds
+BATCH_ENTRIES = 2**14
 
 
 def _number(value) -> bool:
@@ -304,8 +307,8 @@ def _setup(config: ExperimentConfig):
     density.  ``model.march(eps, dt, dx, rho0)`` then yields (rho, S) for
     the initial state and after every step, forever (see :mod:`models`).
     Models are immutable, so ``kinwb run`` marches the set-up once and the
-    AP sweep marches one set-up at every epsilon; the step-size warning of
-    ``model.check_step`` comes once per set-up."""
+    AP sweep marches one set-up at every batch of epsilons; the step-size
+    warning of ``model.check_step`` comes once per set-up."""
     model = MODELS[config.model][0](config)
     model.check_step(config.dt, config.dx)
     x = (np.arange(config.Nx) + 0.5) * config.dx
@@ -318,27 +321,66 @@ def _setup(config: ExperimentConfig):
     return model, rho0
 
 
+def batch_size(model, Nx: int) -> int:
+    """How many epsilons one march of an AP sweep serves: as many as keep
+    its interface stack within BATCH_ENTRIES entries.  A larger batch gains
+    nothing and costs memory (chemo K = 8, Nx = 64).  A one-cell grid
+    marches one epsilon at a time: NumPy sums a contraction over one
+    interface in another order than over a row of them."""
+    if Nx == 1:
+        return 1
+    interfaces = 1 if model.shared_interface else Nx
+    return max(1, BATCH_ENTRIES // (interfaces * (2 * model.q.K) ** 2))
+
+
+def _first_step(model, config, eps, rho_init):
+    """(rho0, rho1, S) of the first step of ``model.march`` at eps."""
+    march = model.march(eps, config.dt, config.dx, rho_init)
+    (rho0, _), (rho1, S) = next(march), next(march)
+    return rho0, rho1, S
+
+
+def _first_steps(model, config, batch, rho_init):
+    """(eps, rho0, rho1, S) of the first step of ``kinwb run`` at each eps of
+    ``batch``, in order, from one march of them all.  When that march fails,
+    each eps is marched alone, and the first that fails raises, its message
+    led by ``eps=...``."""
+    try:
+        rho0, rho1, S = _first_step(model, config, np.array(batch), rho_init)
+    except KinwbError:
+        for e in batch:
+            try:
+                yield (e, *_first_step(model, config, e, rho_init))
+            except KinwbError as exc:
+                raise type(exc)(f"eps={e:g}: {exc}") from exc
+        return
+    for p, e in enumerate(batch):
+        yield e, rho0[p], rho1[p], None if S is None else S[p]
+
+
 def ap_error_table(config: ExperimentConfig, epsilons):
     """(epsilon, gap) rows plus the log-log slope (None below two distinct
     epsilons).  A gap is the relative L-inf distance between the first step
     of ``kinwb run`` on ``config`` at epsilon and one step of the limit
     scheme from the same density: exponential fitting with the model's D
     and drift, S being the chemoattractant that drove the step.  The set-up
-    is built once and marched at every epsilon, so a row does not depend on
-    the other epsilons."""
+    is built once, and the epsilons are marched in list order in batches of
+    :func:`batch_size`, one march each; every problem of a batch sees the
+    operations of its march alone, so a row does not depend on the other
+    epsilons, bit for bit."""
     model, rho_init = _setup(config)
+    epsilons = [float(e) for e in epsilons]
+    size = batch_size(model, config.Nx)
     rows, ref = [], None
-    for e in map(float, epsilons):
-        march = model.march(e, config.dt, config.dx, rho_init)
-        rho0, _ = next(march)
-        rho1, S = next(march)
-        # rho0 = density(equilibrium(rho_init)) and S = field(rho0) read no
-        # eps, so the limit step is taken once, after the first kinetic step
-        if ref is None:
-            ref = sg_step(rho0, model.D, model.drift(S, config.dx), config.dt, config.dx)
-            if not np.all(np.isfinite(ref)):
-                raise SolveFailure(f"eps={e:g}: the limit scheme produced a non-finite state")
-        rows.append((e, float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))))
+    for start in range(0, len(epsilons), size):
+        for e, rho0, rho1, S in _first_steps(model, config, epsilons[start : start + size], rho_init):
+            # rho0 = density(equilibrium(rho_init)) and S = field(rho0) read no
+            # eps, so the limit step is taken once, after the first kinetic step
+            if ref is None:
+                ref = sg_step(rho0, model.D, model.drift(S, config.dx), config.dt, config.dx)
+                if not np.all(np.isfinite(ref)):
+                    raise SolveFailure(f"eps={e:g}: the limit scheme produced a non-finite state")
+            rows.append((e, float(np.max(np.abs(rho1 - ref)) / np.max(np.abs(ref)))))
     slope = loglog_slope(*zip(*rows)) if len({e for e, _ in rows}) >= 2 else None
     return rows, slope
 

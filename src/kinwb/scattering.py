@@ -30,6 +30,13 @@ the shared closure blocks and never formed, and inverts N only when Y does
 not certify it.  A single interface is a stack of one: its S-matrix is
 ``S[0]``.
 
+A stack may hold P independent problems: an array ``epsilon`` of P values,
+and M/P consecutive interfaces per problem, each member carrying its
+problem's eps.  Whatever a lone eps decides is then decided per problem,
+exactly as alone: the rate check, the certificate (else the exact inverse),
+and the B0 switch; and each member sees the operations it would see in its
+problem's own stack.
+
 The leading decomposition term is the anti-diagonal block S0 = I - zeta*gamma
 of the limit closure; it does not see the field, so one S0 serves every
 interface.  Above the switch threshold eps >= 1e-8*dx the correction is
@@ -96,20 +103,23 @@ class InterfaceStack:
     :meth:`outgoing` contracts.  B0 is the eps -> 0 limit of B, and B
     itself below the switch, where it is built with the stack.  S, B and,
     above the switch, B0 are (M, 2K, 2K) arrays built on first read; a step
-    that reads only :meth:`outgoing` builds none of them.  ``inverse`` is
-    N^{-1} when the condition guard had to compute it, None when the
-    certificate spared it."""
+    that reads only :meth:`outgoing` builds none of them.  ``epsilon`` is
+    one eps, or the (P,) eps of P problems of M/P consecutive members each;
+    ``below_switch`` and ``certified`` are then per member, else one bool.
+    ``inverse`` is N^{-1} when the condition guard had to compute it for
+    some problem, None when the certificate spared every problem it."""
 
-    epsilon: float
+    epsilon: float | np.ndarray
     N: np.ndarray
     Nt: np.ndarray
     anti_S0: np.ndarray
-    below_switch: bool
+    below_switch: bool | np.ndarray
+    certified: bool | np.ndarray
     build_B0: Callable[[], np.ndarray] = field(repr=False)
     inverse: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        if self.below_switch:
+        if self.below_switch.any():
             self.B0  # built with the stack: below the switch every step reads it
 
     @cached_property
@@ -124,23 +134,40 @@ class InterfaceStack:
 
     @cached_property
     def B(self) -> np.ndarray:
-        if self.below_switch:
+        below = self.below_switch
+        if below.all():
             return self.B0
-        return (self.S - self.anti_S0) / self.epsilon
+        B = (self.S - self.anti_S0) / np.reshape(_members(self.epsilon, len(self.N)), (-1, 1, 1))
+        return np.where(below[:, None, None], self.B0, B) if below.any() else B
 
     def outgoing(self, inc: np.ndarray) -> np.ndarray:
         """B inc of every interface for incoming traces ``inc`` (2K, M),
         interface i in column i, as (2K, M).  Above the switch it is
         (Nt N^{-1} inc - anti_S0 inc)/eps, with one solve per interface
-        unless the guard's inverse is at hand."""
-        if self.below_switch:
+        unless the guard's inverse is at hand; anti_S0 inc is one product
+        per problem, which sums as the problem's own product does."""
+        below = self.below_switch
+        if below.all():
             return np.einsum("iab,bi->ai", self.B0, inc)
+        n, M = inc.shape
+        incT = inc.T[..., None]
         if self.inverse is None:
-            c = np.linalg.solve(self.N, inc.T[..., None])
+            c = np.linalg.solve(self.N, incT)
         else:
-            c = self.inverse @ inc.T[..., None]
+            c = self.inverse @ incT
+            if self.certified.any():  # as alone, a certified problem solves
+                c[self.certified] = np.linalg.solve(self.N[self.certified], incT[self.certified])
         Ntc = np.einsum("abi,bi->ai", self.Nt.transpose(1, 2, 0), np.ascontiguousarray(c[..., 0].T))
-        return (Ntc - self.anti_S0 @ inc) / self.epsilon
+        P = np.size(self.epsilon)
+        Sinc = np.matmul(self.anti_S0, inc.reshape(n, P, -1).transpose(1, 0, 2))
+        out = (Ntc - Sinc.transpose(1, 0, 2).reshape(n, M)) / _members(self.epsilon, M)
+        return np.where(below, np.einsum("iab,bi->ai", self.B0, inc), out) if below.any() else out
+
+
+def _members(epsilon, M: int):
+    """What each of M interfaces reads of ``epsilon``: one value itself, or
+    the value of each of P problems over its M/P consecutive members."""
+    return epsilon if np.ndim(epsilon) == 0 else np.repeat(epsilon, M // np.size(epsilon))
 
 
 def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndarray:
@@ -221,14 +248,18 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
 
 def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None) -> InterfaceStack:
     """The stack of the mode matrices N, Nt (2K, 2K, M) after the condition
-    guard.  The chemotaxis zero-mode factors r certify the guard when
-    :func:`_cond_bound` keeps every member within the limit; otherwise
-    :func:`_inverse` decides it exactly, and names the member that fails."""
-    certified = r is not None and bool(np.all(_cond_bound(N, closure, r) <= _COND_LIMIT))
+    guard, each problem on its own.  The chemotaxis zero-mode factors r
+    certify a problem when :func:`_cond_bound` keeps each of its members
+    within the limit; otherwise :func:`_inverse` decides it exactly, and
+    names the member that fails."""
+    M, problems = N.shape[-1], np.shape(epsilon)
+    ok = np.zeros(problems, bool) if r is None else (
+        _cond_bound(N, closure, r) <= _COND_LIMIT).reshape(problems + (-1,)).all(axis=-1)
+    certified = _members(ok, M)
     N, Nt = N.transpose(2, 0, 1), Nt.transpose(2, 0, 1)
     return InterfaceStack(
-        epsilon, N, Nt, closure.anti_S0, epsilon < EPS_SWITCH_FACTOR * dx, build_B0,
-        None if certified else _inverse(N),
+        epsilon, N, Nt, closure.anti_S0, np.less(_members(epsilon, M), EPS_SWITCH_FACTOR * dx),
+        certified, build_B0, None if certified.all() else _inverse(N),
     )
 
 
@@ -323,7 +354,7 @@ def _chemo_micro(model, phip, lam1, lam01) -> np.ndarray:
              + zero.T[:, :, None] * model.closure.beta)
 
 
-def chemo_interfaces(epsilon: float, dx: float, model, grads, roots=None) -> InterfaceStack:
+def chemo_interfaces(epsilon, dx: float, model, grads, roots=None) -> InterfaceStack:
     """Chemotaxis decompositions for a stack of interface slopes.
 
     ``model`` (a :class:`models.Rte` or :class:`models.Chemo`) holds what
@@ -335,28 +366,30 @@ def chemo_interfaces(epsilon: float, dx: float, model, grads, roots=None) -> Int
     branch is the mirror image under phi -> -phi), unless ``roots``
     (M, 2K-1) are given, as radiative transfer's are.  The mode matrices
     and B0 read C-contiguous (K, M) and (2K-1, M) copies of phi and the
-    roots; radiative transfer is this assembly at slope 0, phi = 0.
+    roots; radiative transfer is this assembly at slope 0, phi = 0.  An
+    array ``epsilon`` of P values makes the slopes P problems of M/P
+    consecutive interfaces (see :class:`InterfaceStack`).
     """
-    if epsilon <= 0.0 or dx <= 0.0:
+    if (np.asarray(epsilon) <= 0.0).any() or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
     q, lam0, closure = model.q, model.base, model.closure
     v = q.nodes
-    grads = np.atleast_1d(np.asarray(grads, dtype=float))
+    grads = np.ravel(np.asarray(grads, dtype=float))
+    members = _members(epsilon, len(grads))
+    eps = np.asarray(members)[..., None]  # against (M, K) rows
     phip = np.asarray(model.phi(np.outer(grads, v)), dtype=float)
     # the decision of 1 - eps*|phi| <= 0: rounding is monotone, fl(1 - a) <= 0 iff a >= 1
-    if epsilon * np.max(np.abs(phip), initial=0.0) >= 1.0:
+    if (eps * np.abs(phip) >= 1.0).any():
         raise NonPositiveRate(
             f"1 + eps*phi(v*gradS) must be positive; min margin "
-            f"{np.min(1.0 - epsilon*np.abs(phip)):.3e}"
+            f"{np.min(1.0 - eps*np.abs(phip)):.3e}"
         )
     lam01, lam1 = first_order_shifts(q, lam0, phip, model.shifts)
     if roots is None:
-        guess = np.hstack(
-            [-(lam0 - epsilon * lam1)[:, ::-1], epsilon * lam01[:, None], lam0 + epsilon * lam1]
-        )
-        roots = _all_roots_multi(v, q.weights, 1.0 + epsilon * phip, 1.0 - epsilon * phip, guess)
+        guess = np.hstack([-(lam0 - eps * lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps * lam1])
+        roots = _all_roots_multi(v, q.weights, 1.0 + eps * phip, 1.0 - eps * phip, guess)
     phip, roots = np.ascontiguousarray(phip.T), np.ascontiguousarray(roots.T)
-    N, Nt = _chemo_matrices(epsilon, dx, v, phip, roots)
+    N, Nt = _chemo_matrices(members, dx, v, phip, roots)
     r = -dx / bernoulli(-lam01 * dx)
     return _stack(
         epsilon, dx, closure, N, Nt,
@@ -438,21 +471,22 @@ def _vfp_micro(model, E) -> np.ndarray:
     return (E / (2.0 * kappa))[:, None, None] * Y
 
 
-def vfp_interfaces(epsilon: float, dx: float, model) -> InterfaceStack:
+def vfp_interfaces(epsilon, dx: float, model) -> InterfaceStack:
     """Fokker-Planck decompositions of the interfaces of a :class:`models.Vfp`,
     which holds the velocity set ``q`` (and its kappa), the interface
     fields ``E_half`` and the E-independent ``closure``, whose leading
-    block I - zeta*gamma every interface shares.
+    block I - zeta*gamma every interface shares.  An array ``epsilon`` of P
+    values stacks P problems, each on all the interfaces.
 
     The zero-mode pair is assembled in the regularized basis of
     :func:`_vfp_zero_columns`, which handles both signs of E and the
     degenerate E = 0 case in one formula.
     """
-    if epsilon <= 0.0 or dx <= 0.0:
+    if (np.asarray(epsilon) <= 0.0).any() or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
     q, closure = model.q, model.closure
-    E = np.atleast_1d(np.asarray(model.E_half, dtype=float))
+    E = np.tile(np.asarray(model.E_half, dtype=float), np.size(epsilon))
     kappa = q.kappa
-    N, Nt = _vfp_matrices(epsilon, dx, q.nodes, E, kappa)
+    N, Nt = _vfp_matrices(_members(epsilon, len(E)), dx, q.nodes, E, kappa)
     return _stack(epsilon, dx, closure, N, Nt,
                   lambda: _limit_B0(model, dx, E * dx / kappa, _vfp_micro(model, E)))

@@ -45,7 +45,8 @@ def ts_step(f: np.ndarray, S: np.ndarray, epsilon: float, dt: float, dx: float,
             phi_response: Callable) -> np.ndarray:
     """One IMEX step of the two-stream scheme on f = [f+, f-], shape (Nx, 2),
     driven by the chemoattractant S through the response ``phi_response``
-    of the interface slopes.
+    of the interface slopes.  An array ``epsilon`` of P values steps P
+    independent problems, f (P, Nx, 2) and S (P, Nx), each ring alone.
 
     The interface currents Jbar_{j-1/2} = -2 (f+_{j-1} - EE f-_j)/d, with
     EE and d as in :func:`ts_smatrix`, are explicit with the exact
@@ -55,15 +56,16 @@ def ts_step(f: np.ndarray, S: np.ndarray, epsilon: float, dt: float, dx: float,
         (1+a) f+ - a f- = f+^n + (dt/dx) Jbar_{j-1/2}
         -a f+ + (1+a) f- = f-^n - (dt/dx) Jbar_{j+1/2},   a = dt/(eps dx).
     """
-    f_plus, f_minus = f[:, 0], f[:, 1]
+    f_plus, f_minus = f[..., 0], f[..., 1]
+    eps = np.asarray(epsilon)[..., None]  # against (P, Nx) rings
     phi_half = np.asarray(phi_response(interface_grad(S, dx)), dtype=float)
-    d, EE = _denominator(epsilon, dx, phi_half)
-    J = -2.0 * (np.roll(f_plus, 1) - EE * f_minus) / d
-    a = dt / (epsilon * dx)
+    d, EE = _denominator(eps, dx, phi_half)
+    J = -2.0 * (np.roll(f_plus, 1, axis=-1) - EE * f_minus) / d
+    a = dt / (eps * dx)
     rp = f_plus + dt / dx * J
-    rm = f_minus - dt / dx * np.roll(J, -1)
+    rm = f_minus - dt / dx * np.roll(J, -1, axis=-1)
     det = 1.0 + 2.0 * a
-    fnew = np.column_stack([((1.0 + a) * rp + a * rm) / det, (a * rp + (1.0 + a) * rm) / det])
+    fnew = np.stack([((1.0 + a) * rp + a * rm) / det, (a * rp + (1.0 + a) * rm) / det], axis=-1)
     if not np.all(np.isfinite(fnew)):
         raise SolveFailure("the two-stream step produced a non-finite state")
     return fnew

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import logging
 import os
@@ -204,6 +205,101 @@ def test_non_finite_limit_step_names_the_first_eps(monkeypatch):
     monkeypatch.setattr(runner, "sg_step", lambda rho, *a: np.full_like(rho, np.nan))
     with pytest.raises(SolveFailure, match=r"^eps=0\.001: the limit scheme produced a non-finite"):
         ap_error_table(config, config.epsilon_list)
+
+
+# (model, K) of the row-independence draws
+SWEEP_MODELS = [("rte", 1), ("rte", 2), ("rte", 4), ("chemo", 1), ("chemo", 2), ("chemo", 4),
+                ("vfp", 2), ("vfp", 3), ("twostream", 1)]
+
+
+def sweep_config(model, K, nx, eps_list):
+    """A sweep on Nx cells of dx = 1/Nx at dt = dx^2/4, with the fields its model reads."""
+    fields = {
+        "chemo": {"phi_params": {"chi": 1.3, "delta": 0.7}},
+        "twostream": {"phi_params": {"chi": 1.3, "delta": 0.7}},
+        "vfp": {"kappa": 1.0, "E_profile": {"kind": "sinusoidal", "amplitude": 0.5}},
+    }.get(model, {})
+    dx = 1.0 / nx
+    return ExperimentConfig.from_json(
+        {"model": model, "K": K, "Nx": nx, "dx": dx, "dt": dx * dx / 4.0, "t_final": dx * dx / 4.0,
+         "epsilon_list": eps_list, **fields})
+
+
+def _straddle(nx):
+    """Epsilons on both sides of the B0 switch 1e-8*dx, in one batch."""
+    switch = 1e-8 / nx
+    return [2.0 * switch, 0.5 * switch, 1e-3, 0.5 * switch, 2.0 * switch]
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(SWEEP_MODELS), nx=st.sampled_from([1, 2, 3, 17, 64]),
+       eps_list=st.lists(st.floats(-12.0, -1.0).map(lambda d: 10.0**d), min_size=1, max_size=25))
+@example(model=("rte", 4), nx=17, eps_list=_straddle(17))
+@example(model=("chemo", 4), nx=64, eps_list=_straddle(64))
+@example(model=("vfp", 3), nx=64, eps_list=_straddle(64))
+# the certificate's rho = 1/2 falls between 0.8 and 0.9 dx/3: two problems of
+# the batch of four are certified, two inverted
+@example(model=("chemo", 4), nx=64, eps_list=[f / 192.0 for f in (0.9, 0.8, 1.0, 0.7, 0.9)])
+def test_sweep_rows_are_the_rows_of_one_eps_tables(model, nx, eps_list):
+    # the companion of test_sweep_builds_model_once: whatever batches a table
+    # marches, each row is its eps's own one-point table, bitwise, in list order
+    config = sweep_config(*model, nx, eps_list)
+    expected = [ap_error_table(config, [e])[0][0] for e in eps_list]
+    rows, _ = ap_error_table(config, eps_list)
+    assert [(e, g.hex()) for e, g in rows] == [(e, g.hex()) for e, g in expected]
+
+
+@pytest.mark.parametrize("model, K, size", [("chemo", 8, 1), ("vfp", 3, 7), ("rte", 16, 16),
+                                            ("chemo", 4, 4), ("twostream", 1, 64)])
+def test_sweep_batches_keep_one_interface_stack_within_the_budget(monkeypatch, model, K, size):
+    # M (2K)^2 entries of a batch's interface stack stay within 2^14; rte has
+    # one interface per problem, so a ten-eps sweep is one batch
+    config = sweep_config(model, K, 64, [10.0**-d for d in range(1, 11)])
+    built, _ = _setup(config)
+    assert runner.batch_size(built, 64) == size
+    assert runner.batch_size(built, 1) == 1
+    marches = []
+    march = type(built).march
+    monkeypatch.setattr(type(built), "march", lambda self, eps, *a: marches.append(np.size(eps))
+                        or march(self, eps, *a))
+    ap_error_table(config, config.epsilon_list)
+    assert marches == [min(size, 10 - i) for i in range(0, 10, size)]
+
+
+def test_bench_size_sweep_tables_peak_within_budget():
+    # every ap_sweep table of the bench, set-up included, at most 1.8 MB of
+    # traced allocations (one eps at a time peaked at 0.83 MB, all ten eps in
+    # one chemo K = 8 batch at 8.7 MB)
+    import tracemalloc
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    peaks = {}
+    for op in workloads.build_workload("ap_sweep", 7, "full").cycle:
+        config = ExperimentConfig.from_json(op.config)
+        tracemalloc.start()
+        try:
+            ap_error_table(config, config.epsilon_list)
+            peaks[op.label] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 7 and max(peaks.values()) <= 1.8e6, peaks
+
+
+@pytest.mark.parametrize("fields, eps_list, message", [
+    ({"model": "chemo", "phi_params": {"chi": 30.0, "delta": 0.01}}, [1e-3, 0.05, 1e-4],
+     "(NonPositiveRate): eps=0.05: 1 + eps*phi(v*gradS) must be positive"),
+    ({"model": "vfp", "K": 3, "kappa": 1.0, "E_profile": {"kind": "sinusoidal", "amplitude": 100.0}},
+     [1e-2, 1e-1, 1e-3], "(IllConditioned): eps=0.1: interface 3: mode matrix 1-norm condition"),
+])
+def test_sweep_failure_names_the_first_failing_eps(tmp_path, capsys, fields, eps_list, message):
+    # all three eps are one batch; the interface is counted within its problem
+    path = write_config(tmp_path, Nx=16, dx=1.0 / 16, dt=1.0 / 1024, t_final=1.0 / 1024,
+                        epsilon=None, epsilon_list=eps_list, **fields)
+    assert main(["sweep", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"numerical failure {message}")
 
 
 @pytest.mark.parametrize("text", ['[["x"]]', "5", '"s"', "null"])

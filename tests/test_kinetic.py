@@ -28,6 +28,7 @@ from kinwb import (
     vfp_quadrature,
 )
 from kinwb.errors import SolveFailure
+from kinwb.kinetic import trace_indices
 
 NX = 64
 DX = 1.0 / NX
@@ -438,3 +439,49 @@ def test_per_step_mass_drift_stays_at_rounding(name, eps):
         grid = imex_step(grid, op, model.field(density(grid.f, grid.q), dx))
         drift = max(drift, abs(mass(grid) - m0) / m0)
     assert drift <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# P problems on P rings
+# ---------------------------------------------------------------------------
+
+
+def test_trace_indices_of_rings_are_each_rings_own_shifted():
+    # ring p's indices are a lone grid's, moved to its rows and columns: the
+    # periodic wrap stays inside the ring
+    Nx, K, P = 3, 2, 4
+    incoming, to_cells = trace_indices(Nx, K, P)
+    lone_in, lone_out = trace_indices(Nx, K)
+    assert incoming.shape == (2 * K, P * Nx) and to_cells.shape == (P * Nx, 2 * K)
+    for p in range(P):
+        assert np.array_equal(incoming[:, p * Nx : (p + 1) * Nx], lone_in + p * Nx * 2 * K)
+        rows, cols = np.divmod(lone_out, Nx)  # velocity a and interface i of a lone out
+        assert np.array_equal(to_cells[p * Nx : (p + 1) * Nx], rows * P * Nx + p * Nx + cols)
+
+
+def _batch_model(name, K, nx):
+    if name == "twostream":
+        return TwoStream(lambda u: phi_tanh(u, chi=1.5, delta=0.5))
+    return _model(name, K, nx)
+
+
+@pytest.mark.parametrize("nx", [2, 3, 17])
+@pytest.mark.parametrize("name, K", [("rte", 2), ("chemo", 2), ("chemo", 3), ("vfp", 2), ("vfp", 3),
+                                     ("twostream", 1)])
+def test_a_march_of_p_eps_is_p_lone_marches_bitwise(name, K, nx):
+    # after the first step the rings differ, so every step checks that a ring
+    # reads only its own cells and its own eps; the eps straddle the B0 switch
+    # and the certificate, and repeat
+    model = _batch_model(name, K, nx)
+    dx = 1.0 / nx
+    rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * (np.arange(nx) + 0.5) / nx)
+    eps = np.array([0.3, 1e-3, 0.5e-8 * dx, 2e-8 * dx, 1e-3, 1e-12])
+    batch = model.march(eps, dx * dx / 4.0, dx, rho0)
+    lone = [model.march(float(e), dx * dx / 4.0, dx, rho0) for e in eps]
+    for _ in range(4):
+        rho, S = next(batch)
+        assert rho.shape == (len(eps), nx)
+        for p, march in enumerate(lone):
+            rho_p, S_p = next(march)
+            assert rho[p].tobytes() == rho_p.tobytes()
+            assert (S is None and S_p is None) or S[p].tobytes() == S_p.tobytes()

@@ -23,6 +23,12 @@ def test_every_row_of_the_table_applies_to_the_source():
         assert m.expected == mutants.KILLED or m.expected.startswith("equivalent: "), m.name
 
 
+def test_the_suite_runs_with_a_fixed_hypothesis_seed():
+    # a verdict must not depend on which examples Hypothesis happens to draw
+    assert "--hypothesis-seed=0" in mutants.TESTS
+    assert mutants.TESTS.index("--hypothesis-seed=0") < mutants.TESTS.index("tests")
+
+
 def test_a_row_is_stale_unless_its_old_text_occurs_once(tmp_path):
     (tmp_path / "a.py").write_text("x = 1\ny = 2\ny = 2\n")
     rows = [Mutant("once", "a.py", "x = 1", "x = 3", mutants.KILLED),

@@ -109,3 +109,18 @@ def test_bench_runs_cover_every_sweep_and_both_marches(tmp_path):
     for march in ("chemo_march", "static_march"):
         cycle = output_parity.workloads.build_workload(march, 0, "full").cycle
         assert cycle and all(("run", op.config) in configs for op in cycle)
+
+
+def test_reversed_sweep_rows_must_be_the_forward_rows_reversed():
+    forward = "epsilon,error\n0.1,0.5\n0.01,0.05\n0.1,0.5\n0.001,0.005\nslope,1.0\n"
+    backward = "epsilon,error\n0.001,0.005\n0.1,0.5\n0.01,0.05\n0.1,0.5\nslope,1.0000000000000002\n"
+    assert output_parity.reversed_row_problems(forward, backward) == []  # the slope may move
+    moved = backward.replace("0.01,0.05", "0.01,0.050000000000000003")
+    assert output_parity.reversed_row_problems(forward, moved) == [
+        "eps 0.01: row '0.01,0.05' became '0.01,0.050000000000000003' reversed"]
+    # the forward order again: every row is compared with another eps's
+    unreversed = output_parity.reversed_row_problems(forward, forward)
+    assert len(unreversed) == 4 and unreversed[0] == "eps 0.1: row '0.1,0.5' became '0.001,0.005' reversed"
+    short = "epsilon,error\n0.1,0.5\nslope,1.0\n"
+    assert output_parity.reversed_row_problems(forward, short) == [
+        "reversed sweep has 1 rows, the forward one 4"]

@@ -1102,3 +1102,55 @@ def test_b_tends_to_b0_at_first_order(case, dx, strength):
     note(f"gaps {gaps}, above the floor {above}")
     assert np.sum(above) >= 3
     assert loglog_slope(epss[above], gaps[above]) >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# stacks of P problems
+# ---------------------------------------------------------------------------
+
+
+def assert_members_are_lone_stacks(stack, lone, M, rng):
+    """Every problem's M members of ``stack`` decide, and carry the outgoing
+    traces and B, of its own stack in ``lone``, bitwise.  Outgoing traces
+    from M = 2 on: NumPy contracts a lone column in another order."""
+    K2 = stack.N.shape[-1]
+    inc = rng.uniform(0.5, 1.5, (K2, len(lone) * M))
+    out = stack.outgoing(inc)
+    for p, alone in enumerate(lone):
+        cols = slice(p * M, (p + 1) * M)
+        assert np.array_equal(stack.below_switch[cols], np.full(M, alone.below_switch))
+        assert np.array_equal(stack.certified[cols], np.full(M, alone.certified))
+        if M > 1:
+            alone_out = alone.outgoing(np.ascontiguousarray(inc[:, cols]))
+            assert out[:, cols].tobytes() == alone_out.tobytes()
+        assert stack.B[cols].tobytes() == alone.B.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 8])
+def test_chemo_stack_of_problems_decides_each_as_alone(K):
+    # the batch straddles the B0 switch and the certificate, and repeats an eps
+    model = Chemo(gauss_symmetric(K), phi_tanh)
+    grads = np.array([0.0, 0.3, -1.1, 2.5, 0.7])
+    eps = np.array([0.3 * DX, 1e-3, 0.5e-8 * DX, DX, 2e-8 * DX, 1e-3])
+    lone = [chemo_interfaces(e, DX, model, grads) for e in eps]
+    assert {bool(s.below_switch) for s in lone} == {True, False}
+    assert {s.inverse is None for s in lone} == {True, False}
+    stack = chemo_interfaces(eps, DX, model, np.tile(grads, len(eps)))
+    assert_members_are_lone_stacks(stack, lone, len(grads), np.random.default_rng(K))
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_vfp_stack_of_problems_is_each_alone(K):
+    model = Vfp(vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0)), np.array([0.5, -0.3, 0.0, 1.2]))
+    eps = np.array([0.1, 0.5e-8 * DX, 1e-4, 2e-8 * DX])
+    lone = [vfp_interfaces(e, DX, model) for e in eps]
+    stack = vfp_interfaces(eps, DX, model)
+    assert_members_are_lone_stacks(stack, lone, len(model.E_half), np.random.default_rng(K))
+
+
+def test_rte_stack_of_problems_has_one_interface_each(q4):
+    # its step reads B, broadcast along each ring
+    model = Rte(q4)
+    eps = np.array([1e-3, 0.5e-8 * DX, 0.2, 2e-8 * DX])
+    lone = [model.interfaces(e, DX, None) for e in eps]
+    assert_members_are_lone_stacks(model.interfaces(eps, DX, None), lone, 1, np.random.default_rng(0))
