@@ -92,8 +92,12 @@ MUTANTS = [
            "np.less(_members(np.ravel(epsilon)[0] + 0.0 * np.asarray(epsilon), M),"
            " EPS_SWITCH_FACTOR * dx)", KILLED),
     Mutant("periodic wrap taken across rings", KINETIC,
-           "((cell - 1) % Nx + ring) * 2 * K + plus", "((cell + ring - 1) % n) * 2 * K + plus",
-           KILLED),
+           "ring + (cells - 1) % Nx,", "(cells - 1) % n,", KILLED),
+    Mutant("+v and -v halves of the incoming traces swapped", KINETIC,
+           "np.concatenate([plus + left, minus + cells])",
+           "np.concatenate([minus + cells, plus + left])", KILLED),
+    Mutant("-v outgoing trace scattered to cell i, not i-1", KINETIC,
+           "minus + right]", "minus + cells]", KILLED),
 ]
 
 

@@ -11,19 +11,22 @@ blocks explicit.  S0 comes from the limit closure, which does not see the
 field, so :func:`step_operator` inverts R_eps once per run.  The B terms
 carry the per-interface field dependence: a static model's B stack is built
 once per run, and a chemotaxis step takes the outgoing traces B inc from
-the interfaces it assembles (:meth:`InterfaceStack.outgoing`).  State layout
-per cell: (f(v_1..v_K), f(-v_1..-v_K)).  The static B stack, like a
-chemotaxis step's mode matrices, is stored velocity-major, (2K, 2K, Nx)
-with the interface axis last, and both branches move the traces as
-(2K, Nx), so the product B inc runs its inner loops over all Nx interfaces
-instead of over 2K velocities; from Nx = 2 on it sums over b left to
-right.
+the interfaces it assembles (:meth:`InterfaceStack.outgoing`).  The state
+of cell j is (f_j(v_1..v_K), f_j(-v_1..-v_K)), and it is stored
+velocity-major: ``KineticGrid.f`` is the (Nx, 2K) transposed view of a
+C-contiguous (2K, Nx) buffer.  The static B stack, like a chemotaxis step's
+mode matrices, is stored (2K, 2K, Nx) with the interface axis last, and the
+traces move as (2K, Nx), so every operation of a step, from the gather of
+the incoming traces to the product with R_eps^{-1}, runs its inner loop
+over the Nx cells or interfaces instead of over 2K velocities.  From Nx = 2
+on the static product sums over b left to right.
 
 A grid whose ``epsilon`` is an array of P values holds P independent
-problems: P periodic rings of Nx cells, ring p the rows p*Nx .. p*Nx + Nx - 1
-of f, each with its own eps.  One step then serves them all: one gather, one
-assembly or B product, and one product with the (P, 2K, 2K) stack of
-R_eps^{-1}, in which ring p sees the operations of its problem alone.
+problems: P periodic rings of Nx cells, ring p the cells p*Nx .. p*Nx + Nx - 1
+(the columns of the buffer), each with its own eps.  One step then serves
+them all: one gather, one assembly or B product, and one stacked product
+with the (P, 2K, 2K) R_eps^{-1} on the (P, 2K, Nx) view of the buffer, in
+which ring p sees the operations of its problem alone.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,10 @@ def phi_tanh(u, chi: float = 1.0, delta: float = 1.0):
 @dataclass(frozen=True, eq=False)
 class KineticGrid:
     """Periodic kinetic state: f[j] = (f_j(v_1..v_K), f_j(-v_1..-v_K)); an
-    array ``epsilon`` of P values makes f the P rings of Nx cells, (P*Nx, 2K)."""
+    array ``epsilon`` of P values makes f the P rings of Nx cells, (P*Nx, 2K).
+    f is read-only and stored velocity-major: ``f.T`` is the C-contiguous
+    (2K, P*Nx) buffer that a step reads and writes, whatever the order of
+    the f it was given."""
 
     Nx: int
     dx: float
@@ -58,7 +64,7 @@ class KineticGrid:
     def __post_init__(self):
         if self.dx <= 0.0 or self.dt <= 0.0 or (np.asarray(self.epsilon) <= 0.0).any():
             raise ValueError("dx, dt, epsilon must be positive")
-        f = np.array(self.f, dtype=float)
+        f = np.array(self.f, dtype=float, order="F")
         rows = np.size(self.epsilon) * self.Nx
         if f.shape != (rows, 2 * self.q.K):
             raise ValueError(f"f must have shape ({rows}, {2*self.q.K})")
@@ -79,10 +85,13 @@ def equilibrium(rho: np.ndarray, q) -> np.ndarray:
 
 def density(f: np.ndarray, q) -> np.ndarray:
     """Macroscopic density rho_j = sum_k w_k (f_j(v_k) + f_j(-v_k)) of f
-    (..., 2K).  Give P rings as (P, Nx, 2K): a matrix-vector product sums a
-    row in an order that depends on where it sits, so each ring then has
-    the bits of its problem alone."""
-    return f[..., : q.K] @ q.weights + f[..., q.K :] @ q.weights
+    (..., 2K): the two half densities are one product of ``q.half_weights``
+    with the velocity-major view of f, (2K, Nx).  Give P rings as
+    (P, Nx, 2K), one product per ring: a matrix-vector product, and a flat
+    product over P*Nx cells, sums a cell in an order that depends on where
+    it sits, so each ring then has the bits of its problem alone."""
+    halves = q.half_weights @ f.swapaxes(-1, -2)
+    return halves[..., 0, :] + halves[..., 1, :]
 
 
 def chemoattractant_update(rho: np.ndarray, dx: float) -> np.ndarray:
@@ -129,21 +138,22 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
 
 
 def trace_indices(Nx: int, K: int, rings: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The two flat indices of a step on ``rings`` periodic rings of Nx
-    cells: ``f.take(incoming)`` gives the (2K, rings*Nx) incoming traces
-    (f_{i-1}(+v), f_i(-v)) of interface i, and ``out.take(to_cells)`` puts
-    each outgoing trace of a (2K, rings*Nx) ``out`` into the (rings*Nx, 2K)
-    cell it enters (cell i for +v, cell i-1 for -v).  Interface and cell
-    p*Nx + i are number i of ring p, which wraps around by itself.  They see
-    only (Nx, K, rings), so a model builds them once per grid size."""
-    n, cell = rings * Nx, np.arange(Nx)[:, None]
-    ring = np.arange(rings)[:, None, None] * Nx  # the first cell of each ring
-    plus, minus = np.arange(K), np.arange(K, 2 * K)
-    incoming = np.concatenate([((cell - 1) % Nx + ring) * 2 * K + plus, (cell + ring) * 2 * K + minus],
-                              axis=-1).reshape(n, 2 * K).T.copy()
-    # writeable: ``take`` copies an index array that is not, at every step
-    to_cells = np.concatenate([plus * n + ring + cell, minus * n + ring + (cell + 1) % Nx], axis=-1)
-    return incoming, to_cells.reshape(n, 2 * K)
+    """The two (2K, rings*Nx) flat indices of a step on ``rings`` periodic
+    rings of Nx cells, into a velocity-major (2K, rings*Nx) array:
+    ``F.take(incoming)`` gives the incoming traces (f_{i-1}(+v), f_i(-v)) of
+    interface i from the state F, and ``out.take(to_cells)`` puts each
+    outgoing trace of ``out`` into the cell it enters (cell i for +v, cell
+    i-1 for -v), in the same layout.  Interface and cell p*Nx + i are number
+    i of ring p, which wraps around by itself.  They see only (Nx, K,
+    rings), so a model builds them once per grid size."""
+    n = rings * Nx
+    cells = np.arange(n)
+    ring = cells - cells % Nx  # the first cell of each cell's ring
+    left, right = ring + (cells - 1) % Nx, ring + (cells + 1) % Nx
+    plus, minus = np.arange(K)[:, None] * n, np.arange(K, 2 * K)[:, None] * n  # the rows
+    incoming = np.concatenate([plus + left, minus + cells])
+    to_cells = np.concatenate([plus + cells, minus + right])
+    return incoming, to_cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +163,10 @@ class StepOperator:
     model, B[a, b, i] = B_i[a, b] of interface i with the interface axis
     last and contiguous (None when each step assembles its own; rte's one
     S-matrix per ring is broadcast with stride 0 along the ring's cells, as
-    (2K, 2K, P, Nx) for P rings), the velocities scaled by eps dt/dx
-    ((P, 1, 2K) for P rings), and ``incoming``, ``to_cells``: the
+    (2K, 2K, P, Nx) for P rings), eps and the velocities scaled by
+    eps dt/dx, shaped against the velocity-major state: eps a float and
+    the velocities (2K, 1), or (P, 1) and (2K, P, 1) against its
+    (2K, P, Nx) view for P rings, and ``incoming``, ``to_cells``: the
     :func:`trace_indices` of the grid, which the model builds once per grid
     size and every operator on it shares.  Both step branches move their
     traces in that layout.  From Nx = 2 on the static product sums over b
@@ -163,6 +175,7 @@ class StepOperator:
     model: object
     R_inv: np.ndarray
     B: np.ndarray | None
+    epsilon: float | np.ndarray
     scaled_v: np.ndarray
     incoming: np.ndarray
     to_cells: np.ndarray
@@ -173,9 +186,9 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
     the model's closure, which does not see the field; the B stack is kept
     for a model whose interfaces stay the same.  An exactly singular R_eps
     raises :class:`SolveFailure`."""
-    eps = np.asarray(grid.epsilon)[..., None, None]
-    rings = eps.shape[:-2]  # () for one problem, (P,) for P rings
-    R = assemble_cell_matrix(eps, grid.dt, grid.dx, grid.q, model.closure.S0)
+    eps = np.asarray(grid.epsilon)
+    rings = eps.shape  # () for one problem, (P,) for P rings
+    R = assemble_cell_matrix(eps[..., None, None], grid.dt, grid.dx, grid.q, model.closure.S0)
     try:
         R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
@@ -188,17 +201,18 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
             B = np.broadcast_to(B.reshape(B.shape[:2] + rings + (1,)), B.shape[:2] + grid.cells)
         B.flags.writeable = False
     incoming, to_cells = model.traces(grid.Nx, np.size(grid.epsilon))
+    eps = eps[:, None] if rings else float(eps)  # against the (2K, P, Nx) view of P rings
+    Vd = np.concatenate([grid.q.nodes, grid.q.nodes]).reshape((-1,) + (1,) * (1 + len(rings)))
     return StepOperator(
-        model=model, R_inv=R_inv, B=B,
-        scaled_v=(eps * grid.dt / grid.dx) * np.concatenate([grid.q.nodes, grid.q.nodes]),
-        incoming=incoming, to_cells=to_cells,
+        model=model, R_inv=R_inv, B=B, epsilon=eps,
+        scaled_v=(eps * grid.dt / grid.dx) * Vd, incoming=incoming, to_cells=to_cells,
     )
 
 
 def _outgoing(grid: KineticGrid, op: StepOperator, S) -> np.ndarray:
     """B inc, (2K, cells), of the interfaces assembled from the field S
     when given, else of op's static stack."""
-    inc = grid.f.take(op.incoming)
+    inc = grid.f.T.take(op.incoming)
     if S is None:
         return np.einsum("ab...,b...->a...", op.B, inc.reshape(op.B.shape[1:])).reshape(inc.shape)
     return op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(inc)
@@ -207,17 +221,20 @@ def _outgoing(grid: KineticGrid, op: StepOperator, S) -> np.ndarray:
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
     """One IMEX step; pure function grid -> grid.  The interfaces are
     assembled from the field S when given, else op's static stack is used.
-    P rings take one product with R_eps^{-1} each, as (P, Nx, 2K); the
-    traces are dropped as soon as they are used, which keeps a batch small."""
-    cells = grid.cells + (-1,)
-    rhs = _outgoing(grid, op, S).take(op.to_cells).reshape(cells)
+    Every operation runs on the velocity-major state, (2K, Nx) or the
+    (2K, P, Nx) view of P rings, and R_eps^{-1} is one product, stacked
+    over P rings; the traces are dropped as soon as they are used, which
+    keeps a batch small."""
+    F = grid.f.T
+    # (2K, Nx), or the (2K, P, Nx) view of P rings
+    rhs = _outgoing(grid, op, S).take(op.to_cells).reshape(op.scaled_v.shape[:-1] + (-1,))
     rhs *= op.scaled_v
-    rhs += np.asarray(grid.epsilon)[..., None, None] * grid.f.reshape(cells)
-    # a non-finite rhs gives a non-finite fnew
-    fnew = (rhs @ op.R_inv.swapaxes(-1, -2)).reshape(grid.f.shape)
+    rhs += op.epsilon * F.reshape(rhs.shape)
+    fnew = np.empty_like(rhs)  # a non-finite rhs gives a non-finite fnew
+    np.matmul(op.R_inv, rhs.swapaxes(0, -2), out=fnew.swapaxes(0, -2))
     if not np.all(np.isfinite(fnew)):
         raise SolveFailure("the IMEX step produced a non-finite state")
     fnew.flags.writeable = False  # fresh and checked: skip __post_init__'s copy and check
     new = object.__new__(KineticGrid)
-    new.__dict__.update(grid.__dict__, f=fnew)
+    new.__dict__.update(grid.__dict__, f=fnew.reshape(F.shape).T)
     return new

@@ -15,6 +15,7 @@ Two families are supported, told apart by ``kappa``:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class VelocityQuadrature:
     def K(self) -> int:
         """The number of positive velocities."""
         return len(self.nodes)
+
+    @cached_property
+    def half_weights(self) -> np.ndarray:
+        """[[w, 0], [0, w]], (2, 2K): on a state (2K, Nx) it gives the
+        densities of the +v and the -v halves."""
+        return np.kron(np.eye(2), self.weights)
 
     @property
     def second_moment(self) -> float:

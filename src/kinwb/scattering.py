@@ -106,8 +106,10 @@ class InterfaceStack:
     that reads only :meth:`outgoing` builds none of them.  ``epsilon`` is
     one eps, or the (P,) eps of P problems of M/P consecutive members each;
     ``below_switch`` and ``certified`` are then per member, else one bool.
-    ``inverse`` is N^{-1} when the condition guard had to compute it for
-    some problem, None when the certificate spared every problem it."""
+    ``inverse`` is N^{-1} of the members the condition guard had to invert,
+    those of uncertified problems, and 0 on certified members; None when
+    the certificate spared every problem.  :attr:`S` inverts the certified
+    members itself when it is read."""
 
     epsilon: float | np.ndarray
     N: np.ndarray
@@ -128,8 +130,13 @@ class InterfaceStack:
 
     @cached_property
     def S(self) -> np.ndarray:
+        certified, inverse = self.certified, self.inverse
+        if inverse is None:
+            inverse = _inverse(self.N)
+        elif certified.any():  # inv works matrix by matrix: each member has its bits alone
+            inverse = inverse.copy()
+            inverse[certified] = _inverse(self.N[certified], "certified interface {i}: mode matrix")
         # a contiguous Nt: a stacked matmul on the strided view is not BLAS's
-        inverse = _inverse(self.N) if self.inverse is None else self.inverse
         return np.ascontiguousarray(self.Nt) @ inverse
 
     @cached_property
@@ -257,9 +264,15 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None) -> InterfaceStack:
         _cond_bound(N, closure, r) <= _COND_LIMIT).reshape(problems + (-1,)).all(axis=-1)
     certified = _members(ok, M)
     N, Nt = N.transpose(2, 0, 1), Nt.transpose(2, 0, 1)
+    inverse = None
+    if not certified.any():
+        inverse = _inverse(N)
+    elif not certified.all():  # a batch inverts its uncertified problems only
+        inverse = np.zeros(N.shape)
+        inverse[~certified] = _inverse(N[~certified], "uncertified interface {i}: mode matrix")
     return InterfaceStack(
         epsilon, N, Nt, closure.anti_S0, np.less(_members(epsilon, M), EPS_SWITCH_FACTOR * dx),
-        certified, build_B0, None if certified.all() else _inverse(N),
+        certified, build_B0, inverse,
     )
 
 

@@ -352,6 +352,30 @@ def test_imex_step_bitwise_equals_roll_formula(name, K, nx, eps):
         grid = new
 
 
+@pytest.mark.parametrize("P", [None, 3])  # one problem, three rings
+@pytest.mark.parametrize("nx", [1, 2, 17])
+@pytest.mark.parametrize("name", ["rte", "chemo", "vfp"])
+def test_state_is_stored_velocity_major_after_every_step(name, nx, P):
+    # f keeps its (P*Nx, 2K) shape as the transposed view of the step's
+    # C-contiguous buffer, from a C-ordered f on; a C-ordered copy of the
+    # state steps to the same bits
+    K, dx = 2, 1.0 / nx
+    model = _model(name, K, nx)
+    eps = 1e-2 if P is None else np.array([1e-2, 1e-9, 0.3])
+    rows = nx * np.size(eps)
+    f = np.random.default_rng([K, nx]).uniform(0.5, 1.5, (rows, 2 * K))
+    grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
+    op = step_operator(grid, model)
+    for _ in range(3):
+        assert grid.f.shape == (rows, 2 * K) and grid.f.T.flags.c_contiguous
+        S = model.field(density(grid.f.reshape(grid.cells + (-1,)), grid.q), dx)
+        new = imex_step(grid, op, S)
+        copy = dataclasses.replace(grid, f=np.ascontiguousarray(grid.f))
+        assert imex_step(copy, op, S).f.tobytes() == new.f.tobytes()
+        grid = new
+    assert grid.f.shape == (rows, 2 * K) and grid.f.T.flags.c_contiguous
+
+
 @pytest.mark.parametrize("nx", [1, 2, 17])
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_static_b_stack_is_the_models_stack_interface_axis_last(K, nx):
@@ -452,11 +476,12 @@ def test_trace_indices_of_rings_are_each_rings_own_shifted():
     Nx, K, P = 3, 2, 4
     incoming, to_cells = trace_indices(Nx, K, P)
     lone_in, lone_out = trace_indices(Nx, K)
-    assert incoming.shape == (2 * K, P * Nx) and to_cells.shape == (P * Nx, 2 * K)
+    assert incoming.shape == (2 * K, P * Nx) and to_cells.shape == (2 * K, P * Nx)
     for p in range(P):
-        assert np.array_equal(incoming[:, p * Nx : (p + 1) * Nx], lone_in + p * Nx * 2 * K)
-        rows, cols = np.divmod(lone_out, Nx)  # velocity a and interface i of a lone out
-        assert np.array_equal(to_cells[p * Nx : (p + 1) * Nx], rows * P * Nx + p * Nx + cols)
+        ring = slice(p * Nx, (p + 1) * Nx)
+        for index, lone in ((incoming, lone_in), (to_cells, lone_out)):
+            rows, cols = np.divmod(lone, Nx)  # velocity a and cell i of a lone state
+            assert np.array_equal(index[:, ring], rows * P * Nx + p * Nx + cols)
 
 
 def _batch_model(name, K, nx):

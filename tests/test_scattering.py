@@ -1068,9 +1068,9 @@ def test_b0_on_maxwellian_traces_is_the_ilin_update(case, Nx, dx, strength, seed
     assert stack.below_switch
     incoming, to_cells = model.traces(Nx)
     B0 = np.broadcast_to(stack.B0, (Nx,) + stack.B0.shape[1:])  # rte's one interface
-    out = np.einsum("iab,bi->ai", B0, equilibrium(rho0, q).take(incoming))
+    out = np.einsum("iab,bi->ai", B0, equilibrium(rho0, q).T.take(incoming))
     wv = q.weights * q.nodes
-    drho = dt / dx * out.take(to_cells) @ np.concatenate([wv, wv])
+    drho = dt / dx * np.concatenate([wv, wv]) @ out.take(to_cells)
     drift = model.drift(S, dx)
     want = sg_step(rho0, model.D, drift, dt, dx) - rho0
     u = np.asarray(drift) * dx / model.D
@@ -1137,6 +1137,26 @@ def test_chemo_stack_of_problems_decides_each_as_alone(K):
     assert {s.inverse is None for s in lone} == {True, False}
     stack = chemo_interfaces(eps, DX, model, np.tile(grads, len(eps)))
     assert_members_are_lone_stacks(stack, lone, len(grads), np.random.default_rng(K))
+
+
+def test_partly_certified_stack_inverts_only_its_uncertified_problems(monkeypatch):
+    # the guard inverts the members of uncertified problems; S inverts the
+    # certified ones when it is read, and each member keeps its lone bits
+    model = Chemo(gauss_symmetric(4), phi_tanh)
+    grads = np.array([0.0, 0.3, -1.1, 2.5, 0.7])
+    eps = np.array([1e-1, 5e-5 * DX, 1e-1, 5e-5 * DX])
+    lone = [chemo_interfaces(e, DX, model, grads) for e in eps]
+    assert [s.inverse is None for s in lone] == [False, True, False, True]
+    sizes = []
+    original = scattering._inverse
+    monkeypatch.setattr(scattering, "_inverse", lambda A, *what: sizes.append(len(A)) or original(A, *what))
+    stack = chemo_interfaces(eps, DX, model, np.tile(grads, len(eps)))
+    assert sizes == [2 * len(grads)]
+    assert not stack.inverse[stack.certified].any()
+    S = stack.S
+    assert sizes == [2 * len(grads)] * 2
+    for p, alone in enumerate(lone):
+        assert S[p * len(grads) : (p + 1) * len(grads)].tobytes() == alone.S.tobytes()
 
 
 @pytest.mark.parametrize("K", [2, 3])
