@@ -51,7 +51,8 @@ class Mutant(NamedTuple):
 
 
 SCATTERING, SPECTRAL = "src/kinwb/scattering.py", "src/kinwb/spectral.py"
-KINETIC = "src/kinwb/kinetic.py"
+KINETIC, MODELS = "src/kinwb/kinetic.py", "src/kinwb/models.py"
+MACROLIMIT = "src/kinwb/macrolimit.py"
 MUTANTS = [
     Mutant("root tolerance 1e-14 -> 1e-9", SPECTRAL,
            "_ROOT_RTOL = 1e-14", "_ROOT_RTOL = 1e-9", KILLED),
@@ -88,8 +89,8 @@ MUTANTS = [
            "_cond_bound(N, closure, r) <= _COND_LIMIT).reshape(problems + (-1,)).all(axis=-1)",
            "_cond_bound(N, closure, r) <= _COND_LIMIT).all() & np.ones(problems, bool)", KILLED),
     Mutant("B0 switch read from the batch's first eps", SCATTERING,
-           "np.less(_members(epsilon, M), EPS_SWITCH_FACTOR * dx)",
-           "np.less(_members(np.ravel(epsilon)[0] + 0.0 * np.asarray(epsilon), M),"
+           "below = np.less(epsilon, EPS_SWITCH_FACTOR * dx)",
+           "below = np.less(np.ravel(epsilon)[0] + 0.0 * np.asarray(epsilon),"
            " EPS_SWITCH_FACTOR * dx)", KILLED),
     Mutant("periodic wrap taken across rings", KINETIC,
            "ring + (cells - 1) % Nx,", "(cells - 1) % n,", KILLED),
@@ -98,6 +99,26 @@ MUTANTS = [
            "np.concatenate([minus + cells, plus + left])", KILLED),
     Mutant("-v outgoing trace scattered to cell i, not i-1", KINETIC,
            "minus + right]", "minus + cells]", KILLED),
+    Mutant("-v rows of the cell-ordered B stack rolled by +1, not -1", KINETIC,
+           "B[K:, ..., :-1], B[K:, ..., -1] = stack[K:, ..., 1:], stack[K:, ..., 0]",
+           "B[K:, ..., 1:], B[K:, ..., 0] = stack[K:, ..., :-1], stack[K:, ..., -1]", KILLED),
+    Mutant("-v half of the static step contracted on faces 0..Nx-1", KINETIC,
+           "faces[..., -Nx:], out=rhs[K:]", "faces[..., :Nx], out=rhs[K:]", KILLED),
+    Mutant("sign of V in R_eps flipped", KINETIC,
+           "epsilon * np.eye(2 * K) + dt / dx * (Vd[:, None] * H)",
+           "epsilon * np.eye(2 * K) - dt / dx * (Vd[:, None] * H)", KILLED),
+    Mutant("S0 on the diagonal of anti_S0", SCATTERING,
+           "np.block([[Z, S0], [S0, Z]])", "np.block([[S0, Z], [Z, S0]])", KILLED),
+    Mutant("Bernoulli arguments of sg_flux swapped", MACROLIMIT,
+           "(bernoulli(-u) * rho_left - bernoulli(u) * rho_right)",
+           "(bernoulli(u) * rho_left - bernoulli(-u) * rho_right)", KILLED),
+    Mutant("chemotaxis drift with the sign of the response", MODELS,
+           "return -chemo_drift(", "return chemo_drift(", KILLED),
+    Mutant("equilibrium normalised by sigma0, not 2 sigma0", KINETIC,
+           "(2.0 * float(np.sum(q.weights * m)))", "(float(np.sum(q.weights * m)))", KILLED),
+    Mutant("zero-mode scale -eps/lambda0 doubled", SCATTERING,
+           "den_p, den_n = Tp * (Tp - lam0 * v), Tn * (Tn - lam0 * -v)",
+           "den_p, den_n = Tp * (Tp - lam0 * v) / 2.0, Tn * (Tn - lam0 * -v) / 2.0", KILLED),
 ]
 
 

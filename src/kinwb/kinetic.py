@@ -14,12 +14,18 @@ once per run, and a chemotaxis step takes the outgoing traces B inc from
 the interfaces it assembles (:meth:`InterfaceStack.outgoing`).  The state
 of cell j is (f_j(v_1..v_K), f_j(-v_1..-v_K)), and it is stored
 velocity-major: ``KineticGrid.f`` is the (Nx, 2K) transposed view of a
-C-contiguous (2K, Nx) buffer.  The static B stack, like a chemotaxis step's
-mode matrices, is stored (2K, 2K, Nx) with the interface axis last, and the
-traces move as (2K, Nx), so every operation of a step, from the gather of
-the incoming traces to the product with R_eps^{-1}, runs its inner loop
-over the Nx cells or interfaces instead of over 2K velocities.  From Nx = 2
-on the static product sums over b left to right.
+C-contiguous (2K, Nx) buffer.  Cell j reads the outgoing +v trace of
+interface j and the -v trace of interface j+1.  A chemotaxis step gathers
+the incoming traces of its Nx interfaces as (2K, Nx), contracts them with
+its mode matrices, interface axis last, and scatters each outgoing trace
+into the cell it enters.  The static B stack is stored (2K, 2K, Nx) by
+receiving cell instead: the -v rows of cell j are those of interface j+1,
+so the static step gathers the traces of the Nx+1 faces once and
+contracts each half straight into its cells, with no scatter.  Every
+operation of a step, from the gather to the product with R_eps^{-1}, runs
+its inner loop over the Nx cells or interfaces instead of over 2K
+velocities, and each element of the static product sums over b left to
+right.
 
 A grid whose ``epsilon`` is an array of P values holds P independent
 problems: P periodic rings of Nx cells, ring p the cells p*Nx .. p*Nx + Nx - 1
@@ -156,83 +162,120 @@ def trace_indices(Nx: int, K: int, rings: int = 1) -> tuple[np.ndarray, np.ndarr
     return incoming, to_cells
 
 
+def face_indices(Nx: int, K: int, rings: int) -> np.ndarray:
+    """The (2K, rings, Nx+1) flat indices of a static step's faces into a
+    velocity-major (2K, rings*Nx) array: face i of ring p is its interface
+    i, whose incoming traces ``F.take`` gives as :func:`trace_indices`
+    does, and face Nx is face 0 of the same ring (a one-cell ring keeps
+    its one face, (2K, rings, 1)).  Cell i reads faces i and i+1."""
+    faces = trace_indices(Nx, K, rings)[0].reshape(2 * K, rings, Nx)
+    return np.concatenate([faces, faces[..., :1]], axis=-1) if Nx > 1 else faces
+
+
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
     R_eps^{-1} ((P, 2K, 2K) for P rings), the read-only B stack of a static
-    model, B[a, b, i] = B_i[a, b] of interface i with the interface axis
-    last and contiguous (None when each step assembles its own; rte's one
-    S-matrix per ring is broadcast with stride 0 along the ring's cells, as
-    (2K, 2K, P, Nx) for P rings), eps and the velocities scaled by
-    eps dt/dx, shaped against the velocity-major state: eps a float and
-    the velocities (2K, 1), or (P, 1) and (2K, P, 1) against its
-    (2K, P, Nx) view for P rings, and ``incoming``, ``to_cells``: the
-    :func:`trace_indices` of the grid, which the model builds once per grid
-    size and every operator on it shares.  Both step branches move their
-    traces in that layout.  From Nx = 2 on the static product sums over b
-    left to right."""
+    model (None when each step assembles its own), eps and the velocities
+    scaled by eps dt/dx, shaped against the velocity-major state: eps a
+    float and the velocities (2K, 1), or (P, 1) and (2K, P, 1) against its
+    (2K, P, Nx) view for P rings.
+
+    The static B stack is stored by receiving cell, (2K, 2K, Nx) or
+    (2K, 2K, P, Nx), cell axis last and contiguous: B[a, b, j] is block row
+    a of the interface whose outgoing trace a enters cell j, interface j
+    for the +v rows and interface j+1 of the same ring for the -v rows;
+    rte's one S-matrix per ring is broadcast with stride 0 along the ring's
+    cells.  ``faces``, of a static model only, are the :func:`face_indices`
+    of the grid, (2K, Nx+1) or (2K, P, Nx+1); ``incoming`` and
+    ``to_cells``, of a chemotaxis model only, are its :func:`trace_indices`,
+    with which its step gathers and scatters its traces.  The model builds
+    either once per grid size, and every operator on it shares them.  Each
+    element of the static product sums over b left to right."""
 
     model: object
     R_inv: np.ndarray
     B: np.ndarray | None
     epsilon: float | np.ndarray
     scaled_v: np.ndarray
-    incoming: np.ndarray
-    to_cells: np.ndarray
+    incoming: np.ndarray | None
+    to_cells: np.ndarray | None
+    faces: np.ndarray | None
 
 
 def step_operator(grid: KineticGrid, model) -> StepOperator:
     """The run constants of the IMEX step on this grid.  R_eps takes S0 from
-    the model's closure, which does not see the field; the B stack is kept
-    for a model whose interfaces stay the same.  An exactly singular R_eps
-    raises :class:`SolveFailure`."""
+    the model's closure, which does not see the field; the B stack is kept,
+    by receiving cell, for a model whose interfaces stay the same.  An
+    exactly singular R_eps raises :class:`SolveFailure`."""
     eps = np.asarray(grid.epsilon)
     rings = eps.shape  # () for one problem, (P,) for P rings
+    K, Nx = grid.q.K, grid.Nx
     R = assemble_cell_matrix(eps[..., None, None], grid.dt, grid.dx, grid.q, model.closure.S0)
     try:
         R_inv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
         at = ", ".join(f"{e:g}" for e in np.ravel(grid.epsilon))
         raise SolveFailure(f"R_eps is singular at eps={at}") from None
-    B = None
+    B = faces = incoming = to_cells = None
     if model.static:
-        B = model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0).copy()
-        if B.shape[-1] != grid.f.shape[0]:  # one interface serves each ring
-            B = np.broadcast_to(B.reshape(B.shape[:2] + rings + (1,)), B.shape[:2] + grid.cells)
-        B.flags.writeable = False
-    incoming, to_cells = model.traces(grid.Nx, np.size(grid.epsilon))
+        B = _cell_stack(grid, model)
+        faces = model.faces(Nx, np.size(grid.epsilon)).reshape((2 * K,) + rings + (-1,))
+    else:
+        incoming, to_cells = model.traces(Nx, np.size(grid.epsilon))
     eps = eps[:, None] if rings else float(eps)  # against the (2K, P, Nx) view of P rings
     Vd = np.concatenate([grid.q.nodes, grid.q.nodes]).reshape((-1,) + (1,) * (1 + len(rings)))
     return StepOperator(
-        model=model, R_inv=R_inv, B=B, epsilon=eps,
-        scaled_v=(eps * grid.dt / grid.dx) * Vd, incoming=incoming, to_cells=to_cells,
+        model=model, R_inv=R_inv, B=B, epsilon=eps, scaled_v=(eps * grid.dt / grid.dx) * Vd,
+        incoming=incoming, to_cells=to_cells, faces=faces,
     )
 
 
-def _outgoing(grid: KineticGrid, op: StepOperator, S) -> np.ndarray:
-    """B inc, (2K, cells), of the interfaces assembled from the field S
-    when given, else of op's static stack."""
-    inc = grid.f.T.take(op.incoming)
-    if S is None:
-        return np.einsum("ab...,b...->a...", op.B, inc.reshape(op.B.shape[1:])).reshape(inc.shape)
-    return op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(inc)
+def _cell_stack(grid: KineticGrid, model) -> np.ndarray:
+    """A static model's read-only B stack by receiving cell (see
+    :class:`StepOperator`); the model's own stack, interface by interface,
+    is dropped on return."""
+    K = grid.q.K
+    stack = model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0)
+    if model.shared_interface:  # one interface serves each ring
+        stack = np.ascontiguousarray(stack).reshape(stack.shape[:2] + np.shape(grid.epsilon) + (1,))
+        B = np.broadcast_to(stack, stack.shape[:2] + grid.cells)
+    else:  # the -v rows of cell j are those of interface j+1 of its ring
+        stack = stack.reshape(stack.shape[:2] + grid.cells)
+        B = np.empty(stack.shape)
+        B[:K] = stack[:K]
+        B[K:, ..., :-1], B[K:, ..., -1] = stack[K:, ..., 1:], stack[K:, ..., 0]
+    B.flags.writeable = False
+    return B
 
 
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
     """One IMEX step; pure function grid -> grid.  The interfaces are
-    assembled from the field S when given, else op's static stack is used.
-    Every operation runs on the velocity-major state, (2K, Nx) or the
-    (2K, P, Nx) view of P rings, and R_eps^{-1} is one product, stacked
-    over P rings; the traces are dropped as soon as they are used, which
-    keeps a batch small."""
+    assembled from the field S when given, and their outgoing traces
+    scattered into the cells they enter; else each half of op's static
+    stack, stored by receiving cell, contracts straight into its half of
+    the right-hand side, the +v rows with faces 0..Nx-1 and the -v rows
+    with faces 1..Nx.  Every operation runs on the velocity-major state,
+    (2K, Nx) or the (2K, P, Nx) view of P rings, and R_eps^{-1} is one
+    product, stacked over P rings; the traces are dropped as soon as they
+    are used, which keeps a batch small."""
     F = grid.f.T
-    # (2K, Nx), or the (2K, P, Nx) view of P rings
-    rhs = _outgoing(grid, op, S).take(op.to_cells).reshape(op.scaled_v.shape[:-1] + (-1,))
+    shape = op.scaled_v.shape[:-1] + (grid.Nx,)  # (2K, Nx), or the (2K, P, Nx) view of P rings
+    if S is None:
+        K, Nx = grid.q.K, grid.Nx
+        faces = F.take(op.faces)
+        rhs = np.empty(shape)
+        np.einsum("ab...,b...->a...", op.B[:K], faces[..., :Nx], out=rhs[:K])
+        np.einsum("ab...,b...->a...", op.B[K:], faces[..., -Nx:], out=rhs[K:])
+        del faces
+    else:
+        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(F.take(op.incoming))
+        rhs = out.take(op.to_cells).reshape(shape)
     rhs *= op.scaled_v
     rhs += op.epsilon * F.reshape(rhs.shape)
     fnew = np.empty_like(rhs)  # a non-finite rhs gives a non-finite fnew
     np.matmul(op.R_inv, rhs.swapaxes(0, -2), out=fnew.swapaxes(0, -2))
-    if not np.all(np.isfinite(fnew)):
+    if not np.isfinite(fnew).all():
         raise SolveFailure("the IMEX step produced a non-finite state")
     fnew.flags.writeable = False  # fresh and checked: skip __post_init__'s copy and check
     new = object.__new__(KineticGrid)

@@ -27,6 +27,7 @@ from .kinetic import (
     chemoattractant_update,
     density,
     equilibrium,
+    face_indices,
     imex_step,
     interface_grad,
     step_operator,
@@ -51,6 +52,7 @@ class _Kinetic:
     def __init__(self, q, D: float, closure):
         self.q, self.D, self.closure = q, D, closure
         self._traces = {}  # (Nx, rings) -> trace_indices(Nx, K, rings)
+        self._faces = {}  # (Nx, rings) -> face_indices(Nx, K, rings), of a static model
 
     def traces(self, Nx: int, rings: int = 1):
         """:func:`kinetic.trace_indices` on rings of Nx cells, built once per
@@ -58,6 +60,13 @@ class _Kinetic:
         if (Nx, rings) not in self._traces:
             self._traces[Nx, rings] = trace_indices(Nx, self.q.K, rings)
         return self._traces[Nx, rings]
+
+    def faces(self, Nx: int, rings: int):
+        """:func:`kinetic.face_indices` on rings of Nx cells, built once per
+        grid size: all a static step reads of the grid's layout."""
+        if (Nx, rings) not in self._faces:
+            self._faces[Nx, rings] = face_indices(Nx, self.q.K, rings)
+        return self._faces[Nx, rings]
 
     def field(self, rho: np.ndarray, dx: float):
         return None

@@ -285,7 +285,7 @@ def _run_loop(config, out, manifest, snapshots):
             rho, S = next(march)
         except SolveFailure as exc:
             raise SolveFailure(f"step {n}: {exc}") from exc
-        mass = float(np.sum(rho) * config.dx)
+        mass = float(rho.sum() * config.dx)
         if n == 0:
             mass0 = prev = mass
         max_step_drift = max(max_step_drift, abs(mass - prev) / abs(mass0))

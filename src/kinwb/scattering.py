@@ -121,7 +121,7 @@ class InterfaceStack:
     inverse: np.ndarray | None = field(repr=False)
 
     def __post_init__(self):
-        if self.below_switch.any():
+        if _any(self.below_switch):
             self.B0  # built with the stack: below the switch every step reads it
 
     @cached_property
@@ -133,7 +133,7 @@ class InterfaceStack:
         certified, inverse = self.certified, self.inverse
         if inverse is None:
             inverse = _inverse(self.N)
-        elif certified.any():  # inv works matrix by matrix: each member has its bits alone
+        elif _any(certified):  # inv works matrix by matrix: each member has its bits alone
             inverse = inverse.copy()
             inverse[certified] = _inverse(self.N[certified], "certified interface {i}: mode matrix")
         # a contiguous Nt: a stacked matmul on the strided view is not BLAS's
@@ -142,10 +142,10 @@ class InterfaceStack:
     @cached_property
     def B(self) -> np.ndarray:
         below = self.below_switch
-        if below.all():
+        if _all(below):
             return self.B0
         B = (self.S - self.anti_S0) / np.reshape(_members(self.epsilon, len(self.N)), (-1, 1, 1))
-        return np.where(below[:, None, None], self.B0, B) if below.any() else B
+        return np.where(below[:, None, None], self.B0, B) if _any(below) else B
 
     def outgoing(self, inc: np.ndarray) -> np.ndarray:
         """B inc of every interface for incoming traces ``inc`` (2K, M),
@@ -154,7 +154,7 @@ class InterfaceStack:
         unless the guard's inverse is at hand; anti_S0 inc is one product
         per problem, which sums as the problem's own product does."""
         below = self.below_switch
-        if below.all():
+        if _all(below):
             return np.einsum("iab,bi->ai", self.B0, inc)
         n, M = inc.shape
         incT = inc.T[..., None]
@@ -162,19 +162,34 @@ class InterfaceStack:
             c = np.linalg.solve(self.N, incT)
         else:
             c = self.inverse @ incT
-            if self.certified.any():  # as alone, a certified problem solves
+            if _any(self.certified):  # as alone, a certified problem solves
                 c[self.certified] = np.linalg.solve(self.N[self.certified], incT[self.certified])
         Ntc = np.einsum("abi,bi->ai", self.Nt.transpose(1, 2, 0), np.ascontiguousarray(c[..., 0].T))
-        P = np.size(self.epsilon)
-        Sinc = np.matmul(self.anti_S0, inc.reshape(n, P, -1).transpose(1, 0, 2))
-        out = (Ntc - Sinc.transpose(1, 0, 2).reshape(n, M)) / _members(self.epsilon, M)
-        return np.where(below, np.einsum("iab,bi->ai", self.B0, inc), out) if below.any() else out
+        if isinstance(self.epsilon, np.ndarray):
+            P = self.epsilon.size
+            Sinc = np.matmul(self.anti_S0, inc.reshape(n, P, -1).transpose(1, 0, 2))
+            Sinc = Sinc.transpose(1, 0, 2).reshape(n, M)
+        else:
+            Sinc = self.anti_S0 @ inc
+        out = (Ntc - Sinc) / _members(self.epsilon, M)
+        return np.where(below, np.einsum("iab,bi->ai", self.B0, inc), out) if _any(below) else out
 
 
 def _members(epsilon, M: int):
     """What each of M interfaces reads of ``epsilon``: one value itself, or
-    the value of each of P problems over its M/P consecutive members."""
-    return epsilon if np.ndim(epsilon) == 0 else np.repeat(epsilon, M // np.size(epsilon))
+    the value of each of P problems, an array, over its M/P consecutive
+    members."""
+    return np.repeat(epsilon, M // epsilon.size) if isinstance(epsilon, np.ndarray) else epsilon
+
+
+def _any(flags) -> bool:
+    """Whether a member's flag is set: one problem's bool, or per member."""
+    return flags if type(flags) is bool else flags.any()
+
+
+def _all(flags) -> bool:
+    """Whether every member's flag is set: one problem's bool, or per member."""
+    return flags if type(flags) is bool else flags.all()
 
 
 def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndarray:
@@ -262,18 +277,19 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None) -> InterfaceStack:
     M, problems = N.shape[-1], np.shape(epsilon)
     ok = np.zeros(problems, bool) if r is None else (
         _cond_bound(N, closure, r) <= _COND_LIMIT).reshape(problems + (-1,)).all(axis=-1)
-    certified = _members(ok, M)
+    below = np.less(epsilon, EPS_SWITCH_FACTOR * dx)
+    if problems:  # each member carries its problem's flags
+        certified, below = _members(ok, M), _members(below, M)
+    else:
+        certified, below = bool(ok), bool(below)
     N, Nt = N.transpose(2, 0, 1), Nt.transpose(2, 0, 1)
     inverse = None
-    if not certified.any():
+    if not _any(certified):
         inverse = _inverse(N)
-    elif not certified.all():  # a batch inverts its uncertified problems only
+    elif not _all(certified):  # a batch inverts its uncertified problems only
         inverse = np.zeros(N.shape)
         inverse[~certified] = _inverse(N[~certified], "uncertified interface {i}: mode matrix")
-    return InterfaceStack(
-        epsilon, N, Nt, closure.anti_S0, np.less(_members(epsilon, M), EPS_SWITCH_FACTOR * dx),
-        certified, build_B0, inverse,
-    )
+    return InterfaceStack(epsilon, N, Nt, closure.anti_S0, below, certified, build_B0, inverse)
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:

@@ -299,6 +299,13 @@ def test_interface_grad_is_the_rolled_difference_bitwise(values, dx):
         assert interface_grad(values, dx)[0] == 0.0
 
 
+def interface_b_stack(grid, model):
+    """The model's static B stack by interface, (2K, 2K, Nx), interface axis
+    last and contiguous; rte's one S-matrix is broadcast with stride 0."""
+    B = np.ascontiguousarray(model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0))
+    return np.broadcast_to(B, B.shape[:2] + (grid.Nx,))
+
+
 def roll_rhs(grid, op, S=None, outgoing=None):
     """The step's right-hand side as written with np.roll/np.hstack before the
     gather indices; a dynamic model's outgoing traces come from its stack,
@@ -309,7 +316,8 @@ def roll_rhs(grid, op, S=None, outgoing=None):
     if outgoing is not None:
         out = outgoing(incoming)
     elif S is None:
-        out = np.einsum("abi,bi->ai", op.B, np.ascontiguousarray(incoming.T)).T
+        out = np.einsum("abi,bi->ai", interface_b_stack(grid, op.model),
+                        np.ascontiguousarray(incoming.T)).T
     else:
         stack = op.model.interfaces(grid.epsilon, grid.dx, S)
         out = stack.outgoing(np.ascontiguousarray(incoming.T)).T
@@ -379,11 +387,62 @@ def test_state_is_stored_velocity_major_after_every_step(name, nx, P):
 @pytest.mark.parametrize("nx", [1, 2, 17])
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_static_b_stack_is_the_models_stack_interface_axis_last(K, nx):
+    # stored by receiving cell: the +v rows of cell j are interface j's, the
+    # -v rows interface j+1's
     model = _model("vfp", K, nx)  # a sinusoidal field: every interface differs
     grid = make_grid(model, 1e-2, nx=nx, dx=1.0 / nx, dt=1.0 / nx**2)
     B = step_operator(grid, model).B
     assert B.shape == (2 * K, 2 * K, nx) and B.flags.c_contiguous and not B.flags.writeable
-    assert np.array_equal(np.moveaxis(B, -1, 0), model.interfaces(1e-2, 1.0 / nx, None).B)
+    stack = interface_b_stack(grid, model)
+    assert np.array_equal(B[:K], stack[:K])
+    assert np.array_equal(B[K:], np.roll(stack[K:], -1, axis=-1))
+
+
+@pytest.mark.parametrize("P", [None, 3])  # one problem, three rings
+@pytest.mark.parametrize("nx", [1, 2, 17])
+@pytest.mark.parametrize("name", ["rte", "vfp"])
+def test_static_b_stack_is_stored_by_receiving_cell(name, nx, P):
+    # ring by ring, the +v rows are the model's stack interface-last and the
+    # -v rows that stack rolled by one interface within the ring; rte's one
+    # interface per ring stays a stride-0 broadcast along its cells
+    K, dx = 2, 1.0 / nx
+    model = _model(name, K, nx)
+    eps = 1e-2 if P is None else np.array([1e-2, 1e-9, 0.3])
+    f = np.ones((np.size(eps) * nx, 2 * K))
+    grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
+    B = step_operator(grid, model).B
+    stack = np.moveaxis(model.interfaces(eps, dx, None).B, 0, -1)
+    stack = np.broadcast_to(stack.reshape(stack.shape[:2] + np.shape(eps) + (-1,)),
+                            (2 * K, 2 * K) + grid.cells)
+    assert B.shape == stack.shape and not B.flags.writeable
+    assert np.array_equal(B[:K], stack[:K])
+    assert np.array_equal(B[K:], np.roll(stack[K:], -1, axis=-1))
+    assert B.strides[-1] == 0 if name == "rte" else B.flags.c_contiguous
+
+
+@pytest.mark.parametrize("P", [None, 3])
+@pytest.mark.parametrize("nx", [1, 2, 17])
+def test_static_faces_are_each_rings_own_with_face_nx_face_0(nx, P):
+    # the faces of a ring gather from its own cells, faces 0..Nx-1 are the
+    # incoming traces of its interfaces and face Nx is face 0; a one-cell
+    # ring keeps its one face
+    K = 2
+    model = _model("vfp", K, nx)
+    eps = 1e-2 if P is None else np.array([1e-2, 1e-9, 0.3])
+    f = np.ones((np.size(eps) * nx, 2 * K))
+    grid = KineticGrid(Nx=nx, dx=1.0 / nx, dt=1.0 / nx**2, epsilon=eps, q=model.q, f=f)
+    op = step_operator(grid, model)
+    incoming = trace_indices(nx, K, np.size(eps))[0].reshape((2 * K,) + grid.cells)
+    faces = op.faces
+    assert op.incoming is None and op.to_cells is None  # a static step only reads its faces
+    assert faces.shape == (2 * K,) + grid.cells[:-1] + (nx + (nx > 1),)
+    assert np.array_equal(faces[..., :nx], incoming)
+    assert np.array_equal(faces[..., -1], faces[..., 0])
+    ring = faces % (np.size(eps) * nx) // nx  # the ring of each gathered cell
+    rings = np.arange(np.size(eps)).reshape(grid.cells[:-1] + (1,))
+    assert np.array_equal(ring, np.broadcast_to(rings, ring.shape))
+    chemo = step_operator(grid, _model("chemo", K, nx))
+    assert chemo.faces is None and chemo.B is None and chemo.incoming is not None
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-9])
