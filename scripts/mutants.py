@@ -52,7 +52,7 @@ class Mutant(NamedTuple):
 
 SCATTERING, SPECTRAL = "src/kinwb/scattering.py", "src/kinwb/spectral.py"
 KINETIC, MODELS = "src/kinwb/kinetic.py", "src/kinwb/models.py"
-MACROLIMIT = "src/kinwb/macrolimit.py"
+MACROLIMIT, QUADRATURE = "src/kinwb/macrolimit.py", "src/kinwb/quadrature.py"
 MUTANTS = [
     Mutant("root tolerance 1e-14 -> 1e-9", SPECTRAL,
            "_ROOT_RTOL = 1e-14", "_ROOT_RTOL = 1e-9", KILLED),
@@ -119,6 +119,20 @@ MUTANTS = [
     Mutant("zero-mode scale -eps/lambda0 doubled", SCATTERING,
            "den_p, den_n = Tp * (Tp - lam0 * v), Tn * (Tn - lam0 * -v)",
            "den_p, den_n = Tp * (Tp - lam0 * v) / 2.0, Tn * (Tn - lam0 * -v) / 2.0", KILLED),
+    Mutant("velocity scale folded into the +v rows of the static stack only", KINETIC,
+           "scale = scale.reshape((-1,) + (1,) * (1 + len(grid.cells)))",
+           "scale = np.concatenate([scale[:K], np.ones(K)]).reshape((-1,) + (1,) * (1 + len(grid.cells)))",
+           KILLED),
+    Mutant("M built without eps", KINETIC,
+           "M = eps[..., None, None] * np.linalg.inv(R)", "M = np.linalg.inv(R)", KILLED),
+    Mutant("flux projection of chemotaxis stacks dropped", SCATTERING,
+           "        q.flux_row,\n", "        None,\n", KILLED),
+    Mutant("mass row g built from the nodes, not the weights", QUADRATURE,
+           "g = np.concatenate([self.weights, self.weights])",
+           "g = np.concatenate([self.nodes, self.nodes])", KILLED),
+    Mutant("mass-row correction of M dropped", KINETIC,
+           "    M += unit[:, None] * (g - (g[:, None] * M).sum(axis=-2))[..., None, :]\n", "",
+           KILLED),
 ]
 
 

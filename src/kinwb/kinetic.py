@@ -7,23 +7,31 @@ One step solves, cell by cell,
     R_eps = eps I + (dt/dx) V [[I, -S0], [-S0, I]],
 
 with the stiff leading scattering block S0 implicit and the eps-correction
-blocks explicit.  S0 comes from the limit closure, which does not see the
-field, so :func:`step_operator` inverts R_eps once per run.  The B terms
-carry the per-interface field dependence: a static model's B stack is built
-once per run, and a chemotaxis step takes the outgoing traces B inc from
-the interfaces it assembles (:meth:`InterfaceStack.outgoing`).  The state
-of cell j is (f_j(v_1..v_K), f_j(-v_1..-v_K)), and it is stored
-velocity-major: ``KineticGrid.f`` is the (Nx, 2K) transposed view of a
-C-contiguous (2K, Nx) buffer.  Cell j reads the outgoing +v trace of
-interface j and the -v trace of interface j+1.  A chemotaxis step gathers
-the incoming traces of its Nx interfaces as (2K, Nx), contracts them with
-its mode matrices, interface axis last, and scatters each outgoing trace
-into the cell it enters.  The static B stack is stored (2K, 2K, Nx) by
-receiving cell instead: the -v rows of cell j are those of interface j+1,
-so the static step gathers the traces of the Nx+1 faces once and
-contracts each half straight into its cells, with no scatter.  Every
-operation of a step, from the gather to the product with R_eps^{-1}, runs
-its inner loop over the Nx cells or interfaces instead of over 2K
+blocks explicit.  It is taken as
+
+    f_j^{n+1} = M (f_j^n + (dt/dx) V (B-block terms)),   M = eps R_eps^{-1}:
+
+S0 comes from the limit closure, which does not see the field, so
+:func:`step_operator` builds M once per run, and eps enters the step only
+through M.  R_eps has the left kernel g = (w, w) of A = R_eps - eps I, so
+g^T M = g^T exactly, and the step conserves the density g.f that the B
+terms do not move; M's mass row is set to g^T after the inversion, whose
+rounding grows like 1/eps.  The B terms carry the per-interface field
+dependence: a static model's B stack is built once per run, its rows
+scaled by (dt/dx) V, and a chemotaxis step takes the outgoing traces
+B inc from the interfaces it assembles (:meth:`InterfaceStack.outgoing`)
+and scales them.  The state of cell j is (f_j(v_1..v_K),
+f_j(-v_1..-v_K)), and it is stored velocity-major: ``KineticGrid.f`` is
+the (Nx, 2K) transposed view of a C-contiguous (2K, Nx) buffer.  Cell j
+reads the outgoing +v trace of interface j and the -v trace of interface
+j+1.  A chemotaxis step gathers the incoming traces of its Nx interfaces as
+(2K, Nx), contracts them with its mode matrices, interface axis last, and
+scatters each outgoing trace into the cell it enters.  The static B stack
+is stored (2K, 2K, Nx) by receiving cell instead: the -v rows of cell j
+are those of interface j+1, so the static step gathers the traces of the
+Nx+1 faces once and contracts each half straight into its cells, with no
+scatter.  Every operation of a step, from the gather to the product with
+M, runs its inner loop over the Nx cells or interfaces instead of over 2K
 velocities, and each element of the static product sums over b left to
 right.
 
@@ -31,8 +39,8 @@ A grid whose ``epsilon`` is an array of P values holds P independent
 problems: P periodic rings of Nx cells, ring p the cells p*Nx .. p*Nx + Nx - 1
 (the columns of the buffer), each with its own eps.  One step then serves
 them all: one gather, one assembly or B product, and one stacked product
-with the (P, 2K, 2K) R_eps^{-1} on the (P, 2K, Nx) view of the buffer, in
-which ring p sees the operations of its problem alone.
+with the (P, 2K, 2K) M on the (P, 2K, Nx) view of the buffer, in which
+ring p sees the operations of its problem alone.
 """
 
 from dataclasses import dataclass
@@ -175,28 +183,27 @@ def face_indices(Nx: int, K: int, rings: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
-    R_eps^{-1} ((P, 2K, 2K) for P rings), the read-only B stack of a static
-    model (None when each step assembles its own), eps and the velocities
-    scaled by eps dt/dx, shaped against the velocity-major state: eps a
-    float and the velocities (2K, 1), or (P, 1) and (2K, P, 1) against its
-    (2K, P, Nx) view for P rings.
+    M = eps R_eps^{-1} ((P, 2K, 2K) for P rings) with its mass row exact,
+    the read-only B stack of a static model (None when each step assembles
+    its own) and the velocities scaled by dt/dx, (2K, 1), or (2K, P, 1)
+    against the (2K, P, Nx) view of the velocity-major state of P rings.
 
     The static B stack is stored by receiving cell, (2K, 2K, Nx) or
-    (2K, 2K, P, Nx), cell axis last and contiguous: B[a, b, j] is block row
-    a of the interface whose outgoing trace a enters cell j, interface j
-    for the +v rows and interface j+1 of the same ring for the -v rows;
-    rte's one S-matrix per ring is broadcast with stride 0 along the ring's
-    cells.  ``faces``, of a static model only, are the :func:`face_indices`
-    of the grid, (2K, Nx+1) or (2K, P, Nx+1); ``incoming`` and
-    ``to_cells``, of a chemotaxis model only, are its :func:`trace_indices`,
-    with which its step gathers and scatters its traces.  The model builds
-    either once per grid size, and every operator on it shares them.  Each
-    element of the static product sums over b left to right."""
+    (2K, 2K, P, Nx), cell axis last and contiguous, with each row a scaled
+    by the velocity (dt/dx) V_a of its trace: B[a, b, j] is block row a of
+    the interface whose outgoing trace a enters cell j, interface j for the
+    +v rows and interface j+1 of the same ring for the -v rows; rte's one
+    S-matrix per ring is broadcast with stride 0 along the ring's cells.
+    ``faces``, of a static model only, are the :func:`face_indices` of the
+    grid, (2K, Nx+1) or (2K, P, Nx+1); ``incoming`` and ``to_cells``, of a
+    chemotaxis model only, are its :func:`trace_indices`, with which its
+    step gathers and scatters its traces.  The model builds either once per
+    grid size, and every operator on it shares them.  Each element of the
+    static product sums over b left to right."""
 
     model: object
-    R_inv: np.ndarray
+    M: np.ndarray
     B: np.ndarray | None
-    epsilon: float | np.ndarray
     scaled_v: np.ndarray
     incoming: np.ndarray | None
     to_cells: np.ndarray | None
@@ -204,47 +211,54 @@ class StepOperator:
 
 
 def step_operator(grid: KineticGrid, model) -> StepOperator:
-    """The run constants of the IMEX step on this grid.  R_eps takes S0 from
-    the model's closure, which does not see the field; the B stack is kept,
-    by receiving cell, for a model whose interfaces stay the same.  An
-    exactly singular R_eps raises :class:`SolveFailure`."""
+    """The run constants of the IMEX step on this grid.  M = eps R_eps^{-1}
+    takes S0 from the model's closure, which does not see the field; its
+    mass row is then set to g^T, g = (w, w), by the rank-one update
+    M += (m/(g.m)) (g - g^T M)^T, with g^T M summed as columns so that each
+    ring keeps its bits.  The B stack is kept, by receiving cell and scaled
+    by (dt/dx) V, for a model whose interfaces stay the same.  An exactly
+    singular R_eps raises :class:`SolveFailure`."""
     eps = np.asarray(grid.epsilon)
     rings = eps.shape  # () for one problem, (P,) for P rings
     K, Nx = grid.q.K, grid.Nx
     R = assemble_cell_matrix(eps[..., None, None], grid.dt, grid.dx, grid.q, model.closure.S0)
     try:
-        R_inv = np.linalg.inv(R)
+        M = eps[..., None, None] * np.linalg.inv(R)
     except np.linalg.LinAlgError:
         at = ", ".join(f"{e:g}" for e in np.ravel(grid.epsilon))
         raise SolveFailure(f"R_eps is singular at eps={at}") from None
+    g, unit = grid.q.mass_row
+    M += unit[:, None] * (g - (g[:, None] * M).sum(axis=-2))[..., None, :]
+    scale = grid.dt / grid.dx * np.concatenate([grid.q.nodes, grid.q.nodes])
     B = faces = incoming = to_cells = None
     if model.static:
-        B = _cell_stack(grid, model)
+        B = _cell_stack(grid, model, scale)
         faces = model.faces(Nx, np.size(grid.epsilon)).reshape((2 * K,) + rings + (-1,))
     else:
         incoming, to_cells = model.traces(Nx, np.size(grid.epsilon))
-    eps = eps[:, None] if rings else float(eps)  # against the (2K, P, Nx) view of P rings
-    Vd = np.concatenate([grid.q.nodes, grid.q.nodes]).reshape((-1,) + (1,) * (1 + len(rings)))
-    return StepOperator(
-        model=model, R_inv=R_inv, B=B, epsilon=eps, scaled_v=(eps * grid.dt / grid.dx) * Vd,
-        incoming=incoming, to_cells=to_cells, faces=faces,
-    )
+    scaled_v = np.multiply.outer(scale, np.ones(rings + (1,)))
+    return StepOperator(model=model, M=M, B=B, scaled_v=scaled_v,
+                        incoming=incoming, to_cells=to_cells, faces=faces)
 
 
-def _cell_stack(grid: KineticGrid, model) -> np.ndarray:
-    """A static model's read-only B stack by receiving cell (see
-    :class:`StepOperator`); the model's own stack, interface by interface,
-    is dropped on return."""
+def _cell_stack(grid: KineticGrid, model, scale: np.ndarray) -> np.ndarray:
+    """A static model's read-only B stack by receiving cell, each row a
+    multiplied by ``scale[a]`` (see :class:`StepOperator`); the model's own
+    stack, interface by interface, is dropped on return.  rte's one matrix
+    per ring is scaled before it is broadcast, so the stack stays stride 0
+    along the cells."""
     K = grid.q.K
     stack = model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0)
+    scale = scale.reshape((-1,) + (1,) * (1 + len(grid.cells)))
     if model.shared_interface:  # one interface serves each ring
-        stack = np.ascontiguousarray(stack).reshape(stack.shape[:2] + np.shape(grid.epsilon) + (1,))
+        stack = scale * stack.reshape(stack.shape[:2] + np.shape(grid.epsilon) + (1,))
         B = np.broadcast_to(stack, stack.shape[:2] + grid.cells)
     else:  # the -v rows of cell j are those of interface j+1 of its ring
         stack = stack.reshape(stack.shape[:2] + grid.cells)
         B = np.empty(stack.shape)
         B[:K] = stack[:K]
         B[K:, ..., :-1], B[K:, ..., -1] = stack[K:, ..., 1:], stack[K:, ..., 0]
+        B *= scale
     B.flags.writeable = False
     return B
 
@@ -252,12 +266,13 @@ def _cell_stack(grid: KineticGrid, model) -> np.ndarray:
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
     """One IMEX step; pure function grid -> grid.  The interfaces are
     assembled from the field S when given, and their outgoing traces
-    scattered into the cells they enter; else each half of op's static
-    stack, stored by receiving cell, contracts straight into its half of
-    the right-hand side, the +v rows with faces 0..Nx-1 and the -v rows
-    with faces 1..Nx.  Every operation runs on the velocity-major state,
-    (2K, Nx) or the (2K, P, Nx) view of P rings, and R_eps^{-1} is one
-    product, stacked over P rings; the traces are dropped as soon as they
+    scattered into the cells they enter and scaled by (dt/dx) V; else each
+    half of op's static stack, stored by receiving cell and already scaled,
+    contracts straight into its half of the right-hand side, the +v rows
+    with faces 0..Nx-1 and the -v rows with faces 1..Nx.  The right-hand
+    side adds the state, and M is one product with it, stacked over P
+    rings.  Every operation runs on the velocity-major state, (2K, Nx) or
+    the (2K, P, Nx) view of P rings; the traces are dropped as soon as they
     are used, which keeps a batch small."""
     F = grid.f.T
     shape = op.scaled_v.shape[:-1] + (grid.Nx,)  # (2K, Nx), or the (2K, P, Nx) view of P rings
@@ -271,10 +286,10 @@ def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) 
     else:
         out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(F.take(op.incoming))
         rhs = out.take(op.to_cells).reshape(shape)
-    rhs *= op.scaled_v
-    rhs += op.epsilon * F.reshape(rhs.shape)
+        rhs *= op.scaled_v
+    rhs += F.reshape(rhs.shape)
     fnew = np.empty_like(rhs)  # a non-finite rhs gives a non-finite fnew
-    np.matmul(op.R_inv, rhs.swapaxes(0, -2), out=fnew.swapaxes(0, -2))
+    np.matmul(op.M, rhs.swapaxes(0, -2), out=fnew.swapaxes(0, -2))
     if not np.isfinite(fnew).all():
         raise SolveFailure("the IMEX step produced a non-finite state")
     fnew.flags.writeable = False  # fresh and checked: skip __post_init__'s copy and check

@@ -48,6 +48,7 @@ class _Kinetic:
 
     static = True  # the interfaces stay the same for the whole run
     shared_interface = False  # one interface serves every cell
+    conserves_mass = True  # every step keeps the total density to rounding
 
     def __init__(self, q, D: float, closure):
         self.q, self.D, self.closure = q, D, closure
@@ -148,7 +149,10 @@ class Chemo(Rte):
 
 class Vfp(_Kinetic):
     """Vlasov-Fokker-Planck in the static field ``E_half`` (at the
-    interfaces x_{j-1/2}); D is the quadrature's kappa."""
+    interfaces x_{j-1/2}); D is the quadrature's kappa.  It conserves mass
+    only to O(eps) in a field E != 0."""
+
+    conserves_mass = False
 
     def __init__(self, q, E_half: np.ndarray):
         super().__init__(q, q.kappa, vfp_closure(q))
@@ -168,6 +172,7 @@ class TwoStream:
     q = VelocityQuadrature(nodes=[1.0], weights=[1.0])
     D = q.second_moment
     shared_interface = False
+    conserves_mass = True
 
     def __init__(self, phi):
         self.phi = phi

@@ -68,6 +68,22 @@ class VelocityQuadrature:
         densities of the +v and the -v halves."""
         return np.kron(np.eye(2), self.weights)
 
+    @cached_property
+    def mass_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g, m/(g.m)), (2K,) each: g = (w, w) gives the density g.f of a
+        state f, and m/(g.m), m = (maxwellian, maxwellian), is the
+        Maxwellian state of density 1."""
+        g = np.concatenate([self.weights, self.weights])
+        m = np.concatenate([self.maxwellian, self.maxwellian])
+        return g, m / (g @ m)
+
+    @cached_property
+    def flux_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h, h/(h.h)), (2K,) each: h = (w v, w v) gives the mass an
+        interface's outgoing traces carry into the cells they enter."""
+        h = np.concatenate([self.weights * self.nodes] * 2)
+        return h, h / (h @ h)
+
     @property
     def second_moment(self) -> float:
         """sum(w v^2): the diffusion coefficient of the rte and chemo limits."""

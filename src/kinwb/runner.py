@@ -42,6 +42,10 @@ _SNAPSHOT = re.compile(r"snapshot_(\d{4})\.csv")
 # the most entries, M (2K)^2, of the interface stack of one AP sweep batch:
 # 128 KiB a (2K, 2K, M) array, what a K = 4, Nx = 256 chemo step builds
 BATCH_ENTRIES = 2**14
+# the largest relative mass drift of one step of a model that conserves mass:
+# rounding is about 1e-16 at every eps the step marches, so a larger drift
+# is a wrong step, not a slow leak
+MAX_STEP_DRIFT = 1e-10
 
 
 def _number(value) -> bool:
@@ -288,7 +292,11 @@ def _run_loop(config, out, manifest, snapshots):
         mass = float(rho.sum() * config.dx)
         if n == 0:
             mass0 = prev = mass
-        max_step_drift = max(max_step_drift, abs(mass - prev) / abs(mass0))
+        drift = abs(mass - prev) / abs(mass0)
+        if drift > MAX_STEP_DRIFT and model.conserves_mass:
+            raise SolveFailure(f"step {n}: the relative mass drift {drift:.3e} of the step"
+                               f" exceeds {MAX_STEP_DRIFT:g}")
+        max_step_drift = max(max_step_drift, drift)
         prev = mass
         if n % stride == 0 or n == n_steps:
             path = out / f"snapshot_{len(snapshots):04d}.csv"

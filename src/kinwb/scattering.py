@@ -46,6 +46,12 @@ the switch, and above it only when :attr:`InterfaceStack.B0` is read.  It
 is one closed form for every model (:func:`_limit_B0`): the Il'in /
 Scharfetter-Gummel flux with the model's own D and drift, acting on the
 Maxwellian traces, plus a micro block on the damped ones.
+
+A chemotaxis interface carries no mass flux, h^T B = 0 with h = (w v, w v),
+but (S^eps - S^0)/eps keeps the rounding of S amplified by 1/eps in that
+row; a chemotaxis stack projects it out of B, B^0 and the outgoing traces
+(:func:`_project`).  Fokker-Planck conserves mass only to O(eps) in a field
+and is not projected: its flux row carries the Hermite defect.
 """
 
 from dataclasses import dataclass, field
@@ -109,7 +115,10 @@ class InterfaceStack:
     ``inverse`` is N^{-1} of the members the condition guard had to invert,
     those of uncertified problems, and 0 on certified members; None when
     the certificate spared every problem.  :attr:`S` inverts the certified
-    members itself when it is read."""
+    members itself when it is read.  ``flux``, the velocity set's
+    ``flux_row`` (h, h/(h.h)) of a chemotaxis stack, projects the flux row
+    out of B, B0 and :meth:`outgoing` (see :func:`_project`); a
+    Fokker-Planck stack has None."""
 
     epsilon: float | np.ndarray
     N: np.ndarray
@@ -119,6 +128,7 @@ class InterfaceStack:
     certified: bool | np.ndarray
     build_B0: Callable[[], np.ndarray] = field(repr=False)
     inverse: np.ndarray | None = field(repr=False)
+    flux: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
 
     def __post_init__(self):
         if _any(self.below_switch):
@@ -126,7 +136,7 @@ class InterfaceStack:
 
     @cached_property
     def B0(self) -> np.ndarray:
-        return self.build_B0()
+        return _project(self.build_B0(), self.flux)
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -145,6 +155,7 @@ class InterfaceStack:
         if _all(below):
             return self.B0
         B = (self.S - self.anti_S0) / np.reshape(_members(self.epsilon, len(self.N)), (-1, 1, 1))
+        B = _project(B, self.flux)
         return np.where(below[:, None, None], self.B0, B) if _any(below) else B
 
     def outgoing(self, inc: np.ndarray) -> np.ndarray:
@@ -171,8 +182,22 @@ class InterfaceStack:
             Sinc = Sinc.transpose(1, 0, 2).reshape(n, M)
         else:
             Sinc = self.anti_S0 @ inc
-        out = (Ntc - Sinc) / _members(self.epsilon, M)
+        out = _project((Ntc - Sinc) / _members(self.epsilon, M), self.flux)
         return np.where(below, np.einsum("iab,bi->ai", self.B0, inc), out) if _any(below) else out
+
+
+def _project(X: np.ndarray, flux) -> np.ndarray:
+    """P X in place of a fresh X, P = I - h h^T/(h.h) for (h, h/(h.h)) =
+    ``flux``, on a stack (M, 2K, 2K) or traces (2K, M): X without the mass
+    flux h^T X of its columns, which a chemotaxis interface does not have
+    but B = (S - S0)/eps keeps as rounding amplified by 1/eps.  h^T X is
+    summed as columns, elementwise, so each member keeps its own bits in a
+    batch (a matrix-vector product does not).  X as it is when ``flux`` is
+    None."""
+    if flux is not None:
+        h, unit = flux
+        X -= unit[:, None] * (h[:, None] * X).sum(axis=-2, keepdims=True)
+    return X
 
 
 def _members(epsilon, M: int):
@@ -268,12 +293,12 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
     return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf)
 
 
-def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None) -> InterfaceStack:
+def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None, flux=None) -> InterfaceStack:
     """The stack of the mode matrices N, Nt (2K, 2K, M) after the condition
     guard, each problem on its own.  The chemotaxis zero-mode factors r
     certify a problem when :func:`_cond_bound` keeps each of its members
     within the limit; otherwise :func:`_inverse` decides it exactly, and
-    names the member that fails."""
+    names the member that fails.  ``flux`` is the stack's flux projection."""
     M, problems = N.shape[-1], np.shape(epsilon)
     ok = np.zeros(problems, bool) if r is None else (
         _cond_bound(N, closure, r) <= _COND_LIMIT).reshape(problems + (-1,)).all(axis=-1)
@@ -289,7 +314,8 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None) -> InterfaceStack:
     elif not _all(certified):  # a batch inverts its uncertified problems only
         inverse = np.zeros(N.shape)
         inverse[~certified] = _inverse(N[~certified], "uncertified interface {i}: mode matrix")
-    return InterfaceStack(epsilon, N, Nt, closure.anti_S0, below, certified, build_B0, inverse)
+    return InterfaceStack(epsilon, N, Nt, closure.anti_S0, below, certified, build_B0, inverse,
+                          flux)
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:
@@ -397,7 +423,9 @@ def chemo_interfaces(epsilon, dx: float, model, grads, roots=None) -> InterfaceS
     and B0 read C-contiguous (K, M) and (2K-1, M) copies of phi and the
     roots; radiative transfer is this assembly at slope 0, phi = 0.  An
     array ``epsilon`` of P values makes the slopes P problems of M/P
-    consecutive interfaces (see :class:`InterfaceStack`).
+    consecutive interfaces (see :class:`InterfaceStack`).  The stack
+    projects the flux row out of what it gives, with the velocity set's
+    ``flux_row``.
     """
     if (np.asarray(epsilon) <= 0.0).any() or dx <= 0.0:
         raise ValueError("epsilon and dx must be positive")
@@ -423,6 +451,7 @@ def chemo_interfaces(epsilon, dx: float, model, grads, roots=None) -> InterfaceS
     return _stack(
         epsilon, dx, closure, N, Nt,
         lambda: _limit_B0(model, dx, -lam01 * dx, _chemo_micro(model, phip, lam1, lam01)), r,
+        q.flux_row,
     )
 
 

@@ -70,6 +70,42 @@ def test_run_rte_mass_drift_in_manifest(tmp_path):
     assert (tmp_path / "out" / "snapshot_0000.csv").exists()
 
 
+@pytest.mark.parametrize("model, refused", [("rte", True), ("chemo", True), ("twostream", True),
+                                             ("vfp", False)])
+def test_run_refuses_a_step_that_drops_mass(tmp_path, capsys, monkeypatch, model, refused):
+    # every density after the first loses 1e-9 of the mass: a model that
+    # conserves mass stops at step 1 with exit 3; vfp, which conserves it only
+    # to O(eps) in a field, runs on
+    calls, real = iter(range(10**6)), kinwb.models.density
+    monkeypatch.setattr(kinwb.models, "density",
+                        lambda f, q: real(f, q) * (1.0 - 1e-9 * next(calls)))
+    fields = {"K": 1} if model == "twostream" else {}
+    if model == "vfp":
+        fields = {"K": 2, "kappa": 1.0, "E_profile": {"kind": "sinusoidal", "amplitude": 0.5}}
+    config = write_config(tmp_path, model=model, t_final=10 * DX**2, **fields)
+    assert main(["run", "--config", str(config)]) == (3 if refused else 0)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    if refused:
+        assert "step 1: the relative mass drift" in capsys.readouterr().err
+        assert manifest["status"] == "error" and manifest["error"].startswith("SolveFailure")
+    else:
+        assert manifest["status"] == "ok" and manifest["mass_drift_per_step_max"] > 1e-10
+
+
+def test_run_rte_at_eps_1e_20_conserves_mass(tmp_path):
+    # the shipped rte config deep in eps: R_eps^{-1} is rounding-dominated
+    # there, and M's exact mass row keeps the drift at rounding
+    cfg = json.loads((CONFIGS / "rte.json").read_text())
+    cfg["epsilon"] = 1e-20
+    config = tmp_path / "rte.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["mass_drift_per_step_max"] <= 1e-15
+    assert manifest["mass_drift_total"] <= 1e-14
+
+
 def test_invalid_config_exit_2(tmp_path, capsys):
     config = write_config(tmp_path, model="vfp", K=3)  # missing kappa and E_profile
     assert main(["run", "--config", str(config)]) == 2
@@ -478,13 +514,26 @@ def test_manifest_written_on_failure(tmp_path):
 
 def test_blow_up_exits_3_with_step_index(tmp_path):
     # far past the parabolic bound dt <= dx^2/(2D) of the explicit B term
-    # the state overflows to a non-finite value within a few hundred steps
-    config = write_config(tmp_path, dt=100 * DX**2, t_final=400 * 100 * DX**2)
+    # the state overflows to a non-finite value within a few hundred steps;
+    # vfp, since a model that conserves mass is refused by its drift first
+    config = write_config(tmp_path, model="vfp", K=2, kappa=1.0, E_profile={"kind": "zero"},
+                          dt=100 * DX**2, t_final=400 * 100 * DX**2)
     assert main(["run", "--config", str(config)]) == 3
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "error"
     assert manifest["error"].startswith("SolveFailure: step ")
     assert "non-finite" in manifest["error"]
+
+
+def test_blow_up_of_a_model_that_conserves_mass_is_refused_by_its_drift(tmp_path):
+    # the same blow-up in rte: rounding of the growing state moves the mass
+    # by more than 1e-10 a step long before it overflows
+    config = write_config(tmp_path, dt=100 * DX**2, t_final=400 * 100 * DX**2)
+    assert main(["run", "--config", str(config)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"].startswith("SolveFailure: step ")
+    assert "mass drift" in manifest["error"]
 
 
 def test_singular_cell_matrix_exits_3(tmp_path):

@@ -27,6 +27,7 @@ from kinwb import (
     vfp_preset_nodes,
     vfp_quadrature,
 )
+from kinwb.diagnostics import loglog_slope
 from kinwb.errors import SolveFailure
 from kinwb.kinetic import trace_indices
 
@@ -299,37 +300,58 @@ def test_interface_grad_is_the_rolled_difference_bitwise(values, dx):
         assert interface_grad(values, dx)[0] == 0.0
 
 
-def interface_b_stack(grid, model):
+def row_scale(grid):
+    """The velocity scale (dt/dx) V of the step, (2K,), with the step's bits."""
+    return grid.dt / grid.dx * np.concatenate([grid.q.nodes, grid.q.nodes])
+
+
+def interface_b_stack(grid, model, scale=None):
     """The model's static B stack by interface, (2K, 2K, Nx), interface axis
-    last and contiguous; rte's one S-matrix is broadcast with stride 0."""
+    last and contiguous, row a multiplied by ``scale[a]`` when given; rte's
+    one S-matrix is broadcast with stride 0."""
     B = np.ascontiguousarray(model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0))
+    if scale is not None:
+        B = scale[:, None, None] * B
     return np.broadcast_to(B, B.shape[:2] + (grid.Nx,))
 
 
-def roll_rhs(grid, op, S=None, outgoing=None):
-    """The step's right-hand side as written with np.roll/np.hstack before the
-    gather indices; a dynamic model's outgoing traces come from its stack,
-    and ``outgoing``, when given, maps the (Nx, 2K) incoming traces to them."""
+def roll_traces(grid, op, S=None, outgoing=None, scale=None):
+    """The outgoing traces each cell receives, (Nx, 2K), as written with
+    np.roll/np.hstack before the gather indices: a static model's from its
+    stack, rows scaled by ``scale`` when given, a dynamic model's from its
+    stack in the field S; ``outgoing``, when given, maps the (Nx, 2K)
+    incoming traces to them."""
     K = grid.q.K
     f = grid.f
     incoming = np.hstack([np.roll(f[:, :K], 1, axis=0), f[:, K:]])
     if outgoing is not None:
         out = outgoing(incoming)
     elif S is None:
-        out = np.einsum("abi,bi->ai", interface_b_stack(grid, op.model),
+        out = np.einsum("abi,bi->ai", interface_b_stack(grid, op.model, scale),
                         np.ascontiguousarray(incoming.T)).T
     else:
         stack = op.model.interfaces(grid.epsilon, grid.dx, S)
         out = stack.outgoing(np.ascontiguousarray(incoming.T)).T
-    b = np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
+    return np.hstack([out[:, :K], np.roll(out[:, K:], -1, axis=0)])
+
+
+def roll_rhs(grid, op, S=None, outgoing=None):
+    """The right-hand side eps f + (eps dt/dx) V b of the R_eps system."""
     Vd = np.concatenate([grid.q.nodes, grid.q.nodes])
-    return grid.epsilon * f + (grid.epsilon * grid.dt / grid.dx) * Vd * b
+    b = roll_traces(grid, op, S, outgoing)
+    return grid.epsilon * grid.f + (grid.epsilon * grid.dt / grid.dx) * Vd * b
 
 
 def imex_step_roll(grid, op, S=None):
     """The reference of the bitwise test below: it checks the gather indices,
-    so it multiplies by the operator's R_eps^{-1} as the step does."""
-    return roll_rhs(grid, op, S) @ op.R_inv.T
+    so it scales the velocities as the step does, into a static stack's rows
+    and onto a dynamic model's traces, and multiplies by the operator's
+    M = eps R_eps^{-1}."""
+    if S is None:
+        rhs = grid.f + roll_traces(grid, op, scale=row_scale(grid))
+    else:
+        rhs = grid.f + row_scale(grid) * roll_traces(grid, op, S)
+    return rhs @ op.M.T
 
 
 def _model(name, K, nx):
@@ -393,7 +415,7 @@ def test_static_b_stack_is_the_models_stack_interface_axis_last(K, nx):
     grid = make_grid(model, 1e-2, nx=nx, dx=1.0 / nx, dt=1.0 / nx**2)
     B = step_operator(grid, model).B
     assert B.shape == (2 * K, 2 * K, nx) and B.flags.c_contiguous and not B.flags.writeable
-    stack = interface_b_stack(grid, model)
+    stack = interface_b_stack(grid, model, row_scale(grid))
     assert np.array_equal(B[:K], stack[:K])
     assert np.array_equal(B[K:], np.roll(stack[K:], -1, axis=-1))
 
@@ -411,7 +433,7 @@ def test_static_b_stack_is_stored_by_receiving_cell(name, nx, P):
     f = np.ones((np.size(eps) * nx, 2 * K))
     grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
     B = step_operator(grid, model).B
-    stack = np.moveaxis(model.interfaces(eps, dx, None).B, 0, -1)
+    stack = row_scale(grid)[:, None, None] * np.moveaxis(model.interfaces(eps, dx, None).B, 0, -1)
     stack = np.broadcast_to(stack.reshape(stack.shape[:2] + np.shape(eps) + (-1,)),
                             (2 * K, 2 * K) + grid.cells)
     assert B.shape == stack.shape and not B.flags.writeable
@@ -457,9 +479,10 @@ def test_static_step_agrees_with_interface_major_product(name, K, nx, eps):
     f = np.random.default_rng([K, nx]).uniform(0.5, 1.5, (nx, 2 * K))
     grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
     op = step_operator(grid, model)
-    B = np.broadcast_to(model.interfaces(eps, dx, None).B, (nx, 2 * K, 2 * K))
-    rhs = roll_rhs(grid, op, outgoing=lambda inc: np.einsum("iab,ib->ia", B, inc))
-    ref = rhs @ op.R_inv.T
+    B = row_scale(grid)[:, None] * model.interfaces(eps, dx, None).B
+    B = np.broadcast_to(B, (nx, 2 * K, 2 * K))
+    rhs = grid.f + roll_traces(grid, op, outgoing=lambda inc: np.einsum("iab,ib->ia", B, inc))
+    ref = rhs @ op.M.T
     gap = np.max(np.abs(imex_step(grid, op).f - ref)) / np.max(np.abs(ref))
     assert gap <= 4 * np.finfo(float).eps, gap
 
@@ -522,6 +545,67 @@ def test_per_step_mass_drift_stays_at_rounding(name, eps):
         grid = imex_step(grid, op, model.field(density(grid.f, grid.q), dx))
         drift = max(drift, abs(mass(grid) - m0) / m0)
     assert drift <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["rte", "chemo"]), K=st.integers(1, 8), nx=st.integers(1, 32),
+       eps=st.floats(-12.0, -1.0).map(lambda e: 10.0**e))
+@example(name="rte", K=4, nx=32, eps=1e-12)
+@example(name="chemo", K=4, nx=32, eps=1e-12)
+def test_per_step_mass_drift_is_rounding_down_to_eps_1e_12(name, K, nx, eps):
+    # g^T M = g^T and the flux row projected out of B: no 1/eps growth
+    dx = 1.0 / nx
+    model = _model(name, K, nx)
+    grid = make_grid(model, eps, nx=nx, dx=dx, dt=dx**2 / 4.0)
+    op = step_operator(grid, model)
+    for _ in range(3):
+        m0 = mass(grid)
+        grid = imex_step(grid, op, model.field(density(grid.f, grid.q), dx))
+        assert abs(mass(grid) - m0) / m0 <= 1e-14, eps
+
+
+@pytest.mark.parametrize("name, K", [("rte", 4), ("chemo", 4), ("vfp", 3)])
+def test_multi_step_ap_gap_is_first_order_down_to_eps_1e_12(name, K):
+    # over 20 steps, each step is O(eps) from one step of the limit scheme
+    # from the step's own initial density, driven by the step's own field
+    nx, steps = 32, 20
+    dx = 1.0 / nx
+    dt = dx**2 / 4.0
+    model = _model(name, K, nx)
+    rho0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * (np.arange(nx) + 0.5) * dx)
+    epsilons = [1e-4, 1e-6, 1e-8, 1e-10, 1e-12]
+    gaps = []
+    for eps in epsilons:
+        march = model.march(eps, dt, dx, rho0)
+        rho, _ = next(march)
+        gap = 0.0
+        for _ in range(steps):
+            new, S = next(march)
+            ref = sg_step(rho, model.D, model.drift(S, dx), dt, dx)
+            gap = max(gap, np.max(np.abs(new - ref)) / np.max(np.abs(ref)))
+            rho = new
+        gaps.append(gap)
+    assert loglog_slope(epsilons, gaps) >= 0.9, gaps
+
+
+@pytest.mark.parametrize("E", [0.5, -2.0])
+@pytest.mark.parametrize("K", [2, 3])
+def test_vfp_shifted_maxwellian_is_a_fixed_point_at_every_eps(K, E):
+    # in a constant field the space-homogeneous mode exp(-(v - eps E)^2/2 kappa)
+    # is stationary, and the step keeps it: vfp's B is not projected, and
+    # M's mass row moves it by rounding only
+    nx = 16
+    dx = 1.0 / nx
+    q = vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0))
+    model = Vfp(q, np.full(nx, E))
+    v = np.concatenate([q.nodes, -q.nodes])
+    for eps in (1e-1, 1e-3, 1e-6, 1e-10):
+        f = np.tile(np.exp(-((v - eps * E) ** 2) / (2.0 * q.kappa)), (nx, 1))
+        grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=q, f=f)
+        op = step_operator(grid, model)
+        for _ in range(10):
+            grid = imex_step(grid, op)
+        assert np.max(np.abs(grid.f - f)) / np.max(f) <= 1e-10, eps
 
 
 # ---------------------------------------------------------------------------
