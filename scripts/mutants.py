@@ -86,12 +86,14 @@ MUTANTS = [
            "b_plus, b_minus = bernoulli(-u) / dx, bernoulli(u) / dx",
            "b_plus, b_minus = bernoulli(u) / dx, bernoulli(-u) / dx", KILLED),
     Mutant("certificate decided over the whole batch", SCATTERING,
-           "_cond_bound(N, closure, r) <= _COND_LIMIT).reshape(problems + (-1,)).all(axis=-1)",
-           "_cond_bound(N, closure, r) <= _COND_LIMIT).all() & np.ones(problems, bool)", KILLED),
+           "_cond_bound(N, closure, r) <= _COND_LIMIT).reshape(P, -1).all(axis=-1)",
+           "_cond_bound(N, closure, r) <= _COND_LIMIT).all() & np.ones(P, bool)", KILLED),
     Mutant("B0 switch read from the batch's first eps", SCATTERING,
-           "below = np.less(epsilon, EPS_SWITCH_FACTOR * dx)",
-           "below = np.less(np.ravel(epsilon)[0] + 0.0 * np.asarray(epsilon),"
-           " EPS_SWITCH_FACTOR * dx)", KILLED),
+           "_members(epsilon < EPS_SWITCH_FACTOR * dx, M)",
+           "_members(epsilon[0] + 0.0 * epsilon < EPS_SWITCH_FACTOR * dx, M)", KILLED),
+    Mutant("members read the problems cyclically, not in consecutive runs", SCATTERING,
+           "return np.repeat(values, M // len(values))",
+           "return np.tile(values, M // len(values))", KILLED),
     Mutant("periodic wrap taken across rings", KINETIC,
            "ring + (cells - 1) % Nx,", "(cells - 1) % n,", KILLED),
     Mutant("+v and -v halves of the incoming traces swapped", KINETIC,
@@ -120,11 +122,11 @@ MUTANTS = [
            "den_p, den_n = Tp * (Tp - lam0 * v), Tn * (Tn - lam0 * -v)",
            "den_p, den_n = Tp * (Tp - lam0 * v) / 2.0, Tn * (Tn - lam0 * -v) / 2.0", KILLED),
     Mutant("velocity scale folded into the +v rows of the static stack only", KINETIC,
-           "scale = scale.reshape((-1,) + (1,) * (1 + len(grid.cells)))",
-           "scale = np.concatenate([scale[:K], np.ones(K)]).reshape((-1,) + (1,) * (1 + len(grid.cells)))",
-           KILLED),
+           "_cell_stack(grid, model, scale[:, None, None, None])",
+           "_cell_stack(grid, model, np.concatenate([scale[:grid.q.K], np.ones(grid.q.K)])"
+           "[:, None, None, None])", KILLED),
     Mutant("M built without eps", KINETIC,
-           "M = eps[..., None, None] * np.linalg.inv(R)", "M = np.linalg.inv(R)", KILLED),
+           "M = eps * np.linalg.inv(R)", "M = np.linalg.inv(R)", KILLED),
     Mutant("flux projection of chemotaxis stacks dropped", SCATTERING,
            "        q.flux_row,\n", "        None,\n", KILLED),
     Mutant("mass row g built from the nodes, not the weights", QUADRATURE,
@@ -133,6 +135,9 @@ MUTANTS = [
     Mutant("mass-row correction of M dropped", KINETIC,
            "    M += unit[:, None] * (g - (g[:, None] * M).sum(axis=-2))[..., None, :]\n", "",
            KILLED),
+    Mutant("flux projection of the row sums, not the left-stochastic column sums", SCATTERING,
+           "(h[:, None] * X).sum(axis=-2, keepdims=True)",
+           "(h[:, None] * X).sum(axis=-1, keepdims=True)", KILLED),
 ]
 
 

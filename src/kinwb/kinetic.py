@@ -22,25 +22,26 @@ scaled by (dt/dx) V, and a chemotaxis step takes the outgoing traces
 B inc from the interfaces it assembles (:meth:`InterfaceStack.outgoing`)
 and scales them.  The state of cell j is (f_j(v_1..v_K),
 f_j(-v_1..-v_K)), and it is stored velocity-major: ``KineticGrid.f`` is
-the (Nx, 2K) transposed view of a C-contiguous (2K, Nx) buffer.  Cell j
-reads the outgoing +v trace of interface j and the -v trace of interface
-j+1.  A chemotaxis step gathers the incoming traces of its Nx interfaces as
-(2K, Nx), contracts them with its mode matrices, interface axis last, and
-scatters each outgoing trace into the cell it enters.  The static B stack
-is stored (2K, 2K, Nx) by receiving cell instead: the -v rows of cell j
-are those of interface j+1, so the static step gathers the traces of the
-Nx+1 faces once and contracts each half straight into its cells, with no
-scatter.  Every operation of a step, from the gather to the product with
-M, runs its inner loop over the Nx cells or interfaces instead of over 2K
-velocities, and each element of the static product sums over b left to
-right.
+the (P*Nx, 2K) transposed view of a C-contiguous (2K, P*Nx) buffer.  Cell
+j reads the outgoing +v trace of interface j and the -v trace of interface
+j+1.  A chemotaxis step gathers the incoming traces of its P*Nx interfaces
+as (2K, P*Nx), contracts them with its mode matrices, interface axis last,
+and scatters each outgoing trace into the cell it enters.  The static B
+stack is stored (2K, 2K, P, Nx) by receiving cell instead: the -v rows of
+cell j are those of interface j+1, so the static step gathers the traces
+of the Nx+1 faces of each ring once and contracts each half straight into
+its cells, with no scatter.  Every operation of a step, from the gather to
+the product with M, runs its inner loop over the cells or interfaces
+instead of over 2K velocities, and each element of the static product
+sums over b left to right.
 
-A grid whose ``epsilon`` is an array of P values holds P independent
-problems: P periodic rings of Nx cells, ring p the cells p*Nx .. p*Nx + Nx - 1
-(the columns of the buffer), each with its own eps.  One step then serves
-them all: one gather, one assembly or B product, and one stacked product
-with the (P, 2K, 2K) M on the (P, 2K, Nx) view of the buffer, in which
-ring p sees the operations of its problem alone.
+eps has one shape: a grid's ``epsilon`` is a (P,) array, P independent
+problems on P periodic rings of Nx cells, ring p the cells p*Nx .. p*Nx +
+Nx - 1 (the columns of the buffer), each with its own eps; ``kinwb run``
+marches P = 1.  One step serves them all: one gather, one assembly or B
+product, and one stacked product with the (P, 2K, 2K) M on the (P, 2K, Nx)
+view of the buffer, in which ring p sees the operations of its problem
+alone.
 """
 
 from dataclasses import dataclass
@@ -57,29 +58,32 @@ def phi_tanh(u, chi: float = 1.0, delta: float = 1.0):
 
 @dataclass(frozen=True, eq=False)
 class KineticGrid:
-    """Periodic kinetic state: f[j] = (f_j(v_1..v_K), f_j(-v_1..-v_K)); an
-    array ``epsilon`` of P values makes f the P rings of Nx cells, (P*Nx, 2K).
-    f is read-only and stored velocity-major: ``f.T`` is the C-contiguous
-    (2K, P*Nx) buffer that a step reads and writes, whatever the order of
-    the f it was given."""
+    """Periodic kinetic state of P problems: f[j] = (f_j(v_1..v_K),
+    f_j(-v_1..-v_K)), the P rings of Nx cells, (P*Nx, 2K).  ``epsilon`` is
+    stored as the (P,) float array of the eps it was given, one value for P
+    = 1.  f is read-only and stored velocity-major: ``f.T`` is the
+    C-contiguous (2K, P*Nx) buffer that a step reads and writes, whatever
+    the order of the f it was given."""
 
     Nx: int
     dx: float
     dt: float
-    epsilon: float
+    epsilon: np.ndarray
     q: object
     f: np.ndarray
 
     @property
     def cells(self) -> tuple:
-        """The shape of a density: (Nx,), or (P, Nx) for P rings."""
-        return np.shape(self.epsilon) + (self.Nx,)
+        """The shape of a density, (P, Nx)."""
+        return (len(self.epsilon), self.Nx)
 
     def __post_init__(self):
-        if self.dx <= 0.0 or self.dt <= 0.0 or (np.asarray(self.epsilon) <= 0.0).any():
+        eps = np.array(self.epsilon, dtype=float, ndmin=1)
+        if not (self.dx > 0.0 and self.dt > 0.0 and (eps > 0.0).all()):  # False for NaN too
             raise ValueError("dx, dt, epsilon must be positive")
+        object.__setattr__(self, "epsilon", eps)
         f = np.array(self.f, dtype=float, order="F")
-        rows = np.size(self.epsilon) * self.Nx
+        rows = len(eps) * self.Nx
         if f.shape != (rows, 2 * self.q.K):
             raise ValueError(f"f must have shape ({rows}, {2*self.q.K})")
         if not np.all(np.isfinite(f)):
@@ -151,7 +155,7 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
     return phi(np.outer(np.asarray(grads, dtype=float), v)) @ (w * v)
 
 
-def trace_indices(Nx: int, K: int, rings: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def trace_indices(Nx: int, K: int, rings: int) -> tuple[np.ndarray, np.ndarray]:
     """The two (2K, rings*Nx) flat indices of a step on ``rings`` periodic
     rings of Nx cells, into a velocity-major (2K, rings*Nx) array:
     ``F.take(incoming)`` gives the incoming traces (f_{i-1}(+v), f_i(-v)) of
@@ -183,21 +187,21 @@ def face_indices(Nx: int, K: int, rings: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StepOperator:
     """Run constants of :func:`imex_step`: the model (see :mod:`models`),
-    M = eps R_eps^{-1} ((P, 2K, 2K) for P rings) with its mass row exact,
-    the read-only B stack of a static model (None when each step assembles
-    its own) and the velocities scaled by dt/dx, (2K, 1), or (2K, P, 1)
-    against the (2K, P, Nx) view of the velocity-major state of P rings.
+    M = eps R_eps^{-1}, (P, 2K, 2K), with its mass row exact, the read-only
+    B stack of a static model (None when each step assembles its own) and
+    the velocities scaled by dt/dx, (2K, 1, 1) against the (2K, P, Nx) view
+    of the velocity-major state.
 
-    The static B stack is stored by receiving cell, (2K, 2K, Nx) or
-    (2K, 2K, P, Nx), cell axis last and contiguous, with each row a scaled
-    by the velocity (dt/dx) V_a of its trace: B[a, b, j] is block row a of
-    the interface whose outgoing trace a enters cell j, interface j for the
-    +v rows and interface j+1 of the same ring for the -v rows; rte's one
+    The static B stack is stored by receiving cell, (2K, 2K, P, Nx), cell
+    axis last and contiguous, with each row a scaled by the velocity
+    (dt/dx) V_a of its trace: B[a, b, p, j] is block row a of the interface
+    whose outgoing trace a enters cell j of ring p, interface j for the +v
+    rows and interface j+1 of the same ring for the -v rows; rte's one
     S-matrix per ring is broadcast with stride 0 along the ring's cells.
     ``faces``, of a static model only, are the :func:`face_indices` of the
-    grid, (2K, Nx+1) or (2K, P, Nx+1); ``incoming`` and ``to_cells``, of a
-    chemotaxis model only, are its :func:`trace_indices`, with which its
-    step gathers and scatters its traces.  The model builds either once per
+    grid, (2K, P, Nx+1); ``incoming`` and ``to_cells``, of a chemotaxis
+    model only, are its :func:`trace_indices`, with which its step gathers
+    and scatters its traces.  The model builds either once per
     grid size, and every operator on it shares them.  Each element of the
     static product sums over b left to right."""
 
@@ -218,26 +222,24 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
     ring keeps its bits.  The B stack is kept, by receiving cell and scaled
     by (dt/dx) V, for a model whose interfaces stay the same.  An exactly
     singular R_eps raises :class:`SolveFailure`."""
-    eps = np.asarray(grid.epsilon)
-    rings = eps.shape  # () for one problem, (P,) for P rings
-    K, Nx = grid.q.K, grid.Nx
-    R = assemble_cell_matrix(eps[..., None, None], grid.dt, grid.dx, grid.q, model.closure.S0)
+    eps = grid.epsilon[:, None, None]
+    P, Nx = grid.cells
+    R = assemble_cell_matrix(eps, grid.dt, grid.dx, grid.q, model.closure.S0)
     try:
-        M = eps[..., None, None] * np.linalg.inv(R)
+        M = eps * np.linalg.inv(R)
     except np.linalg.LinAlgError:
-        at = ", ".join(f"{e:g}" for e in np.ravel(grid.epsilon))
+        at = ", ".join(f"{e:g}" for e in grid.epsilon)
         raise SolveFailure(f"R_eps is singular at eps={at}") from None
     g, unit = grid.q.mass_row
     M += unit[:, None] * (g - (g[:, None] * M).sum(axis=-2))[..., None, :]
     scale = grid.dt / grid.dx * np.concatenate([grid.q.nodes, grid.q.nodes])
     B = faces = incoming = to_cells = None
     if model.static:
-        B = _cell_stack(grid, model, scale)
-        faces = model.faces(Nx, np.size(grid.epsilon)).reshape((2 * K,) + rings + (-1,))
+        B = _cell_stack(grid, model, scale[:, None, None, None])
+        faces = model.faces(Nx, P)
     else:
-        incoming, to_cells = model.traces(Nx, np.size(grid.epsilon))
-    scaled_v = np.multiply.outer(scale, np.ones(rings + (1,)))
-    return StepOperator(model=model, M=M, B=B, scaled_v=scaled_v,
+        incoming, to_cells = model.traces(Nx, P)
+    return StepOperator(model=model, M=M, B=B, scaled_v=scale[:, None, None],
                         incoming=incoming, to_cells=to_cells, faces=faces)
 
 
@@ -247,14 +249,13 @@ def _cell_stack(grid: KineticGrid, model, scale: np.ndarray) -> np.ndarray:
     stack, interface by interface, is dropped on return.  rte's one matrix
     per ring is scaled before it is broadcast, so the stack stays stride 0
     along the cells."""
-    K = grid.q.K
+    K, (P, Nx) = grid.q.K, grid.cells
     stack = model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0)
-    scale = scale.reshape((-1,) + (1,) * (1 + len(grid.cells)))
     if model.shared_interface:  # one interface serves each ring
-        stack = scale * stack.reshape(stack.shape[:2] + np.shape(grid.epsilon) + (1,))
-        B = np.broadcast_to(stack, stack.shape[:2] + grid.cells)
+        stack = scale * stack.reshape(2 * K, 2 * K, P, 1)
+        B = np.broadcast_to(stack, (2 * K, 2 * K, P, Nx))
     else:  # the -v rows of cell j are those of interface j+1 of its ring
-        stack = stack.reshape(stack.shape[:2] + grid.cells)
+        stack = stack.reshape(2 * K, 2 * K, P, Nx)
         B = np.empty(stack.shape)
         B[:K] = stack[:K]
         B[K:, ..., :-1], B[K:, ..., -1] = stack[K:, ..., 1:], stack[K:, ..., 0]
@@ -270,14 +271,14 @@ def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) 
     half of op's static stack, stored by receiving cell and already scaled,
     contracts straight into its half of the right-hand side, the +v rows
     with faces 0..Nx-1 and the -v rows with faces 1..Nx.  The right-hand
-    side adds the state, and M is one product with it, stacked over P
-    rings.  Every operation runs on the velocity-major state, (2K, Nx) or
-    the (2K, P, Nx) view of P rings; the traces are dropped as soon as they
-    are used, which keeps a batch small."""
+    side adds the state, and M is one product with it, stacked over the P
+    rings.  Every operation runs on the (2K, P, Nx) view of the
+    velocity-major state; the traces are dropped as soon as they are used,
+    which keeps a batch small."""
     F = grid.f.T
-    shape = op.scaled_v.shape[:-1] + (grid.Nx,)  # (2K, Nx), or the (2K, P, Nx) view of P rings
+    K, Nx = grid.q.K, grid.Nx
+    shape = (2 * K,) + grid.cells  # the (2K, P, Nx) view of the state
     if S is None:
-        K, Nx = grid.q.K, grid.Nx
         faces = F.take(op.faces)
         rhs = np.empty(shape)
         np.einsum("ab...,b...->a...", op.B[:K], faces[..., :Nx], out=rhs[:K])
@@ -289,7 +290,7 @@ def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) 
         rhs *= op.scaled_v
     rhs += F.reshape(rhs.shape)
     fnew = np.empty_like(rhs)  # a non-finite rhs gives a non-finite fnew
-    np.matmul(op.M, rhs.swapaxes(0, -2), out=fnew.swapaxes(0, -2))
+    np.matmul(op.M, rhs.swapaxes(0, 1), out=fnew.swapaxes(0, 1))
     if not np.isfinite(fnew).all():
         raise SolveFailure("the IMEX step produced a non-finite state")
     fnew.flags.writeable = False  # fresh and checked: skip __post_init__'s copy and check

@@ -9,11 +9,11 @@ coefficient ``D`` and the interface drift ``drift(S, dx)`` depend on the
 model.  Radiative transfer assembles its interface as chemotaxis at zero
 slope.  ``march`` yields (rho, S) for the initial state and then after
 every step, forever; S is the chemoattractant that drove the step, at the
-initial state the one the first step reads (None without one).  Given an
-array of P eps, ``march`` marches P independent problems from the same
-rho0 at once, on the P rings of :class:`kinetic.KineticGrid`; rho and S are
-then (P, Nx), one row per eps, each with the bits of its march alone from
-Nx = 2 on.
+initial state the one the first step reads (None without one).  eps has
+one shape: ``march`` takes one eps or P and marches P independent problems
+from the same rho0 at once, on the P rings of :class:`kinetic.KineticGrid`
+(``kinwb run`` marches P = 1).  rho and S are always (P, Nx), one row per
+eps, each with the bits of its march alone from Nx = 2 on.
 """
 
 import logging
@@ -55,7 +55,7 @@ class _Kinetic:
         self._traces = {}  # (Nx, rings) -> trace_indices(Nx, K, rings)
         self._faces = {}  # (Nx, rings) -> face_indices(Nx, K, rings), of a static model
 
-    def traces(self, Nx: int, rings: int = 1):
+    def traces(self, Nx: int, rings: int):
         """:func:`kinetic.trace_indices` on rings of Nx cells, built once per
         grid size."""
         if (Nx, rings) not in self._traces:
@@ -83,9 +83,11 @@ class _Kinetic:
             )
 
     def march(self, eps, dt: float, dx: float, rho0: np.ndarray):
-        f0 = equilibrium(rho0, self.q)
+        """(rho, S) of the P problems of ``eps``, taken as a (P,) array, as
+        (P, Nx) rows: at the initial state, then after every step."""
+        eps = np.array(eps, dtype=float, ndmin=1)
         grid = KineticGrid(Nx=len(rho0), dx=dx, dt=dt, epsilon=eps, q=self.q,
-                           f=np.tile(f0, (np.size(eps), 1)))  # one ring per eps
+                           f=np.tile(equilibrium(rho0, self.q), (len(eps), 1)))  # one ring per eps
         op = step_operator(grid, self)
         rho = density(grid.f.reshape(grid.cells + (-1,)), self.q)
         S = self.field(rho, dx)
@@ -187,7 +189,9 @@ class TwoStream:
         """The closed-form step has no explicit B term and no step bound."""
 
     def march(self, eps, dt: float, dx: float, rho0: np.ndarray):
-        f = np.tile(equilibrium(rho0, self.q), np.shape(eps) + (1, 1))  # one ring per eps
+        """As :meth:`_Kinetic.march`, with the closed-form step."""
+        eps = np.array(eps, dtype=float, ndmin=1)
+        f = np.tile(equilibrium(rho0, self.q), (len(eps), 1, 1))  # one ring per eps
         rho = density(f, self.q)
         S = self.field(rho, dx)
         yield rho, S

@@ -102,8 +102,9 @@ class ExperimentConfig:
             errs.append("epsilon: either epsilon or epsilon_list is required")
         if self.epsilon is not None and not _positive(self.epsilon):
             errs.append("epsilon: must be a positive number")
-        if self.epsilon_list is not None and not (
-            isinstance(self.epsilon_list, list) and all(map(_positive, self.epsilon_list))
+        eps_list = self.epsilon_list
+        if eps_list is not None and not (
+            isinstance(eps_list, list) and all(map(_positive, eps_list))
         ):
             errs.append("epsilon_list: must list positive numbers")
         params = self.phi_params
@@ -289,6 +290,7 @@ def _run_loop(config, out, manifest, snapshots):
             rho, S = next(march)
         except SolveFailure as exc:
             raise SolveFailure(f"step {n}: {exc}") from exc
+        rho, S = rho[0], None if S is None else S[0]  # the march of one eps is one ring
         mass = float(rho.sum() * config.dx)
         if n == 0:
             mass0 = prev = mass
@@ -341,26 +343,19 @@ def batch_size(model, Nx: int) -> int:
     return max(1, BATCH_ENTRIES // (interfaces * (2 * model.q.K) ** 2))
 
 
-def _first_step(model, config, eps, rho_init):
-    """(rho0, rho1, S) of the first step of ``model.march`` at eps."""
-    march = model.march(eps, config.dt, config.dx, rho_init)
-    (rho0, _), (rho1, S) = next(march), next(march)
-    return rho0, rho1, S
-
-
 def _first_steps(model, config, batch, rho_init):
     """(eps, rho0, rho1, S) of the first step of ``kinwb run`` at each eps of
     ``batch``, in order, from one march of them all.  When that march fails,
-    each eps is marched alone, and the first that fails raises, its message
-    led by ``eps=...``."""
+    each eps is marched as a batch of one, and the first that fails raises,
+    its message led by ``eps=...``."""
     try:
-        rho0, rho1, S = _first_step(model, config, np.array(batch), rho_init)
-    except KinwbError:
+        march = model.march(np.array(batch), config.dt, config.dx, rho_init)
+        (rho0, _), (rho1, S) = next(march), next(march)
+    except KinwbError as exc:
+        if len(batch) == 1:
+            raise type(exc)(f"eps={batch[0]:g}: {exc}") from exc
         for e in batch:
-            try:
-                yield (e, *_first_step(model, config, e, rho_init))
-            except KinwbError as exc:
-                raise type(exc)(f"eps={e:g}: {exc}") from exc
+            yield from _first_steps(model, config, [e], rho_init)
         return
     for p, e in enumerate(batch):
         yield e, rho0[p], rho1[p], None if S is None else S[p]

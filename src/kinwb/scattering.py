@@ -30,12 +30,13 @@ the shared closure blocks and never formed, and inverts N only when Y does
 not certify it.  A single interface is a stack of one: its S-matrix is
 ``S[0]``.
 
-A stack may hold P independent problems: an array ``epsilon`` of P values,
-and M/P consecutive interfaces per problem, each member carrying its
-problem's eps.  Whatever a lone eps decides is then decided per problem,
-exactly as alone: the rate check, the certificate (else the exact inverse),
-and the B0 switch; and each member sees the operations it would see in its
-problem's own stack.
+eps has one shape: a stack holds P independent problems, its ``epsilon``
+a (P,) array, and M/P consecutive interfaces per problem, each member
+carrying its problem's eps.  :func:`chemo_interfaces` and
+:func:`vfp_interfaces` take one eps as P = 1.  Whatever a problem decides
+is decided per problem, exactly as alone: the rate check, the certificate
+(else the exact inverse), and the B0 switch; and each member sees the
+operations it would see in its problem's own stack.
 
 The leading decomposition term is the anti-diagonal block S0 = I - zeta*gamma
 of the limit closure; it does not see the field, so one S0 serves every
@@ -110,9 +111,9 @@ class InterfaceStack:
     itself below the switch, where it is built with the stack.  S, B and,
     above the switch, B0 are (M, 2K, 2K) arrays built on first read; a step
     that reads only :meth:`outgoing` builds none of them.  ``epsilon`` is
-    one eps, or the (P,) eps of P problems of M/P consecutive members each;
-    ``below_switch`` and ``certified`` are then per member, else one bool.
-    ``inverse`` is N^{-1} of the members the condition guard had to invert,
+    the (P,) eps of P problems of M/P consecutive members each;
+    ``below_switch`` and ``certified`` are (M,) arrays, each member carrying
+    its problem's decision.  ``inverse`` is N^{-1} of the members the condition guard had to invert,
     those of uncertified problems, and 0 on certified members; None when
     the certificate spared every problem.  :attr:`S` inverts the certified
     members itself when it is read.  ``flux``, the velocity set's
@@ -120,18 +121,18 @@ class InterfaceStack:
     out of B, B0 and :meth:`outgoing` (see :func:`_project`); a
     Fokker-Planck stack has None."""
 
-    epsilon: float | np.ndarray
+    epsilon: np.ndarray
     N: np.ndarray
     Nt: np.ndarray
     anti_S0: np.ndarray
-    below_switch: bool | np.ndarray
-    certified: bool | np.ndarray
+    below_switch: np.ndarray
+    certified: np.ndarray
     build_B0: Callable[[], np.ndarray] = field(repr=False)
     inverse: np.ndarray | None = field(repr=False)
     flux: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
 
     def __post_init__(self):
-        if _any(self.below_switch):
+        if self.below_switch.any():
             self.B0  # built with the stack: below the switch every step reads it
 
     @cached_property
@@ -143,7 +144,7 @@ class InterfaceStack:
         certified, inverse = self.certified, self.inverse
         if inverse is None:
             inverse = _inverse(self.N)
-        elif _any(certified):  # inv works matrix by matrix: each member has its bits alone
+        elif certified.any():  # inv works matrix by matrix: each member has its bits alone
             inverse = inverse.copy()
             inverse[certified] = _inverse(self.N[certified], "certified interface {i}: mode matrix")
         # a contiguous Nt: a stacked matmul on the strided view is not BLAS's
@@ -152,11 +153,11 @@ class InterfaceStack:
     @cached_property
     def B(self) -> np.ndarray:
         below = self.below_switch
-        if _all(below):
+        if below.all():
             return self.B0
-        B = (self.S - self.anti_S0) / np.reshape(_members(self.epsilon, len(self.N)), (-1, 1, 1))
-        B = _project(B, self.flux)
-        return np.where(below[:, None, None], self.B0, B) if _any(below) else B
+        B = _project((self.S - self.anti_S0) / _members(self.epsilon, len(self.N))[:, None, None],
+                     self.flux)
+        return np.where(below[:, None, None], self.B0, B) if below.any() else B
 
     def outgoing(self, inc: np.ndarray) -> np.ndarray:
         """B inc of every interface for incoming traces ``inc`` (2K, M),
@@ -165,7 +166,7 @@ class InterfaceStack:
         unless the guard's inverse is at hand; anti_S0 inc is one product
         per problem, which sums as the problem's own product does."""
         below = self.below_switch
-        if _all(below):
+        if below.all():
             return np.einsum("iab,bi->ai", self.B0, inc)
         n, M = inc.shape
         incT = inc.T[..., None]
@@ -173,17 +174,14 @@ class InterfaceStack:
             c = np.linalg.solve(self.N, incT)
         else:
             c = self.inverse @ incT
-            if _any(self.certified):  # as alone, a certified problem solves
+            if self.certified.any():  # as alone, a certified problem solves
                 c[self.certified] = np.linalg.solve(self.N[self.certified], incT[self.certified])
         Ntc = np.einsum("abi,bi->ai", self.Nt.transpose(1, 2, 0), np.ascontiguousarray(c[..., 0].T))
-        if isinstance(self.epsilon, np.ndarray):
-            P = self.epsilon.size
-            Sinc = np.matmul(self.anti_S0, inc.reshape(n, P, -1).transpose(1, 0, 2))
-            Sinc = Sinc.transpose(1, 0, 2).reshape(n, M)
-        else:
-            Sinc = self.anti_S0 @ inc
+        P = len(self.epsilon)
+        Sinc = np.matmul(self.anti_S0, inc.reshape(n, P, -1).transpose(1, 0, 2))
+        Sinc = Sinc.transpose(1, 0, 2).reshape(n, M)
         out = _project((Ntc - Sinc) / _members(self.epsilon, M), self.flux)
-        return np.where(below, np.einsum("iab,bi->ai", self.B0, inc), out) if _any(below) else out
+        return np.where(below, np.einsum("iab,bi->ai", self.B0, inc), out) if below.any() else out
 
 
 def _project(X: np.ndarray, flux) -> np.ndarray:
@@ -200,21 +198,10 @@ def _project(X: np.ndarray, flux) -> np.ndarray:
     return X
 
 
-def _members(epsilon, M: int):
-    """What each of M interfaces reads of ``epsilon``: one value itself, or
-    the value of each of P problems, an array, over its M/P consecutive
-    members."""
-    return np.repeat(epsilon, M // epsilon.size) if isinstance(epsilon, np.ndarray) else epsilon
-
-
-def _any(flags) -> bool:
-    """Whether a member's flag is set: one problem's bool, or per member."""
-    return flags if type(flags) is bool else flags.any()
-
-
-def _all(flags) -> bool:
-    """Whether every member's flag is set: one problem's bool, or per member."""
-    return flags if type(flags) is bool else flags.all()
+def _members(values: np.ndarray, M: int) -> np.ndarray:
+    """What each of M interfaces reads of the (P,) ``values`` of P problems:
+    the value of its problem, over the problem's M/P consecutive members."""
+    return np.repeat(values, M // len(values))
 
 
 def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndarray:
@@ -299,19 +286,16 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None, flux=None) -> Interfac
     certify a problem when :func:`_cond_bound` keeps each of its members
     within the limit; otherwise :func:`_inverse` decides it exactly, and
     names the member that fails.  ``flux`` is the stack's flux projection."""
-    M, problems = N.shape[-1], np.shape(epsilon)
-    ok = np.zeros(problems, bool) if r is None else (
-        _cond_bound(N, closure, r) <= _COND_LIMIT).reshape(problems + (-1,)).all(axis=-1)
-    below = np.less(epsilon, EPS_SWITCH_FACTOR * dx)
-    if problems:  # each member carries its problem's flags
-        certified, below = _members(ok, M), _members(below, M)
-    else:
-        certified, below = bool(ok), bool(below)
+    M, P = N.shape[-1], len(epsilon)
+    ok = np.zeros(P, bool) if r is None else (
+        _cond_bound(N, closure, r) <= _COND_LIMIT).reshape(P, -1).all(axis=-1)
+    # each member carries its problem's flags
+    certified, below = _members(ok, M), _members(epsilon < EPS_SWITCH_FACTOR * dx, M)
     N, Nt = N.transpose(2, 0, 1), Nt.transpose(2, 0, 1)
     inverse = None
-    if not _any(certified):
+    if not certified.any():
         inverse = _inverse(N)
-    elif not _all(certified):  # a batch inverts its uncertified problems only
+    elif not certified.all():  # a batch inverts its uncertified problems only
         inverse = np.zeros(N.shape)
         inverse[~certified] = _inverse(N[~certified], "uncertified interface {i}: mode matrix")
     return InterfaceStack(epsilon, N, Nt, closure.anti_S0, below, certified, build_B0, inverse,
@@ -421,19 +405,20 @@ def chemo_interfaces(epsilon, dx: float, model, grads, roots=None) -> InterfaceS
     branch is the mirror image under phi -> -phi), unless ``roots``
     (M, 2K-1) are given, as radiative transfer's are.  The mode matrices
     and B0 read C-contiguous (K, M) and (2K-1, M) copies of phi and the
-    roots; radiative transfer is this assembly at slope 0, phi = 0.  An
-    array ``epsilon`` of P values makes the slopes P problems of M/P
-    consecutive interfaces (see :class:`InterfaceStack`).  The stack
-    projects the flux row out of what it gives, with the velocity set's
-    ``flux_row``.
+    roots; radiative transfer is this assembly at slope 0, phi = 0.
+    ``epsilon``, one value or P, is taken as a (P,) array: the slopes are P
+    problems of M/P consecutive interfaces (see :class:`InterfaceStack`).
+    The stack projects the flux row out of what it gives, with the velocity
+    set's ``flux_row``.
     """
-    if (np.asarray(epsilon) <= 0.0).any() or dx <= 0.0:
+    epsilon = np.array(epsilon, dtype=float, ndmin=1)
+    if not (dx > 0.0 and (epsilon > 0.0).all()):  # False for NaN too
         raise ValueError("epsilon and dx must be positive")
     q, lam0, closure = model.q, model.base, model.closure
     v = q.nodes
     grads = np.ravel(np.asarray(grads, dtype=float))
     members = _members(epsilon, len(grads))
-    eps = np.asarray(members)[..., None]  # against (M, K) rows
+    eps = members[:, None]  # against (M, K) rows
     phip = np.asarray(model.phi(np.outer(grads, v)), dtype=float)
     # the decision of 1 - eps*|phi| <= 0: rounding is monotone, fl(1 - a) <= 0 iff a >= 1
     if (eps * np.abs(phip) >= 1.0).any():
@@ -533,17 +518,19 @@ def vfp_interfaces(epsilon, dx: float, model) -> InterfaceStack:
     """Fokker-Planck decompositions of the interfaces of a :class:`models.Vfp`,
     which holds the velocity set ``q`` (and its kappa), the interface
     fields ``E_half`` and the E-independent ``closure``, whose leading
-    block I - zeta*gamma every interface shares.  An array ``epsilon`` of P
-    values stacks P problems, each on all the interfaces.
+    block I - zeta*gamma every interface shares.  ``epsilon``, one value or
+    P, is taken as a (P,) array: the stack holds P problems, each on all the
+    interfaces.
 
     The zero-mode pair is assembled in the regularized basis of
     :func:`_vfp_zero_columns`, which handles both signs of E and the
     degenerate E = 0 case in one formula.
     """
-    if (np.asarray(epsilon) <= 0.0).any() or dx <= 0.0:
+    epsilon = np.array(epsilon, dtype=float, ndmin=1)
+    if not (dx > 0.0 and (epsilon > 0.0).all()):  # False for NaN too
         raise ValueError("epsilon and dx must be positive")
     q, closure = model.q, model.closure
-    E = np.tile(np.asarray(model.E_half, dtype=float), np.size(epsilon))
+    E = np.tile(np.asarray(model.E_half, dtype=float), len(epsilon))
     kappa = q.kappa
     N, Nt = _vfp_matrices(_members(epsilon, len(E)), dx, q.nodes, E, kappa)
     return _stack(epsilon, dx, closure, N, Nt,

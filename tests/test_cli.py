@@ -168,8 +168,8 @@ def test_ap_gap_steps_like_run(tmp_path, model):
     config = ExperimentConfig.from_json(path)
     built, rho_init = _setup(config)
     march = built.march(eps, config.dt, config.dx, rho_init)
-    assert np.array_equal(next(march)[0], rho0)
-    assert np.array_equal(next(march)[0], rho1)
+    assert np.array_equal(next(march)[0][0], rho0)  # row 0: the march of one eps
+    assert np.array_equal(next(march)[0][0], rho1)
     q = gauss_symmetric(4)
     if model == "rte":
         D, drift = q.second_moment, 0.0

@@ -14,6 +14,7 @@ from kinwb import (
     Vfp,
     assemble_cell_matrix,
     chemo_drift,
+    chemo_interfaces,
     chemoattractant_update,
     density,
     equilibrium,
@@ -24,6 +25,7 @@ from kinwb import (
     step_operator,
     VelocityQuadrature,
     gauss_symmetric,
+    vfp_interfaces,
     vfp_preset_nodes,
     vfp_quadrature,
 )
@@ -300,6 +302,24 @@ def test_interface_grad_is_the_rolled_difference_bitwise(values, dx):
         assert interface_grad(values, dx)[0] == 0.0
 
 
+@pytest.mark.parametrize("bad", ["epsilon", "dx", "dt"])
+def test_nan_is_not_positive(bad):
+    # x <= 0 is False for NaN, so each entry point asks x > 0; a valid grid
+    # stores its one eps as a (1,) float array
+    q, qv = gauss_symmetric(2), vfp_quadrature(1.0, vfp_preset_nodes(2, 1.0))
+    good = {"epsilon": 1e-2, "dx": 0.25, "dt": 0.01}
+    grid = KineticGrid(Nx=4, q=q, f=np.ones((4, 4)), **good)
+    assert grid.epsilon.shape == (1,) and grid.epsilon.dtype == float
+    args = {**good, bad: np.nan}
+    with pytest.raises(ValueError, match="must be positive"):
+        KineticGrid(Nx=4, q=q, f=np.ones((4, 4)), **args)
+    if bad != "dt":
+        with pytest.raises(ValueError, match="must be positive"):
+            chemo_interfaces(args["epsilon"], args["dx"], Chemo(q, phi_tanh), np.zeros(4))
+        with pytest.raises(ValueError, match="must be positive"):
+            vfp_interfaces(args["epsilon"], args["dx"], Vfp(qv, np.zeros(4)))
+
+
 def row_scale(grid):
     """The velocity scale (dt/dx) V of the step, (2K,), with the step's bits."""
     return grid.dt / grid.dx * np.concatenate([grid.q.nodes, grid.q.nodes])
@@ -346,12 +366,12 @@ def imex_step_roll(grid, op, S=None):
     """The reference of the bitwise test below: it checks the gather indices,
     so it scales the velocities as the step does, into a static stack's rows
     and onto a dynamic model's traces, and multiplies by the operator's
-    M = eps R_eps^{-1}."""
+    M = eps R_eps^{-1} of the grid's one ring."""
     if S is None:
         rhs = grid.f + roll_traces(grid, op, scale=row_scale(grid))
     else:
         rhs = grid.f + row_scale(grid) * roll_traces(grid, op, S)
-    return rhs @ op.M.T
+    return rhs @ op.M[0].T
 
 
 def _model(name, K, nx):
@@ -414,7 +434,8 @@ def test_static_b_stack_is_the_models_stack_interface_axis_last(K, nx):
     model = _model("vfp", K, nx)  # a sinusoidal field: every interface differs
     grid = make_grid(model, 1e-2, nx=nx, dx=1.0 / nx, dt=1.0 / nx**2)
     B = step_operator(grid, model).B
-    assert B.shape == (2 * K, 2 * K, nx) and B.flags.c_contiguous and not B.flags.writeable
+    assert B.shape == (2 * K, 2 * K, 1, nx) and B.flags.c_contiguous and not B.flags.writeable
+    B = B[:, :, 0]  # the grid's one ring
     stack = interface_b_stack(grid, model, row_scale(grid))
     assert np.array_equal(B[:K], stack[:K])
     assert np.array_equal(B[K:], np.roll(stack[K:], -1, axis=-1))
@@ -434,7 +455,7 @@ def test_static_b_stack_is_stored_by_receiving_cell(name, nx, P):
     grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
     B = step_operator(grid, model).B
     stack = row_scale(grid)[:, None, None] * np.moveaxis(model.interfaces(eps, dx, None).B, 0, -1)
-    stack = np.broadcast_to(stack.reshape(stack.shape[:2] + np.shape(eps) + (-1,)),
+    stack = np.broadcast_to(stack.reshape(stack.shape[:2] + (np.size(eps), -1)),
                             (2 * K, 2 * K) + grid.cells)
     assert B.shape == stack.shape and not B.flags.writeable
     assert np.array_equal(B[:K], stack[:K])
@@ -482,7 +503,7 @@ def test_static_step_agrees_with_interface_major_product(name, K, nx, eps):
     B = row_scale(grid)[:, None] * model.interfaces(eps, dx, None).B
     B = np.broadcast_to(B, (nx, 2 * K, 2 * K))
     rhs = grid.f + roll_traces(grid, op, outgoing=lambda inc: np.einsum("iab,ib->ia", B, inc))
-    ref = rhs @ op.M.T
+    ref = rhs @ op.M[0].T
     gap = np.max(np.abs(imex_step(grid, op).f - ref)) / np.max(np.abs(ref))
     assert gap <= 4 * np.finfo(float).eps, gap
 
@@ -491,7 +512,7 @@ def test_rte_b_stack_is_one_broadcast_matrix():
     nx, K = 1024, 16
     model = _model("rte", K, nx)
     B = step_operator(make_grid(model, 1e-2, nx=nx, dx=1.0 / nx, dt=1.0 / nx**2), model).B
-    assert B.shape == (2 * K, 2 * K, nx) and B.strides[-1] == 0
+    assert B.shape == (2 * K, 2 * K, 1, nx) and B.strides[-1] == 0
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -503,7 +524,7 @@ def test_non_finite_b_stack_is_a_solve_failure(name, bad):
     grid = make_grid(model, 1e-2, nx=8, dx=1.0 / 8, dt=1.0 / 256)
     op = step_operator(grid, model)
     B = op.B.copy()
-    B[0, 1, 2] = bad
+    B[0, 1, 0, 2] = bad
     with pytest.raises(SolveFailure):
         imex_step(grid, dataclasses.replace(op, B=B))
 
@@ -618,7 +639,7 @@ def test_trace_indices_of_rings_are_each_rings_own_shifted():
     # periodic wrap stays inside the ring
     Nx, K, P = 3, 2, 4
     incoming, to_cells = trace_indices(Nx, K, P)
-    lone_in, lone_out = trace_indices(Nx, K)
+    lone_in, lone_out = trace_indices(Nx, K, 1)
     assert incoming.shape == (2 * K, P * Nx) and to_cells.shape == (2 * K, P * Nx)
     for p in range(P):
         ring = slice(p * Nx, (p + 1) * Nx)
@@ -651,5 +672,6 @@ def test_a_march_of_p_eps_is_p_lone_marches_bitwise(name, K, nx):
         assert rho.shape == (len(eps), nx)
         for p, march in enumerate(lone):
             rho_p, S_p = next(march)
-            assert rho[p].tobytes() == rho_p.tobytes()
-            assert (S is None and S_p is None) or S[p].tobytes() == S_p.tobytes()
+            assert rho_p.shape == (1, nx)  # a lone eps is a batch of one
+            assert rho[p].tobytes() == rho_p[0].tobytes()
+            assert (S is None and S_p is None) or S[p].tobytes() == S_p[0].tobytes()

@@ -1065,8 +1065,8 @@ def test_b0_on_maxwellian_traces_is_the_ilin_update(case, Nx, dx, strength, seed
     rho0 = rng.uniform(0.5, 1.5, Nx)
     q, dt = model.q, dx * dx / 4.0
     stack = model.interfaces(0.1 * EPS_SWITCH_FACTOR * dx, dx, S)
-    assert stack.below_switch
-    incoming, to_cells = model.traces(Nx)
+    assert stack.below_switch.all()
+    incoming, to_cells = model.traces(Nx, 1)
     B0 = np.broadcast_to(stack.B0, (Nx,) + stack.B0.shape[1:])  # rte's one interface
     out = np.einsum("iab,bi->ai", B0, equilibrium(rho0, q).T.take(incoming))
     wv = q.weights * q.nodes
@@ -1133,7 +1133,7 @@ def test_chemo_stack_of_problems_decides_each_as_alone(K):
     grads = np.array([0.0, 0.3, -1.1, 2.5, 0.7])
     eps = np.array([0.3 * DX, 1e-3, 0.5e-8 * DX, DX, 2e-8 * DX, 1e-3])
     lone = [chemo_interfaces(e, DX, model, grads) for e in eps]
-    assert {bool(s.below_switch) for s in lone} == {True, False}
+    assert {bool(s.below_switch.all()) for s in lone} == {True, False}
     assert {s.inverse is None for s in lone} == {True, False}
     stack = chemo_interfaces(eps, DX, model, np.tile(grads, len(eps)))
     assert_members_are_lone_stacks(stack, lone, len(grads), np.random.default_rng(K))
