@@ -56,9 +56,12 @@ MACROLIMIT, QUADRATURE = "src/kinwb/macrolimit.py", "src/kinwb/quadrature.py"
 MUTANTS = [
     Mutant("root tolerance 1e-14 -> 1e-9", SPECTRAL,
            "_ROOT_RTOL = 1e-14", "_ROOT_RTOL = 1e-9", KILLED),
+    Mutant("first-pass return without its bracket test", SPECTRAL,
+           "if it == 0 and np.all(inside & converged):", "if it == 0 and np.all(converged):",
+           KILLED),
     Mutant("certificate without its rounding term", SCATTERING,
-           "rho = np.abs(E, out=E).sum(axis=0).max(axis=0) + n * _UNIT * norms",
-           "rho = np.abs(E, out=E).sum(axis=0).max(axis=0)", KILLED),
+           "rho = np.abs(E, out=abs_A).sum(axis=0).max(axis=0) + n * _UNIT * norms",
+           "rho = np.abs(E, out=abs_A).sum(axis=0).max(axis=0)", KILLED),
     Mutant("certificate cut rho <= 1/2 -> 0.99", SCATTERING,
            "(rho <= 0.5) & np.isfinite(bound)", "(rho <= 0.99) & np.isfinite(bound)", KILLED),
     Mutant("condition limit 1e12 -> 1e14", SCATTERING,
@@ -74,8 +77,8 @@ MUTANTS = [
            "equivalent: B and B0 agree to O(eps) + u cond(N)/eps on both sides of either "
            "threshold, and the tests place their eps by the factor itself"),
     Mutant("root seed with the sign of eps*lambda1 flipped", SCATTERING,
-           "[-(lam0 - eps * lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps * lam1]",
-           "[-(lam0 + eps * lam1)[:, ::-1], -eps * lam01[:, None], lam0 - eps * lam1]",
+           "[-(lam0 - eps_lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps_lam1]",
+           "[-(lam0 + eps_lam1)[:, ::-1], -eps * lam01[:, None], lam0 - eps_lam1]",
            KILLED),  # rte's zero middle seed turns -0.0, which its roots test sees
     Mutant("chemo micro block halved", SCATTERING,
            "return -((DP * pt2", "return -0.5 * ((DP * pt2", KILLED),
@@ -86,8 +89,14 @@ MUTANTS = [
            "b_plus, b_minus = bernoulli(-u) / dx, bernoulli(u) / dx",
            "b_plus, b_minus = bernoulli(u) / dx, bernoulli(-u) / dx", KILLED),
     Mutant("certificate decided over the whole batch", SCATTERING,
-           "_cond_bound(N, closure, r) <= _COND_LIMIT).reshape(P, -1).all(axis=-1)",
-           "_cond_bound(N, closure, r) <= _COND_LIMIT).all() & np.ones(P, bool)", KILLED),
+           "ok = (bound <= _COND_LIMIT).reshape(P, -1).all(axis=-1)",
+           "ok = (bound <= _COND_LIMIT).all() & np.ones(P, bool)", KILLED),
+    Mutant("limit-inverse iteration count one short", SCATTERING,
+           "math.ceil(_LOG_HALF_U / math.log(x))", "math.ceil(_LOG_HALF_U / math.log(x)) - 1",
+           KILLED),
+    Mutant("a certified member iterated with the batch's largest count", SCATTERING,
+           "math.log(x)) for x in rho_p)", "math.log(x)) for x in [max(rho_p)] * len(rho_p))",
+           KILLED),
     Mutant("B0 switch read from the batch's first eps", SCATTERING,
            "_members(epsilon < EPS_SWITCH_FACTOR * dx, M)",
            "_members(epsilon[0] + 0.0 * epsilon < EPS_SWITCH_FACTOR * dx, M)", KILLED),

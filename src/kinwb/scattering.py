@@ -20,15 +20,17 @@ The mode matrices of M interfaces fill two stacks N and Ntilde, stored
 (2K, 2K, M) with the interface axis last and C-contiguous, so that every
 elementwise formula and product runs its inner loop over the M interfaces;
 :class:`InterfaceStack` shows them as (M, 2K, 2K) views.  A chemotaxis step
-reads them only through the outgoing traces B^eps inc, one batched solve
-with N per step on (2K, M) traces; S^eps, B^eps and B^0 are built, as
-(M, 2K, 2K) stacks, when they are read.  Every stack is guarded at
-construction by the exact 1-norm condition number ||N||_1 ||N^{-1}||_1 of
-each interface.  The integral-collision assembly first tries a certificate
-from Y, the exact inverse of the eps -> 0 mode matrix, which is built from
-the shared closure blocks and never formed, and inverts N only when Y does
-not certify it.  A single interface is a stack of one: its S-matrix is
-``S[0]``.
+reads them only through the outgoing traces B^eps inc of its (2K, M)
+traces; S^eps, B^eps and B^0 are built, as (M, 2K, 2K) stacks, when they
+are read.  Every stack is guarded at construction by the exact 1-norm
+condition number ||N||_1 ||N^{-1}||_1 of each interface.  The
+integral-collision assembly first tries a certificate from Y, the exact
+inverse of the eps -> 0 mode matrix, which is built from the shared closure
+blocks and never formed, and inverts N only when Y does not certify it.
+The certificate's E = Y N - I, with ||E||_1 <= 1/2, then solves N c = inc
+on a certified interface without LAPACK, by the iteration c <- Y inc - E c
+(:func:`_limit_solve`); an uncertified one multiplies by the guard's
+inverse.  A single interface is a stack of one: its S-matrix is ``S[0]``.
 
 eps has one shape: a stack holds P independent problems, its ``epsilon``
 a (P,) array, and M/P consecutive interfaces per problem, each member
@@ -55,6 +57,7 @@ row; a chemotaxis stack projects it out of B, B^0 and the outgoing traces
 and is not projected: its flux row carries the Hermite defect.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -68,6 +71,7 @@ from .spectral import _all_roots_multi, first_order_shifts, vfp_mu, vfp_psi, vfp
 EPS_SWITCH_FACTOR = 1e-8
 _COND_LIMIT = 1e12
 _TINY, _UNIT = np.finfo(float).tiny, np.finfo(float).eps  # read once, not per step
+_LOG_HALF_U = math.log(_UNIT / 4.0)  # log(u/2), u = 2^-53 the unit roundoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +117,15 @@ class InterfaceStack:
     that reads only :meth:`outgoing` builds none of them.  ``epsilon`` is
     the (P,) eps of P problems of M/P consecutive members each;
     ``below_switch`` and ``certified`` are (M,) arrays, each member carrying
-    its problem's decision.  ``inverse`` is N^{-1} of the members the condition guard had to invert,
-    those of uncertified problems, and 0 on certified members; None when
-    the certificate spared every problem.  :attr:`S` inverts the certified
-    members itself when it is read.  ``flux``, the velocity set's
+    its problem's decision.  ``inverse`` is N^{-1} of the members the
+    condition guard had to invert, those of uncertified problems, and 0 on
+    certified members; None when the certificate spared every problem.
+    ``limit`` is what :func:`_limit_solve` reads of the certified members,
+    (G, r, E, steps): the closure's G = [gamma; beta], the zero-mode factors
+    r and E = Y N - I of those members, interface axis last, and the
+    iteration count of each certified problem; None when no problem is
+    certified.  :attr:`S` inverts the certified members itself when it is
+    read.  ``flux``, the velocity set's
     ``flux_row`` (h, h/(h.h)) of a chemotaxis stack, projects the flux row
     out of B, B0 and :meth:`outgoing` (see :func:`_project`); a
     Fokker-Planck stack has None."""
@@ -129,6 +138,7 @@ class InterfaceStack:
     certified: np.ndarray
     build_B0: Callable[[], np.ndarray] = field(repr=False)
     inverse: np.ndarray | None = field(repr=False)
+    limit: tuple | None = field(repr=False)
     flux: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
 
     def __post_init__(self):
@@ -162,26 +172,48 @@ class InterfaceStack:
     def outgoing(self, inc: np.ndarray) -> np.ndarray:
         """B inc of every interface for incoming traces ``inc`` (2K, M),
         interface i in column i, as (2K, M).  Above the switch it is
-        (Nt N^{-1} inc - anti_S0 inc)/eps, with one solve per interface
-        unless the guard's inverse is at hand; anti_S0 inc is one product
-        per problem, which sums as the problem's own product does."""
+        (Nt c - anti_S0 inc)/eps with c = N^{-1} inc: the limit-inverse
+        iteration of :func:`_limit_solve` on the certified problems, the
+        guard's inverse on the others; anti_S0 inc is one product per
+        problem, which sums as the problem's own product does."""
         below = self.below_switch
         if below.all():
             return np.einsum("iab,bi->ai", self.B0, inc)
         n, M = inc.shape
-        incT = inc.T[..., None]
         if self.inverse is None:
-            c = np.linalg.solve(self.N, incT)
+            c = _limit_solve(inc, *self.limit)
         else:
-            c = self.inverse @ incT
-            if self.certified.any():  # as alone, a certified problem solves
-                c[self.certified] = np.linalg.solve(self.N[self.certified], incT[self.certified])
-        Ntc = np.einsum("abi,bi->ai", self.Nt.transpose(1, 2, 0), np.ascontiguousarray(c[..., 0].T))
+            c = np.ascontiguousarray((self.inverse @ inc.T[..., None])[..., 0].T)
+            if self.limit is not None:  # as alone, a certified problem iterates
+                c[:, self.certified] = _limit_solve(inc.compress(self.certified, axis=1),
+                                                    *self.limit)
+        Ntc = np.einsum("abi,bi->ai", self.Nt.transpose(1, 2, 0), c)
         P = len(self.epsilon)
         Sinc = np.matmul(self.anti_S0, inc.reshape(n, P, -1).transpose(1, 0, 2))
         Sinc = Sinc.transpose(1, 0, 2).reshape(n, M)
         out = _project((Ntc - Sinc) / _members(self.epsilon, M), self.flux)
         return np.where(below, np.einsum("iab,bi->ai", self.B0, inc), out) if below.any() else out
+
+
+def _limit_solve(inc, G, r, E, steps) -> np.ndarray:
+    """N^{-1} inc for the traces ``inc`` (2K, M) of certified members, from
+    their E = Y N - I: c <- Y inc - E c, from c = 0.  After k steps c is
+    within rho^k ||c||_1 of the solution of (I + E) c = Y inc (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 12).  ``steps``
+    holds one count per problem, whose members are consecutive; a member
+    stops at its own problem's count, so it keeps the bits it has alone.
+    Y inc is formed as :func:`_cond_bound` forms Y N: one GEMM with
+    G = [gamma; beta] per half of the traces, and the difference of the
+    two beta rows over r for the last row."""
+    K = len(G)
+    top, bottom = G @ inc[:K], G @ inc[K:]
+    y = np.concatenate([top, bottom[:-1], ((top[-1] - bottom[-1]) / r)[None]])
+    c = y
+    for k in range(1, max(steps)):
+        step = np.einsum("abi,bi->ai", E, c)
+        np.subtract(y, step, out=step)
+        c = step if k < min(steps) else np.where(_members(np.greater(steps, k), len(r)), step, c)
+    return c
 
 
 def _project(X: np.ndarray, flux) -> np.ndarray:
@@ -235,11 +267,13 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
     return X
 
 
-def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
+def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> tuple[np.ndarray, ...]:
     """Upper bounds of cond_1 of the chemotaxis mode matrices A (n, n, M),
     interface axis last, n = 2K, from Y, the exact inverse of their eps -> 0
     limit: with rho = ||I - Y A||_1 < 1, ||A^{-1}||_1 <= ||Y||_1/(1 - rho).
-    A member with rho > 1/2, or with a non-finite bound, gets inf.
+    A member with rho > 1/2, or with a non-finite bound, gets inf.  Returns
+    the bounds (M,), E = Y A - I (n, n, M) with its signs, which
+    :func:`_limit_solve` iterates with, and rho (M,).
 
     In the column groups of :func:`_assemble` that limit is [[P, 1, 0, 0],
     [0, 1, P, -r]], P = 1/(1 - v lambda0), r = -dx/bernoulli(-lambda0^1 dx),
@@ -259,7 +293,9 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
     < 2n for every K >= 1.  Subtracting I is exact (Sterbenz) wherever
     rho <= 1/2.  Subnormal entries of A, underflowed decay factors, count
     as 0 in the product: that moves the bound by less than its rounding,
-    and arithmetic on them is slow."""
+    and arithmetic on them is slow.  E is that of the flushed A, so the
+    iteration solves with A less its subnormal entries, a change below
+    1e-307 of a column."""
     n, M = A.shape[0], A.shape[-1]
     K = n // 2
     beta, G = closure.beta, closure.G
@@ -275,9 +311,9 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> np.ndarray:
         E.reshape(n * n, M)[:: n + 1] -= 1.0  # E = Y A - I
         norm_Y = (closure.abs_G_sums[:, None] + np.abs(beta)[:, None] / np.abs(r)).max(axis=0)
         norms = abs_A.sum(axis=0).max(axis=0) * norm_Y
-        rho = np.abs(E, out=E).sum(axis=0).max(axis=0) + n * _UNIT * norms
+        rho = np.abs(E, out=abs_A).sum(axis=0).max(axis=0) + n * _UNIT * norms
         bound = norms / (1.0 - rho)
-    return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf)
+    return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf), E, rho
 
 
 def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None, flux=None) -> InterfaceStack:
@@ -285,12 +321,24 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None, flux=None) -> Interfac
     guard, each problem on its own.  The chemotaxis zero-mode factors r
     certify a problem when :func:`_cond_bound` keeps each of its members
     within the limit; otherwise :func:`_inverse` decides it exactly, and
-    names the member that fails.  ``flux`` is the stack's flux projection."""
+    names the member that fails.  A certified problem keeps, for
+    :func:`_limit_solve`, the E = Y N - I of its members and one iteration
+    count k_p = ceil(log(u/2)/log rho_p), rho_p the largest rho of its
+    members, so that rho_p^k_p <= u/2 (u = 2^-53 the unit roundoff).
+    ``flux`` is the stack's flux projection."""
     M, P = N.shape[-1], len(epsilon)
-    ok = np.zeros(P, bool) if r is None else (
-        _cond_bound(N, closure, r) <= _COND_LIMIT).reshape(P, -1).all(axis=-1)
+    ok, limit = np.zeros(P, bool), None
+    if r is not None:
+        bound, E, rho = _cond_bound(N, closure, r)
+        ok = (bound <= _COND_LIMIT).reshape(P, -1).all(axis=-1)
     # each member carries its problem's flags
     certified, below = _members(ok, M), _members(epsilon < EPS_SWITCH_FACTOR * dx, M)
+    if ok.any():
+        rho_p = rho.reshape(P, -1).max(axis=-1)[ok].tolist()
+        steps = tuple(math.ceil(_LOG_HALF_U / math.log(x)) for x in rho_p)
+        if not ok.all():  # C-contiguous, as a lone problem's: einsum's bits follow the layout
+            E, r = E.compress(certified, axis=-1), r[certified]
+        limit = (closure.G, r, E, steps)
     N, Nt = N.transpose(2, 0, 1), Nt.transpose(2, 0, 1)
     inverse = None
     if not certified.any():
@@ -299,7 +347,7 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None, flux=None) -> Interfac
         inverse = np.zeros(N.shape)
         inverse[~certified] = _inverse(N[~certified], "uncertified interface {i}: mode matrix")
     return InterfaceStack(epsilon, N, Nt, closure.anti_S0, below, certified, build_B0, inverse,
-                          flux)
+                          limit, flux)
 
 
 def _assemble(M, K, top, bottom) -> np.ndarray:
@@ -420,16 +468,18 @@ def chemo_interfaces(epsilon, dx: float, model, grads, roots=None) -> InterfaceS
     members = _members(epsilon, len(grads))
     eps = members[:, None]  # against (M, K) rows
     phip = np.asarray(model.phi(np.outer(grads, v)), dtype=float)
+    eps_phi = eps * phip
     # the decision of 1 - eps*|phi| <= 0: rounding is monotone, fl(1 - a) <= 0 iff a >= 1
-    if (eps * np.abs(phip) >= 1.0).any():
+    if (np.abs(eps_phi) >= 1.0).any():
         raise NonPositiveRate(
             f"1 + eps*phi(v*gradS) must be positive; min margin "
-            f"{np.min(1.0 - eps*np.abs(phip)):.3e}"
+            f"{np.min(1.0 - np.abs(eps_phi)):.3e}"
         )
     lam01, lam1 = first_order_shifts(q, lam0, phip, model.shifts)
     if roots is None:
-        guess = np.hstack([-(lam0 - eps * lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps * lam1])
-        roots = _all_roots_multi(v, q.weights, 1.0 + eps * phip, 1.0 - eps * phip, guess)
+        eps_lam1 = eps * lam1
+        guess = np.hstack([-(lam0 - eps_lam1)[:, ::-1], eps * lam01[:, None], lam0 + eps_lam1])
+        roots = _all_roots_multi(v, q.weights, 1.0 + eps_phi, 1.0 - eps_phi, guess)
     phip, roots = np.ascontiguousarray(phip.T), np.ascontiguousarray(roots.T)
     N, Nt = _chemo_matrices(members, dx, v, phip, roots)
     r = -dx / bernoulli(-lam01 * dx)

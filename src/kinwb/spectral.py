@@ -51,6 +51,13 @@ def hermite_poly(ell, x):
     return out if out.ndim else float(out)
 
 
+def _secular(p, w2, lam):
+    """g and g' at lam (M, 2K-1) for the poles p (M, 2K) and weights w2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 1.0 / (p[:, None, :] - lam[..., None])
+    return np.einsum("...k,k", r, w2), np.einsum("...k,k", r * r, w2)
+
+
 def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):
     """All 2K-1 dispersion roots, one per open pole interval, for a batch
     of rate samples.  T_pos, T_neg have shape (M, K); result (M, 2K-1).
@@ -59,33 +66,31 @@ def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):
     roots take Newton steps in lockstep from ``guess`` (M, 2K-1), or from
     the interval midpoint when it is None or outside the bracket; a step
     that would leave the bracket, or fails to halve the one before it,
-    becomes a bisection step.
+    becomes a bisection step.  A first pass whose every Newton step is
+    within tolerance and inside its bracket returns those steps: that is
+    the state in which the loop would stop after one pass, so the roots
+    are the loop's, without its bookkeeping.
     """
     T_pos = np.atleast_2d(np.asarray(T_pos, dtype=float))
     T_neg = np.atleast_2d(np.asarray(T_neg, dtype=float))
     p = np.concatenate([T_pos / nodes, -T_neg / nodes], axis=1)  # paired with w2
     w2 = np.concatenate([weights, weights])
-
-    def g(lam):  # value and derivative at lam (..., M, 2K-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = 1.0 / (p[:, None, :] - lam[..., None])
-        return np.einsum("...k,k", r, w2), np.einsum("...k,k", r * r, w2)
-
     poles = np.sort(p, axis=1)
-    width = np.diff(poles, axis=1)
-    lo = poles[:, :-1] + 1e-13 * width
-    hi = poles[:, 1:] - 1e-13 * width
+    below, above = poles[:, :-1], poles[:, 1:]
+    width = above - below
+    lo = below + 1e-13 * width
+    hi = above - 1e-13 * width
     # g runs from -inf to +inf across each interval; offsets lost to
     # rounding mean near-coincident poles
-    if not (np.all(lo > poles[:, :-1]) and np.all(hi < poles[:, 1:]) and np.all(lo < hi)):
+    if not ((lo > below).all() and (hi < above).all() and (lo < hi).all()):
         raise BracketFailure("poles too close to bracket every root; check T values")
     x = 0.5 * (lo + hi)
     if guess is not None:
         x = np.where((guess > lo) & (guess < hi), guess, x)
     step = hi - lo
     done = np.zeros(x.shape, dtype=bool)  # frozen, so a root does not depend on its batch
-    for _ in range(_ROOT_MAXIT):
-        gx, dg = g(x)
+    for it in range(_ROOT_MAXIT):
+        gx, dg = _secular(p, w2, x)
         low = gx < 0.0
         lo = np.where(low, x, lo)
         hi = np.where(low, hi, x)
@@ -93,8 +98,11 @@ def _all_roots_multi(nodes, weights, T_pos, T_neg, guess=None):
             newton = x - gx / dg
         size = np.abs(newton - x)
         tol = _ROOT_RTOL * (1.0 + np.abs(x))
+        inside, converged = (newton >= lo) & (newton <= hi), size <= tol
+        if it == 0 and np.all(inside & converged):
+            return newton
         # converged roots keep their (rounding-level) Newton steps
-        ok = (newton >= lo) & (newton <= hi) & ((size <= 0.5 * np.abs(step)) | (size <= tol))
+        ok = inside & ((size <= 0.5 * np.abs(step)) | converged)
         new = np.where(done, x, np.where(ok, newton, 0.5 * (lo + hi)))
         step, x = new - x, new
         done |= np.abs(step) <= tol

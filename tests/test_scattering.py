@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -758,8 +759,9 @@ def test_limit_inverse_certificate_bounds_the_exact_guard(K, eps, dx, slope):
     original = scattering._cond_bound
 
     def recorded(A, closure, r):
-        bounds.append((A.transpose(2, 0, 1), original(A, closure, r)))
-        return bounds[-1][1]
+        result = original(A, closure, r)
+        bounds.append((A.transpose(2, 0, 1), result[0]))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scattering, "_cond_bound", recorded)
@@ -787,7 +789,7 @@ def test_certificate_carries_its_rounding_allowance_and_cuts_rho_at_one_half():
     # its bound lies above the exact cond_1, 4; the others have rho 0.6, 0.4
     closure = Rte(gauss_symmetric(1)).closure
     A = np.array([[[1.0, 0.0], [1.0, 1.0]], [[1.3, 0.0], [1.0, 1.0]], [[1.2, 0.0], [1.0, 1.0]]])
-    bound = scattering._cond_bound(A.transpose(1, 2, 0).copy(), closure, np.full(3, -1.0))
+    bound, _, _ = scattering._cond_bound(A.transpose(1, 2, 0).copy(), closure, np.full(3, -1.0))
     assert np.linalg.cond(A[0], 1) == 4.0
     assert bound[0] == 4.0 / (1.0 - 2 * ULP * 4.0) > 4.0
     assert bound[1] == np.inf
@@ -826,8 +828,9 @@ def test_structured_certificate_matches_the_explicit_product(K, eps, dx, slope):
     original = scattering._cond_bound
 
     def record(A, closure, r):
-        recorded.append((A, closure, r, original(A, closure, r)))
-        return recorded[-1][-1]
+        result = original(A, closure, r)
+        recorded.append((A, closure, r, result[0]))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scattering, "_cond_bound", record)
@@ -848,6 +851,62 @@ def test_structured_certificate_matches_the_explicit_product(K, eps, dx, slope):
     assert np.all(np.abs(bound[both] - ref[both]) <= tol[both] * ref[both])
     edge |= np.abs(ref - _COND_LIMIT) <= tol * _COND_LIMIT
     assert np.array_equal((bound <= _COND_LIMIT)[~edge], (ref <= _COND_LIMIT)[~edge])
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(1, 8), eps=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+       dx=st.floats(-3.0, 2.0).map(lambda e: 10.0**e), slope=st.floats(-3.0, 3.0))
+@example(K=4, eps=5e-5, dx=1.0 / 256.0, slope=0.7)  # chemo_march's regime
+@example(K=8, eps=1e-3, dx=1.0 / 64.0, slope=-2.5)  # rho near its cut
+@example(K=1, eps=1e-12, dx=1e-3, slope=3.0)
+@example(K=4, eps=1e-1, dx=1.0 / 64.0, slope=0.7)  # uncertified: the guard's inverse
+def test_certified_members_solve_with_the_limit_inverse(K, eps, dx, slope):
+    # c <- Y inc - E c from c = 0, k = ceil(log(u/2)/log rho_p) times, so that
+    # rho_p^k <= u/2: it agrees with LAPACK's solve within 10 u cond_1
+    recorded = []
+    original = scattering._cond_bound
+
+    def record(A, closure, r):
+        recorded.append(original(A, closure, r))
+        return recorded[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scattering, "_cond_bound", record)
+        try:
+            stack = chemo_interfaces(eps, dx, Chemo(gauss_symmetric(K), phi_tanh), [0.0, slope])
+        except IllConditioned:
+            return
+    (bound, _, rho), = recorded
+    note(f"bound {bound}, rho {rho}")
+    if not stack.certified.all():
+        assert stack.limit is None and not stack.certified.any()
+        return
+    u = ULP / 2.0
+    rho_p = rho.max()
+    (steps,) = stack.limit[-1]
+    assert steps == math.ceil(math.log(u / 2.0) / math.log(rho_p))
+    assert rho_p**steps <= u / 2.0 < rho_p ** (steps - 1)
+    inc = np.random.default_rng(K).uniform(0.5, 1.5, (2 * K, 2))
+    c = scattering._limit_solve(inc, *stack.limit)
+    for i, N in enumerate(stack.N):
+        ref = np.linalg.solve(N, inc[:, i])
+        gap = np.abs(c[:, i] - ref).sum() / np.abs(ref).sum()
+        note(f"member {i}: gap {gap:.3e}, cond_1 {np.linalg.cond(N, 1):.3e}")
+        assert gap <= 10.0 * u * np.linalg.cond(N, 1)
+
+
+def test_certified_problems_of_a_batch_iterate_their_own_counts():
+    # a member stops at its own problem's count, not at the batch's largest,
+    # and keeps the bits of its lone stack
+    model = Chemo(gauss_symmetric(4), phi_tanh)
+    grads = np.array([0.0, 0.3, -1.1, 2.5, 0.7])
+    eps = np.array([2e-8 * DX, 1e-3, 1e-1, 5e-5 * DX, 1e-3])
+    lone = [chemo_interfaces(e, DX, model, grads) for e in eps]
+    counts = [alone.limit[-1] for alone in lone if alone.limit is not None]
+    assert len(counts) == 4 and len(set(counts)) == 3
+    stack = chemo_interfaces(eps, DX, model, np.tile(grads, len(eps)))
+    assert stack.limit[-1] == sum(counts, ())
+    assert_members_are_lone_stacks(stack, lone, len(grads), np.random.default_rng(0))
 
 
 def per_family_vfp_matrices(epsilon, dx, v, E, kappa):

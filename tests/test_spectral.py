@@ -12,7 +12,9 @@ from kinwb import (
     phi_tanh,
     vfp_psi0,
 )
-from kinwb.scattering import _vfp_zero_columns
+from kinwb import scattering, spectral
+from kinwb.models import Chemo
+from kinwb.scattering import _vfp_zero_columns, chemo_interfaces
 from kinwb.spectral import _all_roots_multi, first_order_shifts, shift_weights, vfp_mu, vfp_psi
 
 
@@ -274,18 +276,24 @@ def test_dispersion_roots_non_monotone_rate(q4):
     assert_roots_close(roots[3:4], ref[3:4])
 
 
-def test_root_guess_off_bracket_falls_back(q4):
+def off_bracket_guesses(q4):
+    """Rates of q4 and seeds that the root solver must not take."""
     Tp, Tn = 1.0 + 0.05 * q4.nodes, 1.0 - 0.05 * q4.nodes
-    ref = bisect_roots(q4.nodes, q4.weights, Tp, Tn)[0]
     poles = np.sort(np.concatenate([-Tn / q4.nodes, Tp / q4.nodes]))
     width = np.diff(poles)
-    for guess in (
+    return Tp, Tn, (
         poles[:-1],  # on the left pole
         poles[1:],  # on the right pole
         poles[:-1] + 1e-12 * width,  # inside, where Newton runs away from the pole
         np.full(7, 1e6),  # outside every bracket
         np.full(7, np.nan),
-    ):
+    )
+
+
+def test_root_guess_off_bracket_falls_back(q4):
+    Tp, Tn, guesses = off_bracket_guesses(q4)
+    ref = bisect_roots(q4.nodes, q4.weights, Tp, Tn)[0]
+    for guess in guesses:
         got = _all_roots_multi(q4.nodes, q4.weights, Tp, Tn, guess[None])[0]
         assert_roots_close(got, ref)
 
@@ -295,3 +303,126 @@ def test_root_bracket_failure_in_batch(q2):
     bad = q2.nodes.copy()  # T proportional to v: all positive poles coincide
     with pytest.raises(BracketFailure):
         _all_roots_multi(q2.nodes, q2.weights, np.stack([good, bad]), np.stack([good, bad]))
+
+
+# ---------------------------------------------------------------------------
+# the first pass of the root solver: a converged seed returns at once
+# ---------------------------------------------------------------------------
+
+
+def loop_roots(nodes, weights, T_pos, T_neg, guess=None):
+    """The safeguarded Newton loop of :func:`_all_roots_multi` without its
+    early return of a converged first pass: the reference that return must
+    reproduce bitwise."""
+    T_pos = np.atleast_2d(np.asarray(T_pos, dtype=float))
+    T_neg = np.atleast_2d(np.asarray(T_neg, dtype=float))
+    p = np.concatenate([T_pos / nodes, -T_neg / nodes], axis=1)
+    w2 = np.concatenate([weights, weights])
+
+    def g(lam):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = 1.0 / (p[:, None, :] - lam[..., None])
+        return np.einsum("...k,k", r, w2), np.einsum("...k,k", r * r, w2)
+
+    poles = np.sort(p, axis=1)
+    width = np.diff(poles, axis=1)
+    lo = poles[:, :-1] + 1e-13 * width
+    hi = poles[:, 1:] - 1e-13 * width
+    if not (np.all(lo > poles[:, :-1]) and np.all(hi < poles[:, 1:]) and np.all(lo < hi)):
+        raise BracketFailure("poles too close")
+    x = 0.5 * (lo + hi)
+    if guess is not None:
+        x = np.where((guess > lo) & (guess < hi), guess, x)
+    step = hi - lo
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(200):
+        gx, dg = g(x)
+        low = gx < 0.0
+        lo = np.where(low, x, lo)
+        hi = np.where(low, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - gx / dg
+        size = np.abs(newton - x)
+        tol = 1e-14 * (1.0 + np.abs(x))
+        ok = (newton >= lo) & (newton <= hi) & ((size <= 0.5 * np.abs(step)) | (size <= tol))
+        new = np.where(done, x, np.where(ok, newton, 0.5 * (lo + hi)))
+        step, x = new - x, new
+        done |= np.abs(step) <= tol
+        if np.all(done):
+            break
+    return x
+
+
+def evaluations(monkeypatch):
+    """The evaluations of g and g' the root solver makes from now on."""
+    calls = []
+    original = spectral._secular
+    monkeypatch.setattr(spectral, "_secular", lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 3e-5, 1e-8])
+@pytest.mark.parametrize("K", [1, 2, 4, 8])
+def test_seeded_chemo_roots_are_the_loops_bitwise(monkeypatch, K, eps):
+    solved = []
+    original = scattering._all_roots_multi
+    monkeypatch.setattr(scattering, "_all_roots_multi",
+                        lambda *a: solved.append((a, original(*a))) or solved[-1][1])
+    model = Chemo(gauss_symmetric(K), phi_tanh)  # its set-up solves the unseeded roots
+    calls = evaluations(monkeypatch)
+    chemo_interfaces(eps, 1.0 / 64.0, model, [0.0, 0.05, -0.3, 1.1, -2.5])
+    (args, roots), = solved
+    assert roots.tobytes() == loop_roots(*args).tobytes()
+    if eps <= 1e-8:  # the first-order seed is converged: one evaluation
+        assert len(calls) == 1
+
+
+def test_off_bracket_guesses_are_the_loops_bitwise(q4):
+    Tp, Tn, guesses = off_bracket_guesses(q4)
+    for guess in guesses:
+        got = _all_roots_multi(q4.nodes, q4.weights, Tp, Tn, guess[None])
+        assert got.tobytes() == loop_roots(q4.nodes, q4.weights, Tp, Tn, guess[None]).tobytes()
+
+
+@pytest.mark.parametrize("K", range(1, 17))
+def test_rte_unseeded_roots_are_the_loops_bitwise(K):
+    q = gauss_symmetric(K)
+    ones = np.ones(K)
+    want = loop_roots(q.nodes, q.weights, ones, ones)
+    assert _all_roots_multi(q.nodes, q.weights, ones, ones).tobytes() == want.tobytes()
+    assert dispersion_roots(q).tobytes() == want[0, K:].tobytes()
+
+
+def test_converged_seed_takes_one_evaluation(monkeypatch, q4):
+    Tp, Tn = 1.0 + 0.05 * q4.nodes, 1.0 - 0.05 * q4.nodes
+    roots = loop_roots(q4.nodes, q4.weights, Tp, Tn)
+    calls = evaluations(monkeypatch)
+    got = _all_roots_multi(q4.nodes, q4.weights, Tp, Tn, roots)
+    assert len(calls) == 1
+    assert got.tobytes() == loop_roots(q4.nodes, q4.weights, Tp, Tn, roots).tobytes()
+
+
+def test_converged_step_out_of_its_bracket_does_not_return(monkeypatch):
+    # a pole of weight 6e-14 pins its neighbours' roots 0.9e-13 from it, past
+    # the bracket's 1e-13 offset: from a seed just inside the bracket the
+    # Newton step is within tolerance but leaves the bracket, so the loop
+    # runs on and bisects
+    nodes, weights, T = np.array([0.5, 1.0]), np.array([1.0, 6e-14]), np.ones((1, 2))
+    # poles -2, -1, 1, 2: the first bracket ends at -1 - 1e-13, the last starts at 1 + 1e-13
+    guess = np.array([[np.nextafter(-1.0 - 1e-13, -2.0), 0.0, np.nextafter(1.0 + 1e-13, 2.0)]])
+    p = np.concatenate([T / nodes, -T / nodes], axis=1)
+    gx, dg = spectral._secular(p, np.concatenate([weights, weights]), guess)
+    newton = guess - gx / dg
+    assert np.all(np.abs(newton - guess) <= 1e-14 * (1.0 + np.abs(guess)))
+    assert newton[0, 0] > guess[0, 0] and newton[0, 2] < guess[0, 2]  # past the bracket
+    got = _all_roots_multi(nodes, weights, T, T, guess)
+    assert got.tobytes() == loop_roots(nodes, weights, T, T, guess).tobytes()
+    assert got.tobytes() != newton.tobytes()
+
+
+def test_bracket_failure_comes_before_the_first_pass(monkeypatch, q2):
+    calls = evaluations(monkeypatch)
+    guess = np.zeros((1, 3))  # converged or not, the brackets are checked first
+    with pytest.raises(BracketFailure):
+        _all_roots_multi(q2.nodes, q2.weights, q2.nodes, q2.nodes, guess)
+    assert calls == []
