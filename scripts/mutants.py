@@ -104,15 +104,13 @@ MUTANTS = [
            "return np.repeat(values, M // len(values))",
            "return np.tile(values, M // len(values))", KILLED),
     Mutant("periodic wrap taken across rings", KINETIC,
-           "ring + (cells - 1) % Nx,", "(cells - 1) % n,", KILLED),
+           "left = cells - cells % Nx + (cells - 1) % Nx", "left = (cells - 1) % n", KILLED),
     Mutant("+v and -v halves of the incoming traces swapped", KINETIC,
            "np.concatenate([plus + left, minus + cells])",
            "np.concatenate([minus + cells, plus + left])", KILLED),
-    Mutant("-v outgoing trace scattered to cell i, not i-1", KINETIC,
-           "minus + right]", "minus + cells]", KILLED),
-    Mutant("-v rows of the cell-ordered B stack rolled by +1, not -1", KINETIC,
-           "B[K:, ..., :-1], B[K:, ..., -1] = stack[K:, ..., 1:], stack[K:, ..., 0]",
-           "B[K:, ..., 1:], B[K:, ..., 0] = stack[K:, ..., :-1], stack[K:, ..., -1]", KILLED),
+    Mutant("-v rows sent to their cells rolled by +1, not -1", KINETIC,
+           "out[K:, ..., :-1], out[K:, ..., -1] = X[K:, ..., 1:], X[K:, ..., 0]",
+           "out[K:, ..., 1:], out[K:, ..., 0] = X[K:, ..., :-1], X[K:, ..., -1]", KILLED),
     Mutant("-v half of the static step contracted on faces 0..Nx-1", KINETIC,
            "faces[..., -Nx:], out=rhs[K:]", "faces[..., :Nx], out=rhs[K:]", KILLED),
     Mutant("sign of V in R_eps flipped", KINETIC,
@@ -134,6 +132,12 @@ MUTANTS = [
            "_cell_stack(grid, model, scale[:, None, None, None])",
            "_cell_stack(grid, model, np.concatenate([scale[:grid.q.K], np.ones(grid.q.K)])"
            "[:, None, None, None])", KILLED),
+    Mutant("explicit B term at twice the kinetic CFL", KINETIC,
+           "scale = grid.dt / grid.dx * np.concatenate(",
+           "scale = 2.0 * grid.dt / grid.dx * np.concatenate(", KILLED),
+    Mutant("vfp drift mode at half its spatial growth rate", SCATTERING,
+           "np.exp((2.0 * x - epsilon * epsilon * E) * E / (2.0 * kappa))",
+           "np.exp((x - epsilon * epsilon * E) * E / (2.0 * kappa))", KILLED),
     Mutant("M built without eps", KINETIC,
            "M = eps * np.linalg.inv(R)", "M = np.linalg.inv(R)", KILLED),
     Mutant("flux projection of chemotaxis stacks dropped", SCATTERING,

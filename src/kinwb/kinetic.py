@@ -24,16 +24,17 @@ and scales them.  The state of cell j is (f_j(v_1..v_K),
 f_j(-v_1..-v_K)), and it is stored velocity-major: ``KineticGrid.f`` is
 the (P*Nx, 2K) transposed view of a C-contiguous (2K, P*Nx) buffer.  Cell
 j reads the outgoing +v trace of interface j and the -v trace of interface
-j+1.  A chemotaxis step gathers the incoming traces of its P*Nx interfaces
-as (2K, P*Nx), contracts them with its mode matrices, interface axis last,
-and scatters each outgoing trace into the cell it enters.  The static B
-stack is stored (2K, 2K, P, Nx) by receiving cell instead: the -v rows of
-cell j are those of interface j+1, so the static step gathers the traces
-of the Nx+1 faces of each ring once and contracts each half straight into
-its cells, with no scatter.  Every operation of a step, from the gather to
-the product with M, runs its inner loop over the cells or interfaces
-instead of over 2K velocities, and each element of the static product
-sums over b left to right.
+j+1.  Every step gathers the incoming traces from the same faces,
+:func:`face_indices`, and one shift, :func:`_by_cell`, sends rows of the
+interfaces to the cells they enter.  A chemotaxis step contracts the
+traces of its P*Nx interfaces with its mode matrices, interface axis last,
+and shifts the outgoing traces into their cells.  The static B stack is
+shifted once per run instead, stored (2K, 2K, P, Nx) by receiving cell,
+so the static step gathers the traces of the Nx+1 faces of each ring once
+and contracts each half straight into its cells.  Every operation of a
+step, from the gather to the product with M, runs its inner loop over the
+cells or interfaces instead of over 2K velocities, and each element of the
+static product sums over b left to right.
 
 eps has one shape: a grid's ``epsilon`` is a (P,) array, P independent
 problems on P periodic rings of Nx cells, ring p the cells p*Nx .. p*Nx +
@@ -155,33 +156,33 @@ def chemo_drift(q, grads, phi) -> np.ndarray:
     return phi(np.outer(np.asarray(grads, dtype=float), v)) @ (w * v)
 
 
-def trace_indices(Nx: int, K: int, rings: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two (2K, rings*Nx) flat indices of a step on ``rings`` periodic
-    rings of Nx cells, into a velocity-major (2K, rings*Nx) array:
-    ``F.take(incoming)`` gives the incoming traces (f_{i-1}(+v), f_i(-v)) of
-    interface i from the state F, and ``out.take(to_cells)`` puts each
-    outgoing trace of ``out`` into the cell it enters (cell i for +v, cell
-    i-1 for -v), in the same layout.  Interface and cell p*Nx + i are number
-    i of ring p, which wraps around by itself.  They see only (Nx, K,
-    rings), so a model builds them once per grid size."""
+def face_indices(Nx: int, K: int, rings: int) -> np.ndarray:
+    """The (2K, rings, Nx+1) flat indices of a step's faces into a
+    velocity-major (2K, rings*Nx) array: ``F.take`` gives on face i of ring
+    p the incoming traces (f_{i-1}(+v), f_i(-v)) of its interface i, +v rows
+    from the left neighbour in the same ring and -v rows from the cell
+    itself, and face Nx is face 0 (a one-cell ring keeps its one face).
+    Cell i reads faces i and i+1.  A model builds them once per grid size."""
     n = rings * Nx
     cells = np.arange(n)
-    ring = cells - cells % Nx  # the first cell of each cell's ring
-    left, right = ring + (cells - 1) % Nx, ring + (cells + 1) % Nx
+    left = cells - cells % Nx + (cells - 1) % Nx  # the left neighbour in the same ring
     plus, minus = np.arange(K)[:, None] * n, np.arange(K, 2 * K)[:, None] * n  # the rows
-    incoming = np.concatenate([plus + left, minus + cells])
-    to_cells = np.concatenate([plus + cells, minus + right])
-    return incoming, to_cells
-
-
-def face_indices(Nx: int, K: int, rings: int) -> np.ndarray:
-    """The (2K, rings, Nx+1) flat indices of a static step's faces into a
-    velocity-major (2K, rings*Nx) array: face i of ring p is its interface
-    i, whose incoming traces ``F.take`` gives as :func:`trace_indices`
-    does, and face Nx is face 0 of the same ring (a one-cell ring keeps
-    its one face, (2K, rings, 1)).  Cell i reads faces i and i+1."""
-    faces = trace_indices(Nx, K, rings)[0].reshape(2 * K, rings, Nx)
+    faces = np.concatenate([plus + left, minus + cells]).reshape(2 * K, rings, Nx)
     return np.concatenate([faces, faces[..., :1]], axis=-1) if Nx > 1 else faces
+
+
+def _by_cell(X: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rows of the interfaces of P rings, (2K, ..., P, Nx), by the cell
+    they enter, row a multiplied by ``scale[a]``: the +v rows of interface
+    i enter cell i and its -v rows cell i-1 of the same ring, so the -v
+    rows of cell j are those of interface j+1 and cell Nx-1 reads interface
+    0 (a one-cell ring's -v trace re-enters its cell)."""
+    K = len(X) // 2
+    out = np.empty(X.shape)
+    out[:K] = X[:K]
+    out[K:, ..., :-1], out[K:, ..., -1] = X[K:, ..., 1:], X[K:, ..., 0]
+    out *= scale
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +199,8 @@ class StepOperator:
     whose outgoing trace a enters cell j of ring p, interface j for the +v
     rows and interface j+1 of the same ring for the -v rows; rte's one
     S-matrix per ring is broadcast with stride 0 along the ring's cells.
-    ``faces``, of a static model only, are the :func:`face_indices` of the
-    grid, (2K, P, Nx+1); ``incoming`` and ``to_cells``, of a chemotaxis
-    model only, are its :func:`trace_indices`, with which its step gathers
-    and scatters its traces.  The model builds either once per
+    ``faces`` are the :func:`face_indices` of the grid, (2K, P, Nx+1), from
+    which every step gathers its traces; the model builds them once per
     grid size, and every operator on it shares them.  Each element of the
     static product sums over b left to right."""
 
@@ -209,9 +208,7 @@ class StepOperator:
     M: np.ndarray
     B: np.ndarray | None
     scaled_v: np.ndarray
-    incoming: np.ndarray | None
-    to_cells: np.ndarray | None
-    faces: np.ndarray | None
+    faces: np.ndarray
 
 
 def step_operator(grid: KineticGrid, model) -> StepOperator:
@@ -220,8 +217,9 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
     mass row is then set to g^T, g = (w, w), by the rank-one update
     M += (m/(g.m)) (g - g^T M)^T, with g^T M summed as columns so that each
     ring keeps its bits.  The B stack is kept, by receiving cell and scaled
-    by (dt/dx) V, for a model whose interfaces stay the same.  An exactly
-    singular R_eps raises :class:`SolveFailure`."""
+    by (dt/dx) V, for a model whose interfaces stay the same; the faces are
+    the model's for every model.  An exactly singular R_eps raises
+    :class:`SolveFailure`."""
     eps = grid.epsilon[:, None, None]
     P, Nx = grid.cells
     R = assemble_cell_matrix(eps, grid.dt, grid.dx, grid.q, model.closure.S0)
@@ -233,48 +231,40 @@ def step_operator(grid: KineticGrid, model) -> StepOperator:
     g, unit = grid.q.mass_row
     M += unit[:, None] * (g - (g[:, None] * M).sum(axis=-2))[..., None, :]
     scale = grid.dt / grid.dx * np.concatenate([grid.q.nodes, grid.q.nodes])
-    B = faces = incoming = to_cells = None
-    if model.static:
-        B = _cell_stack(grid, model, scale[:, None, None, None])
-        faces = model.faces(Nx, P)
-    else:
-        incoming, to_cells = model.traces(Nx, P)
+    B = _cell_stack(grid, model, scale[:, None, None, None]) if model.static else None
     return StepOperator(model=model, M=M, B=B, scaled_v=scale[:, None, None],
-                        incoming=incoming, to_cells=to_cells, faces=faces)
+                        faces=model.faces(Nx, P))
 
 
 def _cell_stack(grid: KineticGrid, model, scale: np.ndarray) -> np.ndarray:
     """A static model's read-only B stack by receiving cell, each row a
-    multiplied by ``scale[a]`` (see :class:`StepOperator`); the model's own
-    stack, interface by interface, is dropped on return.  rte's one matrix
-    per ring is scaled before it is broadcast, so the stack stays stride 0
-    along the cells."""
+    multiplied by ``scale[a]`` (see :class:`StepOperator`): the model's own
+    stack, interface axis last, sent to its cells by :func:`_by_cell` and
+    dropped on return.  rte's one matrix per ring is scaled before it is
+    broadcast instead, so the stack stays stride 0 along the cells."""
     K, (P, Nx) = grid.q.K, grid.cells
     stack = model.interfaces(grid.epsilon, grid.dx, None).B.transpose(1, 2, 0)
     if model.shared_interface:  # one interface serves each ring
         stack = scale * stack.reshape(2 * K, 2 * K, P, 1)
         B = np.broadcast_to(stack, (2 * K, 2 * K, P, Nx))
-    else:  # the -v rows of cell j are those of interface j+1 of its ring
-        stack = stack.reshape(2 * K, 2 * K, P, Nx)
-        B = np.empty(stack.shape)
-        B[:K] = stack[:K]
-        B[K:, ..., :-1], B[K:, ..., -1] = stack[K:, ..., 1:], stack[K:, ..., 0]
-        B *= scale
+    else:
+        B = _by_cell(stack.reshape(2 * K, 2 * K, P, Nx), scale)
     B.flags.writeable = False
     return B
 
 
 def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) -> KineticGrid:
-    """One IMEX step; pure function grid -> grid.  The interfaces are
-    assembled from the field S when given, and their outgoing traces
-    scattered into the cells they enter and scaled by (dt/dx) V; else each
-    half of op's static stack, stored by receiving cell and already scaled,
-    contracts straight into its half of the right-hand side, the +v rows
-    with faces 0..Nx-1 and the -v rows with faces 1..Nx.  The right-hand
-    side adds the state, and M is one product with it, stacked over the P
-    rings.  Every operation runs on the (2K, P, Nx) view of the
-    velocity-major state; the traces are dropped as soon as they are used,
-    which keeps a batch small."""
+    """One IMEX step; pure function grid -> grid.  Both paths gather the
+    traces of op's faces.  The interfaces are assembled from the field S
+    when given, take the incoming traces of faces 0..Nx-1, and their
+    outgoing traces are sent to the cells they enter and scaled by (dt/dx)
+    V by :func:`_by_cell`; else each half of op's static stack, stored by
+    receiving cell and already scaled, contracts straight into its half of
+    the right-hand side, the +v rows with faces 0..Nx-1 and the -v rows with
+    faces 1..Nx.  The right-hand side adds the state, and M is one product
+    with it, stacked over the P rings.  Every operation runs on the (2K, P,
+    Nx) view of the velocity-major state; the traces are dropped as soon as
+    they are used, which keeps a batch small."""
     F = grid.f.T
     K, Nx = grid.q.K, grid.Nx
     shape = (2 * K,) + grid.cells  # the (2K, P, Nx) view of the state
@@ -285,9 +275,9 @@ def imex_step(grid: KineticGrid, op: StepOperator, S: np.ndarray | None = None) 
         np.einsum("ab...,b...->a...", op.B[K:], faces[..., -Nx:], out=rhs[K:])
         del faces
     else:
-        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(F.take(op.incoming))
-        rhs = out.take(op.to_cells).reshape(shape)
-        rhs *= op.scaled_v
+        out = op.model.interfaces(grid.epsilon, grid.dx, S).outgoing(
+            F.take(op.faces[..., :Nx]).reshape(F.shape))
+        rhs = _by_cell(out.reshape(shape), op.scaled_v)
     rhs += F.reshape(rhs.shape)
     fnew = np.empty_like(rhs)  # a non-finite rhs gives a non-finite fnew
     np.matmul(op.M, rhs.swapaxes(0, 1), out=fnew.swapaxes(0, 1))

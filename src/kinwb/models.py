@@ -31,7 +31,6 @@ from .kinetic import (
     imex_step,
     interface_grad,
     step_operator,
-    trace_indices,
 )
 from .quadrature import VelocityQuadrature
 from .scattering import chemo_interfaces, rte_closure, vfp_closure, vfp_interfaces
@@ -44,7 +43,7 @@ log = logging.getLogger("kinwb")
 class _Kinetic:
     """The general IMEX march over interface scattering matrices.  What sees
     neither eps nor the field is built once per model: the closure, and the
-    trace indices of each grid size it marches."""
+    faces of each grid size it marches."""
 
     static = True  # the interfaces stay the same for the whole run
     shared_interface = False  # one interface serves every cell
@@ -52,19 +51,11 @@ class _Kinetic:
 
     def __init__(self, q, D: float, closure):
         self.q, self.D, self.closure = q, D, closure
-        self._traces = {}  # (Nx, rings) -> trace_indices(Nx, K, rings)
-        self._faces = {}  # (Nx, rings) -> face_indices(Nx, K, rings), of a static model
-
-    def traces(self, Nx: int, rings: int):
-        """:func:`kinetic.trace_indices` on rings of Nx cells, built once per
-        grid size."""
-        if (Nx, rings) not in self._traces:
-            self._traces[Nx, rings] = trace_indices(Nx, self.q.K, rings)
-        return self._traces[Nx, rings]
+        self._faces = {}  # (Nx, rings) -> face_indices(Nx, K, rings)
 
     def faces(self, Nx: int, rings: int):
         """:func:`kinetic.face_indices` on rings of Nx cells, built once per
-        grid size: all a static step reads of the grid's layout."""
+        grid size: all a step reads of the grid's layout."""
         if (Nx, rings) not in self._faces:
             self._faces[Nx, rings] = face_indices(Nx, self.q.K, rings)
         return self._faces[Nx, rings]

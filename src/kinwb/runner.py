@@ -17,6 +17,7 @@ from .kinetic import phi_tanh
 from .macrolimit import sg_step
 from .models import Chemo, Rte, TwoStream, Vfp
 from .quadrature import gauss_symmetric, vfp_preset_nodes, vfp_quadrature
+from .spectral import _MAX_HERMITE
 
 # initial density name -> its profile at the cell centres x of a grid of length L
 _DENSITIES = {
@@ -144,6 +145,9 @@ class ExperimentConfig:
             nodes = self.nodes
             if nodes is None and isinstance(self.K, int) and self.K > 3:
                 errs.append("nodes: required for the vfp model with K > 3 (presets cover K <= 3)")
+            if isinstance(self.K, int) and self.K - 1 > _MAX_HERMITE:
+                errs.append(f"K: the vfp model takes K <= {_MAX_HERMITE + 1}, the Hermite"
+                            f" degrees of its basis stop at {_MAX_HERMITE}")
             if nodes is not None and not (
                 isinstance(nodes, list)
                 and len(nodes) == self.K

@@ -119,17 +119,20 @@ def test_invalid_config_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
-    "fields",
-    [{"K": 4}, {"K": 2, "nodes": [0.7]}, {"K": 2, "nodes": [2.5, 0.8]}],
-    ids=["no-preset-for-K4", "nodes-length", "nodes-order"],
+    "fields, named",
+    [({"K": 4}, "nodes"), ({"K": 2, "nodes": [0.7]}, "nodes"),
+     ({"K": 2, "nodes": [2.5, 0.8]}, "nodes"),
+     # valid nodes past the Hermite degrees the vfp basis is built from
+     ({"K": 66, "nodes": [0.1 * (k + 1) for k in range(66)]}, "K:")],
+    ids=["no-preset-for-K4", "nodes-length", "nodes-order", "K66-past-the-hermite-degrees"],
 )
-def test_vfp_node_config_errors_exit_2(tmp_path, capsys, command, fields):
+def test_vfp_node_config_errors_exit_2(tmp_path, capsys, command, fields, named):
     config = write_config(
         tmp_path, model="vfp", kappa=1.0, E_profile={"kind": "zero"},
         epsilon=1e-3, epsilon_list=[1e-3, 1e-4], **fields,
     )
     assert main([command, "--config", str(config)]) == 2
-    assert "nodes" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def read_rho(path):

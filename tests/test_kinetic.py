@@ -31,7 +31,7 @@ from kinwb import (
 )
 from kinwb.diagnostics import loglog_slope
 from kinwb.errors import SolveFailure
-from kinwb.kinetic import trace_indices
+from kinwb.kinetic import _by_cell, face_indices
 
 NX = 64
 DX = 1.0 / NX
@@ -374,6 +374,22 @@ def imex_step_roll(grid, op, S=None):
     return rhs @ op.M[0].T
 
 
+def take_scatter_indices(Nx, K, rings):
+    """The oracle of the shared faces and shift: two (2K, rings*Nx) flat
+    indices into a velocity-major (2K, rings*Nx) array, ``F.take(incoming)``
+    the incoming traces (f_{i-1}(+v), f_i(-v)) of interface i and
+    ``out.take(to_cells)`` each outgoing trace in the cell it enters (cell i
+    for +v, cell i-1 for -v), the periodic wrap inside each ring."""
+    n = rings * Nx
+    cells = np.arange(n)
+    ring = cells - cells % Nx  # the first cell of each cell's ring
+    left, right = ring + (cells - 1) % Nx, ring + (cells + 1) % Nx
+    plus, minus = np.arange(K)[:, None] * n, np.arange(K, 2 * K)[:, None] * n  # the rows
+    incoming = np.concatenate([plus + left, minus + cells])
+    to_cells = np.concatenate([plus + cells, minus + right])
+    return incoming, to_cells
+
+
 def _model(name, K, nx):
     if name == "rte":
         return Rte(gauss_symmetric(K))
@@ -475,17 +491,49 @@ def test_static_faces_are_each_rings_own_with_face_nx_face_0(nx, P):
     f = np.ones((np.size(eps) * nx, 2 * K))
     grid = KineticGrid(Nx=nx, dx=1.0 / nx, dt=1.0 / nx**2, epsilon=eps, q=model.q, f=f)
     op = step_operator(grid, model)
-    incoming = trace_indices(nx, K, np.size(eps))[0].reshape((2 * K,) + grid.cells)
+    incoming = take_scatter_indices(nx, K, np.size(eps))[0].reshape((2 * K,) + grid.cells)
     faces = op.faces
-    assert op.incoming is None and op.to_cells is None  # a static step only reads its faces
     assert faces.shape == (2 * K,) + grid.cells[:-1] + (nx + (nx > 1),)
     assert np.array_equal(faces[..., :nx], incoming)
     assert np.array_equal(faces[..., -1], faces[..., 0])
     ring = faces % (np.size(eps) * nx) // nx  # the ring of each gathered cell
     rings = np.arange(np.size(eps)).reshape(grid.cells[:-1] + (1,))
     assert np.array_equal(ring, np.broadcast_to(rings, ring.shape))
-    chemo = step_operator(grid, _model("chemo", K, nx))
-    assert chemo.faces is None and chemo.B is None and chemo.incoming is not None
+    chemo = step_operator(grid, _model("chemo", K, nx))  # every step reads the same faces
+    assert np.array_equal(chemo.faces, faces) and chemo.B is None
+
+
+@pytest.mark.parametrize("P", [None, 3])  # one problem, three rings
+@pytest.mark.parametrize("nx", [1, 2, 17])  # 1: the -v trace re-enters its own cell
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_chemo_step_is_the_take_scatter_formula_bitwise(K, nx, P):
+    # the chemotaxis step gathers from the static step's faces and sends its
+    # outgoing traces to their cells through the static stack's shift: its
+    # right-hand side and its step are the take/scatter formula's bits
+    model = _model("chemo", K, nx)
+    dx = 1.0 / nx
+    eps = 1e-2 if P is None else np.array([1e-2, 1e-9, 0.3])
+    f = np.random.default_rng([K, nx]).uniform(0.5, 1.5, (np.size(eps) * nx, 2 * K))
+    grid = KineticGrid(Nx=nx, dx=dx, dt=dx**2 / 4.0, epsilon=eps, q=model.q, f=f)
+    op = step_operator(grid, model)
+    incoming, to_cells = take_scatter_indices(nx, K, np.size(eps))
+    shape = (2 * K,) + grid.cells
+    for _ in range(3):
+        S = model.field(density(grid.f.reshape(grid.cells + (-1,)), grid.q), dx)
+        F = grid.f.T
+        stack = model.interfaces(grid.epsilon, dx, S)
+        inc = F.take(op.faces[..., :nx]).reshape(F.shape)
+        assert inc.tobytes() == F.take(incoming).tobytes()
+        rhs = _by_cell(stack.outgoing(inc).reshape(shape), op.scaled_v)
+        want = stack.outgoing(F.take(incoming)).take(to_cells).reshape(shape)
+        want *= op.scaled_v
+        assert rhs.tobytes() == want.tobytes()
+        want += F.reshape(shape)
+        fnew = np.empty_like(want)
+        np.matmul(op.M, want.swapaxes(0, 1), out=fnew.swapaxes(0, 1))
+        new = imex_step(grid, op, S)
+        assert new.f.tobytes() == fnew.reshape(F.shape).T.tobytes()
+        grid = new
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-9])
@@ -634,18 +682,17 @@ def test_vfp_shifted_maxwellian_is_a_fixed_point_at_every_eps(K, E):
 # ---------------------------------------------------------------------------
 
 
-def test_trace_indices_of_rings_are_each_rings_own_shifted():
-    # ring p's indices are a lone grid's, moved to its rows and columns: the
-    # periodic wrap stays inside the ring
+def test_face_indices_of_rings_are_each_rings_own_shifted():
+    # ring p's faces 0..Nx-1 are a lone grid's, moved to its rows and
+    # columns: the periodic wrap stays inside the ring
     Nx, K, P = 3, 2, 4
-    incoming, to_cells = trace_indices(Nx, K, P)
-    lone_in, lone_out = trace_indices(Nx, K, 1)
-    assert incoming.shape == (2 * K, P * Nx) and to_cells.shape == (2 * K, P * Nx)
+    incoming = face_indices(Nx, K, P)[..., :Nx].reshape(2 * K, P * Nx)
+    lone_in = face_indices(Nx, K, 1)[..., :Nx].reshape(2 * K, Nx)
+    assert incoming.shape == (2 * K, P * Nx)
     for p in range(P):
         ring = slice(p * Nx, (p + 1) * Nx)
-        for index, lone in ((incoming, lone_in), (to_cells, lone_out)):
-            rows, cols = np.divmod(lone, Nx)  # velocity a and cell i of a lone state
-            assert np.array_equal(index[:, ring], rows * P * Nx + p * Nx + cols)
+        rows, cols = np.divmod(lone_in, Nx)  # velocity a and cell i of a lone state
+        assert np.array_equal(incoming[:, ring], rows * P * Nx + p * Nx + cols)
 
 
 def _batch_model(name, K, nx):

@@ -33,6 +33,7 @@ from kinwb import (
 )
 from kinwb import models, scattering, spectral
 from kinwb.diagnostics import loglog_slope
+from kinwb.kinetic import _by_cell
 from kinwb.macrolimit import bernoulli, sg_step
 from kinwb.scattering import _COND_LIMIT, EPS_SWITCH_FACTOR, _inverse
 from kinwb.spectral import first_order_shifts, vfp_mu, vfp_psi
@@ -513,6 +514,21 @@ def test_vfp_interface_well_balanced(K, eps, dx, E):
     assert well_balanced_residual(S, eps, dx, q, E=E) <= 1e-10
     # reported, not asserted: the finite-eps Hermite modes are O(eps*E)-flux-free
     note(f"column-sum deviation {stochasticity_check(S, q).col_sum_deviation:.2e}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(K=st.integers(1, 3), eps=EPS, dx=DXS, E=st.floats(-2.0, 2.0))
+@example(K=2, eps=0.3, dx=0.5, E=1.0)
+def test_vfp_drift_mode_is_a_fixed_point_of_the_interface(K, eps, dx, E):
+    # an oracle apart from the zero modes the S-matrix and the well-balanced
+    # residual are both built from: in a constant field the drift mode less
+    # its space-homogeneous part is exp(x E/kappa - v^2/2 kappa), and S maps
+    # its incoming traces at x = 0 (+v) and dx (-v) to its outgoing ones
+    q = vfp_quadrature(1.0, vfp_preset_nodes(K, 1.0))
+    S = vfp_interfaces(eps, dx, Vfp(q, [E])).S[0]
+    G = np.exp(-q.nodes**2 / (2.0 * q.kappa)) * np.exp(np.array([0.0, dx])[:, None] * E / q.kappa)
+    inc, out = np.concatenate([G[0], G[1]]), np.concatenate([G[1], G[0]])
+    assert np.max(np.abs(S @ inc - out)) <= 1e-10 * np.max(out)
 
 
 def test_ill_conditioned_interface_is_named(qv3):
@@ -1125,11 +1141,11 @@ def test_b0_on_maxwellian_traces_is_the_ilin_update(case, Nx, dx, strength, seed
     q, dt = model.q, dx * dx / 4.0
     stack = model.interfaces(0.1 * EPS_SWITCH_FACTOR * dx, dx, S)
     assert stack.below_switch.all()
-    incoming, to_cells = model.traces(Nx, 1)
+    faces = model.faces(Nx, 1)[..., :Nx].reshape(2 * q.K, Nx)  # the step's gather
     B0 = np.broadcast_to(stack.B0, (Nx,) + stack.B0.shape[1:])  # rte's one interface
-    out = np.einsum("iab,bi->ai", B0, equilibrium(rho0, q).T.take(incoming))
+    out = np.einsum("iab,bi->ai", B0, equilibrium(rho0, q).T.take(faces))
     wv = q.weights * q.nodes
-    drho = dt / dx * np.concatenate([wv, wv]) @ out.take(to_cells)
+    drho = dt / dx * np.concatenate([wv, wv]) @ _by_cell(out[:, None], 1.0)[:, 0]
     drift = model.drift(S, dx)
     want = sg_step(rho0, model.D, drift, dt, dx) - rho0
     u = np.asarray(drift) * dx / model.D
