@@ -53,6 +53,7 @@ class Mutant(NamedTuple):
 SCATTERING, SPECTRAL = "src/kinwb/scattering.py", "src/kinwb/spectral.py"
 KINETIC, MODELS = "src/kinwb/kinetic.py", "src/kinwb/models.py"
 MACROLIMIT, QUADRATURE = "src/kinwb/macrolimit.py", "src/kinwb/quadrature.py"
+RUNNER = "src/kinwb/runner.py"
 MUTANTS = [
     Mutant("root tolerance 1e-14 -> 1e-9", SPECTRAL,
            "_ROOT_RTOL = 1e-14", "_ROOT_RTOL = 1e-9", KILLED),
@@ -60,16 +61,19 @@ MUTANTS = [
            "if it == 0 and np.all(inside & converged):", "if it == 0 and np.all(converged):",
            KILLED),
     Mutant("certificate without its rounding term", SCATTERING,
-           "rho = np.abs(E, out=abs_A).sum(axis=0).max(axis=0) + n * _UNIT * norms",
-           "rho = np.abs(E, out=abs_A).sum(axis=0).max(axis=0)", KILLED),
+           "rho = np.abs(E, out=flushed).sum(axis=0).max(axis=0) + n * _UNIT * norms",
+           "rho = np.abs(E, out=flushed).sum(axis=0).max(axis=0)", KILLED),
     Mutant("certificate cut rho <= 1/2 -> 0.99", SCATTERING,
            "(rho <= 0.5) & np.isfinite(bound)", "(rho <= 0.99) & np.isfinite(bound)", KILLED),
     Mutant("condition limit 1e12 -> 1e14", SCATTERING,
            "_COND_LIMIT = 1e12", "_COND_LIMIT = 1e14", KILLED),
     Mutant("chemo micro block without its zero-mode term", SCATTERING,
            "\n             + zero.T[:, :, None] * model.closure.beta)", ")", KILLED),
+    # the first block is overwritten after the third has read it: only it moves
     Mutant("b- for b+ in the first block of B0", SCATTERING,
-           "[[b_plus * C, Z - b_minus * C]", "[[b_minus * C, Z - b_minus * C]", KILLED),
+           "    np.multiply(b_minus, C, out=bottom_right)\n",
+           "    np.multiply(b_minus, C, out=bottom_right)\n"
+           "    np.multiply(b_minus, C, out=top_left)\n", KILLED),
     Mutant("vfp micro factor E/(2 kappa) halved", SCATTERING,
            "(E / (2.0 * kappa))", "(E / (4.0 * kappa))", KILLED),
     Mutant("switch 1e-8 -> 1e-7", SCATTERING,
@@ -151,6 +155,19 @@ MUTANTS = [
     Mutant("flux projection of the row sums, not the left-stochastic column sums", SCATTERING,
            "(h[:, None] * X).sum(axis=-2, keepdims=True)",
            "(h[:, None] * X).sum(axis=-1, keepdims=True)", KILLED),
+    Mutant("batch_size ignores the interface count", RUNNER,
+           "BATCH_ENTRIES // (interfaces * (2 * model.q.K) ** 2)",
+           "BATCH_ENTRIES // (2 * model.q.K) ** 2", KILLED),
+    # the column norms then sum the signed, flushed entries that share |A|'s buffer
+    Mutant("_cond_bound flushes before taking the column norms", SCATTERING,
+           "    norm_A = flushed.sum(axis=0).max(axis=0)  # of A as it is, before the flush\n"
+           "    tiny = flushed < _TINY\n"
+           "    np.copyto(flushed, A)  # the stack itself keeps its subnormal entries\n"
+           "    np.copyto(flushed, 0.0, where=tiny)\n",
+           "    tiny = flushed < _TINY\n"
+           "    np.copyto(flushed, A)  # the stack itself keeps its subnormal entries\n"
+           "    np.copyto(flushed, 0.0, where=tiny)\n"
+           "    norm_A = flushed.sum(axis=0).max(axis=0)\n", KILLED),
 ]
 
 

@@ -41,8 +41,10 @@ MAX_STEPS = 10**9
 # the name of a snapshot file, its index in group 1
 _SNAPSHOT = re.compile(r"snapshot_(\d{4})\.csv")
 # the most entries, M (2K)^2, of the interface stack of one AP sweep batch:
-# 128 KiB a (2K, 2K, M) array, what a K = 4, Nx = 256 chemo step builds
-BATCH_ENTRIES = 2**14
+# 256 KiB a (2K, 2K, M) array, two eps a march at chemo K = 8, Nx = 64, where
+# a march's fixed cost is about that of a point; the guard's transients keep
+# every bench table's traced peak within 1.6 MB
+BATCH_ENTRIES = 2**15
 # the largest relative mass drift of one step of a model that conserves mass:
 # rounding is about 1e-16 at every eps the step marches, so a larger drift
 # is a wrong step, not a slow leak
@@ -337,10 +339,12 @@ def _setup(config: ExperimentConfig):
 
 def batch_size(model, Nx: int) -> int:
     """How many epsilons one march of an AP sweep serves: as many as keep
-    its interface stack within BATCH_ENTRIES entries.  A larger batch gains
-    nothing and costs memory (chemo K = 8, Nx = 64).  A one-cell grid
-    marches one epsilon at a time: NumPy sums a contraction over one
-    interface in another order than over a row of them."""
+    its interface stack within BATCH_ENTRIES entries.  Each march pays a
+    fixed cost, so two to four eps a batch beat one at chemo K = 8, Nx = 64,
+    while all ten in one batch are slower than two and hold ten times the
+    memory.  A one-cell grid marches one epsilon at a time: NumPy sums a
+    contraction over one interface in another order than over a row of
+    them."""
     if Nx == 1:
         return 1
     interfaces = 1 if model.shared_interface else Nx

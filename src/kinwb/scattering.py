@@ -247,7 +247,7 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
     d = np.where(d > 0.0, d, 1.0)
     scaled = A / d[..., None, :]
     try:
-        X = np.linalg.inv(scaled) / d[..., :, None]
+        X = np.linalg.inv(scaled)
     except np.linalg.LinAlgError:
         for i, a in enumerate(scaled):
             try:
@@ -255,7 +255,9 @@ def _inverse(A: np.ndarray, what: str = "interface {i}: mode matrix") -> np.ndar
             except np.linalg.LinAlgError:
                 raise IllConditioned(f"{what.format(i=i)} is singular") from None
         raise
-    cond = d.max(axis=-1) * np.abs(X).sum(axis=-2).max(axis=-1)
+    X /= d[..., :, None]
+    # |X| in the buffer of the scaled copy, which the inverse no longer needs
+    cond = d.max(axis=-1) * np.abs(X, out=scaled).sum(axis=-2).max(axis=-1)
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -299,19 +301,20 @@ def _cond_bound(A: np.ndarray, closure, r: np.ndarray) -> tuple[np.ndarray, ...]
     n, M = A.shape[0], A.shape[-1]
     K = n // 2
     beta, G = closure.beta, closure.G
-    abs_A = np.abs(A)
-    A = A.copy()  # the stack itself keeps its subnormal entries
-    np.copyto(A, 0.0, where=abs_A < _TINY)
+    flushed = np.abs(A)
+    norm_A = flushed.sum(axis=0).max(axis=0)  # of A as it is, before the flush
+    tiny = flushed < _TINY
+    np.copyto(flushed, A)  # the stack itself keeps its subnormal entries
+    np.copyto(flushed, 0.0, where=tiny)
     E = np.empty((n, n, M))
     with np.errstate(all="ignore"):  # a non-finite input only fails the bound
-        np.matmul(G, A[:K].reshape(K, -1), out=E[:K].reshape(K, -1))
-        bottom = (G @ A[K:].reshape(K, -1)).reshape(K, n, M)
-        E[K:-1] = bottom[:-1]
-        E[-1] = (E[K - 1] - bottom[-1]) / r
+        np.matmul(G, flushed[:K].reshape(K, -1), out=E[:K].reshape(K, -1))
+        np.matmul(G, flushed[K:].reshape(K, -1), out=E[K:].reshape(K, -1))
+        E[-1] = (E[K - 1] - E[-1]) / r
         E.reshape(n * n, M)[:: n + 1] -= 1.0  # E = Y A - I
         norm_Y = (closure.abs_G_sums[:, None] + np.abs(beta)[:, None] / np.abs(r)).max(axis=0)
-        norms = abs_A.sum(axis=0).max(axis=0) * norm_Y
-        rho = np.abs(E, out=abs_A).sum(axis=0).max(axis=0) + n * _UNIT * norms
+        norms = norm_A * norm_Y
+        rho = np.abs(E, out=flushed).sum(axis=0).max(axis=0) + n * _UNIT * norms
         bound = norms / (1.0 - rho)
     return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf), E, rho
 
@@ -339,13 +342,15 @@ def _stack(epsilon, dx, closure, N, Nt, build_B0, r=None, flux=None) -> Interfac
         if not ok.all():  # C-contiguous, as a lone problem's: einsum's bits follow the layout
             E, r = E.compress(certified, axis=-1), r[certified]
         limit = (closure.G, r, E, steps)
+    E = None  # the limit keeps what it needs: the guard's inverse runs without the full E
     N, Nt = N.transpose(2, 0, 1), Nt.transpose(2, 0, 1)
     inverse = None
     if not certified.any():
         inverse = _inverse(N)
     elif not certified.all():  # a batch inverts its uncertified problems only
-        inverse = np.zeros(N.shape)
-        inverse[~certified] = _inverse(N[~certified], "uncertified interface {i}: mode matrix")
+        X = _inverse(N[~certified], "uncertified interface {i}: mode matrix")
+        inverse = np.zeros(N.shape)  # allocated after the guard's transients are gone
+        inverse[~certified] = X
     return InterfaceStack(epsilon, N, Nt, closure.anti_S0, below, certified, build_B0, inverse,
                           limit, flux)
 
@@ -425,7 +430,16 @@ def _limit_B0(model, dx, u, Z) -> np.ndarray:
     u = u[:, None, None]
     b_plus, b_minus = bernoulli(-u) / dx, bernoulli(u) / dx
     C = np.outer((np.eye(q.K) + closure.S0) @ (q.nodes * q.maxwellian), closure.beta)
-    return np.block([[b_plus * C, Z - b_minus * C], [-Z - b_plus * C, b_minus * C]])
+    K = q.K
+    B0 = np.empty((len(u), 2 * K, 2 * K))
+    top_left, top_right, bottom_left, bottom_right = (
+        B0[:, :K, :K], B0[:, :K, K:], B0[:, K:, :K], B0[:, K:, K:])
+    # each block in place, by the operations of its closed form
+    np.multiply(b_plus, C, out=top_left)
+    np.subtract(np.negative(Z, out=bottom_left), top_left, out=bottom_left)
+    np.multiply(b_minus, C, out=bottom_right)
+    np.subtract(Z, bottom_right, out=top_right)
+    return B0
 
 
 def _chemo_micro(model, phip, lam1, lam01) -> np.ndarray:

@@ -276,9 +276,15 @@ def _straddle(nx):
 @example(model=("rte", 4), nx=17, eps_list=_straddle(17))
 @example(model=("chemo", 4), nx=64, eps_list=_straddle(64))
 @example(model=("vfp", 3), nx=64, eps_list=_straddle(64))
+# chemo K = 8 marches two eps a batch: here one member above the switch and
+# one below
+@example(model=("chemo", 8), nx=64, eps_list=_straddle(64))
 # the certificate's rho = 1/2 falls between 0.8 and 0.9 dx/3: two problems of
-# the batch of four are certified, two inverted
+# the batch of five are certified, three inverted
 @example(model=("chemo", 4), nx=64, eps_list=[f / 192.0 for f in (0.9, 0.8, 1.0, 0.7, 0.9)])
+# at K = 8 it falls between 0.7 and 0.8 dx/3: each batch of two holds one
+# certified and one inverted problem, in either order
+@example(model=("chemo", 8), nx=64, eps_list=[f / 192.0 for f in (0.8, 0.7, 0.7, 0.8)])
 def test_sweep_rows_are_the_rows_of_one_eps_tables(model, nx, eps_list):
     # the companion of test_sweep_builds_model_once: whatever batches a table
     # marches, each row is its eps's own one-point table, bitwise, in list order
@@ -288,10 +294,10 @@ def test_sweep_rows_are_the_rows_of_one_eps_tables(model, nx, eps_list):
     assert [(e, g.hex()) for e, g in rows] == [(e, g.hex()) for e, g in expected]
 
 
-@pytest.mark.parametrize("model, K, size", [("chemo", 8, 1), ("vfp", 3, 7), ("rte", 16, 16),
-                                            ("chemo", 4, 4), ("twostream", 1, 64)])
+@pytest.mark.parametrize("model, K, size", [("chemo", 8, 2), ("vfp", 3, 14), ("rte", 16, 32),
+                                            ("chemo", 4, 8), ("twostream", 1, 128)])
 def test_sweep_batches_keep_one_interface_stack_within_the_budget(monkeypatch, model, K, size):
-    # M (2K)^2 entries of a batch's interface stack stay within 2^14; rte has
+    # M (2K)^2 entries of a batch's interface stack stay within 2^15; rte has
     # one interface per problem, so a ten-eps sweep is one batch
     config = sweep_config(model, K, 64, [10.0**-d for d in range(1, 11)])
     built, _ = _setup(config)

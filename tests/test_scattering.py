@@ -812,6 +812,111 @@ def test_certificate_carries_its_rounding_allowance_and_cuts_rho_at_one_half():
     assert bound[2] == pytest.approx(2.0 * 2.2 / 0.6, rel=1e-14)
 
 
+def two_buffer_cond_bound(A, closure, r):
+    """:func:`scattering._cond_bound` with |A| and a flushed copy of A held
+    side by side, and the bottom product in its own array: the bitwise
+    reference of the one-buffer form."""
+    n, M = A.shape[0], A.shape[-1]
+    K = n // 2
+    abs_A = np.abs(A)
+    A = A.copy()
+    np.copyto(A, 0.0, where=abs_A < np.finfo(float).tiny)
+    E = np.empty((n, n, M))
+    with np.errstate(all="ignore"):
+        np.matmul(closure.G, A[:K].reshape(K, -1), out=E[:K].reshape(K, -1))
+        bottom = (closure.G @ A[K:].reshape(K, -1)).reshape(K, n, M)
+        E[K:-1] = bottom[:-1]
+        E[-1] = (E[K - 1] - bottom[-1]) / r
+        E.reshape(n * n, M)[:: n + 1] -= 1.0
+        norm_Y = (closure.abs_G_sums[:, None]
+                  + np.abs(closure.beta)[:, None] / np.abs(r)).max(axis=0)
+        norms = abs_A.sum(axis=0).max(axis=0) * norm_Y
+        rho = np.abs(E, out=abs_A).sum(axis=0).max(axis=0) + n * ULP * norms
+        bound = norms / (1.0 - rho)
+    return np.where((rho <= 0.5) & np.isfinite(bound), bound, np.inf), E, rho
+
+
+def two_buffer_inverse(A):
+    """:func:`scattering._inverse` dividing into a fresh array and taking
+    |X| into another: its bitwise reference."""
+    d = np.abs(A).sum(axis=-2)
+    d = np.where(d > 0.0, d, 1.0)
+    scaled = A / d[..., None, :]
+    try:
+        X = np.linalg.inv(scaled) / d[..., :, None]
+    except np.linalg.LinAlgError:
+        for i, a in enumerate(scaled):
+            try:
+                np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                raise IllConditioned(f"interface {i}: mode matrix is singular") from None
+        raise
+    cond = d.max(axis=-1) * np.abs(X).sum(axis=-2).max(axis=-1)
+    bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if not np.all(np.isfinite(A[i])):
+            raise IllConditioned(f"interface {i}: mode matrix has entries that are not finite")
+        raise IllConditioned(f"interface {i}: mode matrix 1-norm condition number "
+                             f"{cond[i]:.3e} exceeds 1e12")
+    return X
+
+
+def guard_outcome(inverse, A):
+    """The inverse's bytes, or its IllConditioned message."""
+    try:
+        return inverse(A).tobytes()
+    except IllConditioned as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 8])
+def test_guard_keeps_the_bits_of_its_two_buffer_form(K):
+    # a chemo stack whose member 1 carries subnormal entries, as underflowed
+    # decay factors, member 3 a NaN, member 5 a zero column and member 6 two
+    # columns that differ in one entry by 1e-13; the certificate and the
+    # inverse give the bits and messages they gave with separate transient
+    # arrays, and leave the stack as it was
+    recorded = []
+    original = scattering._cond_bound
+
+    def record(A, closure, r):
+        recorded.append((A.copy(), closure, r))
+        return original(A, closure, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scattering, "_cond_bound", record)
+        chemo_interfaces(1e-2, DX, Chemo(gauss_symmetric(K), phi_tanh),
+                         [0.0, 0.8, -1.3, 0.4, 2.0, -0.6, 1.1])
+    (A, closure, r), = recorded
+    A[0, -1, 1], A[-1, 0, 1], A[K, 0, 1] = -3e-310, 5e-320, np.finfo(float).tiny / 2.0
+    A[0, 0, 3] = np.nan
+    A[:, 1, 5] = 0.0
+    A[:, 1, 6] = A[:, 0, 6]
+    A[0, 1, 6] *= 1.0 + 1e-13
+    before = A.tobytes()
+    for got, ref in zip(scattering._cond_bound(A, closure, r),
+                        two_buffer_cond_bound(A, closure, r)):
+        assert got.tobytes() == ref.tobytes()
+    assert A.tobytes() == before
+    N = A.transpose(2, 0, 1)  # the stack's own strided view
+    finite = np.ones(len(N), bool)
+    finite[[3, 5, 6]] = False
+    singular = N[np.arange(len(N)) != 3]  # member 5 is interface 4 of this stack
+    cases = {"finite": N[finite], "strided": A[..., finite].transpose(2, 0, 1),
+             "past the limit": A[..., [0, 6]].transpose(2, 0, 1), "not finite": N[:5],
+             "singular": singular, "all": N}
+    for name, stack in cases.items():
+        outcome = guard_outcome(_inverse, stack)
+        assert outcome == guard_outcome(two_buffer_inverse, stack), name
+    assert guard_outcome(_inverse, N[:5]) == (
+        "interface 3: mode matrix has entries that are not finite")
+    assert guard_outcome(_inverse, singular) == "interface 4: mode matrix is singular"
+    assert guard_outcome(_inverse, cases["past the limit"]).startswith(
+        "interface 1: mode matrix 1-norm condition number")
+    assert A.tobytes() == before
+
+
 def explicit_cond_bound(A, Y):
     """The certificate with the limit inverse Y (M, n, n) materialised and
     Y A multiplied out, A (M, n, n): the reference of the structured
